@@ -27,9 +27,8 @@ from .model import (Drift, DriftClass, QbdBlocks, RewardSpec, Violation,
 from .oracle import (OracleConfig, oracle_deviation, oracle_passage,
                      oracle_reward, oracle_stationary,
                      oracle_transient_deviation)
-from .passage import (BarredBlocks, PassageColumn, barred_blocks,
-                      deviation_block_asymptotic, deviation_block_column,
-                      deviation_matrix_diffeq,
+from .passage import (PassageColumn, deviation_block_asymptotic,
+                      deviation_block_column, deviation_matrix_diffeq,
                       mu_all, mu_k, mu_limit, passage_column,
                       passage_column_unbounded, passage_level_matrices)
 from .perturbation import (BlockUpdate, CapacityLadderState, block_update,

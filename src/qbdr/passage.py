@@ -4,11 +4,12 @@ Entry (k i, l j) of the deviation matrix equals
 pi_(l,j) [ M_pi(l,j) - M_(k,i)(l,j) ] where M holds mean first entrance
 times, so the asymptotic deviation blocks reduce to first-passage columns.
 For a fixed target state (l, j) the passage-time vectors over all levels
-solve a second-order matrix difference equation with level-l rows pinned;
-the solution mixes powers of G and Ghat around a particular term mu_k(C)
-built from the local kernel H0, with the free vectors fixed by a small
-boundary system Z^(j) of dimension 2n, 3n or 4n depending on where the
-target sits relative to the boundaries.
+solve the matrix difference equation Q m = -1 with the target entry pinned
+to zero.  A boundary target leaves one run of levels 0..C; any other
+target splits it into 0..l and l+1..C.  On each run the solution mixes
+powers of G and Ghat around the particular term mu_k(C) built from the
+local kernel H0, and :mod:`qbdr.diffeq` fixes the free vectors from the
+level equations at the run ends.
 """
 
 import warnings
@@ -16,16 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .diffeq import BoundarySystem, particular, power_stacks, segment_ends
 from .errors import NumericalError, PreconditionError
 from .gmatrices import SolverConfig, gmatrices, require_not_null_recurrent
-from .linalg import censor_generator, matrix_powers, solve_refined
+from .linalg import censor_generator
 from .model import Drift, assemble_generator, classify_drift
 from .stationary import stationary_rmatrix
 
 __all__ = [
     "PassageColumn",
-    "BarredBlocks",
-    "barred_blocks",
     "mu_k",
     "mu_all",
     "mu_limit",
@@ -61,44 +61,6 @@ class PassageColumn:
         return np.concatenate(self.m)
 
 
-@dataclass(frozen=True)
-class BarredBlocks:
-    """Blocks with the target-phase row absorbed.
-
-    Row j of the off-level blocks is zeroed; row j of the local blocks is
-    replaced by -e_j (unit absorption rate from the target state).
-    """
-
-    A_minus1: np.ndarray
-    A1: np.ndarray
-    B0: np.ndarray
-    A0: np.ndarray
-    C0: np.ndarray
-
-
-def barred_blocks(blocks, j):
-    """Blocks with row j replaced as the pinned target-state row."""
-    n = blocks.n
-    if not 0 <= j < n:
-        raise ValueError(f"phase {j} out of range 0..{n - 1}")
-
-    def zero_row(mat):
-        out = mat.copy()
-        out[j, :] = 0.0
-        return out
-
-    def unit_row(mat):
-        out = mat.copy()
-        out[j, :] = 0.0
-        out[j, j] = -1.0
-        return out
-
-    return BarredBlocks(
-        A_minus1=zero_row(blocks.A_minus1), A1=zero_row(blocks.A1),
-        B0=unit_row(blocks.B0), A0=unit_row(blocks.A0),
-        C0=unit_row(blocks.C0))
-
-
 def mu_k(blocks, gmat, k):
     """Particular passage term mu_k(C) = sum G^j H0 1 + sum Ghat^j H0 1."""
     C = blocks.C
@@ -118,16 +80,10 @@ def mu_k(blocks, gmat, k):
 
 
 def mu_all(blocks, gmat):
-    """All vectors mu_0(C) .. mu_C(C) by forward/backward sweeps."""
-    C, n = blocks.C, blocks.n
-    h = gmat.H0 @ np.ones(n)
-    down = [np.zeros(n)]
-    for k in range(1, C + 1):
-        down.append(gmat.G @ down[k - 1] + h)
-    up = [np.zeros(n)] * (C + 1)
-    for k in range(C - 1, -1, -1):
-        up[k] = gmat.Ghat @ (up[k + 1] + h)
-    return [down[k] + up[k] for k in range(C + 1)]
+    """All vectors mu_0(C) .. mu_C(C), stacked (C+1, n), by one sweep."""
+    h = gmat.H0 @ np.ones(blocks.n)
+    return particular(gmat.G, gmat.Ghat,
+                      np.broadcast_to(h, (blocks.C + 1, blocks.n)))
 
 
 def mu_limit(blocks, gmat, k):
@@ -135,22 +91,29 @@ def mu_limit(blocks, gmat, k):
     sum_{j<k} G^j H0 1 + ((I - Ghat)^{-1} - I) H0 1."""
     n = blocks.n
     h = gmat.H0 @ np.ones(n)
-    out = np.linalg.solve(np.eye(n) - gmat.Ghat, gmat.Ghat @ h)
-    gpow = np.eye(n)
-    for _ in range(k):
-        out = out + gpow @ h
-        gpow = gpow @ gmat.G
-    return out
+    tail = np.linalg.solve(np.eye(n) - gmat.Ghat, gmat.Ghat @ h)
+    return particular(gmat.G, gmat.Ghat, np.broadcast_to(h, (k + 1, n)),
+                      tail)[k]
+
+
+def _passage_segments(upper, level):
+    """Runs of levels around a target level; ``upper`` is the top level,
+    None for the upper-unbounded process."""
+    if level in (0, upper):
+        return [(0, upper)]
+    return [(0, level), (level + 1, upper)]
+
+
+def _passage_system(blocks, level, powers, mu, upper):
+    """The boundary system of the passage times to a target on ``level``;
+    every level equation reads Q m = -1 around the particular term mu."""
+    return BoundarySystem(blocks, _passage_segments(upper, level), powers,
+                          mu, np.full(np.shape(mu), -1.0))
 
 
 def passage_level_set(blocks, level):
     """Levels on which the boundary system for a target level lives."""
-    C = blocks.C
-    if level == 0 or level == C:
-        return (0, C)
-    if level == C - 1:
-        return (0, C - 1, C)
-    return (0, level, level + 1, C)
+    return segment_ends(_passage_segments(blocks.C, level))
 
 
 def _modified_generator(blocks, level, j):
@@ -176,65 +139,22 @@ def censored_passage_generator(blocks, level, j):
     return censor_generator(q, keep)
 
 
+def _bare_system(blocks, level, gmat, powers=None):
+    """The passage boundary system without particular term or forcing."""
+    if powers is None:
+        powers = power_stacks(gmat, blocks.C)
+    zero = np.zeros((blocks.C + 1, blocks.n))
+    return _passage_system(blocks, level, powers, zero, blocks.C)
+
+
 def passage_z_matrix(blocks, level, j, gmat, powers=None):
     """The boundary system matrix Z^(j) for one target state."""
-    b = blocks
-    C, n = b.C, b.n
-    bb = barred_blocks(b, j)
-    if powers is None:
-        powers = (matrix_powers(gmat.G, C), matrix_powers(gmat.Ghat, C))
-    gp, ghp = powers
-    g, gh = gmat.G, gmat.Ghat
-    zero = np.zeros((n, n))
-    if level == 0:
-        return np.block([
-            [bb.B0 + bb.A1 @ g, (bb.B0 @ gh + bb.A1) @ ghp[C - 1]],
-            [(b.A_minus1 + b.C0 @ g) @ gp[C - 1], b.A_minus1 @ gh + b.C0],
-        ])
-    if level == C:
-        return np.block([
-            [b.B0 + b.A1 @ g, (b.B0 @ gh + b.A1) @ ghp[C - 1]],
-            [(bb.A_minus1 + bb.C0 @ g) @ gp[C - 1], bb.A_minus1 @ gh + bb.C0],
-        ])
-    if level == C - 1:
-        return np.block([
-            [b.B0 + b.A1 @ g, (b.B0 @ gh + b.A1) @ ghp[C - 2], zero],
-            [(bb.A_minus1 + bb.A0 @ g) @ gp[C - 2], bb.A_minus1 @ gh + bb.A0,
-             bb.A1],
-            [b.A_minus1 @ gp[C - 1], b.A_minus1, b.C0],
-        ])
-    return np.block([
-        [b.B0 + b.A1 @ g, (b.B0 @ gh + b.A1) @ ghp[level - 1], zero, zero],
-        [(bb.A_minus1 + bb.A0 @ g) @ gp[level - 1], bb.A_minus1 @ gh + bb.A0,
-         bb.A1, bb.A1 @ ghp[C - level - 1]],
-        [b.A_minus1 @ gp[level], b.A_minus1, b.A0 + b.A1 @ g,
-         (b.A0 @ gh + b.A1) @ ghp[C - level - 2]],
-        [zero, zero, (b.C0 @ g + b.A_minus1) @ gp[C - level - 2],
-         b.C0 + b.A_minus1 @ gh],
-    ])
+    return _bare_system(blocks, level, gmat, powers).pinned((level, j))[0]
 
 
 def passage_z_factor(blocks, level, gmat):
     """The power-matrix factor linking Z^(j) to the censored generator."""
-    C, n = blocks.C, blocks.n
-    eye = np.eye(n)
-    zero = np.zeros((n, n))
-    gp = np.linalg.matrix_power
-    g, gh = gmat.G, gmat.Ghat
-    if level == 0 or level == C:
-        return np.block([[eye, gp(gh, C)], [gp(g, C), eye]])
-    if level == C - 1:
-        return np.block([
-            [eye, gp(gh, C - 1), zero],
-            [gp(g, C - 1), eye, zero],
-            [zero, zero, eye],
-        ])
-    return np.block([
-        [eye, gp(gh, level), zero, zero],
-        [gp(g, level), eye, zero, zero],
-        [zero, zero, eye, gp(gh, C - level - 1)],
-        [zero, zero, gp(g, C - level - 1), eye],
-    ])
+    return _bare_system(blocks, level, gmat).end_map()
 
 
 def _column_residual(blocks, level, j, m):
@@ -272,12 +192,11 @@ def passage_column(blocks, level, j, gmat=None, config=SolverConfig(),
                    powers=None, mu=None):
     """Mean first passage times from every state to target (level, j).
 
-    Phases are 0-based.  Dispatches on the position of the target level:
-    boundary targets need a 2n boundary solve, the level next to the upper
-    boundary a 3n solve, and interior targets a 4n solve.  Capacities
-    C <= 2 have no interior band and route to a dense pinned solve with the
-    same output contract.  ``powers`` (the cached G/Ghat power lists) and
-    ``mu`` may be supplied to share work across columns.
+    Phases are 0-based.  A boundary target leaves one run of levels, any
+    other target two, and the boundary system pins their free vectors.
+    Capacities C <= 2 have no interior band and route to a dense pinned
+    solve with the same output contract.  ``powers`` (the stacked G/Ghat
+    powers) and ``mu``, supplied together, share work across columns.
 
     Raises
     ------
@@ -293,70 +212,13 @@ def passage_column(blocks, level, j, gmat=None, config=SolverConfig(),
         raise ValueError(f"target phase {j} out of range 0..{n - 1}")
 
     if C <= 2:
-        stacked = _direct_taboo_column(blocks, level, j)
-        m = [stacked[k * n:(k + 1) * n].copy() for k in range(C + 1)]
+        m = _direct_taboo_column(blocks, level, j).reshape(C + 1, n)
         return _finish_column(blocks, level, j, m)
 
-    require_not_null_recurrent(blocks, "mean first passage expansions")
-    if gmat is None:
-        gmat = gmatrices(blocks, 0.0, config)
-    if powers is None:
-        powers = (matrix_powers(gmat.G, C), matrix_powers(gmat.Ghat, C))
-    gp, ghp = powers
-    if mu is None:
-        mu = mu_all(blocks, gmat)
-    bb = barred_blocks(blocks, j)
-    one = np.ones(n)
-    ej = np.eye(n)[j]
-    z = passage_z_matrix(blocks, level, j, gmat, powers=powers)
-
-    if level == 0:
-        rhs = np.concatenate([
-            one - ej + bb.B0 @ mu[0] + bb.A1 @ mu[1],
-            one + blocks.A_minus1 @ mu[C - 1] + blocks.C0 @ mu[C],
-        ])
-        v, w = _solve_boundary(z, rhs, n, 2)
-        m = [gp[k] @ v + ghp[C - k] @ w + mu[k] for k in range(C + 1)]
-    elif level == C:
-        rhs = np.concatenate([
-            one + blocks.B0 @ mu[0] + blocks.A1 @ mu[1],
-            one - ej + bb.A_minus1 @ mu[C - 1] + bb.C0 @ mu[C],
-        ])
-        v, w = _solve_boundary(z, rhs, n, 2)
-        m = [gp[k] @ v + ghp[C - k] @ w + mu[k] for k in range(C + 1)]
-    elif level == C - 1:
-        rhs = np.concatenate([
-            one + blocks.B0 @ mu[0] + blocks.A1 @ mu[1],
-            one - ej + bb.A_minus1 @ mu[C - 2] + bb.A0 @ mu[C - 1]
-            + bb.A1 @ mu[C],
-            one + blocks.A_minus1 @ mu[C - 1] + blocks.C0 @ mu[C],
-        ])
-        v, w, x = _solve_boundary(z, rhs, n, 3)
-        m = [gp[k] @ v + ghp[C - 1 - k] @ w + mu[k] for k in range(C)]
-        m.append(x + mu[C])
-    else:
-        rhs = np.concatenate([
-            one + blocks.B0 @ mu[0] + blocks.A1 @ mu[1],
-            one - ej + bb.A_minus1 @ mu[level - 1] + bb.A0 @ mu[level]
-            + bb.A1 @ mu[level + 1],
-            one + blocks.A_minus1 @ mu[level] + blocks.A0 @ mu[level + 1]
-            + blocks.A1 @ mu[level + 2],
-            one + blocks.A_minus1 @ mu[C - 1] + blocks.C0 @ mu[C],
-        ])
-        v_lo, w_lo, v_hi, w_hi = _solve_boundary(z, rhs, n, 4)
-        m = [gp[k] @ v_lo + ghp[level - k] @ w_lo + mu[k]
-             for k in range(level + 1)]
-        m += [gp[k - level - 1] @ v_hi + ghp[C - k] @ w_hi + mu[k]
-              for k in range(level + 1, C + 1)]
-    return _finish_column(blocks, level, j, m)
-
-
-def _solve_boundary(z, rhs, n, parts):
-    try:
-        sol = solve_refined(-z, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"passage boundary system singular: {exc}") from exc
-    return tuple(sol[i * n:(i + 1) * n] for i in range(parts))
+    if powers is None or mu is None:
+        powers, mu = _column_terms(blocks, gmat, config)
+    system = _passage_system(blocks, level, powers, mu, C)
+    return _finish_column(blocks, level, j, system.solve((level, j)))
 
 
 def _finish_column(blocks, level, j, m):
@@ -385,51 +247,38 @@ def passage_column_unbounded(blocks, level, j, kmax, gmat=None,
         raise ValueError(f"target phase {j} out of range 0..{n - 1}")
     if gmat is None:
         gmat = gmatrices(blocks, 0.0, config)
-    bb = barred_blocks(blocks, j)
-    one = np.ones(n)
-    ej = np.eye(n)[j]
-    mu_inf = [mu_limit(blocks, gmat, k)
-              for k in range(max(kmax, level + 2) + 1)]
-    g, gh = gmat.G, gmat.Ghat
-
-    if level == 0:
-        lead = bb.B0 + bb.A1 @ g
-        v = -np.linalg.solve(lead, one - ej + bb.B0 @ mu_inf[0]
-                             + bb.A1 @ mu_inf[1])
-        m = [np.linalg.matrix_power(g, k) @ v + mu_inf[k]
-             for k in range(kmax + 1)]
-    else:
-        zero = np.zeros((n, n))
-        w3 = np.block([
-            [blocks.B0 + blocks.A1 @ g,
-             (blocks.B0 @ gh + blocks.A1)
-             @ np.linalg.matrix_power(gh, level - 1), zero],
-            [(bb.A_minus1 + bb.A0 @ g)
-             @ np.linalg.matrix_power(g, level - 1),
-             bb.A_minus1 @ gh + bb.A0, bb.A1],
-            [blocks.A_minus1 @ np.linalg.matrix_power(g, level),
-             blocks.A_minus1, blocks.A0 + blocks.A1 @ g],
-        ])
-        rhs = np.concatenate([
-            one + blocks.B0 @ mu_inf[0] + blocks.A1 @ mu_inf[1],
-            one - ej + bb.A_minus1 @ mu_inf[level - 1]
-            + bb.A0 @ mu_inf[level] + bb.A1 @ mu_inf[level + 1],
-            one + blocks.A_minus1 @ mu_inf[level]
-            + blocks.A0 @ mu_inf[level + 1] + blocks.A1 @ mu_inf[level + 2],
-        ])
-        v_lo, w_lo, v_hi = _solve_boundary(w3, rhs, n, 3)
-        m = []
-        for k in range(kmax + 1):
-            if k <= level:
-                m.append(np.linalg.matrix_power(g, k) @ v_lo
-                         + np.linalg.matrix_power(gh, level - k) @ w_lo
-                         + mu_inf[k])
-            else:
-                m.append(np.linalg.matrix_power(g, k - level - 1) @ v_hi
-                         + mu_inf[k])
+    top = max(kmax, level + 2)
+    mu_inf = [mu_limit(blocks, gmat, k) for k in range(top + 1)]
+    system = _passage_system(blocks, level, power_stacks(gmat, top), mu_inf,
+                             None)
+    m = system.solve((level, j))[:kmax + 1]
     if level <= kmax:
         m[level][j] = 0.0
     return tuple(m)
+
+
+def _column_terms(blocks, gmat, config):
+    """The G/Ghat powers and mu shared by every passage column; None for
+    C <= 2, whose columns take the dense pinned solve."""
+    if blocks.C <= 2:
+        return None
+    require_not_null_recurrent(blocks, "mean first passage expansions")
+    if gmat is None:
+        gmat = gmatrices(blocks, 0.0, config)
+    return power_stacks(gmat, blocks.C), mu_all(blocks, gmat)
+
+
+def _level_matrices(blocks, level, terms):
+    """Passage matrices of one target level from :func:`_column_terms`;
+    the n columns share one assembled boundary system."""
+    n = blocks.n
+    if terms is None:
+        cols = [passage_column(blocks, level, j).m for j in range(n)]
+    else:
+        system = _passage_system(blocks, level, *terms, blocks.C)
+        cols = [_finish_column(blocks, level, j, system.solve((level, j))).m
+                for j in range(n)]
+    return np.stack(cols, axis=2)
 
 
 def passage_level_matrices(blocks, level, gmat=None, config=SolverConfig()):
@@ -438,16 +287,9 @@ def passage_level_matrices(blocks, level, gmat=None, config=SolverConfig()):
 
     Column j of M_{k, level} is the passage column for phase j.
     """
-    n, C = blocks.n, blocks.C
-    powers = mu = None
-    if C > 2:
-        if gmat is None:
-            gmat = gmatrices(blocks, 0.0, config)
-        powers = (matrix_powers(gmat.G, C), matrix_powers(gmat.Ghat, C))
-        mu = mu_all(blocks, gmat)
-    cols = [passage_column(blocks, level, j, gmat, config, powers, mu).m
-            for j in range(n)]
-    return np.stack(cols, axis=2)
+    if not 0 <= level <= blocks.C:
+        raise ValueError(f"target level {level} out of range 0..{blocks.C}")
+    return _level_matrices(blocks, level, _column_terms(blocks, gmat, config))
 
 
 def deviation_block_asymptotic(blocks, pi, k, level, level_mats=None,
@@ -495,9 +337,10 @@ def deviation_matrix_diffeq(blocks, pi=None, config=SolverConfig()):
     gmat = gmatrices(blocks, 0.0, config) if C > 2 else None
     if pi is None:
         pi = stationary_rmatrix(blocks, config, gmat=gmat)
+    terms = _column_terms(blocks, gmat, config)
     out = np.empty((n * (C + 1), n * (C + 1)))
     for level in range(C + 1):
-        column = deviation_block_column(blocks, pi, level, gmat=gmat,
-                                        config=config)
+        mats = _level_matrices(blocks, level, terms)
+        column = deviation_block_column(blocks, pi, level, level_mats=mats)
         out[:, level * n:(level + 1) * n] = column.reshape(-1, n)
     return out

@@ -3,15 +3,17 @@
 All transform-domain quantities are evaluated at a fixed transform variable
 s (real positive, or complex with positive real part when driven by the
 numerical inverter).  A :class:`TransformContext` bundles the model, the
-matrices G(s), Ghat(s), H0(s) and their cached powers, so that the many
-block evaluations at one s share the expensive solves.
+matrices G(s), Ghat(s), H0(s) and their stacked powers, so that the many
+evaluations at one s share the expensive solves.
 
-The level blocks of the transformed reward vector solve a second-order
-matrix difference equation; the general solution mixes a forward term in
-G(s)^k, a backward term in Ghat(s)^{C-k} and a particular term, with the
-two free vectors pinned by a 2n x 2n boundary system Z(s, C).  The same
-machinery yields every block of the transformed deviation matrix.  Time
-domain values are recovered with Euler-summed Fourier-series inversion.
+The level blocks of the transformed reward vector solve the matrix
+difference equation (Q - sI) x = -g/s; the general solution mixes a
+forward term in G(s)^k, a backward term in Ghat(s)^{C-k} and a particular
+term, and :mod:`qbdr.diffeq` pins the two free vectors with the level
+equations at 0 and C.  Every block column of the transformed deviation
+matrix solves the same equation with forcing -I/s at its target level, all
+columns in one boundary solve.  Time domain values are recovered with
+Euler-summed Fourier-series inversion.
 """
 
 import math
@@ -19,9 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, TailConvergenceError
+from .diffeq import BoundarySystem, particular, power_stacks
+from .errors import TailConvergenceError
 from .gmatrices import SolverConfig, gmatrices
-from .linalg import censor_generator, matrix_powers, solve_refined
+from .linalg import censor_generator
 from .model import assemble_generator
 from .stationary import stationary_rmatrix
 
@@ -67,13 +70,13 @@ class InversionConfig:
 
 @dataclass(frozen=True)
 class TransformContext:
-    """Model plus G/Ghat/H0 at one s, with power caches up to C."""
+    """Model plus G/Ghat/H0 at one s, with stacked powers 0..C."""
 
     s: complex
     blocks: object
     gmat: object
-    powers_G: tuple
-    powers_Ghat: tuple
+    powers_G: np.ndarray
+    powers_Ghat: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -85,17 +88,9 @@ class BoundaryVectors:
 
 
 def transform_context(blocks, s, config=SolverConfig()):
-    """Solve G(s), Ghat(s), H0(s) and cache their powers 0..C."""
+    """Solve G(s), Ghat(s), H0(s) and stack their powers 0..C."""
     gm = gmatrices(blocks, s, config)
-    return TransformContext(
-        s=gm.s, blocks=blocks, gmat=gm,
-        powers_G=tuple(matrix_powers(gm.G, blocks.C)),
-        powers_Ghat=tuple(matrix_powers(gm.Ghat, blocks.C)))
-
-
-def _scaled_rewards(ctx, rewards):
-    """H0(s) g_l(s) = H0 g_l / s for every level, the particular-term atoms."""
-    return [ctx.gmat.H0 @ g / ctx.s for g in rewards.g]
+    return TransformContext(gm.s, blocks, gm, *power_stacks(gm, blocks.C))
 
 
 def nu_k(ctx, rewards, k):
@@ -108,7 +103,7 @@ def nu_k(ctx, rewards, k):
     C = ctx.blocks.C
     if not 0 <= k <= C:
         raise ValueError(f"level {k} out of range 0..{C}")
-    atoms = _scaled_rewards(ctx, rewards)
+    atoms = [ctx.gmat.H0 @ g / ctx.s for g in rewards.g]
     out = np.zeros(ctx.blocks.n, dtype=atoms[0].dtype)
     for j in range(0, k):
         out = out + ctx.powers_G[j] @ atoms[k - j]
@@ -118,31 +113,22 @@ def nu_k(ctx, rewards, k):
 
 
 def _nu_all(ctx, rewards):
-    """All nu_k at once via the forward/backward sweeps (O(C) products)."""
-    C, n = ctx.blocks.C, ctx.blocks.n
-    atoms = _scaled_rewards(ctx, rewards)
-    down = [np.zeros(n, dtype=atoms[0].dtype)]
-    for k in range(1, C + 1):
-        down.append(ctx.gmat.G @ down[k - 1] + atoms[k])
-    up = [np.zeros(n, dtype=atoms[0].dtype)] * (C + 1)
-    for k in range(C - 1, -1, -1):
-        up[k] = ctx.gmat.Ghat @ (up[k + 1] + atoms[k + 1])
-    return [down[k] + up[k] for k in range(C + 1)]
+    """All nu_k at once, stacked (C+1, n), by one sweep over the atoms
+    H0(s) g_l(s) = H0 g_l / s."""
+    atoms = [ctx.gmat.H0 @ g / ctx.s for g in rewards.g]
+    return particular(ctx.gmat.G, ctx.gmat.Ghat, np.array(atoms))
+
+
+def _system(ctx, p, f):
+    """The boundary system on the levels 0..C at the context's s."""
+    return BoundarySystem(ctx.blocks, [(0, ctx.blocks.C)],
+                          (ctx.powers_G, ctx.powers_Ghat), p, f, ctx.s)
 
 
 def z_matrix(ctx):
     """The 2n x 2n boundary matrix Z(s, C) pinning the free vectors."""
-    b = ctx.blocks
-    s, C = ctx.s, b.C
-    eye = np.eye(b.n)
-    g, gh = ctx.gmat.G, ctx.gmat.Ghat
-    b0s = b.B0 - s * eye
-    c0s = b.C0 - s * eye
-    top = np.hstack([b0s + b.A1 @ g,
-                     (b0s @ gh + b.A1) @ ctx.powers_Ghat[C - 1]])
-    bottom = np.hstack([(b.A_minus1 + c0s @ g) @ ctx.powers_G[C - 1],
-                        b.A_minus1 @ gh + c0s])
-    return np.vstack([top, bottom])
+    zero = np.zeros((ctx.blocks.C + 1, ctx.blocks.n))
+    return _system(ctx, zero, zero).matrix
 
 
 def censored_boundary_generator(blocks, s):
@@ -159,36 +145,26 @@ def censored_boundary_generator(blocks, s):
     return censor_generator(full, keep)
 
 
-def boundary_vectors(ctx, rewards, nus=None):
-    """Solve the boundary system for the free vectors (v, w)."""
-    b = ctx.blocks
-    s, C = ctx.s, b.C
-    eye = np.eye(b.n)
+def _reward_system(ctx, rewards, nus=None):
+    """The reward equation (Q - sI) x = -g/s around the particular term."""
     if nus is None:
         nus = _nu_all(ctx, rewards)
-    g = [v / s for v in rewards.g]
-    rhs = np.concatenate([
-        g[0] + (b.B0 - s * eye) @ nus[0] + b.A1 @ nus[1],
-        g[C] + b.A_minus1 @ nus[C - 1] + (b.C0 - s * eye) @ nus[C],
-    ])
-    try:
-        vw = solve_refined(-z_matrix(ctx), rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"boundary system Z(s, C) singular: {exc}") from exc
-    return BoundaryVectors(v=vw[:b.n], w=vw[b.n:])
+    return _system(ctx, nus, -np.array(rewards.g) / ctx.s)
+
+
+def boundary_vectors(ctx, rewards, nus=None):
+    """Solve the boundary system for the free vectors (v, w)."""
+    vw = _reward_system(ctx, rewards, nus).free_vectors()
+    return BoundaryVectors(v=vw[:ctx.blocks.n], w=vw[ctx.blocks.n:])
 
 
 def reward_transform(ctx, rewards):
     """Transformed expected-reward blocks for every initial level.
 
-    Returns the list [Rt_0(s), ..., Rt_C(s)]; each entry is the length-n
-    complex vector G^k v + Ghat^{C-k} w + nu_k(s, C).
+    Returns the (C+1, n) array whose row k is the complex vector
+    Rt_k(s) = G^k v + Ghat^{C-k} w + nu_k(s, C).
     """
-    C = ctx.blocks.C
-    nus = _nu_all(ctx, rewards)
-    bv = boundary_vectors(ctx, rewards, nus)
-    return [ctx.powers_G[k] @ bv.v + ctx.powers_Ghat[C - k] @ bv.w + nus[k]
-            for k in range(C + 1)]
+    return _reward_system(ctx, rewards).solve()
 
 
 def _tail_sum(term_at, tail_tol, max_terms):
@@ -222,38 +198,29 @@ def _reward_at(rewards, level):
 
 def nu_unbounded(blocks, gmat, rewards, k, tail_tol=1e-14, max_terms=100_000):
     """Particular term nu_k(s, infinity) for the upper-unbounded process."""
-    s = gmat.s
-    h0g = {}
+    return _nu_unbounded_levels(blocks, gmat, rewards, k, tail_tol,
+                                max_terms)[k]
 
+
+def _nu_unbounded_levels(blocks, gmat, rewards, top, tail_tol, max_terms):
+    """nu_k(s, infinity) at the levels k = 0..top: the sweep over the
+    rewards up to ``top``, started from their tail beyond it."""
     def atom(level):
-        if level not in h0g:
-            g = _reward_at(rewards, level)
-            h0g[level] = None if g is None else gmat.H0 @ g / s
-        return h0g[level]
+        g = _reward_at(rewards, level)
+        return None if g is None else gmat.H0 @ g / gmat.s
 
-    out = np.zeros(blocks.n, dtype=gmat.G.dtype)
-    gpow = np.eye(blocks.n, dtype=gmat.G.dtype)
-    for j in range(0, k):
-        a = atom(k - j)
-        if a is not None:
-            out = out + gpow @ a
-        gpow = gpow @ gmat.G
-    ghpow = [np.eye(blocks.n, dtype=gmat.G.dtype)]
+    ghat_powers = [np.eye(blocks.n)]
 
     def tail_term(j):
-        while len(ghpow) <= j:
-            ghpow.append(ghpow[-1] @ gmat.Ghat)
-        a = atom(k + j)
-        if a is None and not callable(rewards):
-            return None
-        if a is None:
-            a = np.zeros(blocks.n)
-        return ghpow[j] @ a
+        ghat_powers.append(ghat_powers[-1] @ gmat.Ghat)
+        a = atom(top + j)
+        return None if a is None else ghat_powers[j] @ a
 
     tail = _tail_sum(tail_term, tail_tol, max_terms)
-    if tail is not None:
-        out = out + tail
-    return out
+    atoms = [np.zeros(blocks.n) if a is None else a
+             for a in map(atom, range(top + 1))]
+    return particular(gmat.G, gmat.Ghat, atoms,
+                      0.0 if tail is None else tail)
 
 
 def reward_transform_unbounded(blocks, rewards, s, k, config=SolverConfig(),
@@ -271,43 +238,42 @@ def reward_transform_unbounded(blocks, rewards, s, k, config=SolverConfig(),
     """
     if gmat is None:
         gmat = gmatrices(blocks, s, config)
-    s = gmat.s
-    eye = np.eye(blocks.n)
-    nu0 = nu_unbounded(blocks, gmat, rewards, 0, tail_tol, max_terms)
-    nu1 = nu_unbounded(blocks, gmat, rewards, 1, tail_tol, max_terms)
+    top = max(k, 1)
+    nus = _nu_unbounded_levels(blocks, gmat, rewards, top, tail_tol,
+                               max_terms)
+    force = np.zeros_like(nus)  # only level 0 bounds the run
     g0 = _reward_at(rewards, 0)
-    g0 = np.zeros(blocks.n) if g0 is None else g0
-    lead = (blocks.B0 - s * eye) + blocks.A1 @ gmat.G
-    v = -np.linalg.solve(lead, g0 / s + (blocks.B0 - s * eye) @ nu0
-                         + blocks.A1 @ nu1)
-    nuk = nu_unbounded(blocks, gmat, rewards, k, tail_tol, max_terms)
-    return np.linalg.matrix_power(gmat.G, k) @ v + nuk
+    if g0 is not None:
+        force[0] = -g0 / gmat.s
+    system = BoundarySystem(blocks, [(0, None)], power_stacks(gmat, top),
+                            nus, force, gmat.s)
+    return system.solve()[k]
 
 
-def _vw_for_level(ctx, level, z=None):
-    """Boundary matrices (V, W) for one target level of the deviation blocks."""
-    b = ctx.blocks
-    s, C = ctx.s, b.C
-    eye = np.eye(b.n)
-    if z is None:
-        z = z_matrix(ctx)
-    if level == 0:
-        rhs = np.vstack([eye, np.zeros((b.n, b.n))])
-    elif level == C:
-        top = (b.B0 - s * eye) @ ctx.powers_Ghat[C] + b.A1 @ ctx.powers_Ghat[C - 1]
-        bottom = (b.C0 - b.A0) - b.A1 @ ctx.gmat.G
-        rhs = np.vstack([top, bottom])
-    else:
-        top = (b.B0 - s * eye) @ ctx.powers_Ghat[level] \
-            + b.A1 @ ctx.powers_Ghat[level - 1]
-        bottom = b.A_minus1 @ ctx.powers_G[C - 1 - level] \
-            + (b.C0 - s * eye) @ ctx.powers_G[C - level]
-        rhs = np.vstack([top, bottom])
-    vw = solve_refined(-s * z, rhs)
-    return vw[:b.n], vw[b.n:]
+def _deviation_columns(blocks, gmat, segments, powers, levels, pi_rows):
+    """Block columns ``levels`` of (1/s)(sI - Q)^{-1} - (1/s^2) 1 pi at
+    every level up to the top of ``powers``, shape (levels, n, len(levels) n).
+
+    Column l solves (Q - sI) x = -I/s at level l.  The particular term is
+    the Green's term G^{k-l} H0/s, Ghat^{l-k} H0/s below l, which the sweep
+    leaves out for l = 0; the boundary system takes the forcing of a
+    target at a run end.
+    """
+    n, s = blocks.n, gmat.s
+    shape = (len(powers[0]), n, len(levels), n)
+    atoms = np.zeros(shape, dtype=np.result_type(gmat.H0, s))
+    force = np.zeros_like(atoms)
+    for i, level in enumerate(levels):
+        atoms[level, :, i] = gmat.H0 / s
+        force[level, :, i] = -np.eye(n) / s
+    flat = shape[:2] + (-1,)
+    green = particular(gmat.G, gmat.Ghat, atoms.reshape(flat))
+    cols = BoundarySystem(blocks, segments, powers, green,
+                          force.reshape(flat), s).solve()
+    return cols - np.concatenate([np.asarray(r) for r in pi_rows]) / s ** 2
 
 
-def deviation_transform_block(ctx, pi, k, level, _vw=None, _z=None):
+def deviation_transform_block(ctx, pi, k, level):
     """Block (k, level) of the transformed transient deviation matrix.
 
     ``pi`` indexes the stationary level rows of the finite chain.  The
@@ -315,38 +281,22 @@ def deviation_transform_block(ctx, pi, k, level, _vw=None, _z=None):
     (1/s)(sI - Q)^{-1} - (1/s^2) 1 pi.
     """
     b = ctx.blocks
-    s, C, n = ctx.s, b.C, b.n
-    if not (0 <= k <= C and 0 <= level <= C):
-        raise ValueError(f"block ({k}, {level}) out of range 0..{C}")
-    v, w = _vw if _vw is not None else _vw_for_level(ctx, level, _z)
-    drift_term = np.outer(np.ones(n), np.asarray(pi[level])) / s ** 2
-    if level == 0:
-        return ctx.powers_G[k] @ v + ctx.powers_Ghat[C - k] @ w - drift_term
-    if level == C:
-        core = ctx.powers_G[k] @ v \
-            + ctx.powers_Ghat[C - k] @ (w + np.eye(n) / s)
-        return core @ ctx.gmat.H0 - drift_term
-    core = ctx.powers_G[k] @ v + ctx.powers_Ghat[C - k] @ w
-    if level <= k:
-        core = core + ctx.powers_G[k - level] / s
-    else:
-        core = core + ctx.powers_Ghat[level - k] / s
-    return core @ ctx.gmat.H0 - drift_term
+    if not (0 <= k <= b.C and 0 <= level <= b.C):
+        raise ValueError(f"block ({k}, {level}) out of range 0..{b.C}")
+    return _deviation_columns(b, ctx.gmat, [(0, b.C)],
+                              (ctx.powers_G, ctx.powers_Ghat), [level],
+                              [pi[level]])[k]
 
 
 def deviation_transform(ctx, pi):
-    """Assemble the full transformed deviation matrix from its blocks."""
+    """The full transformed deviation matrix, all block columns in one
+    boundary solve."""
     b = ctx.blocks
-    n, C = b.n, b.C
-    dtype = complex if isinstance(ctx.s, complex) else float
-    out = np.empty((n * (C + 1), n * (C + 1)), dtype=dtype)
-    z = z_matrix(ctx)
-    for level in range(C + 1):
-        vw = _vw_for_level(ctx, level, z)
-        for k in range(C + 1):
-            out[k * n:(k + 1) * n, level * n:(level + 1) * n] = \
-                deviation_transform_block(ctx, pi, k, level, _vw=vw)
-    return out
+    levels = range(b.C + 1)
+    cols = _deviation_columns(b, ctx.gmat, [(0, b.C)],
+                              (ctx.powers_G, ctx.powers_Ghat), levels,
+                              [pi[lv] for lv in levels])
+    return cols.reshape(b.n * (b.C + 1), -1)
 
 
 def deviation_transform_unbounded(blocks, s, k, level, pi_level=None,
@@ -361,24 +311,12 @@ def deviation_transform_unbounded(blocks, s, k, level, pi_level=None,
     """
     if gmat is None:
         gmat = gmatrices(blocks, s, config)
-    s = gmat.s
-    n = blocks.n
-    eye = np.eye(n)
     if pi_level is None:
-        pi_level = np.zeros(n)
-    drift_term = np.outer(np.ones(n), np.asarray(pi_level)) / s ** 2
-    lead = np.linalg.inv((blocks.B0 - s * eye) + blocks.A1 @ gmat.G)
-    gk = np.linalg.matrix_power(gmat.G, k)
-    if level == 0:
-        return gk @ lead * (-1.0 / s) - drift_term
-    v = (-1.0 / s) * lead @ ((blocks.B0 - s * eye) @ gmat.Ghat + blocks.A1) \
-        @ np.linalg.matrix_power(gmat.Ghat, level - 1)
-    core = gk @ v
-    if level <= k:
-        core = core + np.linalg.matrix_power(gmat.G, k - level) / s
-    else:
-        core = core + np.linalg.matrix_power(gmat.Ghat, level - k) / s
-    return core @ gmat.H0 - drift_term
+        pi_level = np.zeros(blocks.n)
+    top = max(k, level, 1)
+    return _deviation_columns(blocks, gmat, [(0, None)],
+                              power_stacks(gmat, top), [level],
+                              [pi_level])[k]
 
 
 def invert_laplace(transform, t, config=InversionConfig()):
@@ -435,7 +373,7 @@ def reward_time(blocks, rewards, t, k=None, inversion=InversionConfig(),
     def evaluator(s):
         ctx = transform_context(blocks, s, solver)
         parts = reward_transform(ctx, rewards)
-        return parts[k] if k is not None else np.concatenate(parts)
+        return parts[k] if k is not None else parts.reshape(-1)
 
     return invert_laplace(evaluator, t, inversion)
 

@@ -1,6 +1,8 @@
 import csv
 import functools
+import importlib.util
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -106,6 +108,20 @@ def test_time_interleaved_median_absorbs_mid_run_slowdown():
     expected = [0.004 * REFERENCE_KERNEL_SECONDS / 0.002,
                 0.010 * REFERENCE_KERNEL_SECONDS / 0.002]
     np.testing.assert_allclose(stub_seconds(17, 3), expected, rtol=1e-12)
+
+
+def test_traced_layers_exist():
+    # The traced benchmark run wraps every function its tracer lists and
+    # fails on a name that no longer exists in its layer's module.
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for layer, names in tracer.LAYERS.items():
+        module = importlib.import_module(f"qbdr.{layer}")
+        missing = [name for name in names
+                   if not callable(getattr(module, name, None))]
+        assert not missing, f"qbdr.{layer} lacks {missing}"
 
 
 # ---------------------------------------------------------------------------

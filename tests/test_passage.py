@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qbdr import (AsymptoticsUndefinedError, PreconditionError,
-                  assemble_generator, barred_blocks,
+                  assemble_generator,
                   deviation_block_asymptotic, deviation_block_column,
                   deviation_matrix_diffeq,
                   gmatrices, mu_all, mu_k, mu_limit, oracle_deviation,
@@ -12,15 +12,6 @@ from qbdr import (AsymptoticsUndefinedError, PreconditionError,
 from qbdr.passage import (censored_passage_generator, passage_z_factor,
                           passage_z_matrix)
 from conftest import scalar_blocks
-
-
-def test_barred_rows():
-    blocks = random_blocks(3, 3, np.random.default_rng(0))
-    bb = barred_blocks(blocks, 1)
-    assert not bb.A_minus1[1].any() and not bb.A1[1].any()
-    np.testing.assert_allclose(bb.A0[1], [0.0, -1.0, 0.0])
-    np.testing.assert_allclose(bb.B0[0], blocks.B0[0])
-    np.testing.assert_allclose(bb.C0[2], blocks.C0[2])
 
 
 def test_mu_boundary_single_term():
@@ -104,6 +95,17 @@ def test_passage_z_factorization(seed, n, c):
             ring = censored_passage_generator(blocks, level, j)
             factor = passage_z_factor(blocks, level, gm)
             assert np.max(np.abs(z - ring @ factor)) <= 1e-10
+
+
+@pytest.mark.parametrize("seed,n,c", [(0, 2, 5), (1, 3, 4), (2, 2, 7)])
+def test_level_matrices_match_single_columns(seed, n, c):
+    blocks = random_blocks(n, c, np.random.default_rng(seed))
+    for level in (0, 1, c - 1, c):
+        mats = passage_level_matrices(blocks, level)
+        for j in range(n):
+            col = np.array(passage_column(blocks, level, j).m)
+            gap = np.max(np.abs(mats[:, :, j] - col))
+            assert gap <= 1e-13 * np.max(np.abs(col))
 
 
 @pytest.mark.parametrize("seed,n,c", [(0, 2, 5), (1, 3, 4), (2, 2, 7)])

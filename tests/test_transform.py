@@ -204,6 +204,24 @@ def test_deviation_blocks_match_dense(seed):
             <= 1e-8 * max(1.0, np.max(np.abs(dense)))
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_transforms_match_dense_at_complex_s(seed):
+    blocks = random_blocks(1 + seed, 3 + seed, np.random.default_rng(seed))
+    rewards = random_rewards(blocks, seed)
+    q = assemble_generator(blocks)
+    pi = stationary_rmatrix(blocks)
+    s = 1.2 + 7j
+    ctx = _ctx(blocks, s)
+    assembled = deviation_transform(ctx, pi)
+    dense = dense_deviation_transform(q, pi.stacked(), s)
+    assert np.max(np.abs(assembled - dense)) \
+        <= 1e-8 * max(1.0, np.max(np.abs(dense)))
+    parts = reward_transform(ctx, rewards)
+    dense_r = dense_reward_transform(q, rewards.stacked(), s)
+    assert np.max(np.abs(parts.reshape(-1) - dense_r)) \
+        <= 1e-8 * max(1.0, np.max(np.abs(dense_r)))
+
+
 def test_deviation_block_single_entry(scalar_pr):
     q = assemble_generator(scalar_pr)
     pi = stationary_rmatrix(scalar_pr)
