@@ -39,8 +39,8 @@ from .stationary import (StationaryDistribution, stationary_rmatrix,
 from .transform import (BoundaryVectors, InversionConfig, TransformContext,
                         deviation_time, deviation_transform,
                         deviation_transform_block,
-                        deviation_transform_unbounded, invert_laplace,
-                        nu_k, occupation_matrix, reward_time,
+                        deviation_transform_unbounded, euler_nodes,
+                        invert_laplace, occupation_matrix, reward_time,
                         reward_transform, reward_transform_unbounded,
                         transform_context, z_matrix)
 

@@ -21,11 +21,12 @@ from .model import (assemble_generator, classify_drift, load_model,
                     save_model, validate)
 from .oracle import (oracle_deviation, oracle_passage, oracle_stationary,
                      oracle_transient_deviation)
-from .passage import deviation_matrix_diffeq, passage_column
+from .passage import (deviation_block_column, deviation_matrix_diffeq,
+                      passage_column)
 from .perturbation import deviation_recursive, resolvent_recursive
 from .stationary import stationary_rmatrix
 from .transform import (InversionConfig, deviation_time, invert_laplace,
-                        reward_time, transform_context)
+                        reward_time)
 
 _EXIT_CODES = (
     (ModelParseError, 2), (StructuralError, 2), (ModelError, 2),
@@ -50,12 +51,26 @@ def _write_rows(path, header, rows):
             out.close()
 
 
-def _matrix_rows(mat, n):
-    """(k, l, i, j, value) rows of a block-structured matrix."""
-    size = mat.shape[0]
-    for a in range(size):
+def _matrix_rows(mat, n, origin=(0, 0)):
+    """(k, l, i, j, value) rows of a block-structured matrix whose top-left
+    block is block ``origin`` of the deviation matrix."""
+    k0, l0 = origin
+    for a in range(mat.shape[0]):
         for b in range(mat.shape[1]):
-            yield (a // n, b // n, a % n, b % n, float(np.real(mat[a, b])))
+            yield (k0 + a // n, l0 + b // n, a % n, b % n,
+                   float(np.real(mat[a, b])))
+
+
+def _parse_block(spec, C):
+    if spec is None:
+        return None
+    try:
+        k, level = (int(x) for x in spec.split(","))
+    except ValueError as exc:
+        raise ModelParseError("--block must look like K,L") from exc
+    if not (0 <= k <= C and 0 <= level <= C):
+        raise ModelParseError(f"--block levels must lie in 0..{C}")
+    return k, level
 
 
 def _parse_t_grid(spec):
@@ -154,32 +169,41 @@ def cmd_reward(args):
     _write_rows(args.output, ("t", "level", "value"), rows)
 
 
+def _deviation_diffeq(blocks, t, block):
+    """The deviation matrix by the difference-equation route, or only its
+    block (k, level), from the one block column that holds it."""
+    if t is not None:
+        return deviation_time(blocks, t, block=block)
+    if block is None:
+        return deviation_matrix_diffeq(blocks)
+    k, level = block
+    return deviation_block_column(blocks, stationary_rmatrix(blocks),
+                                  level)[k]
+
+
 def cmd_deviation(args):
     blocks, _ = load_model(args.model)
     n = blocks.n
-    if args.method == "oracle":
-        q = assemble_generator(blocks)
-        pi = oracle_stationary(q)
-        dev = (oracle_deviation(q, pi) if args.t is None
-               else oracle_transient_deviation(q, pi, args.t))
-    elif args.method == "perturb":
-        if args.t is None:
+    block = _parse_block(args.block, blocks.C)
+    if args.method == "diffeq":
+        dev = _deviation_diffeq(blocks, args.t, block)
+    else:
+        if args.method == "oracle":
+            q = assemble_generator(blocks)
+            pi = oracle_stationary(q)
+            dev = (oracle_deviation(q, pi) if args.t is None
+                   else oracle_transient_deviation(q, pi, args.t))
+        elif args.t is None:
             dev = deviation_recursive(blocks).dev
         else:
             def evaluator(s):
                 return resolvent_recursive(blocks, s)[1]
             dev = invert_laplace(evaluator, args.t, InversionConfig())
-    else:
-        dev = (deviation_matrix_diffeq(blocks) if args.t is None
-               else deviation_time(blocks, args.t))
-    rows = _matrix_rows(dev, n)
-    if args.block:
-        try:
-            k, level = (int(x) for x in args.block.split(","))
-        except ValueError as exc:
-            raise ModelParseError("--block must look like K,L") from exc
-        rows = [r for r in rows if r[0] == k and r[1] == level]
-    _write_rows(args.output, ("k", "l", "i", "j", "value"), rows)
+        if block is not None:
+            k, level = block
+            dev = dev[k * n:(k + 1) * n, level * n:(level + 1) * n]
+    _write_rows(args.output, ("k", "l", "i", "j", "value"),
+                _matrix_rows(dev, n, block or (0, 0)))
 
 
 def cmd_passage(args):

@@ -10,6 +10,13 @@ upper end, keeps only v.  The level equations at the run ends, one row of
 which may be replaced by a pinned entry x_(level, j) = 0, fix the free
 vectors.  Values and forcings may carry one trailing right-hand-side axis,
 whose columns are solved together.
+
+The transform variable s may be an array of nodes, such as the nodes of one
+Laplace inversion, all solved in the same stacked operations: G, Ghat and
+the system matrices then carry the shape of s as leading batch axes, and
+every stack indexed by level (powers, particular terms, forcings and
+solutions) carries them right after its level axis, followed by the
+trailing right-hand-side axis, which batched values must have.
 """
 
 import numpy as np
@@ -51,37 +58,44 @@ class BoundarySystem:
 
     ``segments`` lists consecutive runs (a, b) covering the levels from 0,
     with b None on a last run that has no upper end.  ``powers`` holds the
-    stacked powers of G and Ghat up to the top level evaluated; ``p`` and
-    ``f`` hold the particular term and the forcing at every level, shape
-    (levels, n) or (levels, n, m), of which only the levels next to a
-    segment end are read.  The assembled system is kept, so several pins
-    can share it.
+    stacked powers of G and Ghat up to the top level evaluated, shape
+    (levels, *batch, n, n); ``p`` and ``f`` hold the particular term and
+    the forcing at every level, shape (levels, n), or (levels, *batch, n,
+    m), of which only the levels next to a segment end are read.  The
+    assembled system, shape (*batch, rows, columns), is kept, so several
+    pins can share it.
     """
 
     def __init__(self, blocks, segments, powers, p, f, s=0.0):
-        self.blocks, self.segments, self.s = blocks, segments, s
+        self.blocks, self.segments = blocks, segments
         self.powers = tuple(np.asarray(stack) for stack in powers)
         self.p = np.asarray(p)
         self.ends = segment_ends(segments)
         n = blocks.n
+        self._batch = (slice(None),) * (self.powers[0].ndim - 3)
+        self._shift = np.asarray(s)[..., None, None] * np.eye(n)
         widths = [n if b in (None, a) else 2 * n for a, b in segments]
         self._starts = [sum(widths[:i]) for i in range(len(widths))]
-        dtype = np.result_type(self.powers[0], s)
-        self.matrix = np.zeros((n * len(self.ends), sum(widths)), dtype=dtype)
-        f = np.asarray(f, dtype=np.result_type(dtype, self.p, f))
-        self.rhs = f[list(self.ends)].reshape((-1,) + self.p.shape[2:])
-        for r, level in enumerate(self.ends):
+        self._width = sum(widths)
+        self._dtype = np.result_type(self.powers[0], s)
+        f = np.asarray(f, dtype=np.result_type(self._dtype, self.p, f))
+        rows, rhs = [], []
+        for level in self.ends:
             terms = self._terms(level)
-            self.matrix[r * n:(r + 1) * n] = self._rows(terms)
+            rows.append(self._rows(terms))
+            piece = f[level].copy()
             for k, block in terms:
-                self.rhs[r * n:(r + 1) * n] -= block @ self.p[k]
+                piece -= block @ self.p[k]
+            rhs.append(piece)
+        self.matrix = np.concatenate(rows, axis=-2)
+        self.rhs = np.concatenate(rhs, axis=len(self._batch))
 
     def _terms(self, level):
         """The blocks of the level equation at ``level``, by the level of
         the vector each multiplies, in increasing order."""
         b, top = self.blocks, self.segments[-1][1]
         local = (b.B0 if level == 0 else b.C0 if level == top else b.A0)
-        terms = [(level, local - self.s * np.eye(b.n))]
+        terms = [(level, local - self._shift)]
         if level > 0:
             terms.insert(0, (level - 1, b.A_minus1))
         if level != top:
@@ -96,18 +110,18 @@ class BoundarySystem:
         solution far more than roundoff."""
         gp, ghp = self.powers
         n = self.blocks.n
-        out = np.zeros((n, self.matrix.shape[1]), dtype=self.matrix.dtype)
+        out = np.zeros(gp.shape[1:-1] + (self._width,), dtype=self._dtype)
         for (a, b), c in zip(self.segments, self._starts):
             part = [(k, blk) for k, blk in terms
                     if a <= k and (b is None or k <= b)]
             if not part:
                 continue
             lo, hi = part[0][0], part[-1][0]
-            out[:, c:c + n] = sum(blk @ gp[k - lo] for k, blk in part) \
+            out[..., c:c + n] = sum(blk @ gp[k - lo] for k, blk in part) \
                 @ gp[lo - a]
             if b not in (None, a):
-                out[:, c + n:c + 2 * n] = sum(blk @ ghp[hi - k]
-                                              for k, blk in part) @ ghp[b - hi]
+                out[..., c + n:c + 2 * n] = sum(
+                    blk @ ghp[hi - k] for k, blk in part) @ ghp[b - hi]
         return out
 
     def pinned(self, pin=None):
@@ -121,15 +135,16 @@ class BoundarySystem:
         matrix, rhs = self.matrix.copy(), self.rhs.copy()
         barred = [(k, -np.eye(n) if k == level else np.zeros((n, n)))
                   for k, _ in self._terms(level)]
-        matrix[row] = self._rows(barred)[j]
-        rhs[row] = self.p[level, j]
+        matrix[..., row, :] = self._rows(barred)[..., j, :]
+        rhs[self._batch + (row,)] = self.p[level][self._batch + (j,)]
         return matrix, rhs
 
     def end_map(self):
         """The matrix taking the free vectors to x_k - p_k at the segment
         ends; the system matrix is the censored level equations times it."""
         eye = np.eye(self.blocks.n)
-        return np.vstack([self._rows([(level, eye)]) for level in self.ends])
+        return np.concatenate([self._rows([(level, eye)])
+                               for level in self.ends], axis=-2)
 
     def free_vectors(self, pin=None):
         """The stacked free vectors of every segment."""
@@ -139,13 +154,15 @@ class BoundarySystem:
             raise NumericalError(f"boundary system singular: {exc}") from exc
 
     def evaluate(self, u):
-        """x_k at every level of ``p`` from the free vectors ``u``."""
+        """x_k at every level of ``p`` from the free vectors ``u``; each
+        level's products broadcast over the batch axes."""
         gp, ghp = self.powers
         n = self.blocks.n
         out = np.empty(self.p.shape, dtype=np.result_type(gp, u, self.p))
         for (a, b), c in zip(self.segments, self._starts):
-            v, w = u[c:c + n], u[c + n:c + 2 * n]
+            v = u[self._batch + (slice(c, c + n),)]
             if b not in (None, a):
+                w = u[self._batch + (slice(c + n, c + 2 * n),)]
                 for k in range(a, b + 1):
                     out[k] = gp[k - a] @ v + ghp[b - k] @ w + self.p[k]
             else:

@@ -14,15 +14,16 @@ def solve_refined(a, b, refinements=2):
     Boundary systems built from matrix powers can have rows of wildly
     different magnitude; equilibration plus a couple of refinement steps
     (residuals accumulated in long double) keeps the solution accurate far
-    beyond what a plain LU solve delivers on such graded systems.
+    beyond what a plain LU solve delivers on such graded systems.  ``a``
+    may stack systems along leading axes, (..., m, m); ``b`` is then
+    (..., m, k), or (m,) for a single system.
     """
     a = np.asarray(a)
     b = np.asarray(b)
-    scale = np.max(np.abs(a), axis=1, keepdims=True)
+    scale = np.max(np.abs(a), axis=-1, keepdims=True)
     scale[scale == 0.0] = 1.0
     a_s = a / scale
-    b_shape = (-1,) + (1,) * (b.ndim - 1)
-    b_s = b / scale.reshape(b_shape)
+    b_s = b / (scale if b.ndim == a.ndim else scale[..., 0])
     x = np.linalg.solve(a_s, b_s)
     if not np.iscomplexobj(a_s) and not np.iscomplexobj(b_s):
         a_l = a_s.astype(np.longdouble)
@@ -35,10 +36,10 @@ def solve_refined(a, b, refinements=2):
 
 def matrix_powers(m, kmax):
     """Return the stacked powers [I, m, m^2, ..., m^kmax], shape
-    (kmax+1, n, n)."""
-    n = m.shape[0]
-    powers = np.empty((kmax + 1, n, n), dtype=m.dtype)
-    powers[0] = np.eye(n, dtype=m.dtype)
+    (kmax+1, n, n); a stack of matrices m, shape (..., n, n), gives their
+    powers side by side, shape (kmax+1, ..., n, n)."""
+    powers = np.empty((kmax + 1,) + m.shape, dtype=m.dtype)
+    powers[0] = np.eye(m.shape[-1], dtype=m.dtype)
     for k in range(kmax):
         powers[k + 1] = powers[k] @ m
     return powers

@@ -10,7 +10,6 @@ N = 2000.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericalError, NumericalRankError, StructuralError
 
@@ -143,6 +142,7 @@ def oracle_transient_deviation(q, pi=None, t=0.0, config=OracleConfig()):
     steps += steps % 2  # Simpson needs an even interval count
     h = t / steps
     one_pi = np.outer(np.ones(m), pi)
+    import scipy.linalg  # slow to import; this is its only user
     step_exp = scipy.linalg.expm(q * h)
     acc = np.eye(m) - one_pi  # integrand at u = 0
     cur = np.eye(m)

@@ -1,10 +1,12 @@
 """Laplace-domain reward and deviation computations with numerical inversion.
 
-All transform-domain quantities are evaluated at a fixed transform variable
-s (real positive, or complex with positive real part when driven by the
-numerical inverter).  A :class:`TransformContext` bundles the model, the
-matrices G(s), Ghat(s), H0(s) and their stacked powers, so that the many
-evaluations at one s share the expensive solves.
+All transform-domain quantities are evaluated at a transform variable s
+(real positive, or complex with positive real part when driven by the
+numerical inverter), or at an array of them: the inverter evaluates all
+nodes of one time point in the same stacked operations, and the results
+carry the nodes as leading axes.  A :class:`TransformContext` bundles the
+model, the matrices G(s), Ghat(s), H0(s) and their stacked powers, so that
+the many evaluations at one s share the expensive solves.
 
 The level blocks of the transformed reward vector solve the matrix
 difference equation (Q - sI) x = -g/s; the general solution mixes a
@@ -33,7 +35,6 @@ __all__ = [
     "TransformContext",
     "BoundaryVectors",
     "transform_context",
-    "nu_k",
     "z_matrix",
     "censored_boundary_generator",
     "boundary_vectors",
@@ -42,11 +43,22 @@ __all__ = [
     "deviation_transform_block",
     "deviation_transform",
     "deviation_transform_unbounded",
+    "euler_nodes",
     "invert_laplace",
     "reward_time",
     "deviation_time",
     "occupation_matrix",
 ]
+
+
+# Memory cap of one stacked call: at most this many complex transform values
+# (16 MB).  A call's working arrays peak at about five times its values, so
+# the cap bounds the memory of a full D(t) of a few hundred states, which
+# with all 53 nodes in one call would take ~270 MB more at 244 states.
+# Reward vectors and block columns stay far below it and take all nodes of
+# one time point at once.  Stacks split at this cap ran as fast as one call
+# of all nodes on full D(t) of 82 to 244 states (one BLAS thread).
+_STACK_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -70,7 +82,8 @@ class InversionConfig:
 
 @dataclass(frozen=True)
 class TransformContext:
-    """Model plus G/Ghat/H0 at one s, with stacked powers 0..C."""
+    """Model plus G/Ghat/H0 at s, with stacked powers 0..C, shape
+    (C+1, *s.shape, n, n)."""
 
     s: complex
     blocks: object
@@ -93,30 +106,23 @@ def transform_context(blocks, s, config=SolverConfig()):
     return TransformContext(gm.s, blocks, gm, *power_stacks(gm, blocks.C))
 
 
-def nu_k(ctx, rewards, k):
-    """Particular solution block: the reward collected before leaving the
-    neighbourhood of level k, transform domain.
+def _s_column(s):
+    """s shaped to scale per-node (n, m) values."""
+    return np.asarray(s)[..., None, None]
 
-    nu_k(s, C) = sum_{j=0}^{k-1} G^j H0 g_{k-j}(s)
-               + sum_{j=1}^{C-k} Ghat^j H0 g_{k+j}(s),  empty sums zero.
-    """
-    C = ctx.blocks.C
-    if not 0 <= k <= C:
-        raise ValueError(f"level {k} out of range 0..{C}")
-    atoms = [ctx.gmat.H0 @ g / ctx.s for g in rewards.g]
-    out = np.zeros(ctx.blocks.n, dtype=atoms[0].dtype)
-    for j in range(0, k):
-        out = out + ctx.powers_G[j] @ atoms[k - j]
-    for j in range(1, C - k + 1):
-        out = out + ctx.powers_Ghat[j] @ atoms[k + j]
-    return out
+
+def _reward_columns(ctx, rewards):
+    """The rewards g_l as columns, shape (C+1, 1, ..., 1, n, 1), one unit
+    axis per axis of s."""
+    g = np.asarray(rewards.g)
+    return g.reshape((len(g),) + (1,) * np.ndim(ctx.s) + (-1, 1))
 
 
 def _nu_all(ctx, rewards):
-    """All nu_k at once, stacked (C+1, n), by one sweep over the atoms
-    H0(s) g_l(s) = H0 g_l / s."""
-    atoms = [ctx.gmat.H0 @ g / ctx.s for g in rewards.g]
-    return particular(ctx.gmat.G, ctx.gmat.Ghat, np.array(atoms))
+    """All nu_k at once, stacked (C+1, *s.shape, n), by one sweep over
+    the atoms H0(s) g_l(s) = H0 g_l / s."""
+    atoms = ctx.gmat.H0 @ _reward_columns(ctx, rewards) / _s_column(ctx.s)
+    return particular(ctx.gmat.G, ctx.gmat.Ghat, atoms)[..., 0]
 
 
 def _system(ctx, p, f):
@@ -145,26 +151,27 @@ def censored_boundary_generator(blocks, s):
     return censor_generator(full, keep)
 
 
-def _reward_system(ctx, rewards, nus=None):
-    """The reward equation (Q - sI) x = -g/s around the particular term."""
-    if nus is None:
-        nus = _nu_all(ctx, rewards)
-    return _system(ctx, nus, -np.array(rewards.g) / ctx.s)
+def _reward_system(ctx, rewards):
+    """The reward equation (Q - sI) x = -g/s around the particular term,
+    with one right-hand-side column."""
+    return _system(ctx, _nu_all(ctx, rewards)[..., None],
+                   -_reward_columns(ctx, rewards) / _s_column(ctx.s))
 
 
-def boundary_vectors(ctx, rewards, nus=None):
+def boundary_vectors(ctx, rewards):
     """Solve the boundary system for the free vectors (v, w)."""
-    vw = _reward_system(ctx, rewards, nus).free_vectors()
-    return BoundaryVectors(v=vw[:ctx.blocks.n], w=vw[ctx.blocks.n:])
+    vw = _reward_system(ctx, rewards).free_vectors()[..., 0]
+    n = ctx.blocks.n
+    return BoundaryVectors(v=vw[..., :n], w=vw[..., n:])
 
 
 def reward_transform(ctx, rewards):
     """Transformed expected-reward blocks for every initial level.
 
-    Returns the (C+1, n) array whose row k is the complex vector
-    Rt_k(s) = G^k v + Ghat^{C-k} w + nu_k(s, C).
+    Returns the (*s.shape, C+1, n) array whose row k is the complex
+    vector Rt_k(s) = G^k v + Ghat^{C-k} w + nu_k(s, C).
     """
-    return _reward_system(ctx, rewards).solve()
+    return np.moveaxis(_reward_system(ctx, rewards).solve()[..., 0], 0, -2)
 
 
 def _tail_sum(term_at, tail_tol, max_terms):
@@ -252,24 +259,25 @@ def reward_transform_unbounded(blocks, rewards, s, k, config=SolverConfig(),
 
 def _deviation_columns(blocks, gmat, segments, powers, levels, pi_rows):
     """Block columns ``levels`` of (1/s)(sI - Q)^{-1} - (1/s^2) 1 pi at
-    every level up to the top of ``powers``, shape (levels, n, len(levels) n).
+    every level up to the top of ``powers``, shape (levels, *s.shape, n,
+    len(levels) n).
 
     Column l solves (Q - sI) x = -I/s at level l.  The particular term is
     the Green's term G^{k-l} H0/s, Ghat^{l-k} H0/s below l, which the sweep
     leaves out for l = 0; the boundary system takes the forcing of a
     target at a run end.
     """
-    n, s = blocks.n, gmat.s
-    shape = (len(powers[0]), n, len(levels), n)
+    n, s = blocks.n, _s_column(gmat.s)
+    shape = powers[0].shape[:-1] + (len(levels), n)
     atoms = np.zeros(shape, dtype=np.result_type(gmat.H0, s))
     force = np.zeros_like(atoms)
     for i, level in enumerate(levels):
-        atoms[level, :, i] = gmat.H0 / s
-        force[level, :, i] = -np.eye(n) / s
-    flat = shape[:2] + (-1,)
+        atoms[level, ..., i, :] = gmat.H0 / s
+        force[level, ..., i, :] = -np.eye(n) / s
+    flat = shape[:-2] + (-1,)
     green = particular(gmat.G, gmat.Ghat, atoms.reshape(flat))
     cols = BoundarySystem(blocks, segments, powers, green,
-                          force.reshape(flat), s).solve()
+                          force.reshape(flat), gmat.s).solve()
     return cols - np.concatenate([np.asarray(r) for r in pi_rows]) / s ** 2
 
 
@@ -296,7 +304,8 @@ def deviation_transform(ctx, pi):
     cols = _deviation_columns(b, ctx.gmat, [(0, b.C)],
                               (ctx.powers_G, ctx.powers_Ghat), levels,
                               [pi[lv] for lv in levels])
-    return cols.reshape(b.n * (b.C + 1), -1)
+    size = b.n * (b.C + 1)
+    return np.moveaxis(cols, 0, -3).reshape(cols.shape[1:-2] + (size, size))
 
 
 def deviation_transform_unbounded(blocks, s, k, level, pi_level=None,
@@ -319,8 +328,39 @@ def deviation_transform_unbounded(blocks, s, k, level, pi_level=None,
                               [pi_level])[k]
 
 
+def euler_nodes(t, config=InversionConfig()):
+    """The nodes of the Euler-summed inversion at time t and the weights of
+    the transform's real parts there.
+
+    The Fourier-series approximation of the inverse at t is the
+    alternating series over the nodes s_k = (A + 2 pi i k) / (2t); its
+    partial sums of orders ``series_terms`` .. ``series_terms +
+    euler_terms`` are averaged with binomial weights.  Both steps are
+    linear, so the inverse is sum_k w_k Re F(s_k).
+
+    Returns
+    -------
+    nodes : (K,) complex ndarray
+    weights : (K,) float ndarray
+    """
+    if t <= 0:
+        raise ValueError("inversion requires t > 0")
+    m, first = config.euler_terms, config.series_terms
+    k = np.arange(first + m + 1)
+    nodes = config.a_param / (2.0 * t) + 1j * (math.pi / t * k)
+    # term k enters the averaged partial sums of orders >= k
+    share = np.ones(k.size)
+    for i in range(1, m + 1):
+        share[first + i] = sum(math.comb(m, j) for j in range(i, m + 1)) \
+            * 0.5 ** m
+    share[0] = 0.5
+    weights = (-1.0) ** k * share * math.exp(config.a_param / 2.0) / t
+    return nodes, weights
+
+
 def invert_laplace(transform, t, config=InversionConfig()):
-    """Invert a Laplace transform at one time point by Euler summation.
+    """Invert a Laplace transform at one time point by Euler summation,
+    one node at a time.
 
     Parameters
     ----------
@@ -336,25 +376,21 @@ def invert_laplace(transform, t, config=InversionConfig()):
     ndarray (same shape as the transform values), accurate to roughly 1e-7
     relative for smooth transforms.
     """
-    if t <= 0:
-        raise ValueError("inversion requires t > 0")
-    n_terms = config.series_terms + config.euler_terms
-    base = config.a_param / (2.0 * t)
-    step = math.pi / t
-    values = [np.real(np.asarray(transform(complex(base, step * k))))
-              for k in range(n_terms + 1)]
-    partial = 0.5 * values[0]
-    partials = []
-    sign = 1.0
-    for k in range(1, n_terms + 1):
-        sign = -sign
-        partial = partial + sign * values[k]
-        partials.append(partial)
-    weight = 0.5 ** config.euler_terms
-    acc = sum(math.comb(config.euler_terms, j)
-              * partials[config.series_terms - 1 + j]
-              for j in range(config.euler_terms + 1))
-    return (math.exp(config.a_param / 2.0) / t) * weight * acc
+    nodes, weights = euler_nodes(t, config)
+    return sum(w * np.real(np.asarray(transform(complex(s))))
+               for s, w in zip(nodes, weights))
+
+
+def _invert_stacked(transform, t, config, node_size):
+    """Euler-summed inverse of a transform evaluated at a 1-d array of
+    nodes at once, its values stacked along a leading node axis.  The
+    nodes are split into the fewest equal calls whose values, given
+    ``node_size`` entries per node, stay under _STACK_ENTRIES."""
+    nodes, weights = euler_nodes(t, config)
+    calls = min(len(nodes), -(-len(nodes) * node_size // _STACK_ENTRIES))
+    return sum(np.tensordot(w, np.real(transform(s)), axes=1)
+               for s, w in zip(np.array_split(nodes, calls),
+                               np.array_split(weights, calls)))
 
 
 def reward_time(blocks, rewards, t, k=None, inversion=InversionConfig(),
@@ -370,30 +406,38 @@ def reward_time(blocks, rewards, t, k=None, inversion=InversionConfig(),
     if t == 0:
         return np.zeros(n if k is not None else n * (C + 1))
 
-    def evaluator(s):
-        ctx = transform_context(blocks, s, solver)
-        parts = reward_transform(ctx, rewards)
-        return parts[k] if k is not None else parts.reshape(-1)
+    def transform(nodes):
+        parts = reward_transform(transform_context(blocks, nodes, solver),
+                                 rewards)
+        return parts[:, k] if k is not None else parts.reshape(len(nodes), -1)
 
-    return invert_laplace(evaluator, t, inversion)
+    return _invert_stacked(transform, t, inversion, n * (C + 1))
 
 
 def deviation_time(blocks, t, pi=None, inversion=InversionConfig(),
-                   solver=SolverConfig()):
-    """Transient deviation matrix D(t) by inversion of its transform."""
+                   solver=SolverConfig(), block=None):
+    """Transient deviation matrix D(t) by inversion of its transform.
+
+    With ``block`` = (k, level), only the n x n block D(t)_{k, level}, from
+    one block column per node: O(C) work instead of O(C^2).
+    """
     n, C = blocks.n, blocks.C
     if t < 0:
         raise ValueError("t must be nonnegative")
     if pi is None:
         pi = stationary_rmatrix(blocks, solver)
+    size = n * (C + 1)
     if t == 0:
-        return np.zeros((n * (C + 1), n * (C + 1)))
+        return np.zeros((n, n) if block is not None else (size, size))
 
-    def evaluator(s):
-        ctx = transform_context(blocks, s, solver)
-        return deviation_transform(ctx, pi)
+    def transform(nodes):
+        ctx = transform_context(blocks, nodes, solver)
+        if block is None:
+            return deviation_transform(ctx, pi)
+        return deviation_transform_block(ctx, pi, *block)
 
-    return invert_laplace(evaluator, t, inversion)
+    node_size = size * (size if block is None else n)
+    return _invert_stacked(transform, t, inversion, node_size)
 
 
 def occupation_matrix(blocks, pi, t, inversion=InversionConfig(),

@@ -78,6 +78,25 @@ def random_rewards(blocks, seed=0):
                               for _ in range(blocks.C + 1)))
 
 
+def nu_k(ctx, rewards, k):
+    """Particular solution block at one s, term by term: the reward
+    collected before leaving the neighbourhood of level k, transform domain.
+
+    nu_k(s, C) = sum_{j=0}^{k-1} G^j H0 g_{k-j}(s)
+               + sum_{j=1}^{C-k} Ghat^j H0 g_{k+j}(s),  empty sums zero.
+    """
+    C = ctx.blocks.C
+    if not 0 <= k <= C:
+        raise ValueError(f"level {k} out of range 0..{C}")
+    atoms = [ctx.gmat.H0 @ g / ctx.s for g in rewards.g]
+    out = np.zeros(ctx.blocks.n, dtype=atoms[0].dtype)
+    for j in range(0, k):
+        out = out + ctx.powers_G[j] @ atoms[k - j]
+    for j in range(1, C - k + 1):
+        out = out + ctx.powers_Ghat[j] @ atoms[k + j]
+    return out
+
+
 def dense_reward_transform(q, g, s):
     """Resolvent form of the transformed reward: (sI - Q)^{-1} g / s."""
     size = q.shape[0]

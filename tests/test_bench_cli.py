@@ -2,7 +2,10 @@ import csv
 import functools
 import importlib.util
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -226,6 +229,46 @@ def test_cli_deviation_single_block(tmp_path, model_file):
     match = [r for r in read_csv(full) if r["k"] == "0" and r["l"] == "2"]
     assert float(rows[0]["value"]) == pytest.approx(
         float(match[0]["value"]), abs=1e-8)
+
+
+@pytest.fixture
+def queue_file(tmp_path):
+    path = tmp_path / "queue.json"
+    save_model(path, mapph_example(C=6))
+    return str(path)
+
+
+@pytest.mark.parametrize("method,horizon", [
+    ("diffeq", []), ("diffeq", ["--t", "1.5"]), ("perturb", ["--t", "1.5"]),
+    ("oracle", [])])
+def test_cli_block_matches_full_matrix(tmp_path, queue_file, method,
+                                       horizon):
+    full, part = tmp_path / "full.csv", tmp_path / "block.csv"
+    base = ["deviation", "--model", queue_file, "--method", method, *horizon]
+    assert main(base + ["--output", str(full)]) == 0
+    assert main(base + ["--block", "4,2", "--output", str(part)]) == 0
+    expected = [r for r in read_csv(full) if r["k"] == "4" and r["l"] == "2"]
+    rows = read_csv(part)
+    assert [(r["k"], r["l"], r["i"], r["j"]) for r in rows] == \
+        [(r["k"], r["l"], r["i"], r["j"]) for r in expected]
+    scale = max(abs(float(r["value"])) for r in read_csv(full))
+    np.testing.assert_allclose([float(r["value"]) for r in rows],
+                               [float(r["value"]) for r in expected],
+                               rtol=0, atol=1e-12 * scale)
+
+
+def test_cli_block_out_of_range_is_parse_error(tmp_path, queue_file):
+    assert main(["deviation", "--model", queue_file, "--t", "1.0",
+                 "--block", "7,0", "--output",
+                 str(tmp_path / "x.csv")]) == 2
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = pathlib.Path(__file__).parents[1] / "src"
+    code = "import sys, qbdr.cli; sys.exit('scipy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert done.returncode == 0
 
 
 def test_cli_deviation_transient(tmp_path, model_file):

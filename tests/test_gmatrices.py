@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from qbdr import (Algorithm, AsymptoticsUndefinedError, Drift,
-                  IterationLimitError, SolverConfig, classify_drift,
-                  g_residual, ghat_residual, gmatrices, h0, random_blocks,
-                  rate_matrices, solve_g, solve_ghat)
+                  IterationLimitError, RewardSpec, SolverConfig,
+                  classify_drift, euler_nodes, g_residual, ghat_residual,
+                  gmatrices, h0, random_blocks, rate_matrices, reward_time,
+                  solve_g, solve_ghat)
 from conftest import scalar_blocks
 
 
@@ -164,3 +165,50 @@ def test_solver_config_validation():
         SolverConfig(max_iterations=0)
     with pytest.raises(ValueError):
         solve_g(scalar_blocks(1.0, 2.0, 2), -1.0)
+
+
+# ---------------------------------------------------------------------------
+# batches of transform variables
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", range(4))
+def test_batched_nodes_match_scalar_solves(seed):
+    blocks = random_blocks(1 + seed, 5, np.random.default_rng(seed))
+    nodes = euler_nodes(2.0)[0]
+    assert nodes[0].imag == 0.0  # the real node, solved in real arithmetic
+    batch = gmatrices(blocks, nodes)
+    # residuals stay plain floats, the largest over the nodes
+    assert type(batch.residual_G) is float
+    assert type(batch.residual_Ghat) is float
+    assert max(batch.residual_G, batch.residual_Ghat) <= 1e-12
+    for k, s in enumerate(nodes):
+        one = gmatrices(blocks, complex(s))
+        for name in ("G", "Ghat", "H0"):
+            ref = getattr(one, name)
+            gap = np.max(np.abs(getattr(batch, name)[k] - ref))
+            assert gap <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("algorithm", list(Algorithm))
+def test_one_failing_node_fails_the_batch(algorithm):
+    # s = 0 on the null-recurrent boundary converges linearly; s = 50
+    # converges within the iteration budget
+    blocks = scalar_blocks(1.0, 1.0, 2)
+    config = SolverConfig(max_iterations=8, algorithm=algorithm)
+    assert gmatrices(blocks, 50.0, config).residual_G <= config.tolerance
+    with pytest.raises(IterationLimitError) as err:
+        gmatrices(blocks, np.array([50.0, 0.0, 50.0]), config)
+    assert err.value.residual > config.tolerance
+
+
+def test_failing_node_fails_the_inversion():
+    blocks = random_blocks(2, 4, np.random.default_rng(0))
+    rewards = RewardSpec.zeros(2, 4)
+    with pytest.raises(IterationLimitError):
+        reward_time(blocks, rewards, 1.0,
+                    solver=SolverConfig(max_iterations=1))
+
+
+def test_complex_batch_needs_positive_real_parts(scalar_pr):
+    with pytest.raises(ValueError):
+        gmatrices(scalar_pr, np.array([1.0 + 1.0j, 0.0 + 2.0j]))

@@ -4,15 +4,15 @@ import pytest
 from qbdr import (InversionConfig, RewardSpec, TailConvergenceError,
                   assemble_generator, deviation_time,
                   deviation_transform, deviation_transform_block,
-                  deviation_transform_unbounded, gmatrices, invert_laplace,
-                  nu_k, occupation_matrix, oracle_deviation, oracle_reward,
-                  oracle_stationary, oracle_transient_deviation,
+                  deviation_transform_unbounded, euler_nodes, gmatrices,
+                  invert_laplace, occupation_matrix, oracle_deviation,
+                  oracle_reward, oracle_stationary, oracle_transient_deviation,
                   random_blocks, reward_time, reward_transform,
                   reward_transform_unbounded, stationary_rmatrix,
                   stationary_unrestricted, transform_context, z_matrix)
 from qbdr.transform import censored_boundary_generator
 from conftest import (dense_deviation_transform, dense_reward_transform,
-                      mapph_example, random_rewards, scalar_blocks)
+                      mapph_example, nu_k, random_rewards, scalar_blocks)
 
 
 def _ctx(blocks, s):
@@ -378,3 +378,103 @@ def test_context_power_cache_consistency():
         np.testing.assert_allclose(ctx.powers_Ghat[k + 1],
                                    ctx.powers_Ghat[k] @ ctx.gmat.Ghat,
                                    atol=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# node-stacked inversion against the node-by-node inversion
+# ---------------------------------------------------------------------------
+
+def _per_node_reward(blocks, rewards, t):
+    return invert_laplace(
+        lambda s: reward_transform(transform_context(blocks, s),
+                                   rewards).reshape(-1), t)
+
+
+def _per_node_deviation(blocks, pi, t):
+    return invert_laplace(
+        lambda s: deviation_transform(transform_context(blocks, s), pi), t)
+
+
+def _max_gap(value, reference):
+    return np.max(np.abs(value - reference)) / np.max(np.abs(reference))
+
+
+def test_euler_nodes_and_weights():
+    nodes, weights = euler_nodes(2.0)
+    config = InversionConfig()
+    assert len(nodes) == len(weights) == \
+        config.series_terms + config.euler_terms + 1
+    np.testing.assert_allclose(nodes.real, config.a_param / 4.0)
+    np.testing.assert_allclose(np.diff(nodes.imag), np.pi / 2.0)
+    # a constant transform value 1 inverts through the weights alone
+    scale = np.exp(config.a_param / 2.0) / 2.0
+    assert weights[0] == pytest.approx(0.5 * scale)
+    assert weights[1] == pytest.approx(-scale)
+
+
+@pytest.mark.parametrize("swapped", [False, True])
+def test_reward_time_matches_node_by_node_queue(swapped):
+    from qbdr import gained_revenue_rewards, lost_revenue_rewards
+    blocks = mapph_example(C=60, swapped=swapped)
+    for rewards in (lost_revenue_rewards(blocks, 1.0),
+                    gained_revenue_rewards(blocks, 1.0, 1.0)):
+        for t in (0.5, 10.0):
+            assert _max_gap(reward_time(blocks, rewards, t),
+                            _per_node_reward(blocks, rewards, t)) <= 1e-12
+
+
+def test_deviation_time_matches_node_by_node_queue():
+    blocks = mapph_example(C=60)
+    pi = stationary_rmatrix(blocks)
+    full = deviation_time(blocks, 2.0, pi)
+    assert _max_gap(full, _per_node_deviation(blocks, pi, 2.0)) <= 1e-12
+    for k, level in ((0, 0), (17, 60), (60, 3)):
+        block = deviation_time(blocks, 2.0, pi, block=(k, level))
+        np.testing.assert_allclose(
+            block, full[4 * k:4 * k + 4, 4 * level:4 * level + 4],
+            rtol=0, atol=1e-12 * np.max(np.abs(full)))
+
+
+def test_time_routes_match_node_by_node_acceptance_grid():
+    from test_acceptance import model_grid
+    for blocks in model_grid(10, max_n=3, max_c=4, seed=5):
+        pi = stationary_rmatrix(blocks)
+        rewards = random_rewards(blocks)
+        for t in (0.1, 1.0, 10.0):
+            assert _max_gap(reward_time(blocks, rewards, t),
+                            _per_node_reward(blocks, rewards, t)) <= 1e-12
+            assert _max_gap(deviation_time(blocks, t, pi),
+                            _per_node_deviation(blocks, pi, t)) <= 1e-12
+
+
+def test_batched_context_stacks_nodes():
+    blocks = random_blocks(2, 5, np.random.default_rng(9))
+    rewards = random_rewards(blocks)
+    pi = stationary_rmatrix(blocks)
+    nodes = np.array([0.7, 1.1 + 3j, 2.0 - 5j])
+    ctx = transform_context(blocks, nodes)
+    assert ctx.powers_G.shape == (6, 3, 2, 2)
+    parts = reward_transform(ctx, rewards)
+    dev = deviation_transform(ctx, pi)
+    assert parts.shape == (3, 6, 2) and dev.shape == (3, 12, 12)
+    for i, s in enumerate(nodes):
+        one = transform_context(blocks, s)
+        np.testing.assert_allclose(parts[i], reward_transform(one, rewards),
+                                   rtol=1e-12)
+        np.testing.assert_allclose(dev[i], deviation_transform(one, pi),
+                                   rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("entries", [1, 5 * 22 * 22, 1 << 40])
+def test_split_stacks_match_node_by_node(monkeypatch, entries):
+    # full D(t) in one call per node, in five calls of 10-11 nodes and in
+    # one call of all nodes
+    import qbdr.transform as transform
+    monkeypatch.setattr(transform, "_STACK_ENTRIES", entries)
+    blocks = random_blocks(2, 10, np.random.default_rng(4))
+    pi = stationary_rmatrix(blocks)
+    rewards = random_rewards(blocks)
+    assert _max_gap(deviation_time(blocks, 2.0, pi),
+                    _per_node_deviation(blocks, pi, 2.0)) <= 1e-12
+    assert _max_gap(reward_time(blocks, rewards, 2.0),
+                    _per_node_reward(blocks, rewards, 2.0)) <= 1e-12
