@@ -33,7 +33,7 @@ from .passage import (PassageColumn, deviation_block_asymptotic,
                       passage_column_unbounded, passage_level_matrices)
 from .perturbation import (BlockUpdate, CapacityLadderState, block_update,
                            deviation_recursive, deviation_update, pi_step,
-                           resolvent_recursive, t_generator, t_group_inverse)
+                           resolvent_recursive, t_group_inverse)
 from .stationary import (StationaryDistribution, stationary_rmatrix,
                          stationary_unrestricted)
 from .transform import (BoundaryVectors, InversionConfig, TransformContext,

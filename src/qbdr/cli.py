@@ -75,12 +75,34 @@ def _parse_block(spec, C):
 
 def _parse_t_grid(spec):
     parts = spec.split(":")
-    if len(parts) != 3:
-        raise ModelParseError("--t-grid must look like start:stop:step")
-    start, stop, step = (float(p) for p in parts)
-    if step <= 0 or stop < start or start < 0:
-        raise ModelParseError("--t-grid needs 0 <= start <= stop and step > 0")
+    try:
+        start, stop, step = (float(p) for p in parts)
+    except ValueError as exc:
+        raise ModelParseError("--t-grid must look like start:stop:step") \
+            from exc
+    if not (0 <= start <= stop < np.inf and 0 < step < np.inf):
+        raise ModelParseError("--t-grid needs 0 <= start <= stop and step > 0,"
+                              " all finite")
     return list(np.arange(start, stop + step / 2, step))
+
+
+def _parse_horizon(t):
+    if t is not None and not 0 <= t < np.inf:
+        raise ModelParseError("--t must be finite and nonnegative")
+    return t
+
+
+def _parse_levels(spec, C):
+    if spec is None:
+        return list(range(C + 1))
+    try:
+        levels = [int(x) for x in spec.split(",")]
+    except ValueError as exc:
+        raise ModelParseError("--levels must be comma-separated integers") \
+            from exc
+    if not all(0 <= k <= C for k in levels):
+        raise ModelParseError(f"--levels must lie in 0..{C}")
+    return levels
 
 
 def _phase_distribution(spec, blocks):
@@ -155,11 +177,10 @@ def cmd_reward(args):
     if args.t_grid:
         t_values = _parse_t_grid(args.t_grid)
     elif args.t is not None:
-        t_values = [args.t]
+        t_values = [_parse_horizon(args.t)]
     else:
         raise ModelParseError("pass --t or --t-grid")
-    levels = (list(range(blocks.C + 1)) if args.levels is None
-              else [int(x) for x in args.levels.split(",")])
+    levels = _parse_levels(args.levels, blocks.C)
     rows = []
     for t in t_values:
         full = reward_time(blocks, rewards, t)
@@ -185,20 +206,25 @@ def cmd_deviation(args):
     blocks, _ = load_model(args.model)
     n = blocks.n
     block = _parse_block(args.block, blocks.C)
+    t = _parse_horizon(args.t)
     if args.method == "diffeq":
-        dev = _deviation_diffeq(blocks, args.t, block)
+        dev = _deviation_diffeq(blocks, t, block)
     else:
         if args.method == "oracle":
             q = assemble_generator(blocks)
             pi = oracle_stationary(q)
-            dev = (oracle_deviation(q, pi) if args.t is None
-                   else oracle_transient_deviation(q, pi, args.t))
-        elif args.t is None:
+            dev = (oracle_deviation(q, pi) if t is None
+                   else oracle_transient_deviation(q, pi, t))
+        elif t is None:
             dev = deviation_recursive(blocks).dev
+        elif t == 0:
+            dev = np.zeros((n * (blocks.C + 1),) * 2)
         else:
-            def evaluator(s):
-                return resolvent_recursive(blocks, s)[1]
-            dev = invert_laplace(evaluator, args.t, InversionConfig())
+            # pi(C) does not depend on s: climb its ladder once
+            pi = deviation_recursive(blocks).pi
+            dev = invert_laplace(
+                lambda s: resolvent_recursive(blocks, s, pi)[1], t,
+                InversionConfig())
         if block is not None:
             k, level = block
             dev = dev[k * n:(k + 1) * n, level * n:(level + 1) * n]
@@ -208,6 +234,9 @@ def cmd_deviation(args):
 
 def cmd_passage(args):
     blocks, _ = load_model(args.model)
+    if not (0 <= args.level <= blocks.C and 0 <= args.phase < blocks.n):
+        raise ModelParseError(f"--level must lie in 0..{blocks.C} and "
+                              f"--phase in 0..{blocks.n - 1}")
     if args.method == "oracle":
         q = assemble_generator(blocks)
         m = oracle_passage(q, args.level * blocks.n + args.phase)

@@ -17,7 +17,7 @@ the defining equations T X = I - W, W X = 0 (checked directly in the
 tests).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,7 +29,6 @@ __all__ = [
     "CapacityLadderState",
     "BlockUpdate",
     "block_update",
-    "t_generator",
     "t_group_inverse",
     "pi_step",
     "deviation_update",
@@ -64,19 +63,29 @@ def block_update(blocks, capacity):
     return BlockUpdate(K=capacity - 1, P=p)
 
 
-def t_generator(blocks, capacity):
-    """T(capacity): the previous generator over a transient level band."""
+def _extend(x, blocks, lower, offset=0.0):
+    """``x`` extended by a transient top level: [[x, 0], [lower (M x +
+    offset), lower]] with M = [0 ... 0 A_minus1]."""
     n = blocks.n
-    size = n * (capacity + 1)
-    t = np.zeros((size, size))
-    prev = assemble_generator(
-        type(blocks)(n=n, C=capacity - 1, A_minus1=blocks.A_minus1,
-                     A0=blocks.A0, A1=blocks.A1, B0=blocks.B0,
-                     C0=blocks.C0))
-    t[:size - n, :size - n] = prev
-    t[size - n:, size - 2 * n:size - n] = blocks.A_minus1
-    t[size - n:, size - n:] = blocks.C0
-    return t
+    size = x.shape[0]
+    out = np.zeros((size + n, size + n), dtype=np.result_type(x, lower))
+    out[:size, :size] = x
+    out[size:, :size] = lower @ (blocks.A_minus1 @ x[size - n:] + offset)
+    out[size:, size:] = lower
+    return out
+
+
+def _woodbury(x, update):
+    """x (I - E_K P x)^{-1} = x + x E_K (I - P x E_K)^{-1} P x, through one
+    n x n solve; raises UpdateError if that system is singular."""
+    n = update.P.shape[0]
+    cols = slice(update.K * n, (update.K + 1) * n)
+    px = update.P @ x
+    try:
+        scaled = np.linalg.solve(np.eye(n) - px[:, cols], px)
+    except np.linalg.LinAlgError as exc:
+        raise UpdateError(f"low-rank update singular: {exc}") from exc
+    return x + x[:, cols] @ scaled
 
 
 def t_group_inverse(dev_prev, pi_prev, blocks):
@@ -91,20 +100,11 @@ def t_group_inverse(dev_prev, pi_prev, blocks):
     StructuralError
         If C0 is singular (not a proper sub-generator).
     """
-    n = blocks.n
-    size_prev = dev_prev.shape[0]
     try:
         c0_inv = np.linalg.inv(blocks.C0)
     except np.linalg.LinAlgError as exc:
         raise StructuralError("C0 must be nonsingular") from exc
-    out = np.zeros((size_prev + n, size_prev + n))
-    out[:size_prev, :size_prev] = -dev_prev
-    # M D(C-1) only sees the last block row of D(C-1)
-    m_dev = blocks.A_minus1 @ dev_prev[size_prev - n:, :]
-    out[size_prev:, :size_prev] = c0_inv @ (
-        m_dev - np.outer(np.ones(n), pi_prev))
-    out[size_prev:, size_prev:] = c0_inv
-    return out
+    return -_extend(dev_prev, blocks, -c0_inv, -pi_prev)
 
 
 def pi_step(pi_prev, t_sharp, update):
@@ -115,7 +115,6 @@ def pi_step(pi_prev, t_sharp, update):
     system is solved.
     """
     n = update.P.shape[0]
-    size = t_sharp.shape[0]
     phi = np.concatenate([pi_prev, np.zeros(n)])
     pd = update.P @ t_sharp  # Delta T^#, one block row tall
     cols = slice(update.K * n, (update.K + 1) * n)
@@ -144,29 +143,16 @@ def deviation_update(dev, pi_new, update):
     UpdateError
         If the inner block system is singular.
     """
-    n = update.P.shape[0]
-    size = dev.shape[0]
-    cols = slice(update.K * n, (update.K + 1) * n)
-    pd = update.P @ dev
-    inner = np.eye(n) - pd[:, cols]
-    try:
-        scaled = np.linalg.solve(inner, pd)
-    except np.linalg.LinAlgError as exc:
-        raise UpdateError(f"deviation update singular: {exc}") from exc
-    centered = dev - np.outer(np.ones(size), pi_new @ dev)
-    return centered + centered[:, cols] @ scaled
+    w = _woodbury(dev, update)
+    return w - pi_new @ w
 
 
 def _seed(blocks):
     """Dense rung C = 1."""
-    q1 = assemble_generator(
-        type(blocks)(n=blocks.n, C=1, A_minus1=blocks.A_minus1,
-                     A0=blocks.A0, A1=blocks.A1, B0=blocks.B0,
-                     C0=blocks.C0))
+    q1 = assemble_generator(replace(blocks, C=1))
     pi1 = oracle_stationary(q1)
     one_pi = np.outer(np.ones(q1.shape[0]), pi1)
-    dev1 = np.linalg.inv(one_pi - q1) - one_pi
-    return q1, pi1, dev1
+    return pi1, np.linalg.inv(one_pi - q1) - one_pi
 
 
 def deviation_recursive(blocks, return_all=False):
@@ -181,7 +167,7 @@ def deviation_recursive(blocks, return_all=False):
     UpdateError
         With the failing rung noted, if an update system is singular.
     """
-    _, pi, dev = _seed(blocks)
+    pi, dev = _seed(blocks)
     state = CapacityLadderState(level_count=1, pi=pi, dev=dev)
     rungs = [state]
     for c in range(2, blocks.C + 1):
@@ -198,44 +184,27 @@ def deviation_recursive(blocks, return_all=False):
     return rungs if return_all else state
 
 
-def resolvent_recursive(blocks, s):
+def resolvent_recursive(blocks, s, pi):
     """(sI - Q(C))^{-1} and the transformed deviation matrix, recursively.
 
-    The resolvent of T(C) factors through the resolvent of Q(C-1); one
-    Sherman-Morrison-Woodbury step then restores the block update.  The
-    stationary ladder runs alongside to supply pi(C) for
+    Each rung extends the previous resolvent by the transient top level,
+    with (sI - C0)^{-1} where the group inverse has -C0^{-1}, and takes the
+    deviation ladder's Woodbury step.  ``pi`` is the stationary vector of
+    Q(C), which does not depend on s, for
 
         Dtilde(C)(s) = (1/s)(sI - Q(C))^{-1} - (1/s^2) 1 pi(C).
 
     Returns (resolvent, dtilde).
     """
     n = blocks.n
-    q1, pi, dev = _seed(blocks)
+    lower = np.linalg.inv(s * np.eye(n) - blocks.C0)
+    q1 = assemble_generator(replace(blocks, C=1))
     resolvent = np.linalg.inv(s * np.eye(2 * n) - q1)
     for c in range(2, blocks.C + 1):
-        size = n * (c + 1)
-        # (sI - T)^{-1} from the previous resolvent
-        t_res = np.zeros((size, size), dtype=resolvent.dtype)
-        t_res[:size - n, :size - n] = resolvent
-        sc0_inv = np.linalg.inv(s * np.eye(n) - blocks.C0)
-        t_res[size - n:, :size - n] = \
-            sc0_inv @ blocks.A_minus1 @ resolvent[size - 2 * n:, :]
-        t_res[size - n:, size - n:] = sc0_inv
-        update = block_update(blocks, c)
-        cols = slice(update.K * n, (update.K + 1) * n)
-        pd = update.P @ t_res
-        inner = np.eye(n) - pd[:, cols]
         try:
-            scaled = np.linalg.solve(inner, pd)
-        except np.linalg.LinAlgError as exc:
+            resolvent = _woodbury(_extend(resolvent, blocks, lower),
+                                  block_update(blocks, c))
+        except UpdateError as exc:
             raise UpdateError(
-                f"resolvent update singular at capacity {c}: {exc}") from exc
-        resolvent = t_res + t_res[:, cols] @ scaled
-        # stationary ladder, for the drift term of the transform
-        t_sharp = t_group_inverse(dev, pi, blocks)
-        pi_next = pi_step(pi, t_sharp, update)
-        dev = deviation_update(-t_sharp, pi_next, update)
-        pi = pi_next
-    size = n * (blocks.C + 1)
-    dtilde = resolvent / s - np.outer(np.ones(size), pi) / s ** 2
-    return resolvent, dtilde
+                f"resolvent ladder failed at capacity {c}: {exc}") from exc
+    return resolvent, resolvent / s - pi / s ** 2

@@ -1,9 +1,12 @@
 """Shared models and dense reference formulas for the test suite."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from qbdr import MapParams, PhParams, QbdBlocks, build_blocks, random_blocks
+from qbdr import (MapParams, PhParams, QbdBlocks, assemble_generator,
+                  build_blocks, random_blocks)
 
 
 def scalar_blocks(lam, mu, C):
@@ -95,6 +98,19 @@ def nu_k(ctx, rewards, k):
     for j in range(1, C - k + 1):
         out = out + ctx.powers_Ghat[j] @ atoms[k + j]
     return out
+
+
+def t_generator(blocks, capacity):
+    """T(capacity): the generator of capacity-1 over a transient top level
+    with A_minus1 down and C0 local."""
+    n = blocks.n
+    size = n * (capacity + 1)
+    t = np.zeros((size, size))
+    t[:size - n, :size - n] = assemble_generator(
+        replace(blocks, C=capacity - 1))
+    t[size - n:, size - 2 * n:size - n] = blocks.A_minus1
+    t[size - n:, size - n:] = blocks.C0
+    return t
 
 
 def dense_reward_transform(q, g, s):

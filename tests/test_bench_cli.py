@@ -257,10 +257,58 @@ def test_cli_block_matches_full_matrix(tmp_path, queue_file, method,
                                rtol=0, atol=1e-12 * scale)
 
 
-def test_cli_block_out_of_range_is_parse_error(tmp_path, queue_file):
-    assert main(["deviation", "--model", queue_file, "--t", "1.0",
-                 "--block", "7,0", "--output",
-                 str(tmp_path / "x.csv")]) == 2
+@pytest.mark.parametrize("args", [
+    ["deviation", "--t", "1.0", "--block", "7,0"],
+    ["deviation", "--t", "-1"],
+    ["deviation", "--t", "inf"],
+    ["reward", "--t", "-1", "--theta", "1.0"],
+    ["reward", "--t", "nan", "--theta", "1.0"],
+    ["reward", "--t", "1.0", "--theta", "1.0", "--levels", "9"],
+    ["reward", "--t-grid", "a:b:c", "--theta", "1.0"],
+    ["reward", "--t-grid", "0:nan:1", "--theta", "1.0"]],
+    ids=["deviation-block", "deviation-t", "deviation-t-inf", "reward-t",
+         "reward-t-nan", "reward-levels", "reward-t-grid",
+         "reward-t-grid-nan"])
+def test_cli_block_out_of_range_is_parse_error(tmp_path, queue_file, args):
+    out = tmp_path / "x.csv"
+    assert main([args[0], "--model", queue_file, *args[1:],
+                 "--output", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["diffeq", "oracle"])
+@pytest.mark.parametrize("level,phase", [(1, 7), (7, 0), (-1, 0), (0, -1)])
+def test_cli_passage_target_out_of_range(tmp_path, queue_file, method,
+                                         level, phase):
+    # The queue has C=6 and n=4; (1, 7) would index state (2, 3).
+    out = tmp_path / "p.csv"
+    assert main(["passage", "--model", queue_file, "--method", method,
+                 "--level", str(level), "--phase", str(phase),
+                 "--output", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_cli_transient_perturb_climbs_stationary_ladder_once(
+        tmp_path, queue_file, monkeypatch):
+    import qbdr.perturbation as perturbation
+    calls, pi_step = [], perturbation.pi_step
+    monkeypatch.setattr(perturbation, "pi_step",
+                        lambda *args: calls.append(args) or pi_step(*args))
+    assert main(["deviation", "--model", queue_file, "--method", "perturb",
+                 "--t", "2", "--block", "4,2",
+                 "--output", str(tmp_path / "b.csv")]) == 0
+    # one stationary ladder (C - 1 rungs) per inversion, not one per node
+    assert len(calls) == 6 - 1
+
+
+@pytest.mark.parametrize("method", ["diffeq", "perturb", "oracle"])
+def test_cli_deviation_at_time_zero_is_zero(tmp_path, queue_file, method):
+    out = tmp_path / "d0.csv"
+    assert main(["deviation", "--model", queue_file, "--method", method,
+                 "--t", "0", "--output", str(out)]) == 0
+    rows = read_csv(out)
+    assert len(rows) == (4 * 7) ** 2
+    assert all(float(r["value"]) == 0.0 for r in rows)
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -1,20 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from qbdr import (QbdBlocks, assemble_generator, block_update,
-                  deviation_matrix_diffeq, deviation_recursive,
-                  deviation_update, oracle_deviation, oracle_stationary,
-                  pi_step, random_blocks, resolvent_recursive,
-                  stationary_rmatrix, t_generator, t_group_inverse,
+from qbdr import (assemble_generator, block_update, deviation_matrix_diffeq,
+                  deviation_recursive, deviation_update, oracle_deviation,
+                  oracle_stationary, pi_step, random_blocks,
+                  resolvent_recursive, stationary_rmatrix, t_group_inverse,
                   transform_context, deviation_transform)
-from conftest import mapph_example, scalar_blocks
+from conftest import mapph_example, t_generator
 
 
 def ladder_ingredients(blocks, capacity):
     """Previous-rung pi and deviation, plus T and its group inverse."""
-    prev = QbdBlocks(n=blocks.n, C=capacity - 1, A_minus1=blocks.A_minus1,
-                     A0=blocks.A0, A1=blocks.A1, B0=blocks.B0, C0=blocks.C0)
-    q_prev = assemble_generator(prev)
+    q_prev = assemble_generator(replace(blocks, C=capacity - 1))
     pi_prev = oracle_stationary(q_prev)
     dev_prev = oracle_deviation(q_prev, pi_prev)
     t = t_generator(blocks, capacity)
@@ -141,10 +140,7 @@ def test_ladder_every_rung_consistent(seed):
     blocks = random_blocks(2, 6, np.random.default_rng(seed))
     rungs = deviation_recursive(blocks, return_all=True)
     for state in rungs:
-        sub = QbdBlocks(n=2, C=state.level_count, A_minus1=blocks.A_minus1,
-                        A0=blocks.A0, A1=blocks.A1, B0=blocks.B0,
-                        C0=blocks.C0)
-        q = assemble_generator(sub)
+        q = assemble_generator(replace(blocks, C=state.level_count))
         np.testing.assert_allclose(state.pi @ q, 0.0, atol=1e-10)
         reference = oracle_deviation(q, oracle_stationary(q))
         assert np.linalg.norm(state.dev - reference) \
@@ -154,17 +150,21 @@ def test_ladder_every_rung_consistent(seed):
 def test_resolvent_inverse_identity(scalar_pr):
     q = assemble_generator(scalar_pr)
     s = 1.0
-    resolvent, _ = resolvent_recursive(scalar_pr, s)
+    resolvent, _ = resolvent_recursive(scalar_pr, s, oracle_stationary(q))
     np.testing.assert_allclose(resolvent @ (s * np.eye(3) - q), np.eye(3),
                                atol=1e-9)
     np.testing.assert_allclose(resolvent, np.linalg.inv(s * np.eye(3) - q),
                                atol=1e-12)
 
 
-@pytest.mark.parametrize("s", [0.5, 1.0, 2.0 + 1.0j])
-def test_resolvent_transform_matches_blocks(s):
-    blocks = random_blocks(2, 4, np.random.default_rng(3))
-    _, dtilde = resolvent_recursive(blocks, s)
+@pytest.mark.parametrize("model,s", [
+    ("random", 0.5), ("random", 1.0), ("random", 2.0 + 1.0j),
+    ("queue", 0.3 + 2.5j)], ids=["0.5", "1.0", "(2+1j)", "queue-(0.3+2.5j)"])
+def test_resolvent_transform_matches_blocks(model, s):
+    blocks = (random_blocks(2, 4, np.random.default_rng(3))
+              if model == "random" else mapph_example(C=15))
+    _, dtilde = resolvent_recursive(blocks, s,
+                                    deviation_recursive(blocks).pi)
     pi = stationary_rmatrix(blocks)
     assembled = deviation_transform(transform_context(blocks, s), pi)
     assert np.max(np.abs(dtilde - assembled)) <= 1e-8
