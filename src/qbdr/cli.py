@@ -7,8 +7,10 @@ Phase indices on the command line are 0-based.
 """
 
 import argparse
+import contextlib
 import csv
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -34,31 +36,37 @@ _EXIT_CODES = (
 )
 
 
-def _open_output(path):
-    return open(path, "w", newline="") if path else sys.stdout
+@contextlib.contextmanager
+def _output(path):
+    if not path:
+        yield sys.stdout
+        return
+    with open(path, "w", newline="") as out:
+        yield out
 
 
 def _write_rows(path, header, rows):
-    out = _open_output(path)
-    try:
+    with _output(path) as out:
         writer = csv.writer(out)
         writer.writerow(header)
         for row in rows:
             writer.writerow([repr(v) if isinstance(v, float) else v
                              for v in row])
-    finally:
-        if out is not sys.stdout:
-            out.close()
 
 
-def _matrix_rows(mat, n, origin=(0, 0)):
-    """(k, l, i, j, value) rows of a block-structured matrix whose top-left
-    block is block ``origin`` of the deviation matrix."""
+def _matrix_lines(mat, n, origin=(0, 0)):
+    """The CSV lines (k, l, i, j, value) of a block-structured matrix whose
+    top-left block is block ``origin`` of the deviation matrix: the header,
+    then one string per matrix row, byte for byte what csv.writer writes
+    for the same rows with repr floats, at a fraction of its cost."""
     k0, l0 = origin
+    yield "k,l,i,j,value\r\n"
+    cols = [(f"{l0 + b // n},", f"{b % n},") for b in range(mat.shape[1])]
     for a in range(mat.shape[0]):
-        for b in range(mat.shape[1]):
-            yield (k0 + a // n, l0 + b // n, a % n, b % n,
-                   float(np.real(mat[a, b])))
+        k, i = f"{k0 + a // n},", f"{a % n},"
+        values = np.real(mat[a]).astype(float).tolist()
+        yield "".join(chain.from_iterable(
+            (k, l, i, j, repr(v), "\r\n") for (l, j), v in zip(cols, values)))
 
 
 def _parse_block(spec, C):
@@ -228,8 +236,8 @@ def cmd_deviation(args):
         if block is not None:
             k, level = block
             dev = dev[k * n:(k + 1) * n, level * n:(level + 1) * n]
-    _write_rows(args.output, ("k", "l", "i", "j", "value"),
-                _matrix_rows(dev, n, block or (0, 0)))
+    with _output(args.output) as out:
+        out.writelines(_matrix_lines(dev, n, block or (0, 0)))
 
 
 def cmd_passage(args):

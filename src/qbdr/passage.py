@@ -1,8 +1,5 @@
 """Mean first passage times and asymptotic deviation blocks.
 
-Entry (k i, l j) of the deviation matrix equals
-pi_(l,j) [ M_pi(l,j) - M_(k,i)(l,j) ] where M holds mean first entrance
-times, so the asymptotic deviation blocks reduce to first-passage columns.
 For a fixed target state (l, j) the passage-time vectors over all levels
 solve the matrix difference equation Q m = -1 with the target entry pinned
 to zero.  A boundary target leaves one run of levels 0..C; any other
@@ -10,6 +7,15 @@ target splits it into 0..l and l+1..C.  On each run the solution mixes
 powers of G and Ghat around the particular term mu_k(C) built from the
 local kernel H0, and :mod:`qbdr.diffeq` fixes the free vectors from the
 level equations at the run ends.
+
+Entry (k i, l j) of the deviation matrix equals
+pi_(l,j) [ M_pi(l,j) - M_(k,i)(l,j) ] where M holds mean first entrance
+times, and single deviation blocks are still formed from passage columns
+that way.  The full matrix is not: the entries of a passage column all lie
+close to one large value, and the subtraction cancels their leading
+digits.  :func:`deviation_matrix_diffeq` solves the equation of the
+deviation columns themselves, Q d = pi_(l,j) 1 - e_(l,j), with the same
+kernel.
 """
 
 import warnings
@@ -268,28 +274,23 @@ def _column_terms(blocks, gmat, config):
     return power_stacks(gmat, blocks.C), mu_all(blocks, gmat)
 
 
-def _level_matrices(blocks, level, terms):
-    """Passage matrices of one target level from :func:`_column_terms`;
-    the n columns share one assembled boundary system."""
-    n = blocks.n
-    if terms is None:
-        cols = [passage_column(blocks, level, j).m for j in range(n)]
-    else:
-        system = _passage_system(blocks, level, *terms, blocks.C)
-        cols = [_finish_column(blocks, level, j, system.solve((level, j))).m
-                for j in range(n)]
-    return np.stack(cols, axis=2)
-
-
 def passage_level_matrices(blocks, level, gmat=None, config=SolverConfig()):
     """All blocks M_{k, level}, k = 0..C, for one target level, stacked
     as a (C+1, n, n) array.
 
     Column j of M_{k, level} is the passage column for phase j.
     """
+    n = blocks.n
     if not 0 <= level <= blocks.C:
         raise ValueError(f"target level {level} out of range 0..{blocks.C}")
-    return _level_matrices(blocks, level, _column_terms(blocks, gmat, config))
+    terms = _column_terms(blocks, gmat, config)
+    if terms is None:
+        cols = [passage_column(blocks, level, j).m for j in range(n)]
+    else:  # the n columns share one assembled boundary system
+        system = _passage_system(blocks, level, *terms, blocks.C)
+        cols = [_finish_column(blocks, level, j, system.solve((level, j))).m
+                for j in range(n)]
+    return np.stack(cols, axis=2)
 
 
 def deviation_block_asymptotic(blocks, pi, k, level, level_mats=None,
@@ -332,15 +333,41 @@ def deviation_block_column(blocks, pi, level, level_mats=None, gmat=None,
 
 
 def deviation_matrix_diffeq(blocks, pi=None, config=SolverConfig()):
-    """Full asymptotic deviation matrix assembled from passage columns."""
+    """Full asymptotic deviation matrix from one pinned boundary system.
+
+    Column (l, j) of D solves Q d = pi_(l,j) 1 - e_(l,j) with pi d = 0.
+    Its particular term is the Green's term with atom H0 at level l, which
+    the sweep leaves out for l = 0, a run end, minus mu pi_(l,j): mu is the
+    particular term of the forcing -1.  Q is singular, so the level
+    equation row of the most probable state r gives way to the pin d_r = 0,
+    with the run split at r's level so that r sits at a run end; the
+    centring d - 1 (pi d) then restores pi d = 0.  All n(C+1) columns
+    share one boundary system and one solve.
+
+    Raises
+    ------
+    AsymptoticsUndefinedError
+        For null-recurrent models (mu undefined).
+    NumericalError
+        If the boundary system is singular.
+    """
     n, C = blocks.n, blocks.C
-    gmat = gmatrices(blocks, 0.0, config) if C > 2 else None
+    require_not_null_recurrent(blocks, "asymptotic deviation matrices")
+    gmat = gmatrices(blocks, 0.0, config)
     if pi is None:
         pi = stationary_rmatrix(blocks, config, gmat=gmat)
-    terms = _column_terms(blocks, gmat, config)
-    out = np.empty((n * (C + 1), n * (C + 1)))
-    for level in range(C + 1):
-        mats = _level_matrices(blocks, level, terms)
-        column = deviation_block_column(blocks, pi, level, level_mats=mats)
-        out[:, level * n:(level + 1) * n] = column.reshape(-1, n)
-    return out
+    row = np.concatenate([np.asarray(pi[k]) for k in range(C + 1)])
+    atoms = np.zeros((C + 1, n, row.size))
+    force = np.broadcast_to(row, atoms.shape).copy()
+    # The views index (level, i, target level, j); H0 and -I go where the
+    # level is the target level.
+    diagonal = (np.arange(C + 1), slice(None)) * 2
+    atoms.reshape(C + 1, n, C + 1, n)[diagonal] = gmat.H0
+    force.reshape(C + 1, n, C + 1, n)[diagonal] -= np.eye(n)
+    green = particular(gmat.G, gmat.Ghat, atoms)
+    p = green - mu_all(blocks, gmat)[..., None] * row
+    level, j = divmod(int(np.argmax(row)), n)
+    system = BoundarySystem(blocks, _passage_segments(C, level),
+                            power_stacks(gmat, C), p, force)
+    d = system.solve((level, j)).reshape(row.size, row.size)
+    return d - row @ d

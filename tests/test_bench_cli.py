@@ -1,6 +1,7 @@
 import csv
 import functools
 import importlib.util
+import io
 import json
 import os
 import pathlib
@@ -12,9 +13,9 @@ import pytest
 
 from qbdr import (assemble_generator, last_block_column_diffeq,
                   last_block_column_perturbation, oracle_deviation,
-                  random_blocks, run_bench)
+                  oracle_stationary, random_blocks, run_bench)
 from qbdr.bench import REFERENCE_KERNEL_SECONDS, time_interleaved
-from qbdr.cli import main
+from qbdr.cli import _matrix_lines, main
 from qbdr.model import save_model
 from conftest import mapph_example, scalar_blocks
 
@@ -309,6 +310,57 @@ def test_cli_deviation_at_time_zero_is_zero(tmp_path, queue_file, method):
     rows = read_csv(out)
     assert len(rows) == (4 * 7) ** 2
     assert all(float(r["value"]) == 0.0 for r in rows)
+
+
+def reference_matrix_csv(mat, n, origin=(0, 0)):
+    """The matrix CSV as csv.writer writes it, one row per entry."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(("k", "l", "i", "j", "value"))
+    k0, l0 = origin
+    for a in range(mat.shape[0]):
+        for b in range(mat.shape[1]):
+            writer.writerow([k0 + a // n, l0 + b // n, a % n, b % n,
+                             repr(float(np.real(mat[a, b])))])
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("block", [None, (4, 2)], ids=["full", "block"])
+def test_cli_matrix_csv_matches_csv_writer(tmp_path, queue_file, block):
+    q = assemble_generator(mapph_example(C=6))
+    dev = oracle_deviation(q, oracle_stationary(q))
+    args = ["deviation", "--model", queue_file, "--method", "oracle"]
+    if block is not None:
+        k, level = block
+        dev = dev[k * 4:(k + 1) * 4, level * 4:(level + 1) * 4]
+        args += ["--block", f"{k},{level}"]
+    out = tmp_path / "d.csv"
+    assert main(args + ["--output", str(out)]) == 0
+    assert out.read_bytes() == reference_matrix_csv(dev, 4, block or (0, 0))
+
+
+def test_matrix_lines_match_csv_writer_on_complex_values():
+    rng = np.random.default_rng(4)
+    mat = rng.standard_normal((6, 9)) * 1e5 + 1j * rng.standard_normal((6, 9))
+    mat[0, :5] = [-0.0, np.nan, np.inf, 1e-300, 3.0]
+    written = "".join(_matrix_lines(mat, 3, (2, 1))).encode()
+    assert written == reference_matrix_csv(mat, 3, (2, 1))
+
+
+def test_cli_deviation_diffeq_matches_perturb_on_queue(tmp_path):
+    # D formed from mean passage times missed the ladder by 3e-2 relative
+    # on this queue.
+    path = tmp_path / "queue30.json"
+    save_model(path, mapph_example(C=30))
+    values = {}
+    for method in ("diffeq", "perturb"):
+        out = tmp_path / f"{method}.csv"
+        assert main(["deviation", "--model", str(path), "--method", method,
+                     "--output", str(out)]) == 0
+        values[method] = np.array([float(r["value"])
+                                   for r in read_csv(out)])
+    gap = np.max(np.abs(values["diffeq"] - values["perturb"]))
+    assert gap <= 1e-8 * np.max(np.abs(values["perturb"]))
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -4,7 +4,7 @@ import pytest
 from qbdr import (AsymptoticsUndefinedError, PreconditionError,
                   assemble_generator,
                   deviation_block_asymptotic, deviation_block_column,
-                  deviation_matrix_diffeq,
+                  deviation_matrix_diffeq, deviation_recursive,
                   gmatrices, mu_all, mu_k, mu_limit, oracle_deviation,
                   oracle_passage, oracle_stationary, passage_column,
                   passage_column_unbounded, passage_level_matrices,
@@ -197,3 +197,66 @@ def test_level_matrices_zero_diagonal():
     blocks = random_blocks(3, 5, np.random.default_rng(9))
     mats = passage_level_matrices(blocks, 2)
     np.testing.assert_allclose(np.diag(mats[2]), 0.0)
+
+
+def unfiltered_model(seed, i):
+    """Model i of an unfiltered draw: n = 1..4 and C = 3..82 cycle with i,
+    and only the drift bound filters the rates."""
+    return random_blocks(1 + i % 4, 3 + (7 * i) % 80,
+                         np.random.default_rng([seed, i]), min_drift=0.05)
+
+
+def relative_gap(value, reference):
+    return np.max(np.abs(value - reference)) / np.max(np.abs(reference))
+
+
+def test_deviation_matrix_matches_ladder_on_unfiltered_models():
+    # Forming D from mean passage times cancels on these draws, whose
+    # passage times reach 1e19 and more: 29 of the 100 missed 1e-8.
+    worst = 0.0
+    for seed, count in ((7, 60), (8, 40)):
+        for i in range(count):
+            blocks = unfiltered_model(seed, i)
+            worst = max(worst, relative_gap(deviation_matrix_diffeq(blocks),
+                                            deviation_recursive(blocks).dev))
+    assert worst <= 1e-8
+
+
+@pytest.mark.parametrize("seed,i,pin_level", [(8, 2, 1), (7, 15, 27)])
+def test_deviation_matrix_pin_splits_run(seed, i, pin_level):
+    # The most probable state, whose equation gives way to the pin, lies
+    # inside the levels, so the run splits there: at level 1, and at C - 1
+    # with a last run of one level.
+    blocks = unfiltered_model(seed, i)
+    pi = stationary_rmatrix(blocks)
+    assert np.argmax(pi.stacked()) // blocks.n == pin_level
+    assert relative_gap(deviation_matrix_diffeq(blocks, pi),
+                        deviation_recursive(blocks).dev) <= 1e-8
+
+
+@pytest.mark.parametrize("c", [1, 2])
+@pytest.mark.parametrize("seed", range(3))
+def test_deviation_matrix_small_capacities(c, seed):
+    blocks = random_blocks(1 + seed, c, np.random.default_rng([c, seed]))
+    q = assemble_generator(blocks)
+    reference = oracle_deviation(q, oracle_stationary(q))
+    assert relative_gap(deviation_matrix_diffeq(blocks), reference) <= 1e-12
+
+
+def test_deviation_matrix_uses_supplied_pi():
+    blocks = random_blocks(3, 12, np.random.default_rng(5))
+    q = assemble_generator(blocks)
+    pi = oracle_stationary(q)
+    rows = [pi[k * 3:(k + 1) * 3] for k in range(13)]
+    dev = deviation_matrix_diffeq(blocks, rows)
+    assert relative_gap(dev, oracle_deviation(q, pi)) <= 1e-10
+    # the centring uses the supplied rows: pi D = 0 in them
+    assert np.max(np.abs(pi @ dev)) <= 1e-13 * np.max(np.abs(dev))
+
+
+def test_deviation_matrix_rejects_null_recurrent():
+    blocks = scalar_blocks(1.0, 1.0, 4)
+    with pytest.raises(PreconditionError):
+        deviation_matrix_diffeq(blocks)
+    with pytest.raises(PreconditionError):
+        deviation_matrix_diffeq(blocks, [np.array([0.2])] * 5)
