@@ -32,8 +32,9 @@ from .passage import (PassageColumn, deviation_block_asymptotic,
                       mu_all, mu_k, mu_limit, passage_column,
                       passage_column_unbounded, passage_level_matrices)
 from .perturbation import (BlockUpdate, CapacityLadderState, block_update,
-                           deviation_recursive, deviation_update, pi_step,
-                           resolvent_recursive, t_group_inverse)
+                           deviation_recursive, deviation_time_recursive,
+                           deviation_update, pi_step, resolvent_recursive,
+                           t_group_inverse)
 from .stationary import (StationaryDistribution, stationary_rmatrix,
                          stationary_unrestricted)
 from .transform import (BoundaryVectors, InversionConfig, TransformContext,
@@ -42,6 +43,6 @@ from .transform import (BoundaryVectors, InversionConfig, TransformContext,
                         deviation_transform_unbounded, euler_nodes,
                         invert_laplace, occupation_matrix, reward_time,
                         reward_transform, reward_transform_unbounded,
-                        transform_context, z_matrix)
+                        transform_context)
 
 __version__ = "0.1.0"

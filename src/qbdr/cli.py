@@ -25,10 +25,9 @@ from .oracle import (oracle_deviation, oracle_passage, oracle_stationary,
                      oracle_transient_deviation)
 from .passage import (deviation_block_column, deviation_matrix_diffeq,
                       passage_column)
-from .perturbation import deviation_recursive, resolvent_recursive
+from .perturbation import deviation_recursive, deviation_time_recursive
 from .stationary import stationary_rmatrix
-from .transform import (InversionConfig, deviation_time, invert_laplace,
-                        reward_time)
+from .transform import deviation_time, reward_time
 
 _EXIT_CODES = (
     (ModelParseError, 2), (StructuralError, 2), (ModelError, 2),
@@ -217,22 +216,16 @@ def cmd_deviation(args):
     t = _parse_horizon(args.t)
     if args.method == "diffeq":
         dev = _deviation_diffeq(blocks, t, block)
+    elif args.method == "perturb" and t is not None:
+        dev = deviation_time_recursive(blocks, t, block=block)
     else:
         if args.method == "oracle":
             q = assemble_generator(blocks)
             pi = oracle_stationary(q)
             dev = (oracle_deviation(q, pi) if t is None
                    else oracle_transient_deviation(q, pi, t))
-        elif t is None:
-            dev = deviation_recursive(blocks).dev
-        elif t == 0:
-            dev = np.zeros((n * (blocks.C + 1),) * 2)
         else:
-            # pi(C) does not depend on s: climb its ladder once
-            pi = deviation_recursive(blocks).pi
-            dev = invert_laplace(
-                lambda s: resolvent_recursive(blocks, s, pi)[1], t,
-                InversionConfig())
+            dev = deviation_recursive(blocks).dev
         if block is not None:
             k, level = block
             dev = dev[k * n:(k + 1) * n, level * n:(level + 1) * n]

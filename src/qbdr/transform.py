@@ -26,8 +26,6 @@ import numpy as np
 from .diffeq import BoundarySystem, particular, power_stacks
 from .errors import TailConvergenceError
 from .gmatrices import SolverConfig, gmatrices
-from .linalg import censor_generator
-from .model import assemble_generator
 from .stationary import stationary_rmatrix
 
 __all__ = [
@@ -35,8 +33,6 @@ __all__ = [
     "TransformContext",
     "BoundaryVectors",
     "transform_context",
-    "z_matrix",
-    "censored_boundary_generator",
     "boundary_vectors",
     "reward_transform",
     "reward_transform_unbounded",
@@ -45,6 +41,7 @@ __all__ = [
     "deviation_transform_unbounded",
     "euler_nodes",
     "invert_laplace",
+    "invert_stacked",
     "reward_time",
     "deviation_time",
     "occupation_matrix",
@@ -129,26 +126,6 @@ def _system(ctx, p, f):
     """The boundary system on the levels 0..C at the context's s."""
     return BoundarySystem(ctx.blocks, [(0, ctx.blocks.C)],
                           (ctx.powers_G, ctx.powers_Ghat), p, f, ctx.s)
-
-
-def z_matrix(ctx):
-    """The 2n x 2n boundary matrix Z(s, C) pinning the free vectors."""
-    zero = np.zeros((ctx.blocks.C + 1, ctx.blocks.n))
-    return _system(ctx, zero, zero).matrix
-
-
-def censored_boundary_generator(blocks, s):
-    """Generator of the rate-s-killed QBD watched on levels 0 and C only.
-
-    Z(s, C) factors as this matrix times [[I, Ghat^C], [G^C, I]]; the
-    factorization backs the invertibility of Z for s > 0.
-    """
-    n, C = blocks.n, blocks.C
-    s = complex(s) if complex(s).imag else float(np.real(s))
-    full = assemble_generator(blocks)
-    full = full - s * np.eye(n * (C + 1))
-    keep = list(range(n)) + list(range(C * n, (C + 1) * n))
-    return censor_generator(full, keep)
 
 
 def _reward_system(ctx, rewards):
@@ -381,7 +358,7 @@ def invert_laplace(transform, t, config=InversionConfig()):
                for s, w in zip(nodes, weights))
 
 
-def _invert_stacked(transform, t, config, node_size):
+def invert_stacked(transform, t, config, node_size):
     """Euler-summed inverse of a transform evaluated at a 1-d array of
     nodes at once, its values stacked along a leading node axis.  The
     nodes are split into the fewest equal calls whose values, given
@@ -411,7 +388,7 @@ def reward_time(blocks, rewards, t, k=None, inversion=InversionConfig(),
                                  rewards)
         return parts[:, k] if k is not None else parts.reshape(len(nodes), -1)
 
-    return _invert_stacked(transform, t, inversion, n * (C + 1))
+    return invert_stacked(transform, t, inversion, n * (C + 1))
 
 
 def deviation_time(blocks, t, pi=None, inversion=InversionConfig(),
@@ -437,7 +414,7 @@ def deviation_time(blocks, t, pi=None, inversion=InversionConfig(),
         return deviation_transform_block(ctx, pi, *block)
 
     node_size = size * (size if block is None else n)
-    return _invert_stacked(transform, t, inversion, node_size)
+    return invert_stacked(transform, t, inversion, node_size)
 
 
 def occupation_matrix(blocks, pi, t, inversion=InversionConfig(),

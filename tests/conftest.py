@@ -7,6 +7,8 @@ import pytest
 
 from qbdr import (MapParams, PhParams, QbdBlocks, assemble_generator,
                   build_blocks, random_blocks)
+from qbdr.diffeq import BoundarySystem
+from qbdr.linalg import censor_generator
 
 
 def scalar_blocks(lam, mu, C):
@@ -98,6 +100,29 @@ def nu_k(ctx, rewards, k):
     for j in range(1, C - k + 1):
         out = out + ctx.powers_Ghat[j] @ atoms[k + j]
     return out
+
+
+def z_matrix(ctx):
+    """The 2n x 2n boundary matrix Z(s, C) pinning the free vectors of a
+    transform context."""
+    zero = np.zeros((ctx.blocks.C + 1, ctx.blocks.n))
+    return BoundarySystem(ctx.blocks, [(0, ctx.blocks.C)],
+                          (ctx.powers_G, ctx.powers_Ghat), zero, zero,
+                          ctx.s).matrix
+
+
+def censored_boundary_generator(blocks, s):
+    """Generator of the rate-s-killed QBD watched on levels 0 and C only.
+
+    Z(s, C) factors as this matrix times [[I, Ghat^C], [G^C, I]]; the
+    factorization backs the invertibility of Z for s > 0.
+    """
+    n, C = blocks.n, blocks.C
+    s = complex(s) if complex(s).imag else float(np.real(s))
+    full = assemble_generator(blocks)
+    full = full - s * np.eye(n * (C + 1))
+    keep = list(range(n)) + list(range(C * n, (C + 1) * n))
+    return censor_generator(full, keep)
 
 
 def t_generator(blocks, capacity):

@@ -3,9 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qbdr import (assemble_generator, block_update, deviation_matrix_diffeq,
-                  deviation_recursive, deviation_update, oracle_deviation,
-                  oracle_stationary, pi_step, random_blocks,
+from qbdr import (UpdateError, assemble_generator, block_update,
+                  deviation_matrix_diffeq, deviation_recursive,
+                  deviation_time_recursive, deviation_update, euler_nodes,
+                  oracle_deviation, oracle_stationary, pi_step, random_blocks,
                   resolvent_recursive, stationary_rmatrix, t_group_inverse,
                   transform_context, deviation_transform)
 from conftest import mapph_example, t_generator
@@ -168,3 +169,96 @@ def test_resolvent_transform_matches_blocks(model, s):
     pi = stationary_rmatrix(blocks)
     assembled = deviation_transform(transform_context(blocks, s), pi)
     assert np.max(np.abs(dtilde - assembled)) <= 1e-8
+
+
+def full_resolvent_ladder(blocks, s):
+    """Reference: the full (C+1)n square resolvent at one node, each rung
+    extending it by the transient top level and taking the Woodbury step
+    with P x over every row."""
+    n = blocks.n
+    lower = np.linalg.inv(s * np.eye(n) - blocks.C0)
+    x = np.linalg.inv(s * np.eye(2 * n)
+                      - assemble_generator(replace(blocks, C=1)))
+    for c in range(2, blocks.C + 1):
+        size = x.shape[0]
+        ext = np.zeros((size + n, size + n), dtype=complex)
+        ext[:size, :size] = x
+        ext[size:, :size] = lower @ blocks.A_minus1 @ x[size - n:]
+        ext[size:, size:] = lower
+        update = block_update(blocks, c)
+        cols = slice(update.K * n, (update.K + 1) * n)
+        px = update.P @ ext
+        x = ext + ext[:, cols] @ np.linalg.solve(np.eye(n) - px[:, cols], px)
+    return x
+
+
+def _rel_gap(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("t", [0.5, 10.0])
+@pytest.mark.parametrize("model", ["random-n2", "random-n3", "queue"])
+def test_resolvent_rows_match_full_ladder(model, t):
+    if model == "queue":
+        blocks = mapph_example(C=15)
+    else:
+        n = int(model[-1])
+        blocks = random_blocks(n, 12 - n, np.random.default_rng(n))
+    n, C = blocks.n, blocks.C
+    nodes, _ = euler_nodes(t)
+    pi = deviation_recursive(blocks).pi
+    full = np.array([full_resolvent_ladder(blocks, s) for s in nodes])
+    dtilde = full / nodes[:, None, None] - pi / nodes[:, None, None] ** 2
+    targets = [0, 1, C // 2, C]
+    for levels in [[k] for k in targets] + [targets]:
+        rows = np.concatenate([np.arange(k * n, (k + 1) * n)
+                               for k in levels])
+        resolvent, dt = resolvent_recursive(blocks, nodes, pi, levels)
+        assert resolvent.shape == (len(nodes), len(rows), n * (C + 1))
+        assert _rel_gap(resolvent, full[:, rows]) <= 1e-12
+        assert _rel_gap(dt, dtilde[:, rows]) <= 1e-12
+
+
+def test_resolvent_all_levels_is_full_resolvent():
+    blocks = random_blocks(3, 6, np.random.default_rng(8))
+    nodes, _ = euler_nodes(2.0)
+    pi = deviation_recursive(blocks).pi
+    full = np.array([full_resolvent_ladder(blocks, s) for s in nodes])
+    every, _ = resolvent_recursive(blocks, nodes, pi, range(blocks.C + 1))
+    default, _ = resolvent_recursive(blocks, nodes, pi)
+    assert _rel_gap(every, full) <= 1e-12
+    np.testing.assert_array_equal(default, every)
+
+
+def test_resolvent_singular_rung_names_capacity(monkeypatch):
+    blocks = random_blocks(2, 6, np.random.default_rng(1))
+    pi = deviation_recursive(blocks).pi
+    solve, calls = np.linalg.solve, []
+
+    def failing_third_solve(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", failing_third_solve)
+    with pytest.raises(UpdateError, match="capacity 4"):
+        resolvent_recursive(blocks, euler_nodes(1.0)[0], pi, [2])
+
+
+@pytest.mark.parametrize("block", [None, (3, 1)], ids=["full", "block"])
+def test_time_split_stacks_match_one_call(monkeypatch, block):
+    # all 53 nodes in one ladder call, then one call per node
+    import qbdr.perturbation as perturbation
+    import qbdr.transform as transform
+    blocks = random_blocks(2, 10, np.random.default_rng(4))
+    calls, ladder = [], perturbation.resolvent_recursive
+    monkeypatch.setattr(perturbation, "resolvent_recursive",
+                        lambda *args: calls.append(args) or ladder(*args))
+    one_call = deviation_time_recursive(blocks, 2.0, block=block)
+    monkeypatch.setattr(transform, "_STACK_ENTRIES", 1)
+    split = deviation_time_recursive(blocks, 2.0, block=block)
+    assert len(calls) == 1 + len(euler_nodes(2.0)[0])
+    assert one_call.shape == ((2, 2) if block else (22, 22))
+    assert np.max(np.abs(split - one_call)) \
+        <= 1e-12 * np.max(np.abs(one_call))

@@ -9,10 +9,10 @@ from qbdr import (InversionConfig, RewardSpec, TailConvergenceError,
                   oracle_reward, oracle_stationary, oracle_transient_deviation,
                   random_blocks, reward_time, reward_transform,
                   reward_transform_unbounded, stationary_rmatrix,
-                  stationary_unrestricted, transform_context, z_matrix)
-from qbdr.transform import censored_boundary_generator
-from conftest import (dense_deviation_transform, dense_reward_transform,
-                      mapph_example, nu_k, random_rewards, scalar_blocks)
+                  stationary_unrestricted, transform_context)
+from conftest import (censored_boundary_generator, dense_deviation_transform,
+                      dense_reward_transform, mapph_example, nu_k,
+                      random_rewards, scalar_blocks, z_matrix)
 
 
 def _ctx(blocks, s):
