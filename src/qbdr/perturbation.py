@@ -56,7 +56,12 @@ class CapacityLadderState:
 
 @dataclass(frozen=True)
 class BlockUpdate:
-    """Block-row perturbation Q = T + E_K P."""
+    """Block-row perturbation Q = T + E_K P.
+
+    As :func:`block_update` builds it: K is the second-to-last level and P
+    is zero outside its last 2n columns, levels K and K+1.  The Woodbury
+    step in :func:`deviation_update` relies on both.
+    """
 
     K: int
     P: np.ndarray
@@ -97,6 +102,9 @@ def _woodbury(x, update):
     only the last 2n rows of ``x``, which must hold those two levels.
     """
     n = update.P.shape[0]
+    if update.K != update.P.shape[1] // n - 2:
+        raise ValueError(f"update level {update.K} is not the second-to-last"
+                         f" of {update.P.shape[1] // n} levels")
     cols = slice(update.K * n, (update.K + 1) * n)
     px = update.P[:, -2 * n:] @ x[..., -2 * n:, :]
     try:
@@ -154,7 +162,8 @@ def deviation_update(dev, pi_new, update):
 
         Dtilde = (I - 1 pi_new) dev (I + E_K (I - P dev E_K)^{-1} P dev),
 
-    where the inner inverse is only one block in size.
+    where the inner inverse is only one block in size.  ``update`` must be
+    shaped as :func:`block_update` builds it (see :class:`BlockUpdate`).
 
     Raises
     ------
@@ -223,11 +232,17 @@ def resolvent_recursive(blocks, s, pi, levels=None):
 
     Raises
     ------
+    ValueError
+        If a target level is outside 0..C or given twice.
     UpdateError
         With the failing capacity noted, if a rung's system is singular.
     """
     n, C = blocks.n, blocks.C
-    targets = set(range(C + 1) if levels is None else levels)
+    levels = list(range(C + 1) if levels is None else levels)
+    targets = set(levels)
+    if len(targets) < len(levels) or not targets <= set(range(C + 1)):
+        raise ValueError(f"target levels {levels} must be distinct levels"
+                         f" in 0..{C}")
     s = np.asarray(s)[..., None, None]
     lower = np.linalg.inv(s * np.eye(n) - blocks.C0)
     q1 = assemble_generator(replace(blocks, C=1))
@@ -249,8 +264,7 @@ def resolvent_recursive(blocks, s, pi, levels=None):
     return rows, rows / s - pi / s ** 2
 
 
-def deviation_time_recursive(blocks, t, block=None,
-                             inversion=InversionConfig()):
+def deviation_time_recursive(blocks, t, block=None):
     """Transient deviation matrix D(t) by inversion of the resolvent ladder.
 
     All Euler nodes of the inversion climb the ladder as one stack, split
@@ -259,21 +273,17 @@ def deviation_time_recursive(blocks, t, block=None,
     block row k.  pi(C) does not depend on s, so its ladder is climbed once.
     """
     n, C = blocks.n, blocks.C
-    if t < 0:
-        raise ValueError("t must be nonnegative")
     size = n * (C + 1)
     if block is not None and not all(0 <= b <= C for b in block):
         raise ValueError(f"block {block} out of range 0..{C}")
-    if t == 0:
-        return np.zeros((n, n) if block is not None else (size, size))
     pi = deviation_recursive(blocks).pi
     if block is None:
-        rows, cols, node_size = None, slice(None), size * size
+        rows, cols, shape = None, slice(None), (size, size)
     else:
         rows, cols = [block[0]], slice(block[1] * n, (block[1] + 1) * n)
-        node_size = size * n
+        shape = (n, n)
 
     def transform(nodes):
         return resolvent_recursive(blocks, nodes, pi, rows)[1][..., cols]
 
-    return invert_stacked(transform, t, inversion, node_size)
+    return invert_stacked(transform, t, InversionConfig(), shape, size)

@@ -358,12 +358,21 @@ def invert_laplace(transform, t, config=InversionConfig()):
                for s, w in zip(nodes, weights))
 
 
-def invert_stacked(transform, t, config, node_size):
-    """Euler-summed inverse of a transform evaluated at a 1-d array of
-    nodes at once, its values stacked along a leading node axis.  The
-    nodes are split into the fewest equal calls whose values, given
-    ``node_size`` entries per node, stay under _STACK_ENTRIES."""
+def invert_stacked(transform, t, config, shape, states):
+    """Euler-summed inverse at time t >= 0 of a transform evaluated at a
+    1-d array of nodes at once, its values of shape ``shape`` stacked along
+    a leading node axis; zero at t = 0.
+
+    A node's work is taken as one column over the chain's ``states`` states
+    per column of its value (a vector counts as one column).  The nodes are
+    split into the fewest equal calls whose work stays under _STACK_ENTRIES.
+    """
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    if t == 0:
+        return np.zeros(shape)
     nodes, weights = euler_nodes(t, config)
+    node_size = states * math.prod(shape[1:])
     calls = min(len(nodes), -(-len(nodes) * node_size // _STACK_ENTRIES))
     return sum(np.tensordot(w, np.real(transform(s)), axes=1)
                for s, w in zip(np.array_split(nodes, calls),
@@ -377,18 +386,15 @@ def reward_time(blocks, rewards, t, k=None, inversion=InversionConfig(),
     Returns the level-k block when ``k`` is given, otherwise the full
     stacked vector over all levels.  R(0) = 0 exactly.
     """
-    n, C = blocks.n, blocks.C
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if t == 0:
-        return np.zeros(n if k is not None else n * (C + 1))
+    size = blocks.n * (blocks.C + 1)
 
     def transform(nodes):
         parts = reward_transform(transform_context(blocks, nodes, solver),
                                  rewards)
         return parts[:, k] if k is not None else parts.reshape(len(nodes), -1)
 
-    return invert_stacked(transform, t, inversion, n * (C + 1))
+    shape = (blocks.n,) if k is not None else (size,)
+    return invert_stacked(transform, t, inversion, shape, size)
 
 
 def deviation_time(blocks, t, pi=None, inversion=InversionConfig(),
@@ -398,14 +404,9 @@ def deviation_time(blocks, t, pi=None, inversion=InversionConfig(),
     With ``block`` = (k, level), only the n x n block D(t)_{k, level}, from
     one block column per node: O(C) work instead of O(C^2).
     """
-    n, C = blocks.n, blocks.C
-    if t < 0:
-        raise ValueError("t must be nonnegative")
     if pi is None:
         pi = stationary_rmatrix(blocks, solver)
-    size = n * (C + 1)
-    if t == 0:
-        return np.zeros((n, n) if block is not None else (size, size))
+    size = blocks.n * (blocks.C + 1)
 
     def transform(nodes):
         ctx = transform_context(blocks, nodes, solver)
@@ -413,8 +414,8 @@ def deviation_time(blocks, t, pi=None, inversion=InversionConfig(),
             return deviation_transform(ctx, pi)
         return deviation_transform_block(ctx, pi, *block)
 
-    node_size = size * (size if block is None else n)
-    return invert_stacked(transform, t, inversion, node_size)
+    shape = (blocks.n,) * 2 if block is not None else (size, size)
+    return invert_stacked(transform, t, inversion, shape, size)
 
 
 def occupation_matrix(blocks, pi, t, inversion=InversionConfig(),

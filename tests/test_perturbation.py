@@ -246,6 +246,23 @@ def test_resolvent_singular_rung_names_capacity(monkeypatch):
         resolvent_recursive(blocks, euler_nodes(1.0)[0], pi, [2])
 
 
+@pytest.mark.parametrize("levels", [[1, 1], [0, 7]],
+                         ids=["repeated", "outside"])
+def test_resolvent_rejects_bad_levels(levels):
+    blocks = random_blocks(2, 6, np.random.default_rng(1))
+    pi = deviation_recursive(blocks).pi
+    with pytest.raises(ValueError, match="0..6"):
+        resolvent_recursive(blocks, 1.0, pi, levels)
+
+
+def test_woodbury_rejects_update_below_top():
+    blocks = random_blocks(2, 4, np.random.default_rng(2))
+    update = block_update(blocks, 4)
+    dev = deviation_recursive(blocks).dev
+    with pytest.raises(ValueError, match="second-to-last"):
+        deviation_update(dev, np.ones(10) / 10, replace(update, K=2))
+
+
 @pytest.mark.parametrize("block", [None, (3, 1)], ids=["full", "block"])
 def test_time_split_stacks_match_one_call(monkeypatch, block):
     # all 53 nodes in one ladder call, then one call per node
