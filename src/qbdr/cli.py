@@ -93,10 +93,15 @@ def _parse_t_grid(spec):
     return list(np.arange(start, stop + step / 2, step))
 
 
+def _parse_nonnegative(value, flag):
+    """``value`` if it is None or finite and nonnegative."""
+    if value is not None and not 0 <= value < np.inf:
+        raise ModelParseError(f"{flag} must be finite and nonnegative")
+    return value
+
+
 def _parse_horizon(t):
-    if t is not None and not 0 <= t < np.inf:
-        raise ModelParseError("--t must be finite and nonnegative")
-    return t
+    return _parse_nonnegative(t, "--t")
 
 
 def _parse_levels(spec, C):
@@ -121,21 +126,33 @@ def _phase_distribution(spec, blocks):
         dist = np.array([float(x) for x in spec.split(",")])
     except ValueError as exc:
         raise ModelParseError(f"bad --phase-dist: {exc}") from exc
-    if dist.size != blocks.n or dist.min() < 0 or abs(dist.sum() - 1) > 1e-9:
+    if (dist.size != blocks.n or not np.all(dist >= 0)
+            or not abs(dist.sum() - 1) <= 1e-9):
         raise ModelParseError(
             f"--phase-dist needs {blocks.n} nonnegative entries summing to 1")
     return dist
 
 
-def _rewards_for(args, blocks, file_rewards):
-    if args.theta is not None and args.gamma is not None:
-        return mapph.gained_revenue_rewards(blocks, args.theta, args.gamma)
-    if args.theta is not None:
+def _flag_rewards(args, blocks):
+    """The revenue rewards of --theta, with --gamma if given; None without
+    --theta."""
+    _parse_nonnegative(args.theta, "--theta")
+    _parse_nonnegative(args.gamma, "--gamma")
+    if args.theta is None:
+        return None
+    if args.gamma is None:
         return mapph.lost_revenue_rewards(blocks, args.theta)
-    if file_rewards is not None:
-        return file_rewards
-    raise ModelParseError(
-        "no rewards: embed them in the model file or pass --theta/--gamma")
+    return mapph.gained_revenue_rewards(blocks, args.theta, args.gamma)
+
+
+def _rewards_for(args, blocks, file_rewards):
+    rewards = _flag_rewards(args, blocks)
+    if rewards is None:
+        rewards = file_rewards
+    if rewards is None:
+        raise ModelParseError(
+            "no rewards: embed them in the model file or pass --theta/--gamma")
+    return rewards
 
 
 def cmd_validate(args):
@@ -166,7 +183,7 @@ def cmd_stationary(args):
 
 def cmd_gmatrix(args):
     blocks, _ = load_model(args.model)
-    gm = gmatrices(blocks, args.s)
+    gm = gmatrices(blocks, _parse_nonnegative(args.s, "--s"))
     rows = []
     for name, mat in (("G", gm.G), ("Ghat", gm.Ghat), ("H0", gm.H0)):
         for i in range(blocks.n):
@@ -253,6 +270,8 @@ def cmd_passage(args):
 def cmd_bench(args):
     n_values = _parse_range(args.n_range)
     c_values = _parse_range(args.c_range)
+    if args.reps < 1:
+        raise ModelParseError("--reps must be at least 1")
     records = bench_mod.run_bench(n_values, c_values, reps=args.reps,
                                   seed=args.seed)
     rows = [(r.n, r.C, r.method, r.median_scaled_cpu_seconds, r.repetitions,
@@ -264,23 +283,26 @@ def cmd_bench(args):
 def cmd_mapph_build(args):
     map_params, ph_params, C = mapph.load_params(args.params)
     blocks = mapph.build_blocks(map_params, ph_params, C)
-    rewards = None
-    if args.theta is not None and args.gamma is not None:
-        rewards = mapph.gained_revenue_rewards(blocks, args.theta, args.gamma)
-    elif args.theta is not None:
-        rewards = mapph.lost_revenue_rewards(blocks, args.theta)
-    save_model(args.output, blocks, rewards)
+    save_model(args.output, blocks, _flag_rewards(args, blocks))
 
 
 def _parse_range(spec):
-    parts = [int(x) for x in spec.split(":")]
+    """The sizes a, a..b or a..b by step; all of them at least 1."""
+    try:
+        parts = [int(x) for x in spec.split(":")]
+    except ValueError as exc:
+        raise ModelParseError("range must look like a, a:b or a:b:step") \
+            from exc
+    if not 1 <= len(parts) <= 3:
+        raise ModelParseError("range must look like a, a:b or a:b:step")
     if len(parts) == 1:
-        return parts
+        parts = [parts[0], parts[0]]
     if len(parts) == 2:
-        return list(range(parts[0], parts[1] + 1))
-    if len(parts) == 3:
-        return list(range(parts[0], parts[1] + 1, parts[2]))
-    raise ModelParseError("range must look like a, a:b or a:b:step")
+        parts.append(1)
+    start, stop, step = parts
+    if not 1 <= start <= stop or step < 1:
+        raise ModelParseError("range needs 1 <= a <= b and step >= 1")
+    return list(range(start, stop + 1, step))
 
 
 def build_parser():

@@ -14,22 +14,23 @@ whose columns are solved together.
 The transform variable s may be an array of nodes, such as the nodes of one
 Laplace inversion, all solved in the same stacked operations: G, Ghat and
 the system matrices then carry the shape of s as leading batch axes, and
-every stack indexed by level (powers, particular terms, forcings and
-solutions) carries them right after its level axis, followed by the
-trailing right-hand-side axis, which batched values must have.
+every stack indexed by level (particular terms, forcings and solutions)
+carries them right after its level axis, followed by the trailing
+right-hand-side axis, which batched values must have.
+
+The rows at the run ends read only the powers 0 to 2 of G and Ghat and, per
+run, one end power of each, formed by repeated squaring; the solution is
+swept level by level, forward from v by G and backward from w by Ghat.  So
+no power is kept per level, and once G and Ghat are known a solve costs
+O(C n^2) per right-hand side.
 """
 
 import numpy as np
 
 from .errors import NumericalError
-from .linalg import matrix_powers, solve_refined
+from .linalg import solve_refined
 
-__all__ = ["power_stacks", "particular", "segment_ends", "BoundarySystem"]
-
-
-def power_stacks(gmat, top):
-    """The stacked powers 0..top of G and of Ghat."""
-    return matrix_powers(gmat.G, top), matrix_powers(gmat.Ghat, top)
+__all__ = ["particular", "segment_ends", "BoundarySystem"]
 
 
 def particular(g, ghat, atoms, tail=0.0):
@@ -57,27 +58,27 @@ class BoundarySystem:
     """The level equations at the segment ends, in the free vectors.
 
     ``segments`` lists consecutive runs (a, b) covering the levels from 0,
-    with b None on a last run that has no upper end.  ``powers`` holds the
-    stacked powers of G and Ghat up to the top level evaluated, shape
-    (levels, *batch, n, n); ``p`` and ``f`` hold the particular term and
-    the forcing at every level, shape (levels, n), or (levels, *batch, n,
-    m), of which only the levels next to a segment end are read.  The
-    assembled system, shape (*batch, rows, columns), is kept, so several
-    pins can share it.
+    with b None on a last run that has no upper end.  ``gs`` holds G and
+    Ghat, shape (*batch, n, n); ``p`` and ``f`` hold the particular term
+    and the forcing at every level evaluated, shape (levels, n), or
+    (levels, *batch, n, m), of which only the levels next to a segment end
+    are read.  The assembled system, shape (*batch, rows, columns), is
+    kept, so several pins can share it.
     """
 
-    def __init__(self, blocks, segments, powers, p, f, s=0.0):
+    def __init__(self, blocks, segments, gs, p, f, s=0.0):
         self.blocks, self.segments = blocks, segments
-        self.powers = tuple(np.asarray(stack) for stack in powers)
+        self.gs = tuple(np.asarray(g) for g in gs)
         self.p = np.asarray(p)
         self.ends = segment_ends(segments)
         n = blocks.n
-        self._batch = (slice(None),) * (self.powers[0].ndim - 3)
+        self._powers = {}
+        self._batch = (slice(None),) * (self.gs[0].ndim - 2)
         self._shift = np.asarray(s)[..., None, None] * np.eye(n)
         widths = [n if b in (None, a) else 2 * n for a, b in segments]
         self._starts = [sum(widths[:i]) for i in range(len(widths))]
         self._width = sum(widths)
-        self._dtype = np.result_type(self.powers[0], s)
+        self._dtype = np.result_type(*self.gs, s)
         f = np.asarray(f, dtype=np.result_type(self._dtype, self.p, f))
         rows, rhs = [], []
         for level in self.ends:
@@ -102,26 +103,38 @@ class BoundarySystem:
             terms.append((level + 1, b.A1))
         return terms
 
+    def _power(self, which, e):
+        """G^e (``which`` 0) or Ghat^e (``which`` 1), by repeated squaring,
+        kept for the other rows that read it."""
+        key = (which, e)
+        if key not in self._powers:
+            self._powers[key] = np.linalg.matrix_power(self.gs[which], e)
+        return self._powers[key]
+
     def _rows(self, terms):
         """The coefficients of the free vectors in sum_k B_k (x_k - p_k).
         Within a segment the power its terms share is factored out,
         (sum_k B_k G^{k-lo}) G^{lo-a}: where the powers of a long run decay
         to roundoff, another association of these products moves the
-        solution far more than roundoff."""
-        gp, ghp = self.powers
+        solution far more than roundoff.  The terms span at most three
+        levels, so only the powers 0..2 and the one end power lo - a (or
+        b - hi) of each run are read."""
         n = self.blocks.n
-        out = np.zeros(gp.shape[1:-1] + (self._width,), dtype=self._dtype)
+        out = np.zeros(self.gs[0].shape[:-1] + (self._width,),
+                       dtype=self._dtype)
         for (a, b), c in zip(self.segments, self._starts):
             part = [(k, blk) for k, blk in terms
                     if a <= k and (b is None or k <= b)]
             if not part:
                 continue
             lo, hi = part[0][0], part[-1][0]
-            out[..., c:c + n] = sum(blk @ gp[k - lo] for k, blk in part) \
-                @ gp[lo - a]
+            out[..., c:c + n] = sum(
+                blk @ self._power(0, k - lo) for k, blk in part) \
+                @ self._power(0, lo - a)
             if b not in (None, a):
                 out[..., c + n:c + 2 * n] = sum(
-                    blk @ ghp[hi - k] for k, blk in part) @ ghp[b - hi]
+                    blk @ self._power(1, hi - k) for k, blk in part) \
+                    @ self._power(1, b - hi)
         return out
 
     def pinned(self, pin=None):
@@ -154,20 +167,24 @@ class BoundarySystem:
             raise NumericalError(f"boundary system singular: {exc}") from exc
 
     def evaluate(self, u):
-        """x_k at every level of ``p`` from the free vectors ``u``; each
-        level's products broadcast over the batch axes."""
-        gp, ghp = self.powers
+        """x_k at every level of ``p`` from the free vectors ``u``: on each
+        run a backward sweep Ghat^{b-k} w from its upper end, then a forward
+        sweep G^{k-a} v from its lower end, plus p_k.  Each level's product
+        broadcasts over the batch axes."""
+        g, ghat = self.gs
         n = self.blocks.n
-        out = np.empty(self.p.shape, dtype=np.result_type(gp, u, self.p))
+        out = np.zeros(self.p.shape, dtype=np.result_type(g, ghat, u, self.p))
         for (a, b), c in zip(self.segments, self._starts):
-            v = u[self._batch + (slice(c, c + n),)]
             if b not in (None, a):
-                w = u[self._batch + (slice(c + n, c + 2 * n),)]
-                for k in range(a, b + 1):
-                    out[k] = gp[k - a] @ v + ghp[b - k] @ w + self.p[k]
-            else:
-                for k in range(a, len(out) if b is None else b + 1):
-                    out[k] = gp[k - a] @ v + self.p[k]
+                out[b] = u[self._batch + (slice(c + n, c + 2 * n),)]
+                for k in range(b - 1, a - 1, -1):
+                    out[k] = ghat @ out[k + 1]
+            x = u[self._batch + (slice(c, c + n),)]
+            out[a] += x
+            for k in range(a + 1, len(out) if b is None else b + 1):
+                x = g @ x
+                out[k] += x
+        out += self.p
         return out
 
     def solve(self, pin=None):

@@ -23,24 +23,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffeq import BoundarySystem, particular, power_stacks, segment_ends
+from .diffeq import BoundarySystem, particular
 from .errors import NumericalError, PreconditionError
 from .gmatrices import SolverConfig, gmatrices, require_not_null_recurrent
-from .linalg import censor_generator
 from .model import Drift, assemble_generator, classify_drift
 from .stationary import stationary_rmatrix
 
 __all__ = [
     "PassageColumn",
-    "mu_k",
     "mu_all",
     "mu_limit",
     "passage_column",
     "passage_column_unbounded",
-    "passage_z_matrix",
-    "passage_z_factor",
-    "passage_level_set",
-    "censored_passage_generator",
     "passage_level_matrices",
     "deviation_block_asymptotic",
     "deviation_block_column",
@@ -65,24 +59,6 @@ class PassageColumn:
 
     def stacked(self):
         return np.concatenate(self.m)
-
-
-def mu_k(blocks, gmat, k):
-    """Particular passage term mu_k(C) = sum G^j H0 1 + sum Ghat^j H0 1."""
-    C = blocks.C
-    if not 0 <= k <= C:
-        raise ValueError(f"level {k} out of range 0..{C}")
-    h = gmat.H0 @ np.ones(blocks.n)
-    out = np.zeros(blocks.n)
-    gpow = np.eye(blocks.n)
-    for _ in range(k):
-        out = out + gpow @ h
-        gpow = gpow @ gmat.G
-    ghpow = gmat.Ghat.copy()
-    for _ in range(1, C - k + 1):
-        out = out + ghpow @ h
-        ghpow = ghpow @ gmat.Ghat
-    return out
 
 
 def mu_all(blocks, gmat):
@@ -110,16 +86,12 @@ def _passage_segments(upper, level):
     return [(0, level), (level + 1, upper)]
 
 
-def _passage_system(blocks, level, powers, mu, upper):
+def _passage_system(blocks, level, gmat, mu, upper):
     """The boundary system of the passage times to a target on ``level``;
     every level equation reads Q m = -1 around the particular term mu."""
-    return BoundarySystem(blocks, _passage_segments(upper, level), powers,
-                          mu, np.full(np.shape(mu), -1.0))
-
-
-def passage_level_set(blocks, level):
-    """Levels on which the boundary system for a target level lives."""
-    return segment_ends(_passage_segments(blocks.C, level))
+    return BoundarySystem(blocks, _passage_segments(upper, level),
+                          (gmat.G, gmat.Ghat), mu,
+                          np.full(np.shape(mu), -1.0))
 
 
 def _modified_generator(blocks, level, j):
@@ -129,38 +101,6 @@ def _modified_generator(blocks, level, j):
     q[idx, :] = 0.0
     q[idx, idx] = -1.0
     return q, idx
-
-
-def censored_passage_generator(blocks, level, j):
-    """The pinned generator censored onto :func:`passage_level_set`.
-
-    This is the generator factor of the stated Z^(j) matrices; tests use it
-    to confirm the factorization.
-    """
-    n = blocks.n
-    q, _ = _modified_generator(blocks, level, j)
-    keep = []
-    for lv in passage_level_set(blocks, level):
-        keep.extend(range(lv * n, (lv + 1) * n))
-    return censor_generator(q, keep)
-
-
-def _bare_system(blocks, level, gmat, powers=None):
-    """The passage boundary system without particular term or forcing."""
-    if powers is None:
-        powers = power_stacks(gmat, blocks.C)
-    zero = np.zeros((blocks.C + 1, blocks.n))
-    return _passage_system(blocks, level, powers, zero, blocks.C)
-
-
-def passage_z_matrix(blocks, level, j, gmat, powers=None):
-    """The boundary system matrix Z^(j) for one target state."""
-    return _bare_system(blocks, level, gmat, powers).pinned((level, j))[0]
-
-
-def passage_z_factor(blocks, level, gmat):
-    """The power-matrix factor linking Z^(j) to the censored generator."""
-    return _bare_system(blocks, level, gmat).end_map()
 
 
 def _column_residual(blocks, level, j, m):
@@ -194,15 +134,13 @@ def _direct_taboo_column(blocks, level, j):
     return m
 
 
-def passage_column(blocks, level, j, gmat=None, config=SolverConfig(),
-                   powers=None, mu=None):
+def passage_column(blocks, level, j, gmat=None, config=SolverConfig()):
     """Mean first passage times from every state to target (level, j).
 
     Phases are 0-based.  A boundary target leaves one run of levels, any
     other target two, and the boundary system pins their free vectors.
     Capacities C <= 2 have no interior band and route to a dense pinned
-    solve with the same output contract.  ``powers`` (the stacked G/Ghat
-    powers) and ``mu``, supplied together, share work across columns.
+    solve with the same output contract.
 
     Raises
     ------
@@ -221,9 +159,8 @@ def passage_column(blocks, level, j, gmat=None, config=SolverConfig(),
         m = _direct_taboo_column(blocks, level, j).reshape(C + 1, n)
         return _finish_column(blocks, level, j, m)
 
-    if powers is None or mu is None:
-        powers, mu = _column_terms(blocks, gmat, config)
-    system = _passage_system(blocks, level, powers, mu, C)
+    gmat, mu = _column_terms(blocks, gmat, config)
+    system = _passage_system(blocks, level, gmat, mu, C)
     return _finish_column(blocks, level, j, system.solve((level, j)))
 
 
@@ -255,8 +192,7 @@ def passage_column_unbounded(blocks, level, j, kmax, gmat=None,
         gmat = gmatrices(blocks, 0.0, config)
     top = max(kmax, level + 2)
     mu_inf = [mu_limit(blocks, gmat, k) for k in range(top + 1)]
-    system = _passage_system(blocks, level, power_stacks(gmat, top), mu_inf,
-                             None)
+    system = _passage_system(blocks, level, gmat, mu_inf, None)
     m = system.solve((level, j))[:kmax + 1]
     if level <= kmax:
         m[level][j] = 0.0
@@ -264,14 +200,14 @@ def passage_column_unbounded(blocks, level, j, kmax, gmat=None,
 
 
 def _column_terms(blocks, gmat, config):
-    """The G/Ghat powers and mu shared by every passage column; None for
-    C <= 2, whose columns take the dense pinned solve."""
+    """The G/Ghat matrices and mu shared by every passage column; None
+    for C <= 2, whose columns take the dense pinned solve."""
     if blocks.C <= 2:
         return None
     require_not_null_recurrent(blocks, "mean first passage expansions")
     if gmat is None:
         gmat = gmatrices(blocks, 0.0, config)
-    return power_stacks(gmat, blocks.C), mu_all(blocks, gmat)
+    return gmat, mu_all(blocks, gmat)
 
 
 def passage_level_matrices(blocks, level, gmat=None, config=SolverConfig()):
@@ -368,6 +304,6 @@ def deviation_matrix_diffeq(blocks, pi=None, config=SolverConfig()):
     p = green - mu_all(blocks, gmat)[..., None] * row
     level, j = divmod(int(np.argmax(row)), n)
     system = BoundarySystem(blocks, _passage_segments(C, level),
-                            power_stacks(gmat, C), p, force)
+                            (gmat.G, gmat.Ghat), p, force)
     d = system.solve((level, j)).reshape(row.size, row.size)
     return d - row @ d

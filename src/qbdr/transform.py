@@ -5,17 +5,19 @@ All transform-domain quantities are evaluated at a transform variable s
 numerical inverter), or at an array of them: the inverter evaluates all
 nodes of one time point in the same stacked operations, and the results
 carry the nodes as leading axes.  A :class:`TransformContext` bundles the
-model, the matrices G(s), Ghat(s), H0(s) and their stacked powers, so that
-the many evaluations at one s share the expensive solves.
+model and the matrices G(s), Ghat(s), H0(s), so that the many evaluations at
+one s share the expensive solves.
 
 The level blocks of the transformed reward vector solve the matrix
 difference equation (Q - sI) x = -g/s; the general solution mixes a
 forward term in G(s)^k, a backward term in Ghat(s)^{C-k} and a particular
 term, and :mod:`qbdr.diffeq` pins the two free vectors with the level
-equations at 0 and C.  Every block column of the transformed deviation
-matrix solves the same equation with forcing -I/s at its target level, all
-columns in one boundary solve.  Time domain values are recovered with
-Euler-summed Fourier-series inversion.
+equations at 0 and C and sweeps the solution from them, so a transform
+value costs O(C n^2) per right-hand side once G(s) and Ghat(s) are
+solved.  Every block column of the transformed deviation matrix solves the
+same equation with forcing -I/s at its target level, all columns in one
+boundary solve.  Time domain values are recovered with Euler-summed
+Fourier-series inversion.
 """
 
 import math
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffeq import BoundarySystem, particular, power_stacks
+from .diffeq import BoundarySystem, particular
 from .errors import TailConvergenceError
 from .gmatrices import SolverConfig, gmatrices
 from .stationary import stationary_rmatrix
@@ -79,14 +81,12 @@ class InversionConfig:
 
 @dataclass(frozen=True)
 class TransformContext:
-    """Model plus G/Ghat/H0 at s, with stacked powers 0..C, shape
-    (C+1, *s.shape, n, n)."""
+    """Model plus G/Ghat/H0 at s; with an array of nodes ``gmat.G`` and
+    ``gmat.Ghat`` have shape (*s.shape, n, n)."""
 
     s: complex
     blocks: object
     gmat: object
-    powers_G: np.ndarray
-    powers_Ghat: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -98,9 +98,9 @@ class BoundaryVectors:
 
 
 def transform_context(blocks, s, config=SolverConfig()):
-    """Solve G(s), Ghat(s), H0(s) and stack their powers 0..C."""
+    """Solve G(s), Ghat(s) and H0(s)."""
     gm = gmatrices(blocks, s, config)
-    return TransformContext(gm.s, blocks, gm, *power_stacks(gm, blocks.C))
+    return TransformContext(gm.s, blocks, gm)
 
 
 def _s_column(s):
@@ -125,7 +125,7 @@ def _nu_all(ctx, rewards):
 def _system(ctx, p, f):
     """The boundary system on the levels 0..C at the context's s."""
     return BoundarySystem(ctx.blocks, [(0, ctx.blocks.C)],
-                          (ctx.powers_G, ctx.powers_Ghat), p, f, ctx.s)
+                          (ctx.gmat.G, ctx.gmat.Ghat), p, f, ctx.s)
 
 
 def _reward_system(ctx, rewards):
@@ -193,12 +193,13 @@ def _nu_unbounded_levels(blocks, gmat, rewards, top, tail_tol, max_terms):
         g = _reward_at(rewards, level)
         return None if g is None else gmat.H0 @ g / gmat.s
 
-    ghat_powers = [np.eye(blocks.n)]
+    power = np.eye(blocks.n)  # Ghat^j at term j
 
     def tail_term(j):
-        ghat_powers.append(ghat_powers[-1] @ gmat.Ghat)
+        nonlocal power
+        power = power @ gmat.Ghat
         a = atom(top + j)
-        return None if a is None else ghat_powers[j] @ a
+        return None if a is None else power @ a
 
     tail = _tail_sum(tail_term, tail_tol, max_terms)
     atoms = [np.zeros(blocks.n) if a is None else a
@@ -229,15 +230,14 @@ def reward_transform_unbounded(blocks, rewards, s, k, config=SolverConfig(),
     g0 = _reward_at(rewards, 0)
     if g0 is not None:
         force[0] = -g0 / gmat.s
-    system = BoundarySystem(blocks, [(0, None)], power_stacks(gmat, top),
-                            nus, force, gmat.s)
+    system = BoundarySystem(blocks, [(0, None)], (gmat.G, gmat.Ghat), nus,
+                            force, gmat.s)
     return system.solve()[k]
 
 
-def _deviation_columns(blocks, gmat, segments, powers, levels, pi_rows):
+def _deviation_columns(blocks, gmat, segments, top, levels, pi_rows):
     """Block columns ``levels`` of (1/s)(sI - Q)^{-1} - (1/s^2) 1 pi at
-    every level up to the top of ``powers``, shape (levels, *s.shape, n,
-    len(levels) n).
+    every level 0..``top``, shape (top + 1, *s.shape, n, len(levels) n).
 
     Column l solves (Q - sI) x = -I/s at level l.  The particular term is
     the Green's term G^{k-l} H0/s, Ghat^{l-k} H0/s below l, which the sweep
@@ -245,7 +245,7 @@ def _deviation_columns(blocks, gmat, segments, powers, levels, pi_rows):
     target at a run end.
     """
     n, s = blocks.n, _s_column(gmat.s)
-    shape = powers[0].shape[:-1] + (len(levels), n)
+    shape = (top + 1,) + gmat.G.shape[:-1] + (len(levels), n)
     atoms = np.zeros(shape, dtype=np.result_type(gmat.H0, s))
     force = np.zeros_like(atoms)
     for i, level in enumerate(levels):
@@ -253,7 +253,7 @@ def _deviation_columns(blocks, gmat, segments, powers, levels, pi_rows):
         force[level, ..., i, :] = -np.eye(n) / s
     flat = shape[:-2] + (-1,)
     green = particular(gmat.G, gmat.Ghat, atoms.reshape(flat))
-    cols = BoundarySystem(blocks, segments, powers, green,
+    cols = BoundarySystem(blocks, segments, (gmat.G, gmat.Ghat), green,
                           force.reshape(flat), gmat.s).solve()
     return cols - np.concatenate([np.asarray(r) for r in pi_rows]) / s ** 2
 
@@ -268,8 +268,7 @@ def deviation_transform_block(ctx, pi, k, level):
     b = ctx.blocks
     if not (0 <= k <= b.C and 0 <= level <= b.C):
         raise ValueError(f"block ({k}, {level}) out of range 0..{b.C}")
-    return _deviation_columns(b, ctx.gmat, [(0, b.C)],
-                              (ctx.powers_G, ctx.powers_Ghat), [level],
+    return _deviation_columns(b, ctx.gmat, [(0, b.C)], b.C, [level],
                               [pi[level]])[k]
 
 
@@ -278,8 +277,7 @@ def deviation_transform(ctx, pi):
     boundary solve."""
     b = ctx.blocks
     levels = range(b.C + 1)
-    cols = _deviation_columns(b, ctx.gmat, [(0, b.C)],
-                              (ctx.powers_G, ctx.powers_Ghat), levels,
+    cols = _deviation_columns(b, ctx.gmat, [(0, b.C)], b.C, levels,
                               [pi[lv] for lv in levels])
     size = b.n * (b.C + 1)
     return np.moveaxis(cols, 0, -3).reshape(cols.shape[1:-2] + (size, size))
@@ -300,8 +298,7 @@ def deviation_transform_unbounded(blocks, s, k, level, pi_level=None,
     if pi_level is None:
         pi_level = np.zeros(blocks.n)
     top = max(k, level, 1)
-    return _deviation_columns(blocks, gmat, [(0, None)],
-                              power_stacks(gmat, top), [level],
+    return _deviation_columns(blocks, gmat, [(0, None)], top, [level],
                               [pi_level])[k]
 
 

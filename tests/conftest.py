@@ -7,8 +7,10 @@ import pytest
 
 from qbdr import (MapParams, PhParams, QbdBlocks, assemble_generator,
                   build_blocks, random_blocks)
-from qbdr.diffeq import BoundarySystem
-from qbdr.linalg import censor_generator
+from qbdr.diffeq import BoundarySystem, segment_ends
+from qbdr.linalg import censor_generator, matrix_powers
+from qbdr.passage import (_modified_generator, _passage_segments,
+                          _passage_system)
 
 
 def scalar_blocks(lam, mu, C):
@@ -94,11 +96,13 @@ def nu_k(ctx, rewards, k):
     if not 0 <= k <= C:
         raise ValueError(f"level {k} out of range 0..{C}")
     atoms = [ctx.gmat.H0 @ g / ctx.s for g in rewards.g]
+    powers_G = matrix_powers(ctx.gmat.G, C)
+    powers_Ghat = matrix_powers(ctx.gmat.Ghat, C)
     out = np.zeros(ctx.blocks.n, dtype=atoms[0].dtype)
     for j in range(0, k):
-        out = out + ctx.powers_G[j] @ atoms[k - j]
+        out = out + powers_G[j] @ atoms[k - j]
     for j in range(1, C - k + 1):
-        out = out + ctx.powers_Ghat[j] @ atoms[k + j]
+        out = out + powers_Ghat[j] @ atoms[k + j]
     return out
 
 
@@ -107,7 +111,7 @@ def z_matrix(ctx):
     transform context."""
     zero = np.zeros((ctx.blocks.C + 1, ctx.blocks.n))
     return BoundarySystem(ctx.blocks, [(0, ctx.blocks.C)],
-                          (ctx.powers_G, ctx.powers_Ghat), zero, zero,
+                          (ctx.gmat.G, ctx.gmat.Ghat), zero, zero,
                           ctx.s).matrix
 
 
@@ -123,6 +127,93 @@ def censored_boundary_generator(blocks, s):
     full = full - s * np.eye(n * (C + 1))
     keep = list(range(n)) + list(range(C * n, (C + 1) * n))
     return censor_generator(full, keep)
+
+
+def mu_k(blocks, gmat, k):
+    """Particular passage term mu_k(C) = sum G^j H0 1 + sum Ghat^j H0 1,
+    term by term."""
+    C = blocks.C
+    if not 0 <= k <= C:
+        raise ValueError(f"level {k} out of range 0..{C}")
+    h = gmat.H0 @ np.ones(blocks.n)
+    out = np.zeros(blocks.n)
+    gpow = np.eye(blocks.n)
+    for _ in range(k):
+        out = out + gpow @ h
+        gpow = gpow @ gmat.G
+    ghpow = gmat.Ghat.copy()
+    for _ in range(1, C - k + 1):
+        out = out + ghpow @ h
+        ghpow = ghpow @ gmat.Ghat
+    return out
+
+
+def passage_level_set(blocks, level):
+    """Levels on which the passage boundary system for a target level
+    lives."""
+    return segment_ends(_passage_segments(blocks.C, level))
+
+
+def censored_passage_generator(blocks, level, j):
+    """The pinned generator censored onto :func:`passage_level_set`.
+
+    This is the generator factor of the stated Z^(j) matrices; the tests
+    use it to confirm the factorization.
+    """
+    n = blocks.n
+    q, _ = _modified_generator(blocks, level, j)
+    keep = []
+    for lv in passage_level_set(blocks, level):
+        keep.extend(range(lv * n, (lv + 1) * n))
+    return censor_generator(q, keep)
+
+
+def _bare_passage_system(blocks, level, gmat):
+    """The passage boundary system without particular term or forcing."""
+    zero = np.zeros((blocks.C + 1, blocks.n))
+    return _passage_system(blocks, level, gmat, zero, blocks.C)
+
+
+def passage_z_matrix(blocks, level, j, gmat):
+    """The boundary system matrix Z^(j) for one target state."""
+    return _bare_passage_system(blocks, level, gmat).pinned((level, j))[0]
+
+
+def passage_z_factor(blocks, level, gmat):
+    """The power-matrix factor linking Z^(j) to the censored generator."""
+    return _bare_passage_system(blocks, level, gmat).end_map()
+
+
+class StackedBoundarySystem(BoundarySystem):
+    """The boundary system as it was before the sweeps: every power read
+    from the sequential stacks 0..top of G and Ghat, top the last level of
+    ``p``, and the solution evaluated level by level as
+    G^{k-a} v + Ghat^{b-k} w + p_k.  The reference for the squared end
+    powers and the sweeps of :class:`qbdr.diffeq.BoundarySystem`."""
+
+    def __init__(self, blocks, segments, gs, p, f, s=0.0):
+        top = len(p) - 1
+        self.stacks = tuple(matrix_powers(np.asarray(g), top) for g in gs)
+        super().__init__(blocks, segments, gs, p, f, s)
+
+    def _power(self, which, e):
+        return self.stacks[which][e]
+
+    def evaluate(self, u):
+        gp, ghp = self.stacks
+        n = self.blocks.n
+        batch = (slice(None),) * (gp.ndim - 3)
+        out = np.empty(self.p.shape, dtype=np.result_type(gp, u, self.p))
+        for (a, b), c in zip(self.segments, self._starts):
+            v = u[batch + (slice(c, c + n),)]
+            if b not in (None, a):
+                w = u[batch + (slice(c + n, c + 2 * n),)]
+                for k in range(a, b + 1):
+                    out[k] = gp[k - a] @ v + ghp[b - k] @ w + self.p[k]
+            else:
+                for k in range(a, len(out) if b is None else b + 1):
+                    out[k] = gp[k - a] @ v + self.p[k]
+        return out
 
 
 def t_generator(blocks, capacity):

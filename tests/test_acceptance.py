@@ -20,10 +20,11 @@ from qbdr import (Drift, RewardSpec, assemble_generator, classify_drift,
                   reward_time, reward_transform, reward_transform_unbounded,
                   run_bench, solve_g, solve_ghat, stationary_rmatrix,
                   stationary_unrestricted, transform_context)
-from qbdr.passage import (censored_passage_generator, passage_level_matrices,
-                          passage_z_factor, passage_z_matrix)
-from conftest import (dense_deviation_transform, dense_reward_transform,
-                      mapph_example, random_rewards, scalar_blocks)
+from qbdr.passage import passage_level_matrices
+from conftest import (censored_passage_generator, dense_deviation_transform,
+                      dense_reward_transform, mapph_example,
+                      passage_z_factor, passage_z_matrix, random_rewards,
+                      scalar_blocks)
 
 
 def report(name, ok, detail=""):

@@ -266,14 +266,27 @@ def test_cli_block_matches_full_matrix(tmp_path, queue_file, method,
     ["reward", "--t", "nan", "--theta", "1.0"],
     ["reward", "--t", "1.0", "--theta", "1.0", "--levels", "9"],
     ["reward", "--t-grid", "a:b:c", "--theta", "1.0"],
-    ["reward", "--t-grid", "0:nan:1", "--theta", "1.0"]],
+    ["reward", "--t-grid", "0:nan:1", "--theta", "1.0"],
+    ["reward", "--t", "1.0", "--theta", "1.0", "--phase-dist", "nan,0,0,1"],
+    ["reward", "--t", "1.0", "--theta", "nan"],
+    ["reward", "--t", "1.0", "--theta", "1.0", "--gamma", "nan"],
+    ["reward", "--t", "1.0", "--theta", "-1"],
+    ["gmatrix", "--s", "-1"],
+    ["gmatrix", "--s", "nan"],
+    ["bench", "--n-range", "x"],
+    ["bench", "--n-range", "2:1:0"],
+    ["bench", "--n-range", "0"],
+    ["bench", "--n-range", "2", "--c-range", "5", "--reps", "0"]],
     ids=["deviation-block", "deviation-t", "deviation-t-inf", "reward-t",
          "reward-t-nan", "reward-levels", "reward-t-grid",
-         "reward-t-grid-nan"])
+         "reward-t-grid-nan", "reward-phase-dist-nan", "reward-theta-nan",
+         "reward-gamma-nan", "reward-theta-negative", "gmatrix-s-negative",
+         "gmatrix-s-nan", "bench-n-range-text", "bench-n-range-step-0",
+         "bench-n-range-0", "bench-reps-0"])
 def test_cli_block_out_of_range_is_parse_error(tmp_path, queue_file, args):
     out = tmp_path / "x.csv"
-    assert main([args[0], "--model", queue_file, *args[1:],
-                 "--output", str(out)]) == 2
+    model = [] if args[0] == "bench" else ["--model", queue_file]
+    assert main([args[0], *model, *args[1:], "--output", str(out)]) == 2
     assert not out.exists()
 
 
@@ -419,6 +432,17 @@ def test_cli_mapph_build(tmp_path):
                                built.A_minus1)
     # built model validates cleanly end to end
     assert main(["validate", "--model", str(out)]) == 0
+
+
+@pytest.mark.parametrize("flags", [["--theta", "nan"], ["--theta", "-1"],
+                                   ["--theta", "1.0", "--gamma", "inf"]])
+def test_cli_mapph_build_bad_revenue_is_parse_error(tmp_path, flags):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"map": ARRIVAL, "ph": SERVICE, "C": 5}))
+    out = tmp_path / "model.json"
+    assert main(["mapph-build", "--params", str(params), *flags,
+                 "--output", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_cli_deterministic_output(tmp_path, model_file):

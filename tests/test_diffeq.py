@@ -1,0 +1,116 @@
+"""The boundary-system kernel against its stacked-power form.
+
+:class:`conftest.StackedBoundarySystem` reads every power of G and Ghat from
+the sequential stacks 0..top and evaluates the solution level by level, as
+the kernel did before it squared the few end powers its rows read and swept
+the solution from the free vectors.  Every route below is run once with
+each kernel; the two must agree to 1e-12 relative in the max-norm.
+"""
+
+import numpy as np
+import pytest
+
+import qbdr.passage as passage
+import qbdr.transform as transform
+from qbdr import (Drift, classify_drift, deviation_matrix_diffeq,
+                  deviation_transform, deviation_transform_block,
+                  deviation_transform_unbounded, euler_nodes,
+                  lost_revenue_rewards, passage_column_unbounded,
+                  passage_level_matrices, random_blocks, reward_transform,
+                  reward_transform_unbounded, stationary_rmatrix,
+                  stationary_unrestricted, transform_context)
+from conftest import StackedBoundarySystem, mapph_example, random_rewards
+
+TOL = 1e-12
+
+
+def _gap_to_stacked(monkeypatch, compute):
+    """The relative max-norm gap between compute() with the kernel and
+    with the stacked-power reference."""
+    new = np.asarray(compute())
+    with monkeypatch.context() as patch:
+        for module in (passage, transform):
+            patch.setattr(module, "BoundarySystem", StackedBoundarySystem)
+        reference = np.asarray(compute())
+    assert new.shape == reference.shape
+    return np.max(np.abs(new - reference)) / np.max(np.abs(reference))
+
+
+def _recurrent_models():
+    out = []
+    for seed in range(20):
+        blocks = random_blocks(2 + seed % 2, 30,
+                               np.random.default_rng([3, seed]))
+        if classify_drift(blocks).tag is Drift.POSITIVE_RECURRENT:
+            out.append(blocks)
+    return out[:3]
+
+
+@pytest.mark.parametrize("blocks", [
+    random_blocks(2, 30, np.random.default_rng(3)),
+    random_blocks(3, 25, np.random.default_rng(4)),
+    random_blocks(4, 20, np.random.default_rng(5))], ids=["n2", "n3", "n4"])
+def test_passage_runs_match_stacked_kernel(monkeypatch, blocks):
+    # A boundary target keeps one run; C // 2 splits it mid-run and C - 1
+    # leaves a one-level last run (C, C).  The two kernels round
+    # differently, so they agree to 1e-12 only where the passage system is
+    # well conditioned: on the blocking queue the passage times reach 1e9
+    # at C = 20, both kernels miss the exact times by ~1e-5 relative, and
+    # they differ from each other by ~1e-11.
+    C = blocks.C
+    for level in (0, C // 2, C - 1, C):
+        gap = _gap_to_stacked(
+            monkeypatch, lambda: passage_level_matrices(blocks, level))
+        assert gap <= TOL, (level, gap)
+
+
+def test_upper_unbounded_runs_match_stacked_kernel(monkeypatch):
+    models = _recurrent_models()
+    assert models
+    for blocks in models:
+        rewards = random_rewards(blocks)
+        rows = stationary_unrestricted(blocks, 8)
+        for level in (0, 3):
+            assert _gap_to_stacked(monkeypatch, lambda: np.array(
+                passage_column_unbounded(blocks, level, 1, kmax=20))) <= TOL
+            for s in (0.7, 1.0 + 2.0j):
+                assert _gap_to_stacked(
+                    monkeypatch, lambda: deviation_transform_unbounded(
+                        blocks, s, 5, level, pi_level=rows[level])) <= TOL
+        for s in (0.7, 1.0 + 2.0j):
+            for k in (0, 6):
+                assert _gap_to_stacked(
+                    monkeypatch, lambda: reward_transform_unbounded(
+                        blocks, rewards, s, k)) <= TOL
+
+
+@pytest.mark.parametrize("t", [0.5, 10.0])
+def test_batched_euler_nodes_match_stacked_kernel(monkeypatch, t):
+    nodes, _ = euler_nodes(t)
+    queue = mapph_example(C=60)
+    ctx = transform_context(queue, nodes)
+    pi = stationary_rmatrix(queue)
+    assert _gap_to_stacked(monkeypatch, lambda: reward_transform(
+        ctx, lost_revenue_rewards(queue, 1.0))) <= TOL
+    for k, level in ((0, 0), (17, 60), (60, 3)):
+        assert _gap_to_stacked(monkeypatch, lambda: deviation_transform_block(
+            ctx, pi, k, level)) <= TOL
+    small = mapph_example(C=12)
+    ctx = transform_context(small, nodes)
+    pi = stationary_rmatrix(small)
+    assert _gap_to_stacked(monkeypatch,
+                           lambda: deviation_transform(ctx, pi)) <= TOL
+
+
+def test_criterion_1_grid_matches_stacked_kernel(monkeypatch):
+    from test_acceptance import model_grid
+    worst = 0.0
+    for blocks in model_grid(50, max_n=4, max_c=20):
+        pi = stationary_rmatrix(blocks)
+        worst = max(worst, _gap_to_stacked(
+            monkeypatch, lambda: deviation_matrix_diffeq(blocks, pi)))
+        for s in (0.1, 1.0 + 2.0j):
+            ctx = transform_context(blocks, s)
+            worst = max(worst, _gap_to_stacked(
+                monkeypatch, lambda: deviation_transform(ctx, pi)))
+    assert worst <= TOL, worst

@@ -5,13 +5,12 @@ from qbdr import (AsymptoticsUndefinedError, PreconditionError,
                   assemble_generator,
                   deviation_block_asymptotic, deviation_block_column,
                   deviation_matrix_diffeq, deviation_recursive,
-                  gmatrices, mu_all, mu_k, mu_limit, oracle_deviation,
+                  gmatrices, mu_all, mu_limit, oracle_deviation,
                   oracle_passage, oracle_stationary, passage_column,
                   passage_column_unbounded, passage_level_matrices,
                   random_blocks, stationary_rmatrix)
-from qbdr.passage import (censored_passage_generator, passage_z_factor,
-                          passage_z_matrix)
-from conftest import scalar_blocks
+from conftest import (censored_passage_generator, mu_k, passage_z_factor,
+                      passage_z_matrix, scalar_blocks)
 
 
 def test_mu_boundary_single_term():

@@ -10,6 +10,7 @@ from qbdr import (InversionConfig, RewardSpec, TailConvergenceError,
                   random_blocks, reward_time, reward_transform,
                   reward_transform_unbounded, stationary_rmatrix,
                   stationary_unrestricted, transform_context)
+from qbdr.linalg import matrix_powers
 from conftest import (censored_boundary_generator, dense_deviation_transform,
                       dense_reward_transform, mapph_example, nu_k,
                       random_rewards, scalar_blocks, z_matrix)
@@ -79,8 +80,8 @@ def test_z_factorization(seed, n, c):
         ctx = _ctx(blocks, s)
         ring = censored_boundary_generator(blocks, s)
         factor = np.block([
-            [np.eye(n), ctx.powers_Ghat[c]],
-            [ctx.powers_G[c], np.eye(n)],
+            [np.eye(n), np.linalg.matrix_power(ctx.gmat.Ghat, c)],
+            [np.linalg.matrix_power(ctx.gmat.G, c), np.eye(n)],
         ])
         np.testing.assert_allclose(z_matrix(ctx), ring @ factor, atol=1e-10)
         assert np.linalg.cond(z_matrix(ctx)) < 1e12
@@ -368,16 +369,21 @@ def test_reward_linear_asymptote(scalar_pr):
     assert np.max(np.abs(actual - asymptote)) <= bound
 
 
-def test_context_power_cache_consistency():
-    blocks = random_blocks(2, 5, np.random.default_rng(9))
-    ctx = transform_context(blocks, 1.1)
-    assert np.array_equal(ctx.powers_G[0], np.eye(2))
-    for k in range(5):
-        np.testing.assert_allclose(ctx.powers_G[k + 1],
-                                   ctx.powers_G[k] @ ctx.gmat.G, atol=1e-13)
-        np.testing.assert_allclose(ctx.powers_Ghat[k + 1],
-                                   ctx.powers_Ghat[k] @ ctx.gmat.Ghat,
-                                   atol=1e-13)
+def test_boundary_end_powers_match_sequential_products():
+    # the rows at the ends of the run 0..C read G and Ghat to the powers
+    # 0, 1 and C - 1 only, each squared up, not a stack of C + 1 powers
+    from qbdr.transform import _system
+    blocks = random_blocks(2, 37, np.random.default_rng(9))
+    ctx = transform_context(blocks, np.array([1.1, 0.4 + 3j]))
+    zero = np.zeros((38, 2, 2, 1))
+    system = _system(ctx, zero, zero)
+    assert set(system._powers) == {(which, e) for which in (0, 1)
+                                   for e in (0, 1, 36)}
+    for which, g in enumerate((ctx.gmat.G, ctx.gmat.Ghat)):
+        sequential = matrix_powers(g, 37)
+        assert np.array_equal(system._power(which, 0), sequential[0])
+        for e in range(38):
+            assert _max_gap(system._power(which, e), sequential[e]) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +459,7 @@ def test_batched_context_stacks_nodes():
     pi = stationary_rmatrix(blocks)
     nodes = np.array([0.7, 1.1 + 3j, 2.0 - 5j])
     ctx = transform_context(blocks, nodes)
-    assert ctx.powers_G.shape == (6, 3, 2, 2)
+    assert ctx.gmat.G.shape == ctx.gmat.Ghat.shape == (3, 2, 2)
     parts = reward_transform(ctx, rewards)
     dev = deviation_transform(ctx, pi)
     assert parts.shape == (3, 6, 2) and dev.shape == (3, 12, 12)
