@@ -37,14 +37,22 @@ def particular(g, ghat, atoms, tail=0.0):
     """The particular term sum_{l=1}^{k} G^{k-l} a_l
     + sum_{l=k+1}^{top} Ghat^{l-k} a_l + Ghat^{top-k} tail at every level
     k = 0..top, by one forward and one backward sweep.  ``tail`` is the
-    contribution of the atoms above ``top``; ``atoms[0]`` is not read."""
+    contribution of the atoms above ``top``; ``atoms[0]`` is not read.
+    The forward sweep is exactly zero below the first nonzero atom and the
+    backward sweep from the last one up, unless the tail is nonzero, so
+    each sweep starts there."""
     atoms = np.asarray(atoms)
     down = np.zeros(atoms.shape, dtype=np.result_type(g, ghat, atoms, tail))
     up = np.zeros_like(down)
     up[-1] = tail
-    for k in range(1, len(atoms)):
+    nonzero = np.flatnonzero(
+        np.any(atoms[1:], axis=tuple(range(1, atoms.ndim)))) + 1
+    first = nonzero[0] if nonzero.size else len(atoms)
+    last = (len(atoms) - 1 if np.any(tail)
+            else nonzero[-1] if nonzero.size else 0)
+    for k in range(first, len(atoms)):
         down[k] = g @ down[k - 1] + atoms[k]
-    for k in range(len(atoms) - 2, -1, -1):
+    for k in range(last - 1, -1, -1):
         up[k] = ghat @ (up[k + 1] + atoms[k + 1])
     return down + up
 

@@ -12,11 +12,12 @@ for real s >= 0 and, for the numerical transform inversion, for complex s
 with positive real part (the iterations carry over unchanged in complex
 arithmetic).  An array of s, such as the nodes of one inversion, is solved
 as one batch, G and Ghat together, in which each node keeps its own
-stopping rule.
+stopping rule for each matrix.
 
 Two algorithms are provided: logarithmic reduction (quadratically
-convergent, the default) and plain functional iteration from the zero
-matrix (linearly convergent, kept as an independent reference path).
+convergent, the default), one reduction for G and Ghat, and plain
+functional iteration from the zero matrix, one equation at a time
+(linearly convergent, kept as an independent reference path).
 """
 
 import enum
@@ -108,35 +109,48 @@ def ghat_residual(blocks, s, ghat):
         blocks.A1 + shifted @ ghat + blocks.A_minus1 @ ghat @ ghat)))
 
 
-def _solve_quadratic(down, shifted, up, config):
-    """Minimal solutions of down - shifted X + up X^2 = 0, all of shape
-    (B, n, n), with shifted = sI - A0 at each solution's node: shape
-    (B, n, n), with the residuals, shape (B,).  Each solution keeps its
-    own stopping rule; if any fails, the whole call raises."""
-    # One-step kernels of the uniformized jump chain: the equation becomes
-    # X = b_down + b_up X^2 with b_down + b_up (sub)stochastic.
-    b_down = np.linalg.solve(shifted, down)
-    b_up = np.linalg.solve(shifted, up)
+def _solve_pair(blocks, s, config):
+    """G and Ghat at every node of the checked ``s``: shape
+    (2, *s.shape, n, n), with the residuals, shape (2, s.size).  Each
+    solution keeps its own stopping rule; if any fails, the whole call
+    raises."""
+    nodes = s.reshape(-1)
+    shifted = nodes[:, None, None] * np.eye(blocks.n) - blocks.A0
+    # One-step kernels of the uniformized jump chain: G solves
+    # X = b_down + b_up X^2 and Ghat the same with the kernels swapped,
+    # b_down + b_up (sub)stochastic.
+    b_down = np.linalg.solve(shifted, blocks.A_minus1)
+    b_up = np.linalg.solve(shifted, blocks.A1)
+    pair = (2,) + shifted.shape
+    terms = (np.broadcast_to(np.stack([blocks.A_minus1, blocks.A1])[:, None],
+                             pair),
+             np.broadcast_to(shifted, pair),
+             np.broadcast_to(np.stack([blocks.A1, blocks.A_minus1])[:, None],
+                             pair))
 
     def residual(x, down, shifted, up):
-        return np.max(np.abs(down - shifted @ x + up @ x @ x), axis=(1, 2))
+        return np.max(np.abs(down - shifted @ x + up @ x @ x), axis=(-2, -1))
 
-    terms = (down, shifted, up)
     if config.algorithm is Algorithm.FUNCTIONAL_ITERATION:
-        return _functional_iteration(b_down, b_up, terms, residual, config)
-    return _logarithmic_reduction(b_down, b_up, terms, residual, config)
+        x, res = _functional_iteration(b_down, b_up, terms, residual, config)
+    else:
+        x, res = _logarithmic_reduction(b_down, b_up, terms, residual, config)
+    return x.reshape((2,) + s.shape + x.shape[-2:]), res
 
 
 def _functional_iteration(b_down, b_up, terms, residual, config):
-    """X <- b_down + b_up X^2 from X = 0, solution by solution until the
-    residual meets the tolerance."""
-    x = np.zeros_like(b_down)
+    """X <- low + high X^2 from X = 0, with (low, high) = (b_down, b_up)
+    for G and swapped for Ghat, solution by solution until the residual
+    meets the tolerance."""
+    low = np.stack([b_down, b_up])
+    high = low[::-1]
+    x = np.zeros_like(low)
     res = residual(x, *terms)
     for _ in range(config.max_iterations):
-        active = np.flatnonzero(res > config.tolerance)
-        if active.size == 0:
+        active = np.nonzero(res > config.tolerance)
+        if active[0].size == 0:
             break
-        x[active] = b_down[active] + b_up[active] @ (x[active] @ x[active])
+        x[active] = low[active] + high[active] @ (x[active] @ x[active])
         res[active] = residual(x[active], *(t[active] for t in terms))
     worst = float(res.max())
     if worst <= config.tolerance:
@@ -147,59 +161,70 @@ def _functional_iteration(b_down, b_up, terms, residual, config):
 
 
 def _logarithmic_reduction(b_down, b_up, terms, residual, config):
-    """Logarithmic reduction: each sweep squares the number of jump-chain
-    steps accounted for, so convergence is quadratic away from the
-    null-recurrent boundary and linear (rate 1/2) on it.
+    """Logarithmic reduction of G and Ghat together: each sweep squares
+    the number of jump-chain steps accounted for, so convergence is
+    quadratic away from the null-recurrent boundary and linear (rate 1/2)
+    on it.
 
-    Every solution keeps its best iterate and leaves the sweeps once that
-    meets the tolerance; one that has not improved for ten sweeps has
-    stalled, and so has every one still sweeping after max_iterations.
-    The arrays of the sweeping solutions shrink when one leaves."""
+    G's reduction starts from (low, high) = (b_down, b_up) and Ghat's is
+    the same with the pair swapped, so the mix, its inverse and both
+    squarings serve both: only the running sums x and their trails differ,
+    x_G += trail_G low with trail_G high..., x_Ghat += trail_Ghat high with
+    trail_Ghat low....  Each side of a node keeps its best iterate and is
+    done once that meets the tolerance; a side that has not improved for
+    ten sweeps has stalled, and so has every one still sweeping after
+    max_iterations.  A node leaves the sweeps once both sides are done,
+    and the arrays of the sweeping nodes shrink when one leaves."""
     tol = config.tolerance
     eye = np.eye(b_down.shape[-1])
-    x_out = b_down.copy()
+    x_out = np.stack([b_down, b_up])
     res_out = residual(x_out, *terms)
-    nodes = np.flatnonzero(res_out > tol)
+    sweeping = res_out > tol
+    nodes = np.flatnonzero(sweeping.any(axis=0))
     low, high = b_down[nodes], b_up[nodes]
-    terms = tuple(t[nodes] for t in terms)
-    x, trail, x_best, best = low, high, low, res_out[nodes]
-    stale = np.zeros(nodes.size, dtype=int)
+    terms = tuple(t[:, nodes] for t in terms)
+    x, trail = x_out[:, nodes], np.stack([high, low])
+    x_best, best, sweeping = x, res_out[:, nodes], sweeping[:, nodes]
+    stale = np.zeros(best.shape, dtype=int)
     for _ in range(config.max_iterations if nodes.size else 0):
         mix = high @ low + low @ high
         try:
             factor = np.linalg.inv(eye - mix)
         except np.linalg.LinAlgError as exc:
-            raise _lr_error("broke down at residual", best) from exc
+            raise _lr_error("broke down at residual", best[sweeping]) from exc
         high = factor @ (high @ high)
         low = factor @ (low @ low)
-        x = x + trail @ low
-        trail = trail @ high
+        pair = np.stack([low, high])
+        x = x + trail @ pair
+        trail = trail @ pair[::-1]
         res = residual(x, *terms)
         better = res < best
-        if better.all():
-            x_best, best, stale = x, res, stale * 0
-        else:
-            if not np.isfinite(res).all():
-                raise _lr_error("diverged (last residual",
-                                best[~np.isfinite(res)], ")")
-            x_best = np.where(better[:, None, None], x, x_best)
-            best = np.where(better, res, best)
-            stale = np.where(better, 0, stale + 1)
-            if stale.max() >= 10:
-                raise _lr_error("stalled at residual", best[stale >= 10])
-        if best.min() <= tol:
-            done = best <= tol
-            x_out[nodes[done]], res_out[nodes[done]] = x_best[done], best[done]
-            if done.all():
+        x_best = np.where(better[..., None, None], x, x_best)
+        best = np.where(better, res, best)
+        stale = np.where(better, 0, stale + 1)
+        bad = sweeping & ~np.isfinite(res)
+        if bad.any():
+            raise _lr_error("diverged (last residual", best[bad], ")")
+        if (stale[sweeping] >= 10).any():
+            raise _lr_error("stalled at residual",
+                            best[sweeping & (stale >= 10)])
+        done = sweeping & (best <= tol)
+        if done.any():
+            side, node = np.nonzero(done)
+            x_out[side, nodes[node]] = x_best[side, node]
+            res_out[side, nodes[node]] = best[side, node]
+            sweeping = sweeping & ~done
+            keep = sweeping.any(axis=0)
+            if not keep.any():
                 break
-            keep = ~done
-            terms = tuple(t[keep] for t in terms)
-            nodes, low, high, x, trail, x_best, best, stale = (
-                a[keep] for a in (nodes, low, high, x, trail, x_best, best,
-                                  stale))
+            terms = tuple(t[:, keep] for t in terms)
+            nodes, low, high = nodes[keep], low[keep], high[keep]
+            x, trail, x_best, best, stale, sweeping = (
+                a[:, keep] for a in (x, trail, x_best, best, stale,
+                                     sweeping))
     if (res_out <= tol).all():
         return x_out, res_out
-    raise _lr_error("stalled at residual", best)
+    raise _lr_error("stalled at residual", best[sweeping])
 
 
 def _lr_error(what, residuals, close=""):
@@ -208,38 +233,14 @@ def _lr_error(what, residuals, close=""):
         f"logarithmic reduction {what} {worst:.3e}{close}", residual=worst)
 
 
-def _solve_equations(blocks, s, config, pairs):
-    """Minimal solutions of down + (A0 - sI) X + up X^2 = 0 for every
-    (down, up) in ``pairs`` at every node of the checked ``s``, solved as
-    one batch: shape (len(pairs), *s.shape, n, n), with the residuals,
-    shape (len(pairs), s.size)."""
-    nodes = s.reshape(-1)
-    shifted = nodes[:, None, None] * np.eye(blocks.n) - blocks.A0
-    down, up = (np.concatenate([np.broadcast_to(pair[i], shifted.shape)
-                                for pair in pairs]) for i in (0, 1))
-    x, res = _solve_quadratic(down, np.concatenate([shifted] * len(pairs)),
-                              up, config)
-    return (x.reshape((len(pairs),) + s.shape + x.shape[1:]),
-            res.reshape(len(pairs), -1))
-
-
-def _solve_pair(blocks, s, config):
-    """G and Ghat at the checked ``s``, as one batch."""
-    return _solve_equations(blocks, s, config,
-                            [(blocks.A_minus1, blocks.A1),
-                             (blocks.A1, blocks.A_minus1)])
-
-
 def solve_g(blocks, s=0.0, config=SolverConfig()):
     """Minimal nonnegative solution G(s); see module docstring."""
-    pair = (blocks.A_minus1, blocks.A1)
-    return _solve_equations(blocks, _check_s(s), config, [pair])[0][0]
+    return _solve_pair(blocks, _check_s(s), config)[0][0]
 
 
 def solve_ghat(blocks, s=0.0, config=SolverConfig()):
     """Minimal nonnegative solution Ghat(s); roles of A1/A_minus1 swapped."""
-    pair = (blocks.A1, blocks.A_minus1)
-    return _solve_equations(blocks, _check_s(s), config, [pair])[0][0]
+    return _solve_pair(blocks, _check_s(s), config)[0][1]
 
 
 def h0(blocks, s, g, ghat):

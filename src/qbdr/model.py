@@ -150,10 +150,13 @@ class Violation:
         return f"{self.block}{where}: {self.kind} (magnitude {self.magnitude:.3g})"
 
 
+_BLOCK_NAMES = ("A_minus1", "A0", "A1", "B0", "C0")
+
+
 def _shape_violations(blocks):
     found = []
     n = blocks.n
-    for name in ("A_minus1", "A0", "A1", "B0", "C0"):
+    for name in _BLOCK_NAMES:
         mat = getattr(blocks, name)
         if mat.ndim != 2 or mat.shape != (n, n):
             found.append(Violation(name, f"shape {mat.shape} != ({n}, {n})", None,
@@ -165,13 +168,28 @@ def _shape_violations(blocks):
     return found
 
 
+def _nonfinite_violations(blocks):
+    """One violation per block holding a NaN or infinite entry, at the
+    first such entry."""
+    found = []
+    for name in _BLOCK_NAMES:
+        mat = getattr(blocks, name)
+        bad = np.argwhere(~np.isfinite(mat))
+        if bad.size:
+            found.append(Violation(
+                name, "non-finite entry",
+                int(bad[0][0]) if mat.ndim == 2 else None,
+                float(mat[tuple(bad[0])])))
+    return found
+
+
 def validate(blocks):
     """Check every model invariant and report each violation.
 
     Returns a list of :class:`Violation`; the list is empty exactly when the
     blocks describe a valid conservative QBD generator.  Never raises.
     """
-    found = _shape_violations(blocks)
+    found = _shape_violations(blocks) or _nonfinite_violations(blocks)
     if found:
         return found
     n = blocks.n
@@ -327,6 +345,10 @@ def model_from_dict(data):
                            A1=raw["A1"], B0=raw["B0"], C0=raw["C0"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelParseError(f"invalid model data: {exc}") from exc
+    nonfinite = _nonfinite_violations(blocks)
+    if nonfinite:
+        raise ModelParseError("invalid model data: "
+                              + "; ".join(map(str, nonfinite)))
     rewards = None
     if "reward" in data and data["reward"] is not None:
         try:
@@ -336,6 +358,8 @@ def model_from_dict(data):
         if len(g) != C + 1 or any(v.shape != (n,) for v in g):
             raise ModelParseError(
                 f"reward must hold {C + 1} vectors of length {n}")
+        if not all(np.isfinite(v).all() for v in g):
+            raise ModelParseError("reward entries must be finite")
         rewards = RewardSpec(g=tuple(g))
     return blocks, rewards
 

@@ -3,10 +3,10 @@
 All transform-domain quantities are evaluated at a transform variable s
 (real positive, or complex with positive real part when driven by the
 numerical inverter), or at an array of them: the inverter evaluates all
-nodes of one time point in the same stacked operations, and the results
-carry the nodes as leading axes.  A :class:`TransformContext` bundles the
-model and the matrices G(s), Ghat(s), H0(s), so that the many evaluations at
-one s share the expensive solves.
+nodes of one time point, or of a few time points of a grid, in the same
+stacked operations, and the results carry the nodes as leading axes.  A
+:class:`TransformContext` bundles the model and the matrices G(s), Ghat(s),
+H0(s), so that the many evaluations at one s share the expensive solves.
 
 The level blocks of the transformed reward vector solve the matrix
 difference equation (Q - sI) x = -g/s; the general solution mixes a
@@ -58,6 +58,15 @@ __all__ = [
 # one time point at once.  Stacks split at this cap ran as fast as one call
 # of all nodes on full D(t) of 82 to 244 states (one BLAS thread).
 _STACK_ENTRIES = 1 << 20
+
+# Cap, in the same values, of one call over several whole time points of a
+# t-grid (512 kB).  A revenue curve of the MAP/PH queue at n=4, C=60 has
+# 53 x 244 values per time point, so this cap takes 5 points per call.  On
+# the three 20-point revenue curves of the benchmark's transient workload
+# (one BLAS thread, median thread CPU of 15 interleaved runs) one point per
+# call took 0.48 s, 4 or 5 points 0.34-0.36 s and all 20 points 0.33 s; the
+# tracemalloc peak of one curve was 0.9, 4.2, 5.2 and 16.6 MB.
+_GROUP_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -356,32 +365,52 @@ def invert_laplace(transform, t, config=InversionConfig()):
 
 
 def invert_stacked(transform, t, config, shape, states):
-    """Euler-summed inverse at time t >= 0 of a transform evaluated at a
-    1-d array of nodes at once, its values of shape ``shape`` stacked along
-    a leading node axis; zero at t = 0.
+    """Euler-summed inverse at time t >= 0, or at every time of a 1-d
+    array t, of a transform evaluated at a 1-d array of nodes at once, its
+    values of shape ``shape`` stacked along a leading node axis; zero at
+    t = 0.  An array t stacks the inverses along a leading time axis.
 
     A node's work is taken as one column over the chain's ``states`` states
-    per column of its value (a vector counts as one column).  The nodes are
-    split into the fewest equal calls whose work stays under _STACK_ENTRIES.
+    per column of its value (a vector counts as one column).  The positive
+    times are taken in order, in the fewest equal groups of whole time
+    points whose work stays under _GROUP_ENTRIES, each group's nodes in one
+    call.  The nodes of a time point alone in its group are split into the
+    fewest equal calls whose work stays under _STACK_ENTRIES.
     """
-    if t < 0:
+    times = np.asarray(t, dtype=float)
+    if not (times >= 0).all():
         raise ValueError("t must be nonnegative")
-    if t == 0:
-        return np.zeros(shape)
-    nodes, weights = euler_nodes(t, config)
+    flat = times.reshape(-1)
+    out = np.zeros(flat.shape + tuple(shape))
+    positive = np.flatnonzero(flat)
     node_size = states * math.prod(shape[1:])
-    calls = min(len(nodes), -(-len(nodes) * node_size // _STACK_ENTRIES))
-    return sum(np.tensordot(w, np.real(transform(s)), axes=1)
-               for s, w in zip(np.array_split(nodes, calls),
-                               np.array_split(weights, calls)))
+    point_size = (config.series_terms + config.euler_terms + 1) * node_size
+    per_call = max(1, _GROUP_ENTRIES // point_size)
+    groups = -(-positive.size // per_call)
+    for group in np.array_split(positive, groups) if groups else ():
+        nodes, weights = zip(*(euler_nodes(flat[i], config) for i in group))
+        if group.size == 1:
+            calls = min(len(nodes[0]), -(-point_size // _STACK_ENTRIES))
+            out[group[0]] = sum(
+                np.tensordot(w, np.real(transform(s)), axes=1)
+                for s, w in zip(np.array_split(nodes[0], calls),
+                                np.array_split(weights[0], calls)))
+            continue
+        values = np.real(transform(np.concatenate(nodes)))
+        for i, w, v in zip(group, weights, np.split(values, group.size)):
+            out[i] = np.tensordot(w, v, axes=1)
+    return out.reshape(times.shape + tuple(shape))
 
 
 def reward_time(blocks, rewards, t, k=None, inversion=InversionConfig(),
                 solver=SolverConfig()):
-    """Expected cumulative reward up to time t.
+    """Expected cumulative reward up to time t, or up to every time of a
+    1-d array t, stacked along a leading time axis.
 
     Returns the level-k block when ``k`` is given, otherwise the full
-    stacked vector over all levels.  R(0) = 0 exactly.
+    stacked vector over all levels.  R(0) = 0 exactly.  The nodes of a few
+    time points of an array t are solved in one stacked call; see
+    :func:`invert_stacked`.
     """
     size = blocks.n * (blocks.C + 1)
 

@@ -240,3 +240,73 @@ def dense_deviation_transform(q, pi, s):
     size = q.shape[0]
     return (np.linalg.inv(s * np.eye(size) - q) / s
             - np.outer(np.ones(size), pi) / s ** 2)
+
+
+def full_sweep_particular(g, ghat, atoms, tail=0.0):
+    """:func:`qbdr.diffeq.particular` as it was before it skipped zero
+    atoms: both sweeps over every level."""
+    atoms = np.asarray(atoms)
+    down = np.zeros(atoms.shape, dtype=np.result_type(g, ghat, atoms, tail))
+    up = np.zeros_like(down)
+    up[-1] = tail
+    for k in range(1, len(atoms)):
+        down[k] = g @ down[k - 1] + atoms[k]
+    for k in range(len(atoms) - 2, -1, -1):
+        up[k] = ghat @ (up[k + 1] + atoms[k + 1])
+    return down + up
+
+
+def _logred_one_equation(b_down, b_up, residual, config):
+    """Logarithmic reduction of X = b_down + b_up X^2 alone, one stack of
+    nodes, each leaving once its best iterate meets the tolerance."""
+    tol = config.tolerance
+    eye = np.eye(b_down.shape[-1])
+    x_out = b_down.copy()
+    res_out = residual(x_out, slice(None))
+    nodes = np.flatnonzero(res_out > tol)
+    low, high = b_down[nodes], b_up[nodes]
+    x, trail, x_best, best = low, high, low, res_out[nodes]
+    stale = np.zeros(nodes.size, dtype=int)
+    for _ in range(config.max_iterations if nodes.size else 0):
+        mix = high @ low + low @ high
+        factor = np.linalg.inv(eye - mix)
+        high = factor @ (high @ high)
+        low = factor @ (low @ low)
+        x = x + trail @ low
+        trail = trail @ high
+        res = residual(x, nodes)
+        better = res < best
+        x_best = np.where(better[:, None, None], x, x_best)
+        best = np.where(better, res, best)
+        stale = np.where(better, 0, stale + 1)
+        assert np.isfinite(res).all() and stale.max() < 10
+        done = best <= tol
+        x_out[nodes[done]], res_out[nodes[done]] = x_best[done], best[done]
+        keep = ~done
+        if not keep.any():
+            break
+        nodes, low, high, x, trail, x_best, best, stale = (
+            a[keep] for a in (nodes, low, high, x, trail, x_best, best,
+                              stale))
+    assert (res_out <= tol).all()
+    return x_out
+
+
+def logred_per_equation(blocks, s, config):
+    """G(s) and Ghat(s) at every node of ``s``, each equation by its own
+    logarithmic reduction: the reference for the shared reduction of
+    :func:`qbdr.gmatrices.gmatrices`."""
+    s = np.asarray(s)
+    nodes = s.reshape(-1)
+    shifted = nodes[:, None, None] * np.eye(blocks.n) - blocks.A0
+    out = []
+    for down, up in ((blocks.A_minus1, blocks.A1),
+                     (blocks.A1, blocks.A_minus1)):
+        def residual(x, idx, down=down, up=up):
+            return np.max(np.abs(down - shifted[idx] @ x + up @ x @ x),
+                          axis=(1, 2))
+        x = _logred_one_equation(np.linalg.solve(shifted, down),
+                                 np.linalg.solve(shifted, up), residual,
+                                 config)
+        out.append(x.reshape(s.shape + x.shape[1:]))
+    return out

@@ -445,6 +445,38 @@ def test_cli_mapph_build_bad_revenue_is_parse_error(tmp_path, flags):
     assert not out.exists()
 
 
+def _nonfinite_model(tmp_path, a0=-3.0, reward=None):
+    path = tmp_path / "bad.json"
+    data = {"n": 1, "C": 4,
+            "blocks": {"A_minus1": [[2.0]], "A0": [[a0]], "A1": [[1.0]],
+                       "B0": [[-1.0]], "C0": [[-2.0]]}}
+    if reward is not None:
+        data["reward"] = {"g": [[reward]] + [[1.0]] * 4}
+    path.write_text(json.dumps(data))  # NaN and Infinity as JSON allows
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["stationary", "deviation"])
+def test_cli_nonfinite_block_is_parse_error(tmp_path, capsys, command):
+    out = tmp_path / "x.csv"
+    model = _nonfinite_model(tmp_path, a0=float("nan"))
+    assert main([command, "--model", model, "--output", str(out)]) == 2
+    assert "non-finite entry" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_cli_nonfinite_reward_is_parse_error(tmp_path, value):
+    out = tmp_path / "r.csv"
+    model = _nonfinite_model(tmp_path, reward=value)
+    assert main(["reward", "--model", model, "--t", "1",
+                 "--output", str(out)]) == 2
+    assert not out.exists()
+    model = _nonfinite_model(tmp_path, reward=0.5)
+    assert main(["reward", "--model", model, "--t", "1",
+                 "--output", str(out)]) == 0
+
+
 def test_cli_deterministic_output(tmp_path, model_file):
     out1 = tmp_path / "d1.csv"
     out2 = tmp_path / "d2.csv"

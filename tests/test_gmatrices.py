@@ -6,7 +6,7 @@ from qbdr import (Algorithm, AsymptoticsUndefinedError, Drift,
                   classify_drift, euler_nodes, g_residual, ghat_residual,
                   gmatrices, h0, random_blocks, rate_matrices, reward_time,
                   solve_g, solve_ghat)
-from conftest import scalar_blocks
+from conftest import logred_per_equation, mapph_example, scalar_blocks
 
 
 def scalar_g_root(lam, mu, s):
@@ -212,3 +212,49 @@ def test_failing_node_fails_the_inversion():
 def test_complex_batch_needs_positive_real_parts(scalar_pr):
     with pytest.raises(ValueError):
         gmatrices(scalar_pr, np.array([1.0 + 1.0j, 0.0 + 2.0j]))
+
+
+# ---------------------------------------------------------------------------
+# one logarithmic reduction for G and Ghat
+# ---------------------------------------------------------------------------
+
+def _shared_reduction_cases():
+    """Models with the nodes to solve them at: s = 0 (not for the
+    null-recurrent queue, whose H0 is singular there), real s and the Euler
+    nodes of t = 0.5 and t = 10."""
+    models = [random_blocks(1 + seed % 4, 5, np.random.default_rng(seed))
+              for seed in range(6)]
+    models += [mapph_example(C=10), mapph_example(C=10, swapped=True)]
+    grids = [np.array(0.0), np.array([0.3, 2.0, 17.0]), euler_nodes(0.5)[0],
+             euler_nodes(10.0)[0]]
+    return [(b, s) for b in models for s in grids]
+
+
+@pytest.mark.parametrize("case", range(32))
+def test_shared_reduction_matches_per_equation(case):
+    blocks, s = _shared_reduction_cases()[case]
+    config = SolverConfig()
+    shared = gmatrices(blocks, s, config)
+    for value, ref in zip((shared.G, shared.Ghat),
+                          logred_per_equation(blocks, s, config)):
+        assert np.max(np.abs(value - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert max(shared.residual_G, shared.residual_Ghat) <= config.tolerance
+
+
+@pytest.mark.parametrize("s", [0.0, 0.05, complex(euler_nodes(10.0)[0][7])],
+                         ids=["zero", "real", "euler"])
+def test_shared_reduction_null_recurrent_scalar(s):
+    # on the null-recurrent boundary both equations converge linearly at
+    # s = 0
+    blocks = scalar_blocks(1.0, 1.0, 2)
+    config = SolverConfig()
+    g, ghat = solve_g(blocks, s, config), solve_ghat(blocks, s, config)
+    for value, ref in zip((g, ghat), logred_per_equation(blocks, s, config)):
+        assert np.max(np.abs(value - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert g_residual(blocks, s, g) <= config.tolerance
+    assert ghat_residual(blocks, s, ghat) <= config.tolerance
+    nodes = euler_nodes(10.0)[0]
+    shared = gmatrices(blocks, nodes, config)
+    for value, ref in zip((shared.G, shared.Ghat),
+                          logred_per_equation(blocks, nodes, config)):
+        assert np.max(np.abs(value - ref)) <= 1e-12 * np.max(np.abs(ref))

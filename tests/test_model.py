@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from qbdr import (Drift, QbdBlocks, RewardSpec, StructuralError,
-                  assemble_generator, classify_drift, is_irreducible,
-                  load_model, random_blocks, save_model, validate)
+from qbdr import (Drift, ModelParseError, QbdBlocks, RewardSpec,
+                  StructuralError, assemble_generator, classify_drift,
+                  is_irreducible, load_model, random_blocks, save_model,
+                  validate)
+from qbdr.model import model_from_dict, model_to_dict
 from conftest import mapph_example, scalar_blocks
 
 
@@ -90,6 +92,25 @@ def test_validate_flags_row_sum_with_magnitude():
     report = validate(blocks)
     hits = [v for v in report if "row sum" in v.kind]
     assert hits and hits[0].magnitude == pytest.approx(1e-6, rel=1e-3)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_validate_flags_nonfinite_entry(value):
+    blocks = QbdBlocks(n=1, C=4, A_minus1=[[2.0]], A0=[[value]],
+                       A1=[[1.0]], B0=[[-1.0]], C0=[[-2.0]])
+    report = validate(blocks)
+    assert [(v.block, v.kind, v.row) for v in report] == \
+        [("A0", "non-finite entry", 0)]
+    data = model_to_dict(blocks)
+    with pytest.raises(ModelParseError, match="non-finite"):
+        model_from_dict(data)
+
+
+def test_model_from_dict_rejects_nonfinite_reward(scalar_pr):
+    data = model_to_dict(scalar_pr, RewardSpec(
+        g=(np.array([0.5]), np.array([np.nan]), np.array([2.0]))))
+    with pytest.raises(ModelParseError, match="finite"):
+        model_from_dict(data)
 
 
 def test_validate_empty_implies_assemble_succeeds():

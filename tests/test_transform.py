@@ -10,10 +10,12 @@ from qbdr import (InversionConfig, RewardSpec, TailConvergenceError,
                   random_blocks, reward_time, reward_transform,
                   reward_transform_unbounded, stationary_rmatrix,
                   stationary_unrestricted, transform_context)
+from qbdr.gmatrices import SolverConfig
 from qbdr.linalg import matrix_powers
 from conftest import (censored_boundary_generator, dense_deviation_transform,
-                      dense_reward_transform, mapph_example, nu_k,
-                      random_rewards, scalar_blocks, z_matrix)
+                      dense_reward_transform, full_sweep_particular,
+                      mapph_example, nu_k, random_rewards, scalar_blocks,
+                      z_matrix)
 
 
 def _ctx(blocks, s):
@@ -484,3 +486,94 @@ def test_split_stacks_match_node_by_node(monkeypatch, entries):
                     _per_node_deviation(blocks, pi, 2.0)) <= 1e-12
     assert _max_gap(reward_time(blocks, rewards, 2.0),
                     _per_node_reward(blocks, rewards, 2.0)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# a grid of time points, a few per stacked call
+# ---------------------------------------------------------------------------
+
+# The benchmark's grid, one whose length is no multiple of the five points
+# per call of the queue at C = 60, and grids holding t = 0.
+TIME_GRIDS = [np.arange(0.5, 10.25, 0.5), np.linspace(0.0, 9.0, 13),
+              np.array([0.0, 3.0]), np.array([2.0]), np.array([0.0])]
+
+
+def _queue_curves():
+    from qbdr import gained_revenue_rewards, lost_revenue_rewards
+    cases = []
+    for swapped in (False, True):
+        blocks = mapph_example(C=60, swapped=swapped)
+        cases += [(blocks, lost_revenue_rewards(blocks, 1.0)),
+                  (blocks, gained_revenue_rewards(blocks, 1.0, 1.0))]
+    blocks = random_blocks(3, 60, np.random.default_rng(12))
+    return cases + [(blocks, random_rewards(blocks))]
+
+
+@pytest.mark.parametrize("grid", range(len(TIME_GRIDS)))
+def test_reward_time_grid_matches_per_point(grid):
+    times = TIME_GRIDS[grid]
+    for blocks, rewards in _queue_curves():
+        curves = reward_time(blocks, rewards, times)
+        assert curves.shape == (len(times), blocks.n * (blocks.C + 1))
+        for t, curve in zip(times, curves):
+            one = reward_time(blocks, rewards, float(t))
+            if t == 0:
+                assert not curve.any() and not one.any()
+            else:
+                assert _max_gap(curve, one) <= 1e-12
+        n = blocks.n
+        np.testing.assert_allclose(
+            reward_time(blocks, rewards, times, k=7), curves[:, 7 * n:8 * n],
+            rtol=0, atol=1e-12 * np.max(np.abs(curves)))
+
+
+def test_reward_time_grid_groups_whole_time_points(monkeypatch):
+    # 244 states x 53 nodes a time point: five points per call at the cap
+    import qbdr.transform as transform
+    from qbdr import lost_revenue_rewards
+    blocks = mapph_example(C=60)
+    rewards = lost_revenue_rewards(blocks, 1.0)
+    calls = []
+    real = transform.transform_context
+
+    def counting(blocks, s, config=SolverConfig()):
+        calls.append(len(s))
+        return real(blocks, s, config)
+
+    monkeypatch.setattr(transform, "transform_context", counting)
+    reward_time(blocks, rewards, np.arange(0.0, 10.25, 0.5))
+    assert calls == [53 * 5] * 4
+    calls.clear()
+    reward_time(blocks, rewards, np.linspace(0.5, 9.0, 13))
+    assert calls == [53 * 5, 53 * 4, 53 * 4]
+    calls.clear()
+    reward_time(blocks, rewards, 2.0)
+    assert calls == [53]
+
+
+def test_reward_time_grid_rejects_negative_time(scalar_pr):
+    rewards = random_rewards(scalar_pr)
+    for times in (np.array([1.0, -0.5]), np.array([np.nan])):
+        with pytest.raises(ValueError):
+            reward_time(scalar_pr, rewards, times)
+
+
+def test_particular_skips_zero_atoms_bitwise(monkeypatch):
+    # lost revenue is zero below level C, and one block column has its
+    # atom at its target level only: both routes give the same bytes as
+    # sweeping every level
+    import qbdr.transform as transform
+    from qbdr import lost_revenue_rewards
+    blocks = mapph_example(C=60)
+    rewards = lost_revenue_rewards(blocks, 1.0)
+    pi = stationary_rmatrix(blocks)
+    ctx = transform_context(blocks, euler_nodes(2.0)[0])
+
+    def results():
+        return (reward_transform(ctx, rewards),
+                deviation_transform_block(ctx, pi, 17, 30))
+
+    skipped = results()
+    monkeypatch.setattr(transform, "particular", full_sweep_particular)
+    for value, ref in zip(skipped, results()):
+        assert value.tobytes() == ref.tobytes()
