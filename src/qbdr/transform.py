@@ -378,8 +378,8 @@ def invert_stacked(transform, t, config, shape, states):
     fewest equal calls whose work stays under _STACK_ENTRIES.
     """
     times = np.asarray(t, dtype=float)
-    if not (times >= 0).all():
-        raise ValueError("t must be nonnegative")
+    if not ((times >= 0) & (times < np.inf)).all():
+        raise ValueError("t must be finite and nonnegative")
     flat = times.reshape(-1)
     out = np.zeros(flat.shape + tuple(shape))
     positive = np.flatnonzero(flat)

@@ -551,11 +551,13 @@ def test_reward_time_grid_groups_whole_time_points(monkeypatch):
     assert calls == [53]
 
 
-def test_reward_time_grid_rejects_negative_time(scalar_pr):
+def test_time_routes_reject_negative_or_nonfinite_time(scalar_pr):
     rewards = random_rewards(scalar_pr)
-    for times in (np.array([1.0, -0.5]), np.array([np.nan])):
+    for times in (np.array([1.0, -0.5]), np.array([np.nan]), np.inf, -1.0):
         with pytest.raises(ValueError):
             reward_time(scalar_pr, rewards, times)
+        with pytest.raises(ValueError):
+            deviation_time(scalar_pr, times)
 
 
 def test_particular_skips_zero_atoms_bitwise(monkeypatch):
