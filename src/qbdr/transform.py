@@ -60,12 +60,13 @@ __all__ = [
 _STACK_ENTRIES = 1 << 20
 
 # Cap, in the same values, of one call over several whole time points of a
-# t-grid (512 kB).  A revenue curve of the MAP/PH queue at n=4, C=60 has
+# t-grid (1 MB).  A revenue curve of the MAP/PH queue at n=4, C=60 has
 # 53 x 244 values per time point, so this cap takes 5 points per call.  On
 # the three 20-point revenue curves of the benchmark's transient workload
-# (one BLAS thread, median thread CPU of 15 interleaved runs) one point per
-# call took 0.48 s, 4 or 5 points 0.34-0.36 s and all 20 points 0.33 s; the
-# tracemalloc peak of one curve was 0.9, 4.2, 5.2 and 16.6 MB.
+# (2-core x86 host, one BLAS thread, median thread CPU of 15 interleaved
+# runs) one point per call took 0.48 s, 4 or 5 points 0.34-0.36 s and all
+# 20 points 0.33 s; the tracemalloc peak of one curve was 0.9, 4.2, 5.2
+# and 16.6 MB.
 _GROUP_ENTRIES = 1 << 16
 
 
