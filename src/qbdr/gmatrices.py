@@ -116,42 +116,38 @@ def _solve_pair(blocks, s, config):
     raises."""
     nodes = s.reshape(-1)
     shifted = nodes[:, None, None] * np.eye(blocks.n) - blocks.A0
-    # One-step kernels of the uniformized jump chain: G solves
-    # X = b_down + b_up X^2 and Ghat the same with the kernels swapped,
-    # b_down + b_up (sub)stochastic.
-    b_down = np.linalg.solve(shifted, blocks.A_minus1)
-    b_up = np.linalg.solve(shifted, blocks.A1)
-    pair = (2,) + shifted.shape
-    terms = (np.broadcast_to(np.stack([blocks.A_minus1, blocks.A1])[:, None],
-                             pair),
-             np.broadcast_to(shifted, pair),
-             np.broadcast_to(np.stack([blocks.A1, blocks.A_minus1])[:, None],
-                             pair))
+    down = np.array([blocks.A_minus1, blocks.A1])[:, None]
+    up = down[::-1]
+    # One-step kernels of the uniformized jump chain, (b_down, b_up) with
+    # b_down + b_up (sub)stochastic: G solves X = b_down + b_up X^2 and
+    # Ghat the same with the kernels swapped.
+    kernels = np.linalg.solve(shifted, down)
 
-    def residual(x, down, shifted, up):
+    def residual(x, shifted):
+        """Max-norm residuals of (G, Ghat) iterates, shape (2, B, n, n),
+        at the B nodes of ``shifted``."""
         return np.max(np.abs(down - shifted @ x + up @ x @ x), axis=(-2, -1))
 
     if config.algorithm is Algorithm.FUNCTIONAL_ITERATION:
-        x, res = _functional_iteration(b_down, b_up, terms, residual, config)
+        x, res = _functional_iteration(kernels, shifted, residual, config)
     else:
-        x, res = _logarithmic_reduction(b_down, b_up, terms, residual, config)
+        x, res = _logarithmic_reduction(kernels, shifted, residual, config)
     return x.reshape((2,) + s.shape + x.shape[-2:]), res
 
 
-def _functional_iteration(b_down, b_up, terms, residual, config):
+def _functional_iteration(kernels, shifted, residual, config):
     """X <- low + high X^2 from X = 0, with (low, high) = (b_down, b_up)
-    for G and swapped for Ghat, solution by solution until the residual
-    meets the tolerance."""
-    low = np.stack([b_down, b_up])
-    high = low[::-1]
+    for G and swapped for Ghat, each solution until its residual meets
+    the tolerance."""
+    low, high = kernels, kernels[::-1]
     x = np.zeros_like(low)
-    res = residual(x, *terms)
+    res = residual(x, shifted)
     for _ in range(config.max_iterations):
-        active = np.nonzero(res > config.tolerance)
-        if active[0].size == 0:
+        active = res > config.tolerance
+        if not active.any():
             break
-        x[active] = low[active] + high[active] @ (x[active] @ x[active])
-        res[active] = residual(x[active], *(t[active] for t in terms))
+        x = np.where(active[..., None, None], low + high @ (x @ x), x)
+        res = residual(x, shifted)
     worst = float(res.max())
     if worst <= config.tolerance:
         return x, res
@@ -160,7 +156,7 @@ def _functional_iteration(b_down, b_up, terms, residual, config):
         residual=worst)
 
 
-def _logarithmic_reduction(b_down, b_up, terms, residual, config):
+def _logarithmic_reduction(kernels, shifted, residual, config):
     """Logarithmic reduction of G and Ghat together: each sweep squares
     the number of jump-chain steps accounted for, so convergence is
     quadratic away from the null-recurrent boundary and linear (rate 1/2)
@@ -176,38 +172,40 @@ def _logarithmic_reduction(b_down, b_up, terms, residual, config):
     max_iterations.  A node leaves the sweeps once both sides are done,
     and the arrays of the sweeping nodes shrink when one leaves."""
     tol = config.tolerance
-    eye = np.eye(b_down.shape[-1])
-    x_out = np.stack([b_down, b_up])
-    res_out = residual(x_out, *terms)
+    eye = np.eye(kernels.shape[-1])
+    x_out = kernels
+    res_out = residual(x_out, shifted)
     sweeping = res_out > tol
     nodes = np.flatnonzero(sweeping.any(axis=0))
-    low, high = b_down[nodes], b_up[nodes]
-    terms = tuple(t[:, nodes] for t in terms)
-    x, trail = x_out[:, nodes], np.stack([high, low])
+    pair = x_out[:, nodes]  # (low, high)
+    shifted = shifted[nodes]
+    x, trail = pair, pair[::-1]
     x_best, best, sweeping = x, res_out[:, nodes], sweeping[:, nodes]
     stale = np.zeros(best.shape, dtype=int)
     for _ in range(config.max_iterations if nodes.size else 0):
+        low, high = pair
         mix = high @ low + low @ high
         try:
             factor = np.linalg.inv(eye - mix)
         except np.linalg.LinAlgError as exc:
             raise _lr_error("broke down at residual", best[sweeping]) from exc
-        high = factor @ (high @ high)
-        low = factor @ (low @ low)
-        pair = np.stack([low, high])
+        pair = factor @ (pair @ pair)
         x = x + trail @ pair
         trail = trail @ pair[::-1]
-        res = residual(x, *terms)
+        res = residual(x, shifted)
         better = res < best
-        x_best = np.where(better[..., None, None], x, x_best)
-        best = np.where(better, res, best)
-        stale = np.where(better, 0, stale + 1)
-        bad = sweeping & ~np.isfinite(res)
-        if bad.any():
-            raise _lr_error("diverged (last residual", best[bad], ")")
-        if (stale[sweeping] >= 10).any():
-            raise _lr_error("stalled at residual",
-                            best[sweeping & (stale >= 10)])
+        if better.all():
+            x_best, best, stale = x, res, stale * 0
+        else:
+            bad = sweeping & ~np.isfinite(res)
+            if bad.any():
+                raise _lr_error("diverged (last residual", best[bad], ")")
+            x_best = np.where(better[..., None, None], x, x_best)
+            best = np.where(better, res, best)
+            stale = np.where(better, 0, stale + 1)
+            if (stale[sweeping] >= 10).any():
+                raise _lr_error("stalled at residual",
+                                best[sweeping & (stale >= 10)])
         done = sweeping & (best <= tol)
         if done.any():
             side, node = np.nonzero(done)
@@ -217,10 +215,9 @@ def _logarithmic_reduction(b_down, b_up, terms, residual, config):
             keep = sweeping.any(axis=0)
             if not keep.any():
                 break
-            terms = tuple(t[:, keep] for t in terms)
-            nodes, low, high = nodes[keep], low[keep], high[keep]
-            x, trail, x_best, best, stale, sweeping = (
-                a[:, keep] for a in (x, trail, x_best, best, stale,
+            nodes, shifted = nodes[keep], shifted[keep]
+            pair, x, trail, x_best, best, stale, sweeping = (
+                a[:, keep] for a in (pair, x, trail, x_best, best, stale,
                                      sweeping))
     if (res_out <= tol).all():
         return x_out, res_out
