@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AsymptoticsUndefinedError, IterationLimitError
-from .model import Drift
+from .model import Drift, require_finite
 
 __all__ = [
     "Algorithm",
@@ -270,11 +270,14 @@ def gmatrices(blocks, s=0.0, config=SolverConfig()):
 
     Raises
     ------
+    StructuralError
+        If a block holds a NaN or infinite entry.
     IterationLimitError
         If either solver fails to reach the residual tolerance.
     AsymptoticsUndefinedError
         If s = 0 and the model is null recurrent (H0 singular).
     """
+    require_finite(blocks)
     s = _check_s(s)
     (g, ghat), res = _solve_pair(blocks, s, config)
     s = s[()] if s.ndim == 0 else s

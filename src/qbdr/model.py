@@ -35,6 +35,7 @@ __all__ = [
     "assemble_generator",
     "classify_drift",
     "validate",
+    "require_finite",
     "is_irreducible",
     "model_from_dict",
     "model_to_dict",
@@ -89,6 +90,14 @@ class QbdBlocks:
         first use and kept: the blocks are read-only, so it cannot go
         stale, and every asymptotic route checks it."""
         return classify_drift(self)
+
+    @functools.cached_property
+    def finite(self):
+        """Whether every block entry is finite, computed on first use and
+        kept like :attr:`drift`; :func:`require_finite` reads it on every
+        solver call."""
+        return all(np.isfinite(getattr(self, name)).all()
+                   for name in _BLOCK_NAMES)
 
 
 @dataclass(frozen=True)
@@ -181,6 +190,14 @@ def _nonfinite_violations(blocks):
                 int(bad[0][0]) if mat.ndim == 2 else None,
                 float(mat[tuple(bad[0])])))
     return found
+
+
+def require_finite(blocks):
+    """Raise :class:`StructuralError` if a block holds a NaN or infinite
+    entry.  :func:`validate` reports the same violations without raising."""
+    if not blocks.finite:
+        raise StructuralError("non-finite model blocks: " + "; ".join(
+            map(str, _nonfinite_violations(blocks))))
 
 
 def validate(blocks):

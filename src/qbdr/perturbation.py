@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import StructuralError, UpdateError
-from .model import assemble_generator
+from .model import assemble_generator, require_finite
 from .oracle import oracle_stationary
 from .transform import InversionConfig, invert_stacked
 
@@ -94,9 +94,8 @@ def _extend(x, blocks, lower, offset=0.0):
     return out
 
 
-def _woodbury(x, update):
-    """Rows ``x`` of x (I - E_K P x)^{-1} = x + x E_K (I - P x E_K)^{-1} P x,
-    through one n x n solve; raises UpdateError if that system is singular.
+def _top_product(x, update):
+    """P x through the last 2n rows of ``x``.
 
     P is zero outside its last 2n columns, levels K and K+1, so P x needs
     only the last 2n rows of ``x``, which must hold those two levels.
@@ -105,8 +104,18 @@ def _woodbury(x, update):
     if update.K != update.P.shape[1] // n - 2:
         raise ValueError(f"update level {update.K} is not the second-to-last"
                          f" of {update.P.shape[1] // n} levels")
+    return update.P[:, -2 * n:] @ x[..., -2 * n:, :]
+
+
+def _woodbury(x, update):
+    """Rows ``x`` of x (I - E_K P x)^{-1} = x + x E_K (I - P x E_K)^{-1} P x,
+    through one n x n solve; raises UpdateError if that system is singular.
+    ``x``'s last 2n rows must hold levels K and K+1 (see
+    :func:`_top_product`).
+    """
+    n = update.P.shape[0]
     cols = slice(update.K * n, (update.K + 1) * n)
-    px = update.P[:, -2 * n:] @ x[..., -2 * n:, :]
+    px = _top_product(x, update)
     try:
         scaled = np.linalg.solve(np.eye(n) - px[..., cols], px)
     except np.linalg.LinAlgError as exc:
@@ -126,11 +135,15 @@ def t_group_inverse(dev_prev, pi_prev, blocks):
     StructuralError
         If C0 is singular (not a proper sub-generator).
     """
+    return -_extend(dev_prev, blocks, -_c0_inverse(blocks), -pi_prev)
+
+
+def _c0_inverse(blocks):
+    """C0^{-1}; raises StructuralError if C0 is singular."""
     try:
-        c0_inv = np.linalg.inv(blocks.C0)
+        return np.linalg.inv(blocks.C0)
     except np.linalg.LinAlgError as exc:
         raise StructuralError("C0 must be nonsingular") from exc
-    return -_extend(dev_prev, blocks, -c0_inv, -pi_prev)
 
 
 def pi_step(pi_prev, t_sharp, update):
@@ -138,11 +151,13 @@ def pi_step(pi_prev, t_sharp, update):
     pi(C) = [pi(C-1), 0] (I + E_K Delta T^#)^{-1}.
 
     The inverse is applied through its low-rank form, so only an n x n
-    system is solved.
+    system is solved, and Delta T^# is read from the last 2n rows of
+    ``t_sharp`` only (see :func:`_top_product`): O(n^2 N) work for N
+    states, not O(n N^2).
     """
     n = update.P.shape[0]
     phi = np.concatenate([pi_prev, np.zeros(n)])
-    pd = update.P @ t_sharp  # Delta T^#, one block row tall
+    pd = _top_product(t_sharp, update)  # Delta T^#, one block row tall
     cols = slice(update.K * n, (update.K + 1) * n)
     inner = np.eye(n) + pd[:, cols]
     try:
@@ -182,33 +197,78 @@ def _seed(blocks):
     return pi1, np.linalg.inv(one_pi - q1) - one_pi
 
 
+def _ladder_rung(dev, pi, blocks, c0_inv, p_top):
+    """One rung up the deviation ladder, in place.
+
+    ``dev`` (N x N) and ``pi`` (N) are views whose leading m = N - n rows,
+    columns and entries hold D and pi of the rung below; on return the
+    whole views hold the rung above.  The rung writes the new top level of
+    -T^# (see :func:`t_group_inverse`) around D, forms P (-T^#) from
+    ``p_top`` = [A0 - C0, A1] and the top two levels, and solves the one
+    n x n system that serves both :func:`pi_step` and the Woodbury step of
+    :func:`deviation_update`; their n x N right-hand side S then gives
+
+        pi <- [pi, 0] + pi_K S,    D <- (I - 1 pi)(x + x_K S),
+
+    with x = -T^# and x_K its level-K columns.  Raises UpdateError if the
+    n x n system is singular.
+    """
+    n = blocks.n
+    m = dev.shape[0] - n
+    k = slice(m - n, m)
+    dev[:m, m:] = 0.0
+    dev[m:, :m] = c0_inv @ (pi[:m] - blocks.A_minus1 @ dev[k, :m])
+    dev[m:, m:] = -c0_inv
+    px = p_top @ dev[m - n:]
+    try:
+        scaled = np.linalg.solve(np.eye(n) - px[:, k], px)
+    except np.linalg.LinAlgError as exc:
+        raise UpdateError(f"low-rank update singular: {exc}") from exc
+    pi[m:] = 0.0
+    pi += pi[k] @ scaled
+    pi[(pi < 0) & (pi > -1e-13)] = 0.0
+    pi /= pi.sum()
+    dev += dev[:, k] @ scaled
+    dev -= pi @ dev
+
+
 def deviation_recursive(blocks, return_all=False):
     """Full deviation matrix D(C) by climbing the capacity ladder.
 
-    Seeds at capacity 1 with a dense fundamental-matrix solve, then applies
-    the group-inverse, stationary and deviation updates once per rung.
-    Returns the final :class:`CapacityLadderState` (or all rungs).
+    Seeds at capacity 1 with a dense fundamental-matrix solve, then takes
+    the group-inverse, stationary and deviation updates once per rung, in
+    place in one N x N array and one N-vector (N = n (C + 1)): a peak of
+    about 2 N^2 doubles, the array and one product.  Returns the final
+    :class:`CapacityLadderState`, or with ``return_all`` every rung, each
+    in arrays of its own.
 
     Raises
     ------
+    StructuralError
+        If a block holds a NaN or infinite entry, or C0 is singular.
     UpdateError
         With the failing rung noted, if an update system is singular.
     """
-    pi, dev = _seed(blocks)
-    state = CapacityLadderState(level_count=1, pi=pi, dev=dev)
-    rungs = [state]
-    for c in range(2, blocks.C + 1):
+    require_finite(blocks)
+    n, C = blocks.n, blocks.C
+    c0_inv = _c0_inverse(blocks)
+    p_top = np.hstack([blocks.A0 - blocks.C0, blocks.A1])
+    size = n * (C + 1)
+    dev, pi = np.empty((size, size)), np.empty(size)
+    pi[:2 * n], dev[:2 * n, :2 * n] = _seed(blocks)
+    rungs = []
+    for c in range(2, C + 1):
+        m = n * (c + 1)
+        if return_all:
+            rungs.append(CapacityLadderState(
+                level_count=c - 1, pi=pi[:m - n].copy(),
+                dev=dev[:m - n, :m - n].copy()))
         try:
-            t_sharp = t_group_inverse(state.dev, state.pi, blocks)
-            update = block_update(blocks, c)
-            pi = pi_step(state.pi, t_sharp, update)
-            dev = deviation_update(-t_sharp, pi, update)
+            _ladder_rung(dev[:m, :m], pi[:m], blocks, c0_inv, p_top)
         except UpdateError as exc:
             raise UpdateError(f"ladder failed at capacity {c}: {exc}") from exc
-        state = CapacityLadderState(level_count=c, pi=pi, dev=dev)
-        if return_all:
-            rungs.append(state)
-    return rungs if return_all else state
+    state = CapacityLadderState(level_count=C, pi=pi, dev=dev)
+    return rungs + [state] if return_all else state
 
 
 def resolvent_recursive(blocks, s, pi, levels=None):

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import NumericalRankError
 from .gmatrices import SolverConfig, rate_matrices, require_not_null_recurrent
 from .linalg import left_null_vector, matrix_powers
+from .model import require_finite
 
 __all__ = [
     "StationaryDistribution",
@@ -64,11 +65,14 @@ def stationary_rmatrix(blocks, config=SolverConfig(), gmat=None):
 
     Raises
     ------
+    StructuralError
+        If a block holds a NaN or infinite entry.
     AsymptoticsUndefinedError
         If the model is null recurrent (R, Rhat undefined).
     NumericalRankError
         If the boundary system kernel is not one-dimensional.
     """
+    require_finite(blocks)
     require_not_null_recurrent(blocks, "stationary boundary matrices")
     n, C = blocks.n, blocks.C
     if gmat is not None:

@@ -305,9 +305,9 @@ def test_cli_passage_target_out_of_range(tmp_path, queue_file, method,
 def test_cli_transient_perturb_climbs_stationary_ladder_once(
         tmp_path, queue_file, monkeypatch):
     import qbdr.perturbation as perturbation
-    calls, pi_step = [], perturbation.pi_step
-    monkeypatch.setattr(perturbation, "pi_step",
-                        lambda *args: calls.append(args) or pi_step(*args))
+    calls, rung = [], perturbation._ladder_rung
+    monkeypatch.setattr(perturbation, "_ladder_rung",
+                        lambda *args: calls.append(args) or rung(*args))
     assert main(["deviation", "--model", queue_file, "--method", "perturb",
                  "--t", "2", "--block", "4,2",
                  "--output", str(tmp_path / "b.csv")]) == 0

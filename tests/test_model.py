@@ -5,8 +5,8 @@ import pytest
 
 from qbdr import (Drift, ModelParseError, QbdBlocks, RewardSpec,
                   StructuralError, assemble_generator, classify_drift,
-                  is_irreducible, load_model, random_blocks, save_model,
-                  validate)
+                  deviation_recursive, gmatrices, is_irreducible, load_model,
+                  random_blocks, save_model, stationary_rmatrix, validate)
 from qbdr.model import model_from_dict, model_to_dict
 from conftest import mapph_example, scalar_blocks
 
@@ -104,6 +104,17 @@ def test_validate_flags_nonfinite_entry(value):
     data = model_to_dict(blocks)
     with pytest.raises(ModelParseError, match="non-finite"):
         model_from_dict(data)
+
+
+@pytest.mark.parametrize("route", [deviation_recursive, stationary_rmatrix,
+                                   gmatrices], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_library_routes_reject_nonfinite_blocks(route, value):
+    blocks = QbdBlocks.from_matrices([[2.0]], [[value]], [[1.0]], [[-1.0]],
+                                     [[-2.0]], 4)
+    with pytest.raises(StructuralError, match="A0 row 0: non-finite entry"):
+        route(blocks)
+    assert [v.kind for v in validate(blocks)] == ["non-finite entry"]
 
 
 def test_model_from_dict_rejects_nonfinite_reward(scalar_pr):

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -75,6 +76,18 @@ def test_pi_step_stationarity(seed):
                                atol=1e-10)
 
 
+def test_pi_step_reads_only_top_two_levels():
+    blocks = random_blocks(2, 5, np.random.default_rng(6))
+    pi_prev, _, _, t_sharp = ladder_ingredients(blocks, 5)
+    update = block_update(blocks, 5)
+    poisoned = t_sharp.copy()
+    poisoned[:-4] = np.nan
+    np.testing.assert_array_equal(pi_step(pi_prev, poisoned, update),
+                                  pi_step(pi_prev, t_sharp, update))
+    with pytest.raises(ValueError, match="second-to-last"):
+        pi_step(pi_prev, t_sharp, replace(update, K=2))
+
+
 def test_deviation_update_null_perturbation():
     blocks = random_blocks(2, 3, np.random.default_rng(5))
     q = assemble_generator(blocks)
@@ -146,6 +159,66 @@ def test_ladder_every_rung_consistent(seed):
         reference = oracle_deviation(q, oracle_stationary(q))
         assert np.linalg.norm(state.dev - reference) \
             / np.linalg.norm(reference) <= 1e-8
+
+
+def composed_ladder(blocks):
+    """Reference: the ladder as a composition of the one-rung public
+    functions, each rung in new arrays."""
+    q1 = assemble_generator(replace(blocks, C=1))
+    pi = oracle_stationary(q1)
+    one_pi = np.outer(np.ones(q1.shape[0]), pi)
+    dev = np.linalg.inv(one_pi - q1) - one_pi
+    for c in range(2, blocks.C + 1):
+        t_sharp = t_group_inverse(dev, pi, blocks)
+        update = block_update(blocks, c)
+        pi = pi_step(pi, t_sharp, update)
+        dev = deviation_update(-t_sharp, pi, update)
+    return pi, dev
+
+
+def unfiltered_models(seed, count, step=5):
+    """Every ``step``-th model of the unfiltered random set."""
+    for i in range(0, count, step):
+        yield random_blocks(1 + i % 4, 3 + (7 * i) % 80,
+                            np.random.default_rng([seed, i]), min_drift=0.05)
+
+
+@pytest.mark.parametrize("models", ["seed7", "seed8", "queue"])
+def test_in_place_ladder_matches_composed_ladder(models):
+    if models == "queue":
+        cases = [mapph_example(C=30), mapph_example(C=30, swapped=True)]
+    else:
+        cases = unfiltered_models(*{"seed7": (7, 60), "seed8": (8, 40)}[models])
+    for blocks in cases:
+        pi, dev = composed_ladder(blocks)
+        state = deviation_recursive(blocks)
+        assert state.level_count == blocks.C
+        assert _rel_gap(state.pi, pi) <= 1e-12
+        assert _rel_gap(state.dev, dev) <= 1e-12
+
+
+def test_ladder_rungs_do_not_share_memory():
+    blocks = random_blocks(2, 6, np.random.default_rng(3))
+    rungs = deviation_recursive(blocks, return_all=True)
+    assert [r.level_count for r in rungs] == list(range(1, 7))
+    arrays = [a for r in rungs for a in (r.pi, r.dev)]
+    for i, a in enumerate(arrays):
+        assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
+    final = deviation_recursive(blocks)
+    np.testing.assert_array_equal(rungs[-1].dev, final.dev)
+    np.testing.assert_array_equal(rungs[-1].pi, final.pi)
+
+
+def test_ladder_peak_memory():
+    blocks = random_blocks(4, 80, np.random.default_rng(1))
+    size = 4 * 81
+    tracemalloc.start()
+    try:
+        deviation_recursive(blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * size ** 2 * 8
 
 
 def test_resolvent_inverse_identity(scalar_pr):
