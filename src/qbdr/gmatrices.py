@@ -109,45 +109,67 @@ def ghat_residual(blocks, s, ghat):
         blocks.A1 + shifted @ ghat + blocks.A_minus1 @ ghat @ ghat)))
 
 
+def _lmul(a, x):
+    """a @ x for one matrix ``a`` and a stack ``x``, shape (..., n, m), as
+    one matrix product over the whole stack, x^T a^T with the transposes
+    x^T stacked into one tall matrix: numpy's stacked matmul makes one
+    BLAS call per complex product, about 0.5 us each at n = 4."""
+    xt = x.swapaxes(-1, -2)
+    return (xt.reshape(-1, a.shape[1]) @ a.T).reshape(
+        xt.shape[:-1] + (a.shape[0],)).swapaxes(-1, -2)
+
+
 def _solve_pair(blocks, s, config):
     """G and Ghat at every node of the checked ``s``: shape
     (2, *s.shape, n, n), with the residuals, shape (2, s.size).  Each
     solution keeps its own stopping rule; if any fails, the whole call
     raises."""
-    nodes = s.reshape(-1)
-    shifted = nodes[:, None, None] * np.eye(blocks.n) - blocks.A0
+    n = blocks.n
+    nodes = s.reshape(-1)[:, None, None]
     down = np.array([blocks.A_minus1, blocks.A1])[:, None]
     up = down[::-1]
     # One-step kernels of the uniformized jump chain, (b_down, b_up) with
     # b_down + b_up (sub)stochastic: G solves X = b_down + b_up X^2 and
-    # Ghat the same with the kernels swapped.
-    kernels = np.linalg.solve(shifted, down)
+    # Ghat the same with the kernels swapped.  One solve per node serves
+    # both, against [A_minus1 | A1].
+    both = np.linalg.solve(nodes * np.eye(n) - blocks.A0,
+                           np.hstack([blocks.A_minus1, blocks.A1]))
+    kernels = np.stack([both[..., :n], both[..., n:]])
 
-    def residual(x, shifted):
+    def residual(x, s):
         """Max-norm residuals of (G, Ghat) iterates, shape (2, B, n, n),
-        at the B nodes of ``shifted``."""
-        return np.max(np.abs(down - shifted @ x + up @ x @ x), axis=(-2, -1))
+        at the B nodes ``s``, shape (B, 1, 1).  numpy multiplies small real
+        stacks faster than :func:`_lmul`'s reshapes cost, so only complex
+        iterates take it."""
+        xx = x @ x
+        if np.iscomplexobj(x):
+            r = down + _lmul(blocks.A0, x) - s * x
+            r[0] += _lmul(blocks.A1, xx[0])
+            r[1] += _lmul(blocks.A_minus1, xx[1])
+        else:
+            r = down + blocks.A0 @ x - s * x + up @ xx
+        return np.max(np.abs(r), axis=(-2, -1))
 
     if config.algorithm is Algorithm.FUNCTIONAL_ITERATION:
-        x, res = _functional_iteration(kernels, shifted, residual, config)
+        x, res = _functional_iteration(kernels, nodes, residual, config)
     else:
-        x, res = _logarithmic_reduction(kernels, shifted, residual, config)
+        x, res = _logarithmic_reduction(kernels, nodes, residual, config)
     return x.reshape((2,) + s.shape + x.shape[-2:]), res
 
 
-def _functional_iteration(kernels, shifted, residual, config):
+def _functional_iteration(kernels, s, residual, config):
     """X <- low + high X^2 from X = 0, with (low, high) = (b_down, b_up)
     for G and swapped for Ghat, each solution until its residual meets
     the tolerance."""
     low, high = kernels, kernels[::-1]
     x = np.zeros_like(low)
-    res = residual(x, shifted)
+    res = residual(x, s)
     for _ in range(config.max_iterations):
         active = res > config.tolerance
         if not active.any():
             break
         x = np.where(active[..., None, None], low + high @ (x @ x), x)
-        res = residual(x, shifted)
+        res = residual(x, s)
     worst = float(res.max())
     if worst <= config.tolerance:
         return x, res
@@ -156,7 +178,7 @@ def _functional_iteration(kernels, shifted, residual, config):
         residual=worst)
 
 
-def _logarithmic_reduction(kernels, shifted, residual, config):
+def _logarithmic_reduction(kernels, s, residual, config):
     """Logarithmic reduction of G and Ghat together: each sweep squares
     the number of jump-chain steps accounted for, so convergence is
     quadratic away from the null-recurrent boundary and linear (rate 1/2)
@@ -174,11 +196,11 @@ def _logarithmic_reduction(kernels, shifted, residual, config):
     tol = config.tolerance
     eye = np.eye(kernels.shape[-1])
     x_out = kernels
-    res_out = residual(x_out, shifted)
+    res_out = residual(x_out, s)
     sweeping = res_out > tol
     nodes = np.flatnonzero(sweeping.any(axis=0))
     pair = x_out[:, nodes]  # (low, high)
-    shifted = shifted[nodes]
+    s = s[nodes]
     x, trail = pair, pair[::-1]
     x_best, best, sweeping = x, res_out[:, nodes], sweeping[:, nodes]
     stale = np.zeros(best.shape, dtype=int)
@@ -192,7 +214,7 @@ def _logarithmic_reduction(kernels, shifted, residual, config):
         pair = factor @ (pair @ pair)
         x = x + trail @ pair
         trail = trail @ pair[::-1]
-        res = residual(x, shifted)
+        res = residual(x, s)
         better = res < best
         if better.all():
             x_best, best, stale = x, res, stale * 0
@@ -215,7 +237,7 @@ def _logarithmic_reduction(kernels, shifted, residual, config):
             keep = sweeping.any(axis=0)
             if not keep.any():
                 break
-            nodes, shifted = nodes[keep], shifted[keep]
+            nodes, s = nodes[keep], s[keep]
             pair, x, trail, x_best, best, stale, sweeping = (
                 a[:, keep] for a in (pair, x, trail, x_best, best, stale,
                                      sweeping))
@@ -251,7 +273,7 @@ def h0(blocks, s, g, ghat):
         require_not_null_recurrent(blocks, "the s=0 local kernel H0")
     eye = np.eye(blocks.n)
     inner = (blocks.A0 - np.asarray(s)[..., None, None] * eye
-             + blocks.A1 @ g + blocks.A_minus1 @ ghat)
+             + _lmul(blocks.A1, g) + _lmul(blocks.A_minus1, ghat))
     try:
         return -np.linalg.inv(inner)
     except np.linalg.LinAlgError as exc:

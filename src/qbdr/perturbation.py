@@ -11,11 +11,11 @@ previous rung's stationary vector and deviation matrix, so the stationary
 vector, the deviation matrix and the resolvent all update by one-block
 low-rank formulas per rung.
 
-The resolvent ladder carries only the block rows it is asked for: a block
-of D(t) costs O(C^2 n^3) per Euler node instead of O(C^3 n^3), and the 53
-nodes of one inversion climb it as one stack.  A full D(t) carries every
-row and splits the nodes at the memory cap shared with
-:mod:`qbdr.transform`.
+The resolvent ladder carries only the block rows and block columns it is
+asked for, plus the top two levels: a block of D(t) costs O(C n^3) per
+Euler node instead of O(C^3 n^3), and the 53 nodes of one inversion climb
+it as one stack.  A full D(t) carries every row and column and splits the
+nodes at the memory cap shared with :mod:`qbdr.transform`.
 
 Note the printed source for the group inverse of T(C) carries a typo in
 its lower-left block; the form implemented here is the one that satisfies
@@ -111,10 +111,12 @@ def _woodbury(x, update):
     """Rows ``x`` of x (I - E_K P x)^{-1} = x + x E_K (I - P x E_K)^{-1} P x,
     through one n x n solve; raises UpdateError if that system is singular.
     ``x``'s last 2n rows must hold levels K and K+1 (see
-    :func:`_top_product`).
+    :func:`_top_product`), and its last 2n columns too: K's columns are
+    read as the second-to-last column block, so ``x`` may carry any subset
+    of the lower column blocks.
     """
     n = update.P.shape[0]
-    cols = slice(update.K * n, (update.K + 1) * n)
+    cols = slice(-2 * n, -n)
     px = _top_product(x, update)
     try:
         scaled = np.linalg.solve(np.eye(n) - px[..., cols], px)
@@ -271,7 +273,18 @@ def deviation_recursive(blocks, return_all=False):
     return rungs + [state] if return_all else state
 
 
-def resolvent_recursive(blocks, s, pi, levels=None):
+def _targets(levels, C, what):
+    """The target ``levels`` (default: all of 0..C) as a set; raises
+    ValueError if one is outside 0..C or given twice."""
+    levels = list(range(C + 1) if levels is None else levels)
+    targets = set(levels)
+    if len(targets) < len(levels) or not targets <= set(range(C + 1)):
+        raise ValueError(f"target {what} {levels} must be distinct levels"
+                         f" in 0..{C}")
+    return targets
+
+
+def resolvent_recursive(blocks, s, pi, levels=None, columns=None):
     """Block rows of (sI - Q(C))^{-1} and of the transformed deviation
     matrix, recursively, at one node or a 1-d array of nodes at once.
 
@@ -280,48 +293,55 @@ def resolvent_recursive(blocks, s, pi, levels=None):
     deviation ladder's Woodbury step.  That step updates a row from its own
     value and the rows of the top two levels only, so the ladder carries
     the rows of the target ``levels`` (default: all) and of the current
-    top level, dropping the old top after each rung unless it is a target:
-    O(C^2 n^3) per node for one target level instead of O(C^3 n^3) for the
-    full resolvent.  ``pi`` is the stationary vector of Q(C), which does
-    not depend on s, for
+    top level, dropping the old top after each rung unless it is a target.
+    Columns decouple the same way: the extension writes the new top row of
+    column j from column j of the old top row, and the Woodbury step ties
+    column j only to itself and to the columns of level K = c - 1, so the
+    ladder carries the column blocks of the target ``columns`` (default:
+    all) and of the top two levels.  One target block costs O(C n^3) per
+    node instead of O(C^3 n^3) for the full resolvent.  ``pi`` is the
+    stationary vector of Q(C), which does not depend on s, for
 
         Dtilde(C)(s) = (1/s)(sI - Q(C))^{-1} - (1/s^2) 1 pi(C).
 
     Returns (resolvent, dtilde), each of shape (*s.shape, n * len(levels),
-    n (C + 1)), the rows of the targets in ascending level order.
+    n * len(columns)), the rows and columns of the targets in ascending
+    level order.
 
     Raises
     ------
     ValueError
-        If a target level is outside 0..C or given twice.
+        If a target level or column is outside 0..C or given twice.
     UpdateError
         With the failing capacity noted, if a rung's system is singular.
     """
     n, C = blocks.n, blocks.C
-    levels = list(range(C + 1) if levels is None else levels)
-    targets = set(levels)
-    if len(targets) < len(levels) or not targets <= set(range(C + 1)):
-        raise ValueError(f"target levels {levels} must be distinct levels"
-                         f" in 0..{C}")
+    rows_kept = _targets(levels, C, "levels")
+    cols_kept = _targets(columns, C, "columns")
     s = np.asarray(s)[..., None, None]
     lower = np.linalg.inv(s * np.eye(n) - blocks.C0)
     q1 = assemble_generator(replace(blocks, C=1))
-    rows = np.linalg.inv(s * np.eye(2 * n) - q1)
-    if 0 not in targets:
-        rows = rows[..., n:, :]
+    x = np.linalg.inv(s * np.eye(2 * n) - q1)
+    if 0 not in rows_kept:
+        x = x[..., n:, :]
+    if 0 not in cols_kept:
+        x = x[..., n:]
     for c in range(2, C + 1):
         try:
-            rows = _woodbury(_extend(rows, blocks, lower),
-                             block_update(blocks, c))
+            x = _woodbury(_extend(x, blocks, lower), block_update(blocks, c))
         except UpdateError as exc:
             raise UpdateError(
                 f"resolvent ladder failed at capacity {c}: {exc}") from exc
-        if c - 1 not in targets:
-            rows = np.concatenate([rows[..., :-2 * n, :],
-                                   rows[..., -n:, :]], axis=-2)
-    if C not in targets:
-        rows = rows[..., :-n, :]
-    return rows, rows / s - pi / s ** 2
+        if c - 1 not in rows_kept:
+            x = np.concatenate([x[..., :-2 * n, :], x[..., -n:, :]], axis=-2)
+        if c - 1 not in cols_kept:
+            x = np.concatenate([x[..., :-2 * n], x[..., -n:]], axis=-1)
+    if C not in rows_kept:
+        x = x[..., :-n, :]
+    if C not in cols_kept:
+        x = x[..., :-n]
+    pi = pi.reshape(C + 1, n)[sorted(cols_kept)].reshape(-1)
+    return x, x / s - pi / s ** 2
 
 
 def deviation_time_recursive(blocks, t, block=None):
@@ -330,7 +350,8 @@ def deviation_time_recursive(blocks, t, block=None):
     All Euler nodes of the inversion climb the ladder as one stack, split
     at the transform module's memory cap for a full D(t).  With ``block`` =
     (k, level), only the n x n block D(t)_{k, level}, from the ladder over
-    block row k.  pi(C) does not depend on s, so its ladder is climbed once.
+    block row k and block column level: O(C n^3) per node.  pi(C) does not
+    depend on s, so its ladder is climbed once.
     """
     n, C = blocks.n, blocks.C
     size = n * (C + 1)
@@ -338,12 +359,11 @@ def deviation_time_recursive(blocks, t, block=None):
         raise ValueError(f"block {block} out of range 0..{C}")
     pi = deviation_recursive(blocks).pi
     if block is None:
-        rows, cols, shape = None, slice(None), (size, size)
+        rows, cols, shape = None, None, (size, size)
     else:
-        rows, cols = [block[0]], slice(block[1] * n, (block[1] + 1) * n)
-        shape = (n, n)
+        rows, cols, shape = [block[0]], [block[1]], (n, n)
 
     def transform(nodes):
-        return resolvent_recursive(blocks, nodes, pi, rows)[1][..., cols]
+        return resolvent_recursive(blocks, nodes, pi, rows, cols)[1]
 
     return invert_stacked(transform, t, InversionConfig(), shape, size)

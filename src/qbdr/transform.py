@@ -127,9 +127,11 @@ def _reward_columns(ctx, rewards):
 
 def _nu_all(ctx, rewards):
     """All nu_k at once, stacked (C+1, *s.shape, n), by one sweep over
-    the atoms H0(s) g_l(s) = H0 g_l / s."""
-    atoms = ctx.gmat.H0 @ _reward_columns(ctx, rewards) / _s_column(ctx.s)
-    return particular(ctx.gmat.G, ctx.gmat.Ghat, atoms)[..., 0]
+    the atoms H0(s) g_l(s) = H0 g_l / s, formed as H0 [g_0 ... g_C], one
+    n x (C+1) product per node."""
+    atoms = ctx.gmat.H0 @ np.asarray(rewards.g).T / _s_column(ctx.s)
+    return particular(ctx.gmat.G, ctx.gmat.Ghat,
+                      np.moveaxis(atoms, -1, 0)[..., None])[..., 0]
 
 
 def _system(ctx, p, f):

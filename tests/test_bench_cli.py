@@ -376,6 +376,26 @@ def test_cli_deviation_diffeq_matches_perturb_on_queue(tmp_path):
     assert gap <= 1e-8 * np.max(np.abs(values["perturb"]))
 
 
+@pytest.mark.parametrize("block", ["60,0", "0,60", "59,60"])
+def test_cli_transient_block_routes_agree_at_corners(tmp_path, block):
+    # the perturbation route carries only the target block row and column
+    # up its ladder; the corners pair the first and last levels.  Block
+    # (60, 0) is ~1e-28, so the routes are compared on the scale of D(t),
+    # whose entries are at most t in size.
+    path = tmp_path / "queue60.json"
+    save_model(path, mapph_example(C=60))
+    values = {}
+    for method in ("diffeq", "perturb"):
+        out = tmp_path / f"{method}.csv"
+        assert main(["deviation", "--model", str(path), "--method", method,
+                     "--t", "2", "--block", block,
+                     "--output", str(out)]) == 0
+        values[method] = np.array([float(r["value"])
+                                   for r in read_csv(out)])
+    assert values["perturb"].shape == (16,)
+    assert np.max(np.abs(values["diffeq"] - values["perturb"])) <= 1e-12 * 2
+
+
 def test_cli_import_leaves_scipy_unloaded():
     src = pathlib.Path(__file__).parents[1] / "src"
     code = "import sys, qbdr.cli; sys.exit('scipy' in sys.modules)"

@@ -284,12 +284,19 @@ def test_resolvent_rows_match_full_ladder(model, t):
     dtilde = full / nodes[:, None, None] - pi / nodes[:, None, None] ** 2
     targets = [0, 1, C // 2, C]
     for levels in [[k] for k in targets] + [targets]:
-        rows = np.concatenate([np.arange(k * n, (k + 1) * n)
-                               for k in levels])
-        resolvent, dt = resolvent_recursive(blocks, nodes, pi, levels)
-        assert resolvent.shape == (len(nodes), len(rows), n * (C + 1))
-        assert _rel_gap(resolvent, full[:, rows]) <= 1e-12
-        assert _rel_gap(dt, dtilde[:, rows]) <= 1e-12
+        rows = _state_indices(levels, n)
+        for columns in [None, levels, [0], [C - 1], [C], [0, C - 1, C]]:
+            cols = _state_indices(range(C + 1) if columns is None
+                                  else columns, n)
+            resolvent, dt = resolvent_recursive(blocks, nodes, pi, levels,
+                                                columns)
+            assert resolvent.shape == (len(nodes), len(rows), len(cols))
+            assert _rel_gap(resolvent, full[:, rows][..., cols]) <= 1e-12
+            assert _rel_gap(dt, dtilde[:, rows][..., cols]) <= 1e-12
+
+
+def _state_indices(levels, n):
+    return np.concatenate([np.arange(k * n, (k + 1) * n) for k in levels])
 
 
 def test_resolvent_all_levels_is_full_resolvent():
@@ -319,13 +326,31 @@ def test_resolvent_singular_rung_names_capacity(monkeypatch):
         resolvent_recursive(blocks, euler_nodes(1.0)[0], pi, [2])
 
 
-@pytest.mark.parametrize("levels", [[1, 1], [0, 7]],
+@pytest.mark.parametrize("targets", [[1, 1], [0, 7]],
                          ids=["repeated", "outside"])
-def test_resolvent_rejects_bad_levels(levels):
+def test_resolvent_rejects_bad_levels(targets):
     blocks = random_blocks(2, 6, np.random.default_rng(1))
     pi = deviation_recursive(blocks).pi
-    with pytest.raises(ValueError, match="0..6"):
-        resolvent_recursive(blocks, 1.0, pi, levels)
+    for axis in ("levels", "columns"):
+        with pytest.raises(ValueError, match=f"{axis} .* in 0..6"):
+            resolvent_recursive(blocks, 1.0, pi, **{axis: targets})
+
+
+@pytest.mark.parametrize("block", [(0, 0), (7, 3), (12, 0), (0, 12),
+                                   (11, 12), (12, 12)],
+                         ids=lambda b: f"{b[0]},{b[1]}")
+def test_block_ladder_carries_at_most_three_levels(monkeypatch, block):
+    # the O(C n^3) shape: every rung works on the target block row and
+    # column plus the top two levels, whatever the capacity
+    import qbdr.perturbation as perturbation
+    blocks = random_blocks(2, 12, np.random.default_rng(5))
+    shapes, woodbury = [], perturbation._woodbury
+    monkeypatch.setattr(perturbation, "_woodbury",
+                        lambda x, u: shapes.append(x.shape) or woodbury(x, u))
+    deviation_time_recursive(blocks, 2.0, block=block)
+    assert len(shapes) == blocks.C - 1
+    assert all(shape[-2] <= 3 * 2 and shape[-1] <= 3 * 2
+               for shape in shapes)
 
 
 def test_woodbury_rejects_update_below_top():
