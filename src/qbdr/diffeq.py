@@ -28,7 +28,7 @@ O(C n^2) per right-hand side.
 import numpy as np
 
 from .errors import NumericalError
-from .linalg import solve_refined
+from .linalg import solve_refined, stack_matmul
 
 __all__ = ["particular", "segment_ends", "BoundarySystem"]
 
@@ -51,9 +51,9 @@ def particular(g, ghat, atoms, tail=0.0):
     last = (len(atoms) - 1 if np.any(tail)
             else nonzero[-1] if nonzero.size else 0)
     for k in range(first, len(atoms)):
-        down[k] = g @ down[k - 1] + atoms[k]
+        down[k] = stack_matmul(g, down[k - 1]) + atoms[k]
     for k in range(last - 1, -1, -1):
-        up[k] = ghat @ (up[k + 1] + atoms[k + 1])
+        up[k] = stack_matmul(ghat, up[k + 1] + atoms[k + 1])
     return down + up
 
 
@@ -94,7 +94,7 @@ class BoundarySystem:
             rows.append(self._rows(terms))
             piece = f[level].copy()
             for k, block in terms:
-                piece -= block @ self.p[k]
+                piece -= stack_matmul(block, self.p[k])
             rhs.append(piece)
         self.matrix = np.concatenate(rows, axis=-2)
         self.rhs = np.concatenate(rhs, axis=len(self._batch))
@@ -112,11 +112,22 @@ class BoundarySystem:
         return terms
 
     def _power(self, which, e):
-        """G^e (``which`` 0) or Ghat^e (``which`` 1), by repeated squaring,
-        kept for the other rows that read it."""
+        """G^e (``which`` 0) or Ghat^e (``which`` 1), kept; from I, which
+        multiplies exactly, np.linalg.matrix_power's products: (g g) g at
+        e = 3, else repeated squaring."""
         key = (which, e)
         if key not in self._powers:
-            self._powers[key] = np.linalg.matrix_power(self.gs[which], e)
+            g = square = self.gs[which]
+            power = np.zeros_like(g) + np.eye(g.shape[-1])
+            if e == 3:
+                power, e = stack_matmul(g, g), 1
+            while e:
+                e, bit = divmod(e, 2)
+                if bit:
+                    power = stack_matmul(power, square)
+                if e:
+                    square = stack_matmul(square, square)
+            self._powers[key] = power
         return self._powers[key]
 
     def _rows(self, terms):
@@ -136,13 +147,13 @@ class BoundarySystem:
             if not part:
                 continue
             lo, hi = part[0][0], part[-1][0]
-            out[..., c:c + n] = sum(
-                blk @ self._power(0, k - lo) for k, blk in part) \
-                @ self._power(0, lo - a)
+            out[..., c:c + n] = stack_matmul(sum(
+                stack_matmul(blk, self._power(0, k - lo)) for k, blk in part),
+                self._power(0, lo - a))
             if b not in (None, a):
-                out[..., c + n:c + 2 * n] = sum(
-                    blk @ self._power(1, hi - k) for k, blk in part) \
-                    @ self._power(1, b - hi)
+                out[..., c + n:c + 2 * n] = stack_matmul(sum(
+                    stack_matmul(blk, self._power(1, hi - k))
+                    for k, blk in part), self._power(1, b - hi))
         return out
 
     def pinned(self, pin=None):
@@ -186,11 +197,11 @@ class BoundarySystem:
             if b not in (None, a):
                 out[b] = u[self._batch + (slice(c + n, c + 2 * n),)]
                 for k in range(b - 1, a - 1, -1):
-                    out[k] = ghat @ out[k + 1]
+                    out[k] = stack_matmul(ghat, out[k + 1])
             x = u[self._batch + (slice(c, c + n),)]
             out[a] += x
             for k in range(a + 1, len(out) if b is None else b + 1):
-                x = g @ x
+                x = stack_matmul(g, x)
                 out[k] += x
         out += self.p
         return out

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AsymptoticsUndefinedError, IterationLimitError
+from .linalg import stack_matmul
 from .model import Drift, require_finite
 
 __all__ = [
@@ -109,16 +110,6 @@ def ghat_residual(blocks, s, ghat):
         blocks.A1 + shifted @ ghat + blocks.A_minus1 @ ghat @ ghat)))
 
 
-def _lmul(a, x):
-    """a @ x for one matrix ``a`` and a stack ``x``, shape (..., n, m), as
-    one matrix product over the whole stack, x^T a^T with the transposes
-    x^T stacked into one tall matrix: numpy's stacked matmul makes one
-    BLAS call per complex product, about 0.5 us each at n = 4."""
-    xt = x.swapaxes(-1, -2)
-    return (xt.reshape(-1, a.shape[1]) @ a.T).reshape(
-        xt.shape[:-1] + (a.shape[0],)).swapaxes(-1, -2)
-
-
 def _solve_pair(blocks, s, config):
     """G and Ghat at every node of the checked ``s``: shape
     (2, *s.shape, n, n), with the residuals, shape (2, s.size).  Each
@@ -138,16 +129,9 @@ def _solve_pair(blocks, s, config):
 
     def residual(x, s):
         """Max-norm residuals of (G, Ghat) iterates, shape (2, B, n, n),
-        at the B nodes ``s``, shape (B, 1, 1).  numpy multiplies small real
-        stacks faster than :func:`_lmul`'s reshapes cost, so only complex
-        iterates take it."""
-        xx = x @ x
-        if np.iscomplexobj(x):
-            r = down + _lmul(blocks.A0, x) - s * x
-            r[0] += _lmul(blocks.A1, xx[0])
-            r[1] += _lmul(blocks.A_minus1, xx[1])
-        else:
-            r = down + blocks.A0 @ x - s * x + up @ xx
+        at the B nodes ``s``, shape (B, 1, 1)."""
+        r = (down + stack_matmul(blocks.A0, x) - s * x
+             + stack_matmul(up, stack_matmul(x, x)))
         return np.max(np.abs(r), axis=(-2, -1))
 
     if config.algorithm is Algorithm.FUNCTIONAL_ITERATION:
@@ -206,14 +190,14 @@ def _logarithmic_reduction(kernels, s, residual, config):
     stale = np.zeros(best.shape, dtype=int)
     for _ in range(config.max_iterations if nodes.size else 0):
         low, high = pair
-        mix = high @ low + low @ high
+        mix = stack_matmul(high, low) + stack_matmul(low, high)
         try:
             factor = np.linalg.inv(eye - mix)
         except np.linalg.LinAlgError as exc:
             raise _lr_error("broke down at residual", best[sweeping]) from exc
-        pair = factor @ (pair @ pair)
-        x = x + trail @ pair
-        trail = trail @ pair[::-1]
+        pair = stack_matmul(factor, stack_matmul(pair, pair))
+        x = x + stack_matmul(trail, pair)
+        trail = stack_matmul(trail, pair[::-1])
         res = residual(x, s)
         better = res < best
         if better.all():
@@ -273,7 +257,8 @@ def h0(blocks, s, g, ghat):
         require_not_null_recurrent(blocks, "the s=0 local kernel H0")
     eye = np.eye(blocks.n)
     inner = (blocks.A0 - np.asarray(s)[..., None, None] * eye
-             + _lmul(blocks.A1, g) + _lmul(blocks.A_minus1, ghat))
+             + stack_matmul(blocks.A1, g)
+             + stack_matmul(blocks.A_minus1, ghat))
     try:
         return -np.linalg.inv(inner)
     except np.linalg.LinAlgError as exc:

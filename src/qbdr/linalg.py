@@ -5,7 +5,45 @@ import numpy as np
 from .errors import NumericalRankError
 
 __all__ = ["matrix_powers", "left_null_vector", "censor_generator",
-           "solve_refined"]
+           "solve_refined", "stack_matmul"]
+
+
+def stack_matmul(a, b):
+    """a @ b for stacks of small matrices, the complex ones through real
+    products.
+
+    numpy's stacked matmul makes one BLAS call per matrix of a complex
+    stack, about 0.5 us each at n = 4, while its stacked real products
+    have no such per-matrix cost, about 0.05 us (2-core x86 host, one
+    BLAS thread).  So a complex ``b``, made contiguous, is viewed as a
+    real stack (..., k, 2m), real and imaginary parts side by side: a
+    real ``a`` takes one real product, a complex one two, a.real @ bv and
+    a.imag @ bv, recombined in place.  A complex ``a`` times a real ``b``
+    is the transposed product (b^T a^T)^T.  Real operands, 1-d operands
+    and matrix-vector products go straight to ``@``: a real product is
+    then exactly a @ b, and for ``b`` of one column the two real products
+    cost more than the BLAS calls (37 us against 24 us for 265 nodes at
+    n = 4).  So do complex products whose ``b`` is wider than tall, such
+    as the sweeps of a full D(t) (m = n(C+1)): there the two real
+    products and the recombination cost more than the BLAS calls too.
+    ``a`` and ``b`` are arrays.
+    """
+    if ((a.dtype.kind != "c" and b.dtype.kind != "c") or a.ndim < 2
+            or b.ndim < 2 or b.shape[-1] == 1):
+        return a @ b
+    if b.dtype.kind != "c":
+        return stack_matmul(b.swapaxes(-1, -2),
+                            a.swapaxes(-1, -2)).swapaxes(-1, -2)
+    if a.dtype.kind == "c" and b.shape[-1] > b.shape[-2]:
+        return a @ b
+    bv = np.ascontiguousarray(b).view(b.real.dtype)
+    if a.dtype.kind != "c":
+        return (a @ bv).view(np.result_type(a, b))
+    out = a.real @ bv
+    im = a.imag @ bv
+    out[..., ::2] -= im[..., 1::2]
+    out[..., 1::2] += im[..., ::2]
+    return out.view(np.result_type(a, b))
 
 
 def solve_refined(a, b, refinements=2):

@@ -28,6 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import StructuralError, UpdateError
+from .linalg import stack_matmul
 from .model import assemble_generator, require_finite
 from .oracle import oracle_stationary
 from .transform import InversionConfig, invert_stacked
@@ -89,7 +90,8 @@ def _extend(x, blocks, lower, offset=0.0):
     out = np.zeros(x.shape[:-2] + (m + n, size + n),
                    dtype=np.result_type(x, lower))
     out[..., :m, :size] = x
-    out[..., m:, :size] = lower @ (blocks.A_minus1 @ x[..., -n:, :] + offset)
+    out[..., m:, :size] = stack_matmul(
+        lower, stack_matmul(blocks.A_minus1, x[..., -n:, :]) + offset)
     out[..., m:, size:] = lower
     return out
 
@@ -104,7 +106,7 @@ def _top_product(x, update):
     if update.K != update.P.shape[1] // n - 2:
         raise ValueError(f"update level {update.K} is not the second-to-last"
                          f" of {update.P.shape[1] // n} levels")
-    return update.P[:, -2 * n:] @ x[..., -2 * n:, :]
+    return stack_matmul(update.P[:, -2 * n:], x[..., -2 * n:, :])
 
 
 def _woodbury(x, update):
@@ -122,7 +124,7 @@ def _woodbury(x, update):
         scaled = np.linalg.solve(np.eye(n) - px[..., cols], px)
     except np.linalg.LinAlgError as exc:
         raise UpdateError(f"low-rank update singular: {exc}") from exc
-    return x + x[..., cols] @ scaled
+    return x + stack_matmul(x[..., cols], scaled)
 
 
 def t_group_inverse(dev_prev, pi_prev, blocks):

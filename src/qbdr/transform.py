@@ -28,6 +28,7 @@ import numpy as np
 from .diffeq import BoundarySystem, particular
 from .errors import TailConvergenceError
 from .gmatrices import SolverConfig, gmatrices
+from .linalg import stack_matmul
 from .stationary import stationary_rmatrix
 
 __all__ = [
@@ -64,9 +65,9 @@ _STACK_ENTRIES = 1 << 20
 # 53 x 244 values per time point, so this cap takes 5 points per call.  On
 # the three 20-point revenue curves of the benchmark's transient workload
 # (2-core x86 host, one BLAS thread, median thread CPU of 15 interleaved
-# runs) one point per call took 0.48 s, 4 or 5 points 0.34-0.36 s and all
-# 20 points 0.33 s; the tracemalloc peak of one curve was 0.9, 4.2, 5.2
-# and 16.6 MB.
+# runs) one point per call took 0.44 s, 4 or 5 points 0.29 s and 10 or 20
+# points 0.29 s, with quartiles overlapping from 4 points on; the
+# tracemalloc peak of one curve was 1.0, 4.4, 5.5, 10.9 and 17.5 MB.
 _GROUP_ENTRIES = 1 << 16
 
 
@@ -129,7 +130,8 @@ def _nu_all(ctx, rewards):
     """All nu_k at once, stacked (C+1, *s.shape, n), by one sweep over
     the atoms H0(s) g_l(s) = H0 g_l / s, formed as H0 [g_0 ... g_C], one
     n x (C+1) product per node."""
-    atoms = ctx.gmat.H0 @ np.asarray(rewards.g).T / _s_column(ctx.s)
+    atoms = stack_matmul(ctx.gmat.H0, np.asarray(rewards.g).T) / _s_column(
+        ctx.s)
     return particular(ctx.gmat.G, ctx.gmat.Ghat,
                       np.moveaxis(atoms, -1, 0)[..., None])[..., 0]
 
