@@ -29,8 +29,8 @@ from .oracle import (OracleConfig, oracle_deviation, oracle_passage,
                      oracle_transient_deviation)
 from .passage import (PassageColumn, deviation_block_asymptotic,
                       deviation_block_column, deviation_matrix_diffeq,
-                      mu_all, mu_limit, passage_column,
-                      passage_column_unbounded, passage_level_matrices)
+                      passage_column, passage_column_unbounded,
+                      passage_level_matrices)
 from .perturbation import (BlockUpdate, CapacityLadderState, block_update,
                            deviation_recursive, deviation_time_recursive,
                            deviation_update, pi_step, resolvent_recursive,

@@ -22,8 +22,7 @@ from .model import (assemble_generator, classify_drift, load_model,
                     save_model, validate)
 from .oracle import (oracle_deviation, oracle_passage, oracle_stationary,
                      oracle_transient_deviation)
-from .passage import (deviation_block_column, deviation_matrix_diffeq,
-                      passage_column)
+from .passage import deviation_matrix_diffeq, passage_column
 from .perturbation import deviation_recursive, deviation_time_recursive
 from .stationary import stationary_rmatrix
 from .transform import deviation_time, reward_time
@@ -221,8 +220,8 @@ def _deviation_diffeq(blocks, t, block):
     if block is None:
         return deviation_matrix_diffeq(blocks)
     k, level = block
-    return deviation_block_column(blocks, stationary_rmatrix(blocks),
-                                  level)[k]
+    n = blocks.n
+    return deviation_matrix_diffeq(blocks, levels=[level])[k * n:(k + 1) * n]
 
 
 def cmd_deviation(args):

@@ -2,14 +2,17 @@
 
 Rewards, deviation blocks and mean first passage times all solve the level
 equations A_minus1 x_{k-1} + (L_k - sI) x_k + A1 x_{k+1} = f_k, with L_k =
-B0 at level 0, C0 at the upper boundary and A0 inside.  On a run of levels
-a..b whose interior equations hold, x_k = G^{k-a} v + Ghat^{b-k} w + p_k,
-where G and Ghat solve the quadratic equations at s and the particular
-term p satisfies the interior equations; a run of one level, or with no
-upper end, keeps only v.  The level equations at the run ends, one row of
-which may be replaced by a pinned entry x_(level, j) = 0, fix the free
-vectors.  Values and forcings may carry one trailing right-hand-side axis,
-whose columns are solved together.
+B0 at level 0, C0 at the upper boundary and A0 inside; only the forcing f
+changes from one quantity to the next.  On a run of levels a..b whose
+interior equations hold, x_k = G^{k-a} v + Ghat^{b-k} w + p_k, where G and
+Ghat solve the quadratic equations at s and p is the Green's particular
+term with atoms -H0 f_l, which satisfies the interior equations; the
+sweep leaves out level 0, which is a run end, and a run with no upper end
+takes the atoms above the last level evaluated as one tail vector.  A run
+of one level, or with no upper end, keeps only v.  The level equations at
+the run ends, one row of which may be replaced by a pinned entry
+x_(level, j) = 0, fix the free vectors.  Values and forcings may carry one
+trailing right-hand-side axis, whose columns are solved together.
 
 The transform variable s may be an array of nodes, such as the nodes of one
 Laplace inversion, all solved in the same stacked operations: G, Ghat and
@@ -66,27 +69,40 @@ class BoundarySystem:
     """The level equations at the segment ends, in the free vectors.
 
     ``segments`` lists consecutive runs (a, b) covering the levels from 0,
-    with b None on a last run that has no upper end.  ``gs`` holds G and
-    Ghat, shape (*batch, n, n); ``p`` and ``f`` hold the particular term
-    and the forcing at every level evaluated, shape (levels, n), or
-    (levels, *batch, n, m), of which only the levels next to a segment end
-    are read.  The assembled system, shape (*batch, rows, columns), is
-    kept, so several pins can share it.
+    with b None on a last run that has no upper end.  ``gmat`` holds s, G,
+    Ghat and H0, with the batch shape of s as leading axes; ``f`` holds the
+    forcing at every level evaluated, shape (levels, n), or
+    (levels, *batch, n, m).  The particular term ``p`` is swept from the
+    atoms -H0 f_l, formed in one stacked product on the levels l >= 1 from
+    the first to the last whose forcing is nonzero (the sweep leaves level
+    0 out, a run end), and from ``tail``, the contribution of the atoms
+    above the last level of a run with no upper end.  Only the levels next
+    to a segment end are read from ``f`` and ``p`` for the system, whose
+    assembled form, shape (*batch, rows, columns), is kept, so several pins
+    can share it.
     """
 
-    def __init__(self, blocks, segments, gs, p, f, s=0.0):
+    def __init__(self, blocks, segments, gmat, f, tail=0.0):
         self.blocks, self.segments = blocks, segments
-        self.gs = tuple(np.asarray(g) for g in gs)
-        self.p = np.asarray(p)
+        self.gs = (np.asarray(gmat.G), np.asarray(gmat.Ghat))
         self.ends = segment_ends(segments)
         n = blocks.n
         self._powers = {}
         self._batch = (slice(None),) * (self.gs[0].ndim - 2)
-        self._shift = np.asarray(s)[..., None, None] * np.eye(n)
+        self._shift = np.asarray(gmat.s)[..., None, None] * np.eye(n)
         widths = [n if b in (None, a) else 2 * n for a, b in segments]
         self._starts = [sum(widths[:i]) for i in range(len(widths))]
         self._width = sum(widths)
-        self._dtype = np.result_type(*self.gs, s)
+        self._dtype = np.result_type(*self.gs, gmat.s)
+        f = np.asarray(f)
+        atoms = np.zeros(f.shape, np.result_type(self._dtype, gmat.H0, f))
+        forced = np.flatnonzero(
+            np.any(f[1:], axis=tuple(range(1, f.ndim)))) + 1
+        if forced.size:  # vectors are taken as one-column matrices
+            part = (slice(forced[0], forced[-1] + 1), ...) + (
+                () if f.ndim > 2 else (None,))
+            np.matmul(-gmat.H0, f[part], out=atoms[part])
+        self.p = particular(*self.gs, atoms, tail)
         f = np.asarray(f, dtype=np.result_type(self._dtype, self.p, f))
         rows, rhs = [], []
         for level in self.ends:

@@ -3,19 +3,20 @@
 For a fixed target state (l, j) the passage-time vectors over all levels
 solve the matrix difference equation Q m = -1 with the target entry pinned
 to zero.  A boundary target leaves one run of levels 0..C; any other
-target splits it into 0..l and l+1..C.  On each run the solution mixes
-powers of G and Ghat around the particular term mu_k(C) built from the
-local kernel H0, and :mod:`qbdr.diffeq` fixes the free vectors from the
-level equations at the run ends.
+target splits it into 0..l and l+1..C.  :class:`qbdr.diffeq.BoundarySystem`
+takes the forcing -1, forms the particular term from it and fixes the free
+vectors from the level equations at the run ends.
 
 Entry (k i, l j) of the deviation matrix equals
 pi_(l,j) [ M_pi(l,j) - M_(k,i)(l,j) ] where M holds mean first entrance
-times, and single deviation blocks are still formed from passage columns
-that way.  The full matrix is not: the entries of a passage column all lie
-close to one large value, and the subtraction cancels their leading
-digits.  :func:`deviation_matrix_diffeq` solves the equation of the
-deviation columns themselves, Q d = pi_(l,j) 1 - e_(l,j), with the same
-kernel.
+times, and :func:`deviation_block_asymptotic` and
+:func:`deviation_block_column` form blocks from passage columns that way.
+The entries of a passage column all lie close to one large value, though,
+and the subtraction cancels their leading digits, so
+:func:`deviation_matrix_diffeq`, which the CLI uses for D and for its
+block columns, solves the equation of the deviation columns themselves,
+Q d = pi_(l,j) 1 - e_(l,j), with the same kernel: only the forcing
+differs.
 """
 
 import warnings
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffeq import BoundarySystem, particular
+from .diffeq import BoundarySystem
 from .errors import NumericalError, PreconditionError
 from .gmatrices import SolverConfig, gmatrices, require_not_null_recurrent
 from .model import Drift, assemble_generator, classify_drift
@@ -31,8 +32,6 @@ from .stationary import stationary_rmatrix
 
 __all__ = [
     "PassageColumn",
-    "mu_all",
-    "mu_limit",
     "passage_column",
     "passage_column_unbounded",
     "passage_level_matrices",
@@ -61,23 +60,6 @@ class PassageColumn:
         return np.concatenate(self.m)
 
 
-def mu_all(blocks, gmat):
-    """All vectors mu_0(C) .. mu_C(C), stacked (C+1, n), by one sweep."""
-    h = gmat.H0 @ np.ones(blocks.n)
-    return particular(gmat.G, gmat.Ghat,
-                      np.broadcast_to(h, (blocks.C + 1, blocks.n)))
-
-
-def mu_limit(blocks, gmat, k):
-    """Limit of mu_k(C) as C grows, valid for positive recurrent models:
-    sum_{j<k} G^j H0 1 + ((I - Ghat)^{-1} - I) H0 1."""
-    n = blocks.n
-    h = gmat.H0 @ np.ones(n)
-    tail = np.linalg.solve(np.eye(n) - gmat.Ghat, gmat.Ghat @ h)
-    return particular(gmat.G, gmat.Ghat, np.broadcast_to(h, (k + 1, n)),
-                      tail)[k]
-
-
 def _passage_segments(upper, level):
     """Runs of levels around a target level; ``upper`` is the top level,
     None for the upper-unbounded process."""
@@ -86,12 +68,20 @@ def _passage_segments(upper, level):
     return [(0, level), (level + 1, upper)]
 
 
-def _passage_system(blocks, level, gmat, mu, upper):
-    """The boundary system of the passage times to a target on ``level``;
-    every level equation reads Q m = -1 around the particular term mu."""
-    return BoundarySystem(blocks, _passage_segments(upper, level),
-                          (gmat.G, gmat.Ghat), mu,
-                          np.full(np.shape(mu), -1.0))
+def _passage_system(blocks, level, gmat, top=None):
+    """The boundary system of Q m = -1 for a target on ``level``, on the
+    levels 0..C; with ``top``, on the levels 0..top of the upper-unbounded
+    process, whose levels above ``top`` add the tail
+    (I - Ghat)^{-1} Ghat H0 1 to the particular term."""
+    n = blocks.n
+    if top is None:
+        top, upper, tail = blocks.C, blocks.C, 0.0
+    else:
+        upper = None
+        tail = np.linalg.solve(np.eye(n) - gmat.Ghat,
+                               gmat.Ghat @ (gmat.H0 @ np.ones(n)))
+    return BoundarySystem(blocks, _passage_segments(upper, level), gmat,
+                          np.full((top + 1, n), -1.0), tail)
 
 
 def _modified_generator(blocks, level, j):
@@ -159,8 +149,8 @@ def passage_column(blocks, level, j, gmat=None, config=SolverConfig()):
         m = _direct_taboo_column(blocks, level, j).reshape(C + 1, n)
         return _finish_column(blocks, level, j, m)
 
-    gmat, mu = _column_terms(blocks, gmat, config)
-    system = _passage_system(blocks, level, gmat, mu, C)
+    gmat = _column_gmat(blocks, gmat, config)
+    system = _passage_system(blocks, level, gmat)
     return _finish_column(blocks, level, j, system.solve((level, j)))
 
 
@@ -179,8 +169,8 @@ def passage_column_unbounded(blocks, level, j, kmax, gmat=None,
     """Passage times to (level, j) in the upper-unbounded QBD, levels
     0..kmax.
 
-    Only defined for positive recurrent models; the particular term uses
-    the limit mu_k(infinity).
+    Only defined for positive recurrent models, whose particular term
+    converges as the levels above grow without bound.
     """
     if classify_drift(blocks).tag is not Drift.POSITIVE_RECURRENT:
         raise PreconditionError(
@@ -190,24 +180,20 @@ def passage_column_unbounded(blocks, level, j, kmax, gmat=None,
         raise ValueError(f"target phase {j} out of range 0..{n - 1}")
     if gmat is None:
         gmat = gmatrices(blocks, 0.0, config)
-    top = max(kmax, level + 2)
-    mu_inf = [mu_limit(blocks, gmat, k) for k in range(top + 1)]
-    system = _passage_system(blocks, level, gmat, mu_inf, None)
+    system = _passage_system(blocks, level, gmat, max(kmax, level + 2))
     m = system.solve((level, j))[:kmax + 1]
     if level <= kmax:
         m[level][j] = 0.0
     return tuple(m)
 
 
-def _column_terms(blocks, gmat, config):
-    """The G/Ghat matrices and mu shared by every passage column; None
-    for C <= 2, whose columns take the dense pinned solve."""
+def _column_gmat(blocks, gmat, config):
+    """The G/Ghat matrices shared by every passage column; None for
+    C <= 2, whose columns take the dense pinned solve."""
     if blocks.C <= 2:
         return None
     require_not_null_recurrent(blocks, "mean first passage expansions")
-    if gmat is None:
-        gmat = gmatrices(blocks, 0.0, config)
-    return gmat, mu_all(blocks, gmat)
+    return gmatrices(blocks, 0.0, config) if gmat is None else gmat
 
 
 def passage_level_matrices(blocks, level, gmat=None, config=SolverConfig()):
@@ -219,11 +205,11 @@ def passage_level_matrices(blocks, level, gmat=None, config=SolverConfig()):
     n = blocks.n
     if not 0 <= level <= blocks.C:
         raise ValueError(f"target level {level} out of range 0..{blocks.C}")
-    terms = _column_terms(blocks, gmat, config)
-    if terms is None:
+    gmat = _column_gmat(blocks, gmat, config)
+    if gmat is None:
         cols = [passage_column(blocks, level, j).m for j in range(n)]
     else:  # the n columns share one assembled boundary system
-        system = _passage_system(blocks, level, *terms, blocks.C)
+        system = _passage_system(blocks, level, gmat)
         cols = [_finish_column(blocks, level, j, system.solve((level, j))).m
                 for j in range(n)]
     return np.stack(cols, axis=2)
@@ -268,42 +254,41 @@ def deviation_block_column(blocks, pi, level, level_mats=None, gmat=None,
     return (mean_row - level_mats) * pi_rows[level]
 
 
-def deviation_matrix_diffeq(blocks, pi=None, config=SolverConfig()):
-    """Full asymptotic deviation matrix from one pinned boundary system.
+def deviation_matrix_diffeq(blocks, pi=None, config=SolverConfig(),
+                            levels=None):
+    """Asymptotic deviation matrix from one pinned boundary system: the
+    block columns ``levels`` of D, shape (n(C+1), n len(levels)), or all of
+    D with ``levels`` None.
 
-    Column (l, j) of D solves Q d = pi_(l,j) 1 - e_(l,j) with pi d = 0.
-    Its particular term is the Green's term with atom H0 at level l, which
-    the sweep leaves out for l = 0, a run end, minus mu pi_(l,j): mu is the
-    particular term of the forcing -1.  Q is singular, so the level
-    equation row of the most probable state r gives way to the pin d_r = 0,
-    with the run split at r's level so that r sits at a run end; the
-    centring d - 1 (pi d) then restores pi d = 0.  All n(C+1) columns
-    share one boundary system and one solve.
+    Column (l, j) of D solves Q d = pi_(l,j) 1 - e_(l,j) with pi d = 0.  Q
+    is singular, so the level equation row of the most probable state r
+    gives way to the pin d_r = 0, with the run split at r's level so that r
+    sits at a run end; the centring d - 1 (pi d) then restores pi d = 0.
+    All the columns share one boundary system and one solve.
 
     Raises
     ------
     AsymptoticsUndefinedError
-        For null-recurrent models (mu undefined).
+        For null-recurrent models (H0 undefined).
     NumericalError
         If the boundary system is singular.
+    ValueError
+        If a level is outside 0..C.
     """
     n, C = blocks.n, blocks.C
+    levels = range(C + 1) if levels is None else levels
+    if not all(0 <= lv <= C for lv in levels):
+        raise ValueError(f"target levels {levels} out of range 0..{C}")
     require_not_null_recurrent(blocks, "asymptotic deviation matrices")
     gmat = gmatrices(blocks, 0.0, config)
     if pi is None:
         pi = stationary_rmatrix(blocks, config, gmat=gmat)
     row = np.concatenate([np.asarray(pi[k]) for k in range(C + 1)])
-    atoms = np.zeros((C + 1, n, row.size))
-    force = np.broadcast_to(row, atoms.shape).copy()
-    # The views index (level, i, target level, j); H0 and -I go where the
-    # level is the target level.
-    diagonal = (np.arange(C + 1), slice(None)) * 2
-    atoms.reshape(C + 1, n, C + 1, n)[diagonal] = gmat.H0
-    force.reshape(C + 1, n, C + 1, n)[diagonal] -= np.eye(n)
-    green = particular(gmat.G, gmat.Ghat, atoms)
-    p = green - mu_all(blocks, gmat)[..., None] * row
+    targets = row.reshape(C + 1, n)[list(levels)].reshape(-1)
+    force = np.broadcast_to(targets, (C + 1, n, targets.size)).copy()
+    for i, level in enumerate(levels):
+        force[level, :, i * n:(i + 1) * n] -= np.eye(n)
     level, j = divmod(int(np.argmax(row)), n)
-    system = BoundarySystem(blocks, _passage_segments(C, level),
-                            (gmat.G, gmat.Ghat), p, force)
-    d = system.solve((level, j)).reshape(row.size, row.size)
+    system = BoundarySystem(blocks, _passage_segments(C, level), gmat, force)
+    d = system.solve((level, j)).reshape(row.size, targets.size)
     return d - row @ d

@@ -9,15 +9,15 @@ stacked operations, and the results carry the nodes as leading axes.  A
 H0(s), so that the many evaluations at one s share the expensive solves.
 
 The level blocks of the transformed reward vector solve the matrix
-difference equation (Q - sI) x = -g/s; the general solution mixes a
-forward term in G(s)^k, a backward term in Ghat(s)^{C-k} and a particular
-term, and :mod:`qbdr.diffeq` pins the two free vectors with the level
-equations at 0 and C and sweeps the solution from them, so a transform
-value costs O(C n^2) per right-hand side once G(s) and Ghat(s) are
-solved.  Every block column of the transformed deviation matrix solves the
-same equation with forcing -I/s at its target level, all columns in one
-boundary solve.  Time domain values are recovered with Euler-summed
-Fourier-series inversion.
+difference equation (Q - sI) x = -g/s, and every block column of the
+transformed deviation matrix solves the same equation with forcing -I/s at
+its target level, all columns in one boundary solve.  Each route passes
+only its forcing to :class:`qbdr.diffeq.BoundarySystem`, which forms the
+particular term, pins the free vectors of the forward term in G(s)^k and
+the backward term in Ghat(s)^{C-k} with the level equations at 0 and C and
+sweeps the solution from them, so a transform value costs O(C n^2) per
+right-hand side once G(s) and Ghat(s) are solved.  Time domain values are
+recovered with Euler-summed Fourier-series inversion.
 """
 
 import math
@@ -25,10 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffeq import BoundarySystem, particular
+from .diffeq import BoundarySystem
 from .errors import TailConvergenceError
 from .gmatrices import SolverConfig, gmatrices
-from .linalg import stack_matmul
 from .stationary import stationary_rmatrix
 
 __all__ = [
@@ -119,34 +118,13 @@ def _s_column(s):
     return np.asarray(s)[..., None, None]
 
 
-def _reward_columns(ctx, rewards):
-    """The rewards g_l as columns, shape (C+1, 1, ..., 1, n, 1), one unit
-    axis per axis of s."""
-    g = np.asarray(rewards.g)
-    return g.reshape((len(g),) + (1,) * np.ndim(ctx.s) + (-1, 1))
-
-
-def _nu_all(ctx, rewards):
-    """All nu_k at once, stacked (C+1, *s.shape, n), by one sweep over
-    the atoms H0(s) g_l(s) = H0 g_l / s, formed as H0 [g_0 ... g_C], one
-    n x (C+1) product per node."""
-    atoms = stack_matmul(ctx.gmat.H0, np.asarray(rewards.g).T) / _s_column(
-        ctx.s)
-    return particular(ctx.gmat.G, ctx.gmat.Ghat,
-                      np.moveaxis(atoms, -1, 0)[..., None])[..., 0]
-
-
-def _system(ctx, p, f):
-    """The boundary system on the levels 0..C at the context's s."""
-    return BoundarySystem(ctx.blocks, [(0, ctx.blocks.C)],
-                          (ctx.gmat.G, ctx.gmat.Ghat), p, f, ctx.s)
-
-
 def _reward_system(ctx, rewards):
-    """The reward equation (Q - sI) x = -g/s around the particular term,
-    with one right-hand-side column."""
-    return _system(ctx, _nu_all(ctx, rewards)[..., None],
-                   -_reward_columns(ctx, rewards) / _s_column(ctx.s))
+    """The reward equation (Q - sI) x = -g/s on the levels 0..C, with one
+    right-hand-side column."""
+    g = np.asarray(rewards.g)
+    g = g.reshape((len(g),) + (1,) * np.ndim(ctx.s) + (-1, 1))
+    return BoundarySystem(ctx.blocks, [(0, ctx.blocks.C)], ctx.gmat,
+                          -g / _s_column(ctx.s))
 
 
 def boundary_vectors(ctx, rewards):
@@ -160,7 +138,7 @@ def reward_transform(ctx, rewards):
     """Transformed expected-reward blocks for every initial level.
 
     Returns the (*s.shape, C+1, n) array whose row k is the complex
-    vector Rt_k(s) = G^k v + Ghat^{C-k} w + nu_k(s, C).
+    vector Rt_k(s) = G^k v + Ghat^{C-k} w + p_k, p the particular term.
     """
     return np.moveaxis(_reward_system(ctx, rewards).solve()[..., 0], 0, -2)
 
@@ -194,32 +172,24 @@ def _reward_at(rewards, level):
     return None  # zero beyond the finite support
 
 
-def nu_unbounded(blocks, gmat, rewards, k, tail_tol=1e-14, max_terms=100_000):
-    """Particular term nu_k(s, infinity) for the upper-unbounded process."""
-    return _nu_unbounded_levels(blocks, gmat, rewards, k, tail_tol,
-                                max_terms)[k]
-
-
-def _nu_unbounded_levels(blocks, gmat, rewards, top, tail_tol, max_terms):
-    """nu_k(s, infinity) at the levels k = 0..top: the sweep over the
-    rewards up to ``top``, started from their tail beyond it."""
-    def atom(level):
-        g = _reward_at(rewards, level)
-        return None if g is None else gmat.H0 @ g / gmat.s
-
+def _unbounded_reward_system(blocks, gmat, rewards, top, tail_tol,
+                             max_terms):
+    """The reward equation on the levels 0..top of the run with no upper
+    end; the rewards above ``top`` enter the particular term through the
+    tail sum_j Ghat^j H0 g_{top+j} / s."""
     power = np.eye(blocks.n)  # Ghat^j at term j
 
     def tail_term(j):
         nonlocal power
         power = power @ gmat.Ghat
-        a = atom(top + j)
-        return None if a is None else power @ a
+        g = _reward_at(rewards, top + j)
+        return None if g is None else power @ (gmat.H0 @ g / gmat.s)
 
     tail = _tail_sum(tail_term, tail_tol, max_terms)
-    atoms = [np.zeros(blocks.n) if a is None else a
-             for a in map(atom, range(top + 1))]
-    return particular(gmat.G, gmat.Ghat, atoms,
-                      0.0 if tail is None else tail)
+    force = [np.zeros(blocks.n) if g is None else -g / gmat.s
+             for g in (_reward_at(rewards, lv) for lv in range(top + 1))]
+    return BoundarySystem(blocks, [(0, None)], gmat, np.array(force),
+                          0.0 if tail is None else tail)
 
 
 def reward_transform_unbounded(blocks, rewards, s, k, config=SolverConfig(),
@@ -237,38 +207,22 @@ def reward_transform_unbounded(blocks, rewards, s, k, config=SolverConfig(),
     """
     if gmat is None:
         gmat = gmatrices(blocks, s, config)
-    top = max(k, 1)
-    nus = _nu_unbounded_levels(blocks, gmat, rewards, top, tail_tol,
-                               max_terms)
-    force = np.zeros_like(nus)  # only level 0 bounds the run
-    g0 = _reward_at(rewards, 0)
-    if g0 is not None:
-        force[0] = -g0 / gmat.s
-    system = BoundarySystem(blocks, [(0, None)], (gmat.G, gmat.Ghat), nus,
-                            force, gmat.s)
-    return system.solve()[k]
+    return _unbounded_reward_system(blocks, gmat, rewards, max(k, 1),
+                                    tail_tol, max_terms).solve()[k]
 
 
 def _deviation_columns(blocks, gmat, segments, top, levels, pi_rows):
     """Block columns ``levels`` of (1/s)(sI - Q)^{-1} - (1/s^2) 1 pi at
     every level 0..``top``, shape (top + 1, *s.shape, n, len(levels) n).
 
-    Column l solves (Q - sI) x = -I/s at level l.  The particular term is
-    the Green's term G^{k-l} H0/s, Ghat^{l-k} H0/s below l, which the sweep
-    leaves out for l = 0; the boundary system takes the forcing of a
-    target at a run end.
+    Column l solves (Q - sI) x = -I/s at level l.
     """
     n, s = blocks.n, _s_column(gmat.s)
-    shape = (top + 1,) + gmat.G.shape[:-1] + (len(levels), n)
-    atoms = np.zeros(shape, dtype=np.result_type(gmat.H0, s))
-    force = np.zeros_like(atoms)
+    force = np.zeros((top + 1,) + gmat.G.shape[:-1] + (len(levels) * n,),
+                     dtype=np.result_type(gmat.H0, s))
     for i, level in enumerate(levels):
-        atoms[level, ..., i, :] = gmat.H0 / s
-        force[level, ..., i, :] = -np.eye(n) / s
-    flat = shape[:-2] + (-1,)
-    green = particular(gmat.G, gmat.Ghat, atoms.reshape(flat))
-    cols = BoundarySystem(blocks, segments, (gmat.G, gmat.Ghat), green,
-                          force.reshape(flat), gmat.s).solve()
+        force[level, ..., i * n:(i + 1) * n] = -np.eye(n) / s
+    cols = BoundarySystem(blocks, segments, gmat, force).solve()
     return cols - np.concatenate([np.asarray(r) for r in pi_rows]) / s ** 2
 
 

@@ -9,8 +9,7 @@ from qbdr import (MapParams, PhParams, QbdBlocks, assemble_generator,
                   build_blocks, random_blocks)
 from qbdr.diffeq import BoundarySystem, segment_ends
 from qbdr.linalg import censor_generator, matrix_powers
-from qbdr.passage import (_modified_generator, _passage_segments,
-                          _passage_system)
+from qbdr.passage import _modified_generator, _passage_segments
 
 
 def scalar_blocks(lam, mu, C):
@@ -110,9 +109,8 @@ def z_matrix(ctx):
     """The 2n x 2n boundary matrix Z(s, C) pinning the free vectors of a
     transform context."""
     zero = np.zeros((ctx.blocks.C + 1, ctx.blocks.n))
-    return BoundarySystem(ctx.blocks, [(0, ctx.blocks.C)],
-                          (ctx.gmat.G, ctx.gmat.Ghat), zero, zero,
-                          ctx.s).matrix
+    return BoundarySystem(ctx.blocks, [(0, ctx.blocks.C)], ctx.gmat,
+                          zero).matrix
 
 
 def censored_boundary_generator(blocks, s):
@@ -171,7 +169,8 @@ def censored_passage_generator(blocks, level, j):
 def _bare_passage_system(blocks, level, gmat):
     """The passage boundary system without particular term or forcing."""
     zero = np.zeros((blocks.C + 1, blocks.n))
-    return _passage_system(blocks, level, gmat, zero, blocks.C)
+    return BoundarySystem(blocks, _passage_segments(blocks.C, level), gmat,
+                          zero)
 
 
 def passage_z_matrix(blocks, level, j, gmat):
@@ -187,14 +186,15 @@ def passage_z_factor(blocks, level, gmat):
 class StackedBoundarySystem(BoundarySystem):
     """The boundary system as it was before the sweeps: every power read
     from the sequential stacks 0..top of G and Ghat, top the last level of
-    ``p``, and the solution evaluated level by level as
+    ``f``, and the solution evaluated level by level as
     G^{k-a} v + Ghat^{b-k} w + p_k.  The reference for the squared end
     powers and the sweeps of :class:`qbdr.diffeq.BoundarySystem`."""
 
-    def __init__(self, blocks, segments, gs, p, f, s=0.0):
-        top = len(p) - 1
-        self.stacks = tuple(matrix_powers(np.asarray(g), top) for g in gs)
-        super().__init__(blocks, segments, gs, p, f, s)
+    def __init__(self, blocks, segments, gmat, f, tail=0.0):
+        top = len(f) - 1
+        self.stacks = tuple(matrix_powers(np.asarray(g), top)
+                            for g in (gmat.G, gmat.Ghat))
+        super().__init__(blocks, segments, gmat, f, tail)
 
     def _power(self, which, e):
         return self.stacks[which][e]

@@ -1,4 +1,5 @@
-"""The boundary-system kernel against its stacked-power form.
+"""The boundary-system kernel on a general forcing, and against its
+stacked-power form.
 
 :class:`conftest.StackedBoundarySystem` reads every power of G and Ghat from
 the sequential stacks 0..top and evaluates the solution level by level, as
@@ -12,16 +13,71 @@ import pytest
 
 import qbdr.passage as passage
 import qbdr.transform as transform
-from qbdr import (Drift, classify_drift, deviation_matrix_diffeq,
+from qbdr import (Drift, assemble_generator, classify_drift,
+                  deviation_matrix_diffeq, gmatrices,
                   deviation_transform, deviation_transform_block,
                   deviation_transform_unbounded, euler_nodes,
                   lost_revenue_rewards, passage_column_unbounded,
                   passage_level_matrices, random_blocks, reward_transform,
                   reward_transform_unbounded, stationary_rmatrix,
                   stationary_unrestricted, transform_context)
+from qbdr.diffeq import BoundarySystem
 from conftest import StackedBoundarySystem, mapph_example, random_rewards
 
 TOL = 1e-12
+
+
+def green_sum(gmat, f, k):
+    """The particular term at level k, term by term:
+    sum_{l=1}^{k} G^{k-l} a_l + sum_{l=k+1}^{top} Ghat^{l-k} a_l with the
+    atoms a_l = -H0 f_l."""
+    def term(g, e, level):
+        return -np.linalg.matrix_power(g, e) @ gmat.H0 @ f[level]
+    return (sum(term(gmat.G, k - lv, lv) for lv in range(1, k + 1))
+            + sum(term(gmat.Ghat, lv - k, lv)
+                  for lv in range(k + 1, len(f))))
+
+
+def _max_gap(value, reference):
+    return np.max(np.abs(value - reference)) / np.max(np.abs(reference))
+
+
+@pytest.mark.parametrize("segments", [[(0, 12)], [(0, 4), (5, 12)]])
+def test_general_forcing_at_complex_nodes(segments):
+    # three right-hand-side columns forced at every level, at a batch of
+    # nodes: the solution meets every level equation (Q - sI) x = f
+    blocks = random_blocks(3, 12, np.random.default_rng(11))
+    nodes = np.array([0.3 + 2.0j, 1.5 - 0.5j, 4.0 + 0.0j])
+    gmat = gmatrices(blocks, nodes)
+    rng = np.random.default_rng(12)
+    f = rng.normal(size=(13, 3, 3, 3)) + 1j * rng.normal(size=(13, 3, 3, 3))
+    system = BoundarySystem(blocks, segments, gmat, f)
+    x = np.moveaxis(system.solve(), 0, 1).reshape(3, 39, 3)
+    q = assemble_generator(blocks)
+    for node, xs, fs in zip(nodes, x, np.moveaxis(f, 0, 1).reshape(3, 39, 3)):
+        residual = (q - node * np.eye(39)) @ xs - fs
+        assert np.max(np.abs(residual)) <= 1e-10 * np.max(np.abs(fs))
+    for k in range(13):
+        assert _max_gap(system.p[k], green_sum(gmat, f, k)) <= 1e-12
+
+
+def test_general_forcing_at_zero_with_pin():
+    # Q is singular: a forcing with pi f = 0 keeps Q x = f solvable, so
+    # the equation of the pinned state holds too once the others do
+    blocks = random_blocks(3, 12, np.random.default_rng(11))
+    pi = stationary_rmatrix(blocks).stacked()
+    rng = np.random.default_rng(13)
+    flat = rng.normal(size=(39, 4))
+    flat -= np.outer(np.ones(39), pi @ flat)
+    f = flat.reshape(13, 3, 4)
+    gmat = gmatrices(blocks)
+    system = BoundarySystem(blocks, [(0, 6), (7, 12)], gmat, f)
+    x = system.solve((6, 1))
+    assert np.max(np.abs(x[6, 1])) <= 1e-12 * np.max(np.abs(x))
+    residual = assemble_generator(blocks) @ x.reshape(39, 4) - flat
+    assert np.max(np.abs(residual)) <= 1e-10 * np.max(np.abs(flat))
+    for k in range(13):
+        assert _max_gap(system.p[k], green_sum(gmat, f, k)) <= 1e-12
 
 
 def _gap_to_stacked(monkeypatch, compute):

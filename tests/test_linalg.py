@@ -91,7 +91,7 @@ def _gap_to_matmul(monkeypatch, compute):
     new = np.asarray(compute())
     with monkeypatch.context() as patch:
         # qbdr.gmatrices is also a function name in the package namespace
-        for name in ("gmatrices", "diffeq", "transform", "perturbation"):
+        for name in ("gmatrices", "diffeq", "perturbation"):
             module = importlib.import_module(f"qbdr.{name}")
             patch.setattr(module, "stack_matmul", np.matmul)
         reference = np.asarray(compute())

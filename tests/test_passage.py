@@ -5,10 +5,12 @@ from qbdr import (AsymptoticsUndefinedError, PreconditionError,
                   assemble_generator,
                   deviation_block_asymptotic, deviation_block_column,
                   deviation_matrix_diffeq, deviation_recursive,
-                  gmatrices, mu_all, mu_limit, oracle_deviation,
+                  gmatrices, oracle_deviation,
                   oracle_passage, oracle_stationary, passage_column,
                   passage_column_unbounded, passage_level_matrices,
                   random_blocks, stationary_rmatrix)
+from qbdr.diffeq import BoundarySystem
+from qbdr.passage import _passage_system
 from conftest import (censored_passage_generator, mu_k, passage_z_factor,
                       passage_z_matrix, scalar_blocks)
 
@@ -28,7 +30,7 @@ def test_mu_scalar_value(scalar_pr):
 def test_mu_sweep_matches_direct():
     blocks = random_blocks(3, 6, np.random.default_rng(1))
     gm = gmatrices(blocks)
-    swept = mu_all(blocks, gm)
+    swept = BoundarySystem(blocks, [(0, 6)], gm, np.full((7, 3), -1.0)).p
     for k in range(7):
         np.testing.assert_allclose(mu_k(blocks, gm, k), swept[k], atol=1e-10)
 
@@ -37,8 +39,9 @@ def test_mu_limit_matches_large_capacity(scalar_pr):
     big = scalar_blocks(1.0, 2.0, 200)
     gm_big = gmatrices(big)
     gm = gmatrices(scalar_pr)
+    limit = _passage_system(scalar_pr, 0, gm, top=5).p
     for k in range(6):
-        gap = np.max(np.abs(mu_k(big, gm_big, k) - mu_limit(scalar_pr, gm, k)))
+        gap = np.max(np.abs(mu_k(big, gm_big, k) - limit[k]))
         assert gap <= 1e-8
 
 
@@ -251,6 +254,13 @@ def test_deviation_matrix_uses_supplied_pi():
     assert relative_gap(dev, oracle_deviation(q, pi)) <= 1e-10
     # the centring uses the supplied rows: pi D = 0 in them
     assert np.max(np.abs(pi @ dev)) <= 1e-13 * np.max(np.abs(dev))
+
+
+def test_deviation_matrix_rejects_levels_out_of_range():
+    blocks = random_blocks(2, 4, np.random.default_rng(0))
+    for levels in ([5], [-1], [0, 5]):
+        with pytest.raises(ValueError):
+            deviation_matrix_diffeq(blocks, levels=levels)
 
 
 def test_deviation_matrix_rejects_null_recurrent():

@@ -49,11 +49,11 @@ def test_nu_zero_rewards():
 
 
 def test_nu_matches_sweeped_values():
-    from qbdr.transform import _nu_all
+    from qbdr.transform import _reward_system
     blocks = random_blocks(3, 5, np.random.default_rng(2))
     rewards = random_rewards(blocks)
     ctx = _ctx(blocks, 0.4)
-    swept = _nu_all(ctx, rewards)
+    swept = _reward_system(ctx, rewards).p[..., 0]
     for k in range(6):
         np.testing.assert_allclose(nu_k(ctx, rewards, k), swept[k],
                                    atol=1e-11)
@@ -158,13 +158,15 @@ def test_reward_unbounded_zero():
 
 
 def test_reward_unbounded_nu_shift_identity():
-    from qbdr.transform import nu_unbounded
+    # the tail sum beyond level 1 against the sweep over level 2
+    from qbdr.transform import _unbounded_reward_system
     blocks = random_blocks(2, 3, np.random.default_rng(5))
     gm = gmatrices(blocks, 0.9)
     rewards = [np.array([0.3, 0.1]), np.array([1.0, 0.0]),
                np.array([0.2, 0.7])]
-    nu0 = nu_unbounded(blocks, gm, rewards, 0)
-    nu1 = nu_unbounded(blocks, gm, rewards, 1)
+    nu0, nu1 = (_unbounded_reward_system(blocks, gm, rewards, top, 1e-14,
+                                         100_000).p[top - 1]
+                for top in (1, 2))
     np.testing.assert_allclose(nu0, gm.Ghat @ nu1, atol=1e-12)
 
 
@@ -374,11 +376,11 @@ def test_reward_linear_asymptote(scalar_pr):
 def test_boundary_end_powers_match_sequential_products():
     # the rows at the ends of the run 0..C read G and Ghat to the powers
     # 0, 1 and C - 1 only, each squared up, not a stack of C + 1 powers
-    from qbdr.transform import _system
+    from qbdr.diffeq import BoundarySystem
     blocks = random_blocks(2, 37, np.random.default_rng(9))
     ctx = transform_context(blocks, np.array([1.1, 0.4 + 3j]))
     zero = np.zeros((38, 2, 2, 1))
-    system = _system(ctx, zero, zero)
+    system = BoundarySystem(blocks, [(0, 37)], ctx.gmat, zero)
     assert set(system._powers) == {(which, e) for which in (0, 1)
                                    for e in (0, 1, 36)}
     for which, g in enumerate((ctx.gmat.G, ctx.gmat.Ghat)):
@@ -564,7 +566,7 @@ def test_particular_skips_zero_atoms_bitwise(monkeypatch):
     # lost revenue is zero below level C, and one block column has its
     # atom at its target level only: both routes give the same bytes as
     # sweeping every level
-    import qbdr.transform as transform
+    import qbdr.diffeq as diffeq
     from qbdr import lost_revenue_rewards
     blocks = mapph_example(C=60)
     rewards = lost_revenue_rewards(blocks, 1.0)
@@ -576,6 +578,6 @@ def test_particular_skips_zero_atoms_bitwise(monkeypatch):
                 deviation_transform_block(ctx, pi, 17, 30))
 
     skipped = results()
-    monkeypatch.setattr(transform, "particular", full_sweep_particular)
+    monkeypatch.setattr(diffeq, "particular", full_sweep_particular)
     for value, ref in zip(skipped, results()):
         assert value.tobytes() == ref.tobytes()
