@@ -40,7 +40,7 @@ from .stationary import (StationaryDistribution, stationary_rmatrix,
 from .transform import (BoundaryVectors, InversionConfig, TransformContext,
                         deviation_time, deviation_transform,
                         deviation_transform_block,
-                        deviation_transform_unbounded, euler_nodes,
+                        deviation_transform_unbounded, inversion_nodes,
                         invert_laplace, occupation_matrix, reward_time,
                         reward_transform, reward_transform_unbounded,
                         transform_context)

@@ -68,6 +68,18 @@ def _matrix_lines(mat, n, origin=(0, 0)):
         yield row % tuple(np.real(mat[a]).astype(float).tolist())
 
 
+def _reward_lines(t_values, levels, values):
+    """The CSV lines (t, level, value) of the curves ``values``, of shape
+    (len(t_values), len(levels)): the header, then one string per time
+    holding its rows, byte for byte what csv.writer writes for the same
+    rows with repr floats.  Each time fills one %-template, built once with
+    \0 standing for its t."""
+    yield "t,level,value\r\n"
+    template = "".join(f"\0,{k},%r\r\n" for k in levels)
+    for t, row in zip(t_values, values.tolist()):
+        yield template.replace("\0", repr(float(t))) % tuple(row)
+
+
 def _parse_block(spec, C):
     if spec is None:
         return None
@@ -205,11 +217,10 @@ def cmd_reward(args):
     else:
         raise ModelParseError("pass --t or --t-grid")
     levels = _parse_levels(args.levels, blocks.C)
-    n = blocks.n
     curves = reward_time(blocks, rewards, np.array(t_values, dtype=float))
-    rows = [(float(t), k, float(dist @ full[k * n:(k + 1) * n]))
-            for t, full in zip(t_values, curves) for k in levels]
-    _write_rows(args.output, ("t", "level", "value"), rows)
+    values = curves.reshape(len(t_values), blocks.C + 1, blocks.n)[:, levels]
+    with _output(args.output) as out:
+        out.writelines(_reward_lines(t_values, levels, values @ dist))
 
 
 def _deviation_diffeq(blocks, t, block):

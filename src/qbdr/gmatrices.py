@@ -10,9 +10,10 @@ passage time one level down, restricted to the paths that land in phase j;
 Ghat(s) is the analogous one-level-up quantity.  Both are evaluated here
 for real s >= 0 and, for the numerical transform inversion, for complex s
 with positive real part (the iterations carry over unchanged in complex
-arithmetic).  An array of s, such as the nodes of one inversion, is solved
-as one batch, G and Ghat together, in which each node keeps its own
-stopping rule for each matrix.
+arithmetic).  An array of s, such as the 2M + 1 = 41 nodes
+gamma + i pi k / T of one inversion band (Re s = gamma > 0 at every node,
+see :mod:`qbdr.transform`), is solved as one batch, G and Ghat together,
+in which each node keeps its own stopping rule for each matrix.
 
 Two algorithms are provided: logarithmic reduction (quadratically
 convergent, the default), one reduction for G and Ghat, and plain
@@ -270,10 +271,10 @@ def h0(blocks, s, g, ghat):
 def gmatrices(blocks, s=0.0, config=SolverConfig()):
     """Solve both quadratic equations at s and bundle G, Ghat, H0.
 
-    ``s`` is one transform variable or an array of them, such as the nodes
-    of one Laplace inversion; for an array every node is solved in the
-    same stacked operations, and the matrices carry the shape of ``s`` as
-    leading axes.
+    ``s`` is one transform variable or an array of them, such as the 41
+    nodes of one Laplace inversion band; for an array every node is solved
+    in the same stacked operations, and the matrices carry the shape of
+    ``s`` as leading axes.
 
     Raises
     ------

@@ -13,9 +13,10 @@ low-rank formulas per rung.
 
 The resolvent ladder carries only the block rows and block columns it is
 asked for, plus the top two levels: a block of D(t) costs O(C n^3) per
-Euler node instead of O(C^3 n^3), and the 53 nodes of one inversion climb
-it as one stack.  A full D(t) carries every row and column and splits the
-nodes at the memory cap shared with :mod:`qbdr.transform`.
+Laplace node instead of O(C^3 n^3), and the 2M + 1 = 41 nodes
+gamma + i pi k / T (Re s = gamma > 0) of one inversion band climb it as
+one stack.  A full D(t) carries every row and column and splits the nodes
+at the memory cap shared with :mod:`qbdr.transform`.
 
 Note the printed source for the group inverse of T(C) carries a typo in
 its lower-left block; the form implemented here is the one that satisfies
@@ -349,7 +350,7 @@ def resolvent_recursive(blocks, s, pi, levels=None, columns=None):
 def deviation_time_recursive(blocks, t, block=None):
     """Transient deviation matrix D(t) by inversion of the resolvent ladder.
 
-    All Euler nodes of the inversion climb the ladder as one stack, split
+    All nodes of an inversion band climb the ladder as one stack, split
     at the transform module's memory cap for a full D(t).  With ``block`` =
     (k, level), only the n x n block D(t)_{k, level}, from the ladder over
     block row k and block column level: O(C n^3) per node.  pi(C) does not

@@ -3,10 +3,10 @@
 All transform-domain quantities are evaluated at a transform variable s
 (real positive, or complex with positive real part when driven by the
 numerical inverter), or at an array of them: the inverter evaluates all
-nodes of one time point, or of a few time points of a grid, in the same
-stacked operations, and the results carry the nodes as leading axes.  A
-:class:`TransformContext` bundles the model and the matrices G(s), Ghat(s),
-H0(s), so that the many evaluations at one s share the expensive solves.
+nodes of a band of time points in the same stacked operations, and the
+results carry the nodes as leading axes.  A :class:`TransformContext`
+bundles the model and the matrices G(s), Ghat(s), H0(s), so that the many
+evaluations at one s share the expensive solves.
 
 The level blocks of the transformed reward vector solve the matrix
 difference equation (Q - sI) x = -g/s, and every block column of the
@@ -16,8 +16,17 @@ only its forcing to :class:`qbdr.diffeq.BoundarySystem`, which forms the
 particular term, pins the free vectors of the forward term in G(s)^k and
 the backward term in Ghat(s)^{C-k} with the level equations at 0 and C and
 sweeps the solution from them, so a transform value costs O(C n^2) per
-right-hand side once G(s) and Ghat(s) are solved.  Time domain values are
-recovered with Euler-summed Fourier-series inversion.
+right-hand side once G(s) and Ghat(s) are solved.
+
+Time domain values are recovered by the Fourier-series inversion of de
+Hoog, Knight & Stokes (1982), accelerated by a quotient-difference
+continued fraction.  The positive times are cut into bands whose largest
+time is at most 2 times their smallest; a band with largest time t_max
+takes the 2M + 1 = 41 nodes gamma + i pi k / T, k = 0..2M, with
+T = 2 t_max and gamma = -ln(1e-12) / (2T), so Re s = gamma > 0 at every
+node, and those nodes serve every time of the band.  The error estimate
+of the method (the gap between its last two convergents) is not reported
+yet.
 """
 
 import math
@@ -26,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffeq import BoundarySystem
-from .errors import TailConvergenceError
+from .errors import NumericalError, TailConvergenceError
 from .gmatrices import SolverConfig, gmatrices
 from .stationary import stationary_rmatrix
 
@@ -41,7 +50,7 @@ __all__ = [
     "deviation_transform_block",
     "deviation_transform",
     "deviation_transform_unbounded",
-    "euler_nodes",
+    "inversion_nodes",
     "invert_laplace",
     "invert_stacked",
     "reward_time",
@@ -52,41 +61,46 @@ __all__ = [
 
 # Memory cap of one stacked call: at most this many complex transform values
 # (16 MB).  A call's working arrays peak at about five times its values, so
-# the cap bounds the memory of a full D(t) of a few hundred states, which
-# with all 53 nodes in one call would take ~270 MB more at 244 states.
-# Reward vectors and block columns stay far below it and take all nodes of
-# one time point at once.  Stacks split at this cap ran as fast as one call
-# of all nodes on full D(t) of 82 to 244 states (one BLAS thread).
+# the cap bounds the working memory of a full D(t) of a few hundred states,
+# which with all 41 nodes of a band in one call would take ~200 MB more at
+# 244 states.  The values a band's calls return, 41 complex values an entry,
+# are held whole for the QD table.  Reward vectors and block columns stay far
+# below the cap and take all nodes of a band at once.
 _STACK_ENTRIES = 1 << 20
 
-# Cap, in the same values, of one call over several whole time points of a
-# t-grid (1 MB).  A revenue curve of the MAP/PH queue at n=4, C=60 has
-# 53 x 244 values per time point, so this cap takes 5 points per call.  On
-# the three 20-point revenue curves of the benchmark's transient workload
-# (2-core x86 host, one BLAS thread, median thread CPU of 15 interleaved
-# runs) one point per call took 0.44 s, 4 or 5 points 0.29 s and 10 or 20
-# points 0.29 s, with quartiles overlapping from 4 points on; the
-# tracemalloc peak of one curve was 1.0, 4.4, 5.5, 10.9 and 17.5 MB.
-_GROUP_ENTRIES = 1 << 16
+# Cap, in the same values, of one chunk of entries of the inversion's QD
+# table (512 KB), whose arrays then stay in cache.  On a full D(t) of 244
+# states at one time (one BLAS thread, best of 3) the whole inversion took
+# 0.53 s with chunks of 2^14 or 2^15 values, 0.58 s with 2^16, 0.66 s with
+# 2^17 and 0.84 s with 2^20; the tracemalloc peak fell from 102 to 85 MB.
+_QD_ENTRIES = 1 << 15
+
+# The largest time of a band of a t-grid is at most this many times its
+# smallest, so a band's times lie in [T/4, T/2].  The error of a band is
+# largest at its smallest time.  On the lost- and gained-revenue curves of
+# the MAP/PH queue at C = 60 (both queues, smallest times 0.2..20) the worst
+# error relative to the curve was 1.1e-11 at ratio 2, 2.8e-9 at ratio 3 and
+# 8.7e-9 at ratio 4; the three 20-point curves of 0.5:10:0.5 took 2, 3 or
+# 4 bands and 37, 57 or 68 ms at ratios 4, 3 and 2 (one BLAS thread).
+_BAND_RATIO = 2.0
 
 
 @dataclass(frozen=True)
 class InversionConfig:
-    """Parameters of the Euler-summation inversion.
+    """Parameters of the de Hoog inversion.
 
-    ``a_param`` is the discretization contour parameter (the classical
-    choice 18.4 caps the discretization error near 1e-8 relative),
-    ``series_terms`` the number of plain partial sums and ``euler_terms``
-    the order of the binomial averaging of the tail.
+    ``order`` is M: a band of times takes the 2M + 1 nodes
+    gamma + i pi k / T, k = 0..2M, and the continued fraction of order 2M.
+    ``tolerance`` sets the abscissa gamma = -ln(tolerance) / (2T) > 0,
+    which puts the discretization error near ``tolerance`` relative.
     """
 
-    a_param: float = 18.4
-    series_terms: int = 40
-    euler_terms: int = 12
+    order: int = 20
+    tolerance: float = 1e-12
 
     def __post_init__(self):
-        if not self.series_terms > self.euler_terms >= 1:
-            raise ValueError("need series_terms > euler_terms >= 1")
+        if not (self.order >= 1 and 0 < self.tolerance < 1):
+            raise ValueError("need order >= 1 and 0 < tolerance < 1")
 
 
 @dataclass(frozen=True)
@@ -270,94 +284,170 @@ def deviation_transform_unbounded(blocks, s, k, level, pi_level=None,
                               [pi_level])[k]
 
 
-def euler_nodes(t, config=InversionConfig()):
-    """The nodes of the Euler-summed inversion at time t and the weights of
-    the transform's real parts there.
+def _contour(t_max, config):
+    """The abscissa gamma and the period T = 2 t_max of the band whose
+    largest time is t_max."""
+    period = 2.0 * t_max
+    return -math.log(config.tolerance) / (2.0 * period), period
 
-    The Fourier-series approximation of the inverse at t is the
-    alternating series over the nodes s_k = (A + 2 pi i k) / (2t); its
-    partial sums of orders ``series_terms`` .. ``series_terms +
-    euler_terms`` are averaged with binomial weights.  Both steps are
-    linear, so the inverse is sum_k w_k Re F(s_k).
 
-    Returns
-    -------
-    nodes : (K,) complex ndarray
-    weights : (K,) float ndarray
+def inversion_nodes(t_max, config=InversionConfig()):
+    """The 2M + 1 nodes gamma + i pi k / T, k = 0..2M, of the band whose
+    largest time is t_max: T = 2 t_max and gamma = -ln(tolerance) / (2T),
+    so every node has Re s = gamma > 0."""
+    if not 0 < t_max < np.inf:
+        raise ValueError("inversion requires finite t > 0")
+    gamma, period = _contour(t_max, config)
+    return gamma + 1j * (math.pi / period) * np.arange(2 * config.order + 1)
+
+
+def _bands(times):
+    """The indices of the positive entries of the 1-d ``times``, in order
+    of time, cut into bands whose largest time is at most _BAND_RATIO times
+    their smallest."""
+    order = np.argsort(times, kind="stable")
+    order = order[times[order] > 0]
+    ends = np.searchsorted(times[order], _BAND_RATIO * times[order],
+                           side="right")
+    bands, start = [], 0
+    while start < order.size:
+        bands.append(order[start:ends[start]])
+        start = ends[start]
+    return bands
+
+
+def _dehoog(values, times, t_max, config):
+    """The inverse at the 1-d ``times`` of the band of t_max from the
+    transform ``values`` at its nodes, shape (2M + 1, m): shape
+    (len(times), m).
+
+    The trapezoid sum of the Bromwich integral on Re s = gamma is the power
+    series sum_k a_k z^k in z = exp(i pi t / T), a_0 = F(gamma) / 2 and
+    a_k = F(s_k).  The quotient-difference (QD) algorithm turns its
+    coefficients into those of the continued fraction
+    d_0 / (1 + d_1 z / (1 + d_2 z / ...)), whose convergent of order 2M,
+    closed with de Hoog's improved remainder, is evaluated at every time.
+    The QD table depends on the entry only, so each chunk of entries builds
+    it once for all times of the band.  A chunk's m entries keep
+    (2M + 1 + len(times)) m under _QD_ENTRIES, so its table and
+    convergents take a few times that many values.  An entry that is 0 at
+    every node inverts to 0.
     """
-    if t <= 0:
-        raise ValueError("inversion requires t > 0")
-    m, first = config.euler_terms, config.series_terms
-    k = np.arange(first + m + 1)
-    nodes = config.a_param / (2.0 * t) + 1j * (math.pi / t * k)
-    # term k enters the averaged partial sums of orders >= k
-    share = np.ones(k.size)
-    for i in range(1, m + 1):
-        share[first + i] = sum(math.comb(m, j) for j in range(i, m + 1)) \
-            * 0.5 ** m
-    share[0] = 0.5
-    weights = (-1.0) ** k * share * math.exp(config.a_param / 2.0) / t
-    return nodes, weights
+    gamma, period = _contour(t_max, config)
+    order = config.order
+    z = np.exp(1j * (math.pi / period) * times)[:, None]
+    scale = np.exp(gamma * times)[:, None] / period
+    out = np.empty((times.size, values.shape[1]))
+    chunk = max(1, _QD_ENTRIES // (len(values) + times.size))
+    with np.errstate(all="ignore"):  # 0/0 of all-zero entries, checked below
+        for lo in range(0, values.shape[1], chunk):
+            a = values[:, lo:lo + chunk]
+            d = np.empty_like(a)
+            d[0] = a[0] / 2
+            q = a[1:] / np.concatenate([d[:1], a[1:-1]])  # q_1
+            e = np.zeros_like(q)  # e_0
+            for r in range(1, order + 1):  # the rhombus rules
+                e = q[1:] - q[:-1] + e[1:len(q)]
+                d[2 * r - 1], d[2 * r] = -q[0], -e[0]
+                if r < order:
+                    q = q[1:-1] * e[1:] / e[:-1]
+            # convergents A_i / B_i by the three-term recurrence
+            a_prev, a_cur, b_prev, b_cur = 0.0, d[0], 1.0, 1.0
+            for i in range(1, 2 * order):
+                dz = d[i] * z
+                a_prev, a_cur = a_cur, a_cur + dz * a_prev
+                b_prev, b_cur = b_cur, b_cur + dz * b_prev
+            h = (1.0 + (d[-2] - d[-1]) * z) / 2.0
+            x = d[-1] * z / h ** 2
+            rem = h * x / (np.sqrt(1.0 + x) + 1.0)  # h (sqrt(1 + x) - 1)
+            out[:, lo:lo + chunk] = scale * np.real(
+                (a_cur + rem * a_prev) / (b_cur + rem * b_prev))
+    out[:, ~values.any(axis=0)] = 0.0
+    if not np.isfinite(out).all():
+        raise NumericalError(
+            f"Laplace inversion broke down in the band up to t = {t_max!r}:"
+            " the quotient-difference table is not finite")
+    return out
+
+
+def _band_inverses(evaluate, times, config):
+    """(indices, inverses) of each band of the positive entries of the 1-d
+    ``times``; ``evaluate`` maps the band's nodes to the transform values
+    stacked along a leading node axis."""
+    for band in _bands(times):
+        t_max = times[band[-1]]
+        values = np.asarray(evaluate(inversion_nodes(t_max, config)))
+        inverse = _dehoog(values.reshape(len(values), -1), times[band],
+                          t_max, config)
+        yield band, inverse.reshape(band.shape + values.shape[1:])
+
+
+def _checked_times(t):
+    times = np.asarray(t, dtype=float)
+    if not ((times >= 0) & (times < np.inf)).all():
+        raise ValueError("t must be finite and nonnegative")
+    return times
 
 
 def invert_laplace(transform, t, config=InversionConfig()):
-    """Invert a Laplace transform at one time point by Euler summation,
-    one node at a time.
+    """Invert a Laplace transform at time t > 0, or at every time of a 1-d
+    array t, one node at a time: the reference form of
+    :func:`invert_stacked`, with the same bands and nodes.
 
     Parameters
     ----------
     transform : callable
         Maps a complex s with positive real part to a (possibly
         array-valued) transform value.
-    t : float
-        Positive time.
+    t : float or 1-d array of float
+        Positive times.
     config : InversionConfig
 
     Returns
     -------
-    ndarray (same shape as the transform values), accurate to roughly 1e-7
-    relative for smooth transforms.
+    ndarray of the transform values' shape, stacked along a leading time
+    axis for an array t; accurate to about 1e-9 relative for smooth
+    transforms.
     """
-    nodes, weights = euler_nodes(t, config)
-    return sum(w * np.real(np.asarray(transform(complex(s))))
-               for s, w in zip(nodes, weights))
+    times = _checked_times(t)
+    if not times.all():
+        raise ValueError("inversion requires t > 0")
+    flat = times.reshape(-1)
+    out = None
+    for band, inverse in _band_inverses(
+            lambda nodes: [np.asarray(transform(complex(s))) for s in nodes],
+            flat, config):
+        if out is None:
+            out = np.empty(flat.shape + inverse.shape[1:])
+        out[band] = inverse
+    return out.reshape(times.shape + out.shape[1:])
 
 
 def invert_stacked(transform, t, config, shape, states):
-    """Euler-summed inverse at time t >= 0, or at every time of a 1-d
-    array t, of a transform evaluated at a 1-d array of nodes at once, its
-    values of shape ``shape`` stacked along a leading node axis; zero at
-    t = 0.  An array t stacks the inverses along a leading time axis.
+    """Inverse at time t >= 0, or at every time of a 1-d array t, of a
+    transform evaluated at a 1-d array of nodes at once, its values of
+    shape ``shape`` stacked along a leading node axis; zero at t = 0.  An
+    array t stacks the inverses along a leading time axis.
 
-    A node's work is taken as one column over the chain's ``states`` states
-    per column of its value (a vector counts as one column).  The positive
-    times are taken in order, in the fewest equal groups of whole time
-    points whose work stays under _GROUP_ENTRIES, each group's nodes in one
-    call.  The nodes of a time point alone in its group are split into the
-    fewest equal calls whose work stays under _STACK_ENTRIES.
+    The positive times are cut into bands whose largest time is at most
+    _BAND_RATIO times their smallest, and each band's 2M + 1 nodes serve
+    all its times.  A node's work is taken as one column over the chain's
+    ``states`` states per column of its value (a vector counts as one
+    column); a band's nodes go in one call, split into the fewest equal
+    calls whose work stays under _STACK_ENTRIES.
     """
-    times = np.asarray(t, dtype=float)
-    if not ((times >= 0) & (times < np.inf)).all():
-        raise ValueError("t must be finite and nonnegative")
+    times = _checked_times(t)
     flat = times.reshape(-1)
     out = np.zeros(flat.shape + tuple(shape))
-    positive = np.flatnonzero(flat)
     node_size = states * math.prod(shape[1:])
-    point_size = (config.series_terms + config.euler_terms + 1) * node_size
-    per_call = max(1, _GROUP_ENTRIES // point_size)
-    groups = -(-positive.size // per_call)
-    for group in np.array_split(positive, groups) if groups else ():
-        nodes, weights = zip(*(euler_nodes(flat[i], config) for i in group))
-        if group.size == 1:
-            calls = min(len(nodes[0]), -(-point_size // _STACK_ENTRIES))
-            out[group[0]] = sum(
-                np.tensordot(w, np.real(transform(s)), axes=1)
-                for s, w in zip(np.array_split(nodes[0], calls),
-                                np.array_split(weights[0], calls)))
-            continue
-        values = np.real(transform(np.concatenate(nodes)))
-        for i, w, v in zip(group, weights, np.split(values, group.size)):
-            out[i] = np.tensordot(w, v, axes=1)
+
+    def evaluate(nodes):
+        calls = min(len(nodes), -(-len(nodes) * node_size // _STACK_ENTRIES))
+        parts = [transform(part) for part in np.array_split(nodes, calls)]
+        return parts[0] if calls == 1 else np.concatenate(parts)
+
+    for band, inverse in _band_inverses(evaluate, flat, config):
+        out[band] = inverse
     return out.reshape(times.shape + tuple(shape))
 
 
@@ -367,8 +457,8 @@ def reward_time(blocks, rewards, t, k=None, inversion=InversionConfig(),
     1-d array t, stacked along a leading time axis.
 
     Returns the level-k block when ``k`` is given, otherwise the full
-    stacked vector over all levels.  R(0) = 0 exactly.  The nodes of a few
-    time points of an array t are solved in one stacked call; see
+    stacked vector over all levels.  R(0) = 0 exactly.  The 41 nodes of a
+    band of time points of an array t are solved in one stacked call; see
     :func:`invert_stacked`.
     """
     size = blocks.n * (blocks.C + 1)

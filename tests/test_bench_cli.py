@@ -16,7 +16,7 @@ from qbdr import (assemble_generator, deviation_recursive,
                   last_block_column_perturbation, oracle_deviation,
                   oracle_stationary, random_blocks, run_bench)
 from qbdr.bench import REFERENCE_KERNEL_SECONDS, time_interleaved
-from qbdr.cli import _matrix_lines, main
+from qbdr.cli import _matrix_lines, _reward_lines, main
 from qbdr.model import save_model
 from conftest import mapph_example, scalar_blocks
 
@@ -198,6 +198,56 @@ def test_cli_reward_grid_values(tmp_path, model_file):
                                       "2.0"]
     by_key = {(r["t"], r["level"]): float(r["value"]) for r in rows}
     assert by_key[("2.0", "2")] > by_key[("1.0", "2")] > 0.0
+
+
+def test_cli_reward_csv_matches_csv_writer(tmp_path, queue_file):
+    from qbdr import classify_drift, lost_revenue_rewards, reward_time
+    blocks = mapph_example(C=6)
+    alpha = classify_drift(blocks).alpha
+    times, levels = [0.0, 0.5, 1.0, 1.5], [6, 0, 3, 3]
+    curves = reward_time(blocks, lost_revenue_rewards(blocks, 1.0),
+                         np.array(times))
+    values = curves.reshape(4, 7, 4)[:, levels] @ alpha
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(("t", "level", "value"))
+    for t, full, row in zip(times, curves, values):
+        for k, v in zip(levels, row):
+            # one product weighs the phases as one dot product per level
+            assert v == pytest.approx(alpha @ full[4 * k:4 * k + 4],
+                                      rel=1e-14, abs=0.0)
+            writer.writerow([repr(t), k, repr(float(v))])
+    out = tmp_path / "r.csv"
+    assert main(["reward", "--model", queue_file, "--t-grid", "0:1.5:0.5",
+                 "--theta", "1.0", "--levels", "6,0,3,3",
+                 "--output", str(out)]) == 0
+    assert out.read_bytes() == buf.getvalue().encode()
+
+
+def test_reward_lines_match_csv_writer():
+    values = np.array([[0.0, -0.0, 1e-300, 3.0],
+                       [np.nan, np.inf, 0.1 + 0.2, -2.5e17]])
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(("t", "level", "value"))
+    for t, row in zip((0.0, 2.5), values):
+        for k, v in zip((3, 0, 12, 3), row):
+            writer.writerow([repr(t), k, repr(float(v))])
+    written = "".join(_reward_lines([0.0, 2.5], [3, 0, 12, 3], values))
+    assert written == buf.getvalue()
+
+
+def test_cli_inversion_breakdown_exits_3(tmp_path, queue_file, monkeypatch,
+                                         capsys):
+    import qbdr.transform as transform
+    real = transform.reward_transform
+    monkeypatch.setattr(transform, "reward_transform",
+                        lambda ctx, rewards: real(ctx, rewards) * np.nan)
+    out = tmp_path / "r.csv"
+    assert main(["reward", "--model", queue_file, "--t-grid", "0:2:0.5",
+                 "--theta", "1.0", "--output", str(out)]) == 3
+    assert "numerical" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_reward_requires_reward_source(tmp_path, model_file):

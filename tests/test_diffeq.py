@@ -16,7 +16,7 @@ import qbdr.transform as transform
 from qbdr import (Drift, assemble_generator, classify_drift,
                   deviation_matrix_diffeq, gmatrices,
                   deviation_transform, deviation_transform_block,
-                  deviation_transform_unbounded, euler_nodes,
+                  deviation_transform_unbounded, inversion_nodes,
                   lost_revenue_rewards, passage_column_unbounded,
                   passage_level_matrices, random_blocks, reward_transform,
                   reward_transform_unbounded, stationary_rmatrix,
@@ -141,8 +141,8 @@ def test_upper_unbounded_runs_match_stacked_kernel(monkeypatch):
 
 
 @pytest.mark.parametrize("t", [0.5, 10.0])
-def test_batched_euler_nodes_match_stacked_kernel(monkeypatch, t):
-    nodes, _ = euler_nodes(t)
+def test_batched_inversion_nodes_match_stacked_kernel(monkeypatch, t):
+    nodes = inversion_nodes(t)
     queue = mapph_example(C=60)
     ctx = transform_context(queue, nodes)
     pi = stationary_rmatrix(queue)

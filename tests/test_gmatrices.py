@@ -3,9 +3,9 @@ import pytest
 
 from qbdr import (Algorithm, AsymptoticsUndefinedError, Drift,
                   IterationLimitError, RewardSpec, SolverConfig,
-                  classify_drift, euler_nodes, g_residual, ghat_residual,
-                  gmatrices, h0, random_blocks, rate_matrices, reward_time,
-                  solve_g, solve_ghat)
+                  classify_drift, g_residual, ghat_residual,
+                  gmatrices, h0, inversion_nodes, random_blocks,
+                  rate_matrices, reward_time, solve_g, solve_ghat)
 from conftest import logred_per_equation, mapph_example, scalar_blocks
 
 
@@ -174,7 +174,7 @@ def test_solver_config_validation():
 @pytest.mark.parametrize("seed", range(4))
 def test_batched_nodes_match_scalar_solves(seed):
     blocks = random_blocks(1 + seed, 5, np.random.default_rng(seed))
-    nodes = euler_nodes(2.0)[0]
+    nodes = inversion_nodes(2.0)
     assert nodes[0].imag == 0.0  # the real node, solved in real arithmetic
     batch = gmatrices(blocks, nodes)
     # residuals stay plain floats, the largest over the nodes
@@ -220,13 +220,13 @@ def test_complex_batch_needs_positive_real_parts(scalar_pr):
 
 def _shared_reduction_cases():
     """Models with the nodes to solve them at: s = 0 (not for the
-    null-recurrent queue, whose H0 is singular there), real s and the Euler
-    nodes of t = 0.5 and t = 10."""
+    null-recurrent queue, whose H0 is singular there), real s and the
+    inversion nodes of t = 0.5 and t = 10."""
     models = [random_blocks(1 + seed % 4, 5, np.random.default_rng(seed))
               for seed in range(6)]
     models += [mapph_example(C=10), mapph_example(C=10, swapped=True)]
-    grids = [np.array(0.0), np.array([0.3, 2.0, 17.0]), euler_nodes(0.5)[0],
-             euler_nodes(10.0)[0]]
+    grids = [np.array(0.0), np.array([0.3, 2.0, 17.0]), inversion_nodes(0.5),
+             inversion_nodes(10.0)]
     return [(b, s) for b in models for s in grids]
 
 
@@ -241,8 +241,8 @@ def test_shared_reduction_matches_per_equation(case):
     assert max(shared.residual_G, shared.residual_Ghat) <= config.tolerance
 
 
-@pytest.mark.parametrize("s", [0.0, 0.05, complex(euler_nodes(10.0)[0][7])],
-                         ids=["zero", "real", "euler"])
+@pytest.mark.parametrize("s", [0.0, 0.05, complex(inversion_nodes(10.0)[7])],
+                         ids=["zero", "real", "node"])
 def test_shared_reduction_null_recurrent_scalar(s):
     # on the null-recurrent boundary both equations converge linearly at
     # s = 0
@@ -253,7 +253,7 @@ def test_shared_reduction_null_recurrent_scalar(s):
         assert np.max(np.abs(value - ref)) <= 1e-12 * np.max(np.abs(ref))
     assert g_residual(blocks, s, g) <= config.tolerance
     assert ghat_residual(blocks, s, ghat) <= config.tolerance
-    nodes = euler_nodes(10.0)[0]
+    nodes = inversion_nodes(10.0)
     shared = gmatrices(blocks, nodes, config)
     for value, ref in zip((shared.G, shared.Ghat),
                           logred_per_equation(blocks, nodes, config)):

@@ -6,7 +6,7 @@ import pytest
 
 from qbdr import (UpdateError, assemble_generator, block_update,
                   deviation_matrix_diffeq, deviation_recursive,
-                  deviation_time_recursive, deviation_update, euler_nodes,
+                  deviation_time_recursive, deviation_update, inversion_nodes,
                   oracle_deviation, oracle_stationary, pi_step, random_blocks,
                   resolvent_recursive, stationary_rmatrix, t_group_inverse,
                   transform_context, deviation_transform)
@@ -278,7 +278,7 @@ def test_resolvent_rows_match_full_ladder(model, t):
         n = int(model[-1])
         blocks = random_blocks(n, 12 - n, np.random.default_rng(n))
     n, C = blocks.n, blocks.C
-    nodes, _ = euler_nodes(t)
+    nodes = inversion_nodes(t)
     pi = deviation_recursive(blocks).pi
     full = np.array([full_resolvent_ladder(blocks, s) for s in nodes])
     dtilde = full / nodes[:, None, None] - pi / nodes[:, None, None] ** 2
@@ -301,7 +301,7 @@ def _state_indices(levels, n):
 
 def test_resolvent_all_levels_is_full_resolvent():
     blocks = random_blocks(3, 6, np.random.default_rng(8))
-    nodes, _ = euler_nodes(2.0)
+    nodes = inversion_nodes(2.0)
     pi = deviation_recursive(blocks).pi
     full = np.array([full_resolvent_ladder(blocks, s) for s in nodes])
     every, _ = resolvent_recursive(blocks, nodes, pi, range(blocks.C + 1))
@@ -323,7 +323,7 @@ def test_resolvent_singular_rung_names_capacity(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", failing_third_solve)
     with pytest.raises(UpdateError, match="capacity 4"):
-        resolvent_recursive(blocks, euler_nodes(1.0)[0], pi, [2])
+        resolvent_recursive(blocks, inversion_nodes(1.0), pi, [2])
 
 
 @pytest.mark.parametrize("targets", [[1, 1], [0, 7]],
@@ -363,7 +363,7 @@ def test_woodbury_rejects_update_below_top():
 
 @pytest.mark.parametrize("block", [None, (3, 1)], ids=["full", "block"])
 def test_time_split_stacks_match_one_call(monkeypatch, block):
-    # all 53 nodes in one ladder call, then one call per node
+    # all 41 nodes of the band in one ladder call, then one call per node
     import qbdr.perturbation as perturbation
     import qbdr.transform as transform
     blocks = random_blocks(2, 10, np.random.default_rng(4))
@@ -373,7 +373,7 @@ def test_time_split_stacks_match_one_call(monkeypatch, block):
     one_call = deviation_time_recursive(blocks, 2.0, block=block)
     monkeypatch.setattr(transform, "_STACK_ENTRIES", 1)
     split = deviation_time_recursive(blocks, 2.0, block=block)
-    assert len(calls) == 1 + len(euler_nodes(2.0)[0])
+    assert len(calls) == 1 + 41
     assert one_call.shape == ((2, 2) if block else (22, 22))
     assert np.max(np.abs(split - one_call)) \
         <= 1e-12 * np.max(np.abs(one_call))

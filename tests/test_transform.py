@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from qbdr import (InversionConfig, RewardSpec, TailConvergenceError,
-                  assemble_generator, deviation_time,
-                  deviation_transform, deviation_transform_block,
-                  deviation_transform_unbounded, euler_nodes, gmatrices,
-                  invert_laplace, occupation_matrix, oracle_deviation,
+from qbdr import (InversionConfig, NumericalError, RewardSpec,
+                  TailConvergenceError, assemble_generator, classify_drift,
+                  deviation_time, deviation_transform,
+                  deviation_transform_block, deviation_transform_unbounded,
+                  gmatrices, inversion_nodes, invert_laplace,
+                  occupation_matrix, oracle_deviation,
                   oracle_reward, oracle_stationary, oracle_transient_deviation,
                   random_blocks, reward_time, reward_transform,
                   reward_transform_unbounded, stationary_rmatrix,
@@ -308,8 +309,42 @@ def test_invert_rejects_nonpositive_time():
 
 
 def test_inversion_config_validated():
-    with pytest.raises(ValueError):
-        InversionConfig(series_terms=5, euler_terms=5)
+    for bad in ({"order": 0}, {"tolerance": 0.0}, {"tolerance": 1.0}):
+        with pytest.raises(ValueError):
+            InversionConfig(**bad)
+
+
+def test_invert_grid_of_bands():
+    # 0.5 and 1 share a band, 3 and 5 another, 20 is alone
+    times = np.array([5.0, 0.5, 20.0, 1.0, 3.0])
+    out = invert_laplace(lambda s: np.array([1.0 / s ** 2, 1.0 / (s + 1.0)]),
+                         times)
+    np.testing.assert_allclose(out, np.stack([times, np.exp(-times)], 1),
+                               rtol=1e-9, atol=1e-12)
+
+
+def test_zero_transform_inverts_to_exact_zero():
+    # an entry that is 0 at every node would make the QD table 0/0
+    out = invert_laplace(lambda s: np.array([0.0, 1.0 / s ** 2]),
+                         np.array([1.0, 3.0]))
+    assert (out[:, 0] == 0.0).all()
+    np.testing.assert_allclose(out[:, 1], [1.0, 3.0], rtol=1e-9)
+
+
+def test_zero_rewards_give_exact_zeros():
+    blocks = mapph_example(C=10)
+    times = np.arange(0.0, 10.25, 0.5)
+    curves = reward_time(blocks, RewardSpec.zeros(4, 10), times)
+    assert curves.shape == (len(times), 44) and not curves.any()
+
+
+@pytest.mark.parametrize("transform", [
+    lambda s: 1.0 / s ** 2 if s.imag == 0 else 0.0,
+    lambda s: complex("nan") / s],
+    ids=["vanishes-at-some-nodes", "nan"])
+def test_inversion_breakdown_raises_numerical_error(transform):
+    with pytest.raises(NumericalError):
+        invert_laplace(transform, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +374,27 @@ def test_reward_time_mapph_ordering():
     full = reward_time(blocks, rewards, 1.0)
     values = [alpha @ full[k * 4:(k + 1) * 4] for k in range(6)]
     assert all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
+
+
+def test_revenue_curves_match_expm():
+    # the paper's revenue curves, weighted by the phase distribution alpha,
+    # against R(t) as the last column of exp(t [[Q, g], [0, 0]])
+    from scipy.linalg import expm
+    from qbdr import gained_revenue_rewards, lost_revenue_rewards
+    times = np.arange(0.5, 10.25, 0.5)
+    for swapped in (False, True):
+        blocks = mapph_example(C=60, swapped=swapped)
+        alpha = classify_drift(blocks).alpha
+        q = assemble_generator(blocks)
+        size = q.shape[0]
+        for rewards in (lost_revenue_rewards(blocks, 1.0),
+                        gained_revenue_rewards(blocks, 1.0, 1.0)):
+            aug = np.zeros((size + 1, size + 1))
+            aug[:size, :size], aug[:size, size] = q, rewards.stacked()
+            reference = np.array([expm(aug * t)[:size, size] for t in times])
+            curves = reward_time(blocks, rewards, times)
+            gap = (curves - reference).reshape(len(times), -1, 4) @ alpha
+            assert np.max(np.abs(gap)) <= 1e-6
 
 
 def test_deviation_time_matches_quadrature(scalar_pr):
@@ -409,17 +465,17 @@ def _max_gap(value, reference):
     return np.max(np.abs(value - reference)) / np.max(np.abs(reference))
 
 
-def test_euler_nodes_and_weights():
-    nodes, weights = euler_nodes(2.0)
+def test_inversion_nodes_on_band():
+    # the band of t_max = 2 has T = 4: nodes gamma + i pi k / 4, k = 0..40,
+    # with gamma = -ln(1e-12) / 8 > 0
+    nodes = inversion_nodes(2.0)
     config = InversionConfig()
-    assert len(nodes) == len(weights) == \
-        config.series_terms + config.euler_terms + 1
-    np.testing.assert_allclose(nodes.real, config.a_param / 4.0)
-    np.testing.assert_allclose(np.diff(nodes.imag), np.pi / 2.0)
-    # a constant transform value 1 inverts through the weights alone
-    scale = np.exp(config.a_param / 2.0) / 2.0
-    assert weights[0] == pytest.approx(0.5 * scale)
-    assert weights[1] == pytest.approx(-scale)
+    assert len(nodes) == 2 * config.order + 1 == 41
+    np.testing.assert_allclose(nodes.real, -np.log(config.tolerance) / 8.0)
+    assert (nodes.real > 0).all() and nodes[0].imag == 0.0
+    np.testing.assert_allclose(np.diff(nodes.imag), np.pi / 4.0)
+    with pytest.raises(ValueError):
+        inversion_nodes(0.0)
 
 
 @pytest.mark.parametrize("swapped", [False, True])
@@ -477,8 +533,8 @@ def test_batched_context_stacks_nodes():
 
 @pytest.mark.parametrize("entries", [1, 5 * 22 * 22, 1 << 40])
 def test_split_stacks_match_node_by_node(monkeypatch, entries):
-    # full D(t) in one call per node, in five calls of 10-11 nodes and in
-    # one call of all nodes
+    # full D(t) in one call per node, in nine calls of 4-5 nodes and in
+    # one call of all 41 nodes
     import qbdr.transform as transform
     monkeypatch.setattr(transform, "_STACK_ENTRIES", entries)
     blocks = random_blocks(2, 10, np.random.default_rng(4))
@@ -513,16 +569,22 @@ def _queue_curves():
 
 @pytest.mark.parametrize("grid", range(len(TIME_GRIDS)))
 def test_reward_time_grid_matches_per_point(grid):
+    # a grid equals the node-by-node inversion of its bands to 1e-12, and
+    # each point the inversion of its own band to the method's accuracy
     times = TIME_GRIDS[grid]
     for blocks, rewards in _queue_curves():
         curves = reward_time(blocks, rewards, times)
         assert curves.shape == (len(times), blocks.n * (blocks.C + 1))
+        positive = times > 0
+        if positive.any():
+            assert _max_gap(curves[positive], _per_node_reward(
+                blocks, rewards, times[positive])) <= 1e-12
         for t, curve in zip(times, curves):
             one = reward_time(blocks, rewards, float(t))
             if t == 0:
                 assert not curve.any() and not one.any()
             else:
-                assert _max_gap(curve, one) <= 1e-12
+                assert _max_gap(curve, one) <= 1e-9
         n = blocks.n
         np.testing.assert_allclose(
             reward_time(blocks, rewards, times, k=7), curves[:, 7 * n:8 * n],
@@ -530,7 +592,8 @@ def test_reward_time_grid_matches_per_point(grid):
 
 
 def test_reward_time_grid_groups_whole_time_points(monkeypatch):
-    # 244 states x 53 nodes a time point: five points per call at the cap
+    # each band, largest time at most twice the smallest, is one call of
+    # the 41 nodes of its largest time
     import qbdr.transform as transform
     from qbdr import lost_revenue_rewards
     blocks = mapph_example(C=60)
@@ -539,18 +602,18 @@ def test_reward_time_grid_groups_whole_time_points(monkeypatch):
     real = transform.transform_context
 
     def counting(blocks, s, config=SolverConfig()):
-        calls.append(len(s))
+        calls.append(s)
         return real(blocks, s, config)
 
     monkeypatch.setattr(transform, "transform_context", counting)
-    reward_time(blocks, rewards, np.arange(0.0, 10.25, 0.5))
-    assert calls == [53 * 5] * 4
-    calls.clear()
-    reward_time(blocks, rewards, np.linspace(0.5, 9.0, 13))
-    assert calls == [53 * 5, 53 * 4, 53 * 4]
-    calls.clear()
-    reward_time(blocks, rewards, 2.0)
-    assert calls == [53]
+    for times, tops in ((np.arange(0.0, 10.25, 0.5), (1.0, 3.0, 7.0, 10.0)),
+                        (np.array([4.0, 1.0, 0.0, 8.0, 2.0]), (2.0, 8.0)),
+                        (2.0, (2.0,))):
+        calls.clear()
+        reward_time(blocks, rewards, times)
+        assert len(calls) == len(tops)
+        for nodes, top in zip(calls, tops):
+            assert np.array_equal(nodes, inversion_nodes(top))
 
 
 def test_time_routes_reject_negative_or_nonfinite_time(scalar_pr):
@@ -571,7 +634,7 @@ def test_particular_skips_zero_atoms_bitwise(monkeypatch):
     blocks = mapph_example(C=60)
     rewards = lost_revenue_rewards(blocks, 1.0)
     pi = stationary_rmatrix(blocks)
-    ctx = transform_context(blocks, euler_nodes(2.0)[0])
+    ctx = transform_context(blocks, inversion_nodes(2.0))
 
     def results():
         return (reward_transform(ctx, rewards),
