@@ -147,10 +147,12 @@ def _phase_distribution(spec, blocks):
 
 def _flag_rewards(args, blocks):
     """The revenue rewards of --theta, with --gamma if given; None without
-    --theta."""
+    --theta, which --gamma needs."""
     _parse_nonnegative(args.theta, "--theta")
     _parse_nonnegative(args.gamma, "--gamma")
     if args.theta is None:
+        if args.gamma is not None:
+            raise ModelParseError("--gamma needs --theta")
         return None
     if args.gamma is None:
         return mapph.lost_revenue_rewards(blocks, args.theta)
@@ -210,12 +212,12 @@ def cmd_reward(args):
     blocks, file_rewards = load_model(args.model)
     rewards = _rewards_for(args, blocks, file_rewards)
     dist = _phase_distribution(args.phase_dist, blocks)
-    if args.t_grid:
+    if (args.t is None) == (args.t_grid is None):
+        raise ModelParseError("pass one of --t and --t-grid")
+    if args.t_grid is not None:
         t_values = _parse_t_grid(args.t_grid)
-    elif args.t is not None:
-        t_values = [_parse_horizon(args.t)]
     else:
-        raise ModelParseError("pass --t or --t-grid")
+        t_values = [_parse_horizon(args.t)]
     levels = _parse_levels(args.levels, blocks.C)
     curves = reward_time(blocks, rewards, np.array(t_values, dtype=float))
     values = curves.reshape(len(t_values), blocks.C + 1, blocks.n)[:, levels]

@@ -14,9 +14,9 @@ low-rank formulas per rung.
 The resolvent ladder carries only the block rows and block columns it is
 asked for, plus the top two levels: a block of D(t) costs O(C n^3) per
 Laplace node instead of O(C^3 n^3), and the 2M + 1 = 41 nodes
-gamma + i pi k / T (Re s = gamma > 0) of one inversion band climb it as
-one stack.  A full D(t) carries every row and column and splits the nodes
-at the memory cap shared with :mod:`qbdr.transform`.
+gamma + i pi k / T (Re s = gamma > 0) of every inversion band of a t-grid
+climb it as one stack.  A full D(t) carries every row and column and
+splits the nodes at the memory cap shared with :mod:`qbdr.transform`.
 
 Note the printed source for the group inverse of T(C) carries a typo in
 its lower-left block; the form implemented here is the one that satisfies
@@ -350,11 +350,11 @@ def resolvent_recursive(blocks, s, pi, levels=None, columns=None):
 def deviation_time_recursive(blocks, t, block=None):
     """Transient deviation matrix D(t) by inversion of the resolvent ladder.
 
-    All nodes of an inversion band climb the ladder as one stack, split
-    at the transform module's memory cap for a full D(t).  With ``block`` =
-    (k, level), only the n x n block D(t)_{k, level}, from the ladder over
-    block row k and block column level: O(C n^3) per node.  pi(C) does not
-    depend on s, so its ladder is climbed once.
+    The nodes of all inversion bands of a t-grid climb the ladder as one
+    stack, split at the transform module's memory cap for a full D(t).
+    With ``block`` = (k, level), only the n x n block D(t)_{k, level}, from
+    the ladder over block row k and block column level: O(C n^3) per node.
+    pi(C) does not depend on s, so its ladder is climbed once.
     """
     n, C = blocks.n, blocks.C
     size = n * (C + 1)

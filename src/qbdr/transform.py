@@ -2,11 +2,12 @@
 
 All transform-domain quantities are evaluated at a transform variable s
 (real positive, or complex with positive real part when driven by the
-numerical inverter), or at an array of them: the inverter evaluates all
-nodes of a band of time points in the same stacked operations, and the
-results carry the nodes as leading axes.  A :class:`TransformContext`
-bundles the model and the matrices G(s), Ghat(s), H0(s), so that the many
-evaluations at one s share the expensive solves.
+numerical inverter), or at an array of them: the inverter evaluates the
+nodes of every band of a t-grid in the same stacked operations, up to a
+memory cap, and the results carry the nodes as leading axes.  A
+:class:`TransformContext` bundles the model and the matrices G(s),
+Ghat(s), H0(s), so that the many evaluations at one s share the expensive
+solves.
 
 The level blocks of the transformed reward vector solve the matrix
 difference equation (Q - sI) x = -g/s, and every block column of the
@@ -24,9 +25,10 @@ continued fraction.  The positive times are cut into bands whose largest
 time is at most 2 times their smallest; a band with largest time t_max
 takes the 2M + 1 = 41 nodes gamma + i pi k / T, k = 0..2M, with
 T = 2 t_max and gamma = -ln(1e-12) / (2T), so Re s = gamma > 0 at every
-node, and those nodes serve every time of the band.  The error estimate
-of the method (the gap between its last two convergents) is not reported
-yet.
+node, and those nodes serve every time of the band.  The bands' nodes are
+solved together, but each band's continued fraction is built from its own
+nodes' values.  No error estimate is reported: the gap between the last
+two convergents reads far below the measured error.
 """
 
 import math
@@ -63,9 +65,10 @@ __all__ = [
 # (16 MB).  A call's working arrays peak at about five times its values, so
 # the cap bounds the working memory of a full D(t) of a few hundred states,
 # which with all 41 nodes of a band in one call would take ~200 MB more at
-# 244 states.  The values a band's calls return, 41 complex values an entry,
-# are held whole for the QD table.  Reward vectors and block columns stay far
-# below the cap and take all nodes of a band at once.
+# 244 states (17 nodes fit, so a band takes three calls).  The values a
+# call returns are held whole for the QD tables of its bands.  Reward
+# vectors and block columns stay far below the cap and take the nodes of
+# all bands of a grid at once: one G/Ghat solve and one boundary solve.
 _STACK_ENTRIES = 1 << 20
 
 # Cap, in the same values, of one chunk of entries of the inversion's QD
@@ -80,8 +83,10 @@ _QD_ENTRIES = 1 << 15
 # largest at its smallest time.  On the lost- and gained-revenue curves of
 # the MAP/PH queue at C = 60 (both queues, smallest times 0.2..20) the worst
 # error relative to the curve was 1.1e-11 at ratio 2, 2.8e-9 at ratio 3 and
-# 8.7e-9 at ratio 4; the three 20-point curves of 0.5:10:0.5 took 2, 3 or
-# 4 bands and 37, 57 or 68 ms at ratios 4, 3 and 2 (one BLAS thread).
+# 8.7e-9 at ratio 4.  The three 20-point curves of 0.5:10:0.5 (lost and
+# gained revenue, random rewards at n = 3) take 2, 3 or 4 bands, all in
+# one call, and 30, 41 or 51 ms at ratios 4, 3 and 2 (35, 51 and 65 ms with
+# one call per band; one BLAS thread, best of 5 processes of 15 rounds).
 _BAND_RATIO = 2.0
 
 
@@ -370,16 +375,21 @@ def _dehoog(values, times, t_max, config):
     return out
 
 
-def _band_inverses(evaluate, times, config):
+def _band_inverses(evaluate, times, config, bands_per_call=1):
     """(indices, inverses) of each band of the positive entries of the 1-d
-    ``times``; ``evaluate`` maps the band's nodes to the transform values
-    stacked along a leading node axis."""
-    for band in _bands(times):
-        t_max = times[band[-1]]
-        values = np.asarray(evaluate(inversion_nodes(t_max, config)))
-        inverse = _dehoog(values.reshape(len(values), -1), times[band],
-                          t_max, config)
-        yield band, inverse.reshape(band.shape + values.shape[1:])
+    ``times``; ``evaluate`` maps the nodes of ``bands_per_call`` consecutive
+    bands to the transform values stacked along a leading node axis."""
+    bands = _bands(times)
+    for lo in range(0, len(bands), bands_per_call):
+        group = bands[lo:lo + bands_per_call]
+        tops = [times[band[-1]] for band in group]
+        values = np.asarray(evaluate(np.concatenate(
+            [inversion_nodes(t_max, config) for t_max in tops])))
+        values = values.reshape((len(group), -1) + values.shape[1:])
+        for band, t_max, band_values in zip(group, tops, values):
+            inverse = _dehoog(band_values.reshape(len(band_values), -1),
+                              times[band], t_max, config)
+            yield band, inverse.reshape(band.shape + values.shape[2:])
 
 
 def _checked_times(t):
@@ -433,20 +443,25 @@ def invert_stacked(transform, t, config, shape, states):
     _BAND_RATIO times their smallest, and each band's 2M + 1 nodes serve
     all its times.  A node's work is taken as one column over the chain's
     ``states`` states per column of its value (a vector counts as one
-    column); a band's nodes go in one call, split into the fewest equal
-    calls whose work stays under _STACK_ENTRIES.
+    column).  Consecutive bands share one call while its work stays under
+    _STACK_ENTRIES, so a t-grid of vectors or block columns solves G/Ghat
+    and its boundary system once; a band whose work alone exceeds the cap
+    goes in the fewest equal calls that stay under it.  The continued
+    fraction of each band is built from its own nodes' values.
     """
     times = _checked_times(t)
     flat = times.reshape(-1)
     out = np.zeros(flat.shape + tuple(shape))
-    node_size = states * math.prod(shape[1:])
+    per_call = max(1, _STACK_ENTRIES // (states * math.prod(shape[1:])))
+    bands_per_call = max(1, per_call // (2 * config.order + 1))
 
     def evaluate(nodes):
-        calls = min(len(nodes), -(-len(nodes) * node_size // _STACK_ENTRIES))
+        calls = -(-len(nodes) // per_call)
         parts = [transform(part) for part in np.array_split(nodes, calls)]
         return parts[0] if calls == 1 else np.concatenate(parts)
 
-    for band, inverse in _band_inverses(evaluate, flat, config):
+    for band, inverse in _band_inverses(evaluate, flat, config,
+                                        bands_per_call):
         out[band] = inverse
     return out.reshape(times.shape + tuple(shape))
 
@@ -457,8 +472,9 @@ def reward_time(blocks, rewards, t, k=None, inversion=InversionConfig(),
     1-d array t, stacked along a leading time axis.
 
     Returns the level-k block when ``k`` is given, otherwise the full
-    stacked vector over all levels.  R(0) = 0 exactly.  The 41 nodes of a
-    band of time points of an array t are solved in one stacked call; see
+    stacked vector over all levels.  R(0) = 0 exactly.  The 41 nodes of
+    every band of time points of an array t are solved in one stacked
+    call while its work stays under the memory cap; see
     :func:`invert_stacked`.
     """
     size = blocks.n * (blocks.C + 1)

@@ -254,6 +254,19 @@ def test_cli_reward_requires_reward_source(tmp_path, model_file):
     assert main(["reward", "--model", model_file, "--t", "1.0"]) == 2
 
 
+def test_cli_reward_gamma_without_theta_is_parse_error(tmp_path):
+    # --gamma cannot be dropped in favour of the model's embedded rewards
+    from qbdr import lost_revenue_rewards
+    blocks = mapph_example(C=6)
+    model = tmp_path / "embedded.json"
+    save_model(model, blocks, lost_revenue_rewards(blocks, 1.0))
+    out = tmp_path / "r.csv"
+    base = ["reward", "--model", str(model), "--t", "1.0"]
+    assert main(base + ["--gamma", "5", "--output", str(out)]) == 2
+    assert not out.exists()
+    assert main(base + ["--output", str(out)]) == 0
+
+
 def test_cli_deviation_methods_agree(tmp_path, model_file):
     values = {}
     for method in ("oracle", "perturb", "diffeq"):
@@ -322,6 +335,7 @@ def test_cli_block_matches_full_matrix(tmp_path, queue_file, method,
     ["reward", "--t", "1.0", "--theta", "nan"],
     ["reward", "--t", "1.0", "--theta", "1.0", "--gamma", "nan"],
     ["reward", "--t", "1.0", "--theta", "-1"],
+    ["reward", "--t", "1.0", "--t-grid", "0:1:0.5", "--theta", "1.0"],
     ["gmatrix", "--s", "-1"],
     ["gmatrix", "--s", "nan"],
     ["bench", "--n-range", "x"],
@@ -331,7 +345,8 @@ def test_cli_block_matches_full_matrix(tmp_path, queue_file, method,
     ids=["deviation-block", "deviation-t", "deviation-t-inf", "reward-t",
          "reward-t-nan", "reward-levels", "reward-t-grid",
          "reward-t-grid-nan", "reward-phase-dist-nan", "reward-theta-nan",
-         "reward-gamma-nan", "reward-theta-negative", "gmatrix-s-negative",
+         "reward-gamma-nan", "reward-theta-negative", "reward-t-and-t-grid",
+         "gmatrix-s-negative",
          "gmatrix-s-nan", "bench-n-range-text", "bench-n-range-step-0",
          "bench-n-range-0", "bench-reps-0"])
 def test_cli_block_out_of_range_is_parse_error(tmp_path, queue_file, args):
@@ -531,7 +546,8 @@ def test_cli_mapph_build(tmp_path):
 
 
 @pytest.mark.parametrize("flags", [["--theta", "nan"], ["--theta", "-1"],
-                                   ["--theta", "1.0", "--gamma", "inf"]])
+                                   ["--theta", "1.0", "--gamma", "inf"],
+                                   ["--gamma", "5.0"]])
 def test_cli_mapph_build_bad_revenue_is_parse_error(tmp_path, flags):
     params = tmp_path / "params.json"
     params.write_text(json.dumps({"map": ARRIVAL, "ph": SERVICE, "C": 5}))

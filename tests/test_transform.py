@@ -550,8 +550,8 @@ def test_split_stacks_match_node_by_node(monkeypatch, entries):
 # a grid of time points, a few per stacked call
 # ---------------------------------------------------------------------------
 
-# The benchmark's grid, one whose length is no multiple of the five points
-# per call of the queue at C = 60, and grids holding t = 0.
+# The benchmark's grid (four bands), a grid from t = 0 whose three bands
+# hold different numbers of times, and short grids holding t = 0.
 TIME_GRIDS = [np.arange(0.5, 10.25, 0.5), np.linspace(0.0, 9.0, 13),
               np.array([0.0, 3.0]), np.array([2.0]), np.array([0.0])]
 
@@ -591,13 +591,9 @@ def test_reward_time_grid_matches_per_point(grid):
             rtol=0, atol=1e-12 * np.max(np.abs(curves)))
 
 
-def test_reward_time_grid_groups_whole_time_points(monkeypatch):
-    # each band, largest time at most twice the smallest, is one call of
-    # the 41 nodes of its largest time
+def _counting_contexts(monkeypatch):
+    """The node arrays of every transform_context call from here on."""
     import qbdr.transform as transform
-    from qbdr import lost_revenue_rewards
-    blocks = mapph_example(C=60)
-    rewards = lost_revenue_rewards(blocks, 1.0)
     calls = []
     real = transform.transform_context
 
@@ -606,14 +602,68 @@ def test_reward_time_grid_groups_whole_time_points(monkeypatch):
         return real(blocks, s, config)
 
     monkeypatch.setattr(transform, "transform_context", counting)
-    for times, tops in ((np.arange(0.0, 10.25, 0.5), (1.0, 3.0, 7.0, 10.0)),
-                        (np.array([4.0, 1.0, 0.0, 8.0, 2.0]), (2.0, 8.0)),
-                        (2.0, (2.0,))):
+    return calls
+
+
+def test_reward_time_grid_groups_whole_time_points(monkeypatch):
+    # each band, largest time at most twice the smallest, takes the 41
+    # nodes of its largest time, and all bands of a grid go in one call;
+    # capped at one band's work, each band is its own call again
+    import qbdr.transform as transform
+    from qbdr import lost_revenue_rewards
+    blocks = mapph_example(C=60)
+    rewards = lost_revenue_rewards(blocks, 1.0)
+    calls = _counting_contexts(monkeypatch)
+    grids = ((np.arange(0.0, 10.25, 0.5), (1.0, 3.0, 7.0, 10.0)),
+             (np.array([4.0, 1.0, 0.0, 8.0, 2.0]), (2.0, 8.0)),
+             (2.0, (2.0,)))
+    for times, tops in grids:
+        calls.clear()
+        reward_time(blocks, rewards, times)
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], np.concatenate(
+            [inversion_nodes(top) for top in tops]))
+    monkeypatch.setattr(transform, "_STACK_ENTRIES", 41 * 244)
+    for times, tops in grids:
         calls.clear()
         reward_time(blocks, rewards, times)
         assert len(calls) == len(tops)
         for nodes, top in zip(calls, tops):
             assert np.array_equal(nodes, inversion_nodes(top))
+
+
+def test_grid_equals_its_bands_inverted_alone():
+    # one call for all bands gives the same bytes as one call per band
+    from qbdr import deviation_time_recursive
+    blocks = random_blocks(2, 10, np.random.default_rng(4))
+    pi = stationary_rmatrix(blocks)
+    rewards = random_rewards(blocks)
+    times = np.arange(0.5, 10.25, 0.5)
+    bands = np.split(times, [2, 6, 14])  # 0.5-1, 1.5-3, 3.5-7, 7.5-10
+    for route in (lambda t: reward_time(blocks, rewards, t),
+                  lambda t: deviation_time(blocks, t, pi),
+                  lambda t: deviation_time(blocks, t, pi, block=(3, 1)),
+                  lambda t: deviation_time_recursive(blocks, t, block=(3, 1))):
+        grid = route(times)
+        assert np.array_equal(grid, np.concatenate([route(b) for b in bands]))
+
+
+@pytest.mark.parametrize("bands", [2.5, 0.5, 0.0])
+def test_full_deviation_calls_stay_under_cap(monkeypatch, bands):
+    # a full D(t) holds 22^2 values a node: calls of two whole bands, of
+    # a third of a band (20 nodes fit, so 41 take three calls) and of one
+    # node, which alone exceeds a cap of 1
+    import qbdr.transform as transform
+    blocks = random_blocks(2, 10, np.random.default_rng(4))
+    pi = stationary_rmatrix(blocks)
+    cap = max(1, int(bands * 41 * 22 ** 2))
+    monkeypatch.setattr(transform, "_STACK_ENTRIES", cap)
+    calls = _counting_contexts(monkeypatch)
+    deviation_time(blocks, np.arange(0.5, 10.25, 0.5), pi)
+    sizes = [len(nodes) for nodes in calls]
+    assert sum(sizes) == 4 * 41
+    assert all(size * 22 ** 2 <= cap or size == 1 for size in sizes)
+    assert len(sizes) == {2.5: 2, 0.5: 4 * 3, 0.0: 4 * 41}[bands]
 
 
 def test_time_routes_reject_negative_or_nonfinite_time(scalar_pr):
