@@ -3,12 +3,12 @@
 Subcommands wrap the library operations and emit CSV.  Exit codes:
 0 success, 2 parse or validation failure, 3 numerical failure,
 4 violated precondition (e.g. asymptotics of a null-recurrent model).
-Phase indices on the command line are 0-based.
+Phase indices on the command line are 0-based.  ``reward`` weights the
+phases before the Laplace inversion, so it inverts one curve per level.
 """
 
 import argparse
 import contextlib
-import csv
 import sys
 
 import numpy as np
@@ -42,15 +42,6 @@ def _output(path):
         yield out
 
 
-def _write_rows(path, header, rows):
-    with _output(path) as out:
-        writer = csv.writer(out)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v
-                             for v in row])
-
-
 def _matrix_lines(mat, n, origin=(0, 0)):
     """The CSV lines (k, l, i, j, value) of a block-structured matrix whose
     top-left block is block ``origin`` of the deviation matrix: the header,
@@ -68,16 +59,28 @@ def _matrix_lines(mat, n, origin=(0, 0)):
         yield row % tuple(np.real(mat[a]).astype(float).tolist())
 
 
+def _grid_lines(header, rows, columns, values):
+    """The header, then the CSV lines (row, column, value) of the 2-d
+    ``values`` with repr floats, byte for byte as csv.writer writes them:
+    one string per row label, from a %-template with \0 for the label."""
+    yield header
+    template = "".join(f"\0,{c},%r\r\n" for c in columns)
+    for label, row in zip(rows, np.asarray(values, dtype=float).tolist()):
+        yield template.replace("\0", str(label)) % tuple(row)
+
+
 def _reward_lines(t_values, levels, values):
-    """The CSV lines (t, level, value) of the curves ``values``, of shape
-    (len(t_values), len(levels)): the header, then one string per time
-    holding its rows, byte for byte what csv.writer writes for the same
-    rows with repr floats.  Each time fills one %-template, built once with
-    \0 standing for its t."""
-    yield "t,level,value\r\n"
-    template = "".join(f"\0,{k},%r\r\n" for k in levels)
-    for t, row in zip(t_values, values.tolist()):
-        yield template.replace("\0", repr(float(t))) % tuple(row)
+    """The CSV lines (t, level, value) of ``values[time, level]``."""
+    return _grid_lines("t,level,value\r\n",
+                       (repr(float(t)) for t in t_values), levels, values)
+
+
+def _write_levels(path, header, blocks, values):
+    """Write the stacked level vector ``values`` as CSV lines."""
+    with _output(path) as out:
+        out.writelines(_grid_lines(
+            header, range(blocks.C + 1), range(blocks.n),
+            np.reshape(values, (blocks.C + 1, blocks.n))))
 
 
 def _parse_block(spec, C):
@@ -102,7 +105,10 @@ def _parse_t_grid(spec):
     if not (0 <= start <= stop < np.inf and 0 < step < np.inf):
         raise ModelParseError("--t-grid needs 0 <= start <= stop and step > 0,"
                               " all finite")
-    return list(np.arange(start, stop + step / 2, step))
+    try:
+        return list(np.arange(start, stop + step / 2, step))
+    except ValueError as exc:  # more points than an array can index
+        raise ModelParseError(f"--t-grid has too many points: {exc}") from exc
 
 
 def _parse_nonnegative(value, flag):
@@ -110,10 +116,6 @@ def _parse_nonnegative(value, flag):
     if value is not None and not 0 <= value < np.inf:
         raise ModelParseError(f"{flag} must be finite and nonnegative")
     return value
-
-
-def _parse_horizon(t):
-    return _parse_nonnegative(t, "--t")
 
 
 def _parse_levels(spec, C):
@@ -182,30 +184,24 @@ def cmd_stationary(args):
     blocks, _ = load_model(args.model)
     if args.method == "oracle":
         pi = oracle_stationary(assemble_generator(blocks))
-        rows_by_level = [pi[k * blocks.n:(k + 1) * blocks.n]
-                         for k in range(blocks.C + 1)]
     elif args.method == "perturb":
-        state = deviation_recursive(blocks)
-        rows_by_level = [state.pi[k * blocks.n:(k + 1) * blocks.n]
-                         for k in range(blocks.C + 1)]
+        pi = deviation_recursive(blocks).pi
     else:
-        rows_by_level = list(stationary_rmatrix(blocks).pi)
-    rows = [(k, i, float(v)) for k, row in enumerate(rows_by_level)
-            for i, v in enumerate(row)]
-    _write_rows(args.output, ("level", "phase", "probability"), rows)
+        pi = stationary_rmatrix(blocks).pi
+    _write_levels(args.output, "level,phase,probability\r\n", blocks, pi)
 
 
 def cmd_gmatrix(args):
     blocks, _ = load_model(args.model)
     gm = gmatrices(blocks, _parse_nonnegative(args.s, "--s"))
-    rows = []
-    for name, mat in (("G", gm.G), ("Ghat", gm.Ghat), ("H0", gm.H0)):
-        for i in range(blocks.n):
-            for j in range(blocks.n):
-                rows.append((name, i, j, float(np.real(mat[i, j]))))
-    rows.append(("residual_G", 0, 0, gm.residual_G))
-    rows.append(("residual_Ghat", 0, 0, gm.residual_Ghat))
-    _write_rows(args.output, ("matrix", "i", "j", "value"), rows)
+    n = blocks.n
+    rows = [f"{name},{i}" for name in ("G", "Ghat", "H0") for i in range(n)]
+    with _output(args.output) as out:
+        out.writelines(_grid_lines(
+            "matrix,i,j,value\r\n", rows, range(n),
+            np.real(np.concatenate([gm.G, gm.Ghat, gm.H0]))))
+        out.write(f"residual_G,0,0,{gm.residual_G!r}\r\n"
+                  f"residual_Ghat,0,0,{gm.residual_Ghat!r}\r\n")
 
 
 def cmd_reward(args):
@@ -217,12 +213,12 @@ def cmd_reward(args):
     if args.t_grid is not None:
         t_values = _parse_t_grid(args.t_grid)
     else:
-        t_values = [_parse_horizon(args.t)]
+        t_values = [_parse_nonnegative(args.t, "--t")]
     levels = _parse_levels(args.levels, blocks.C)
-    curves = reward_time(blocks, rewards, np.array(t_values, dtype=float))
-    values = curves.reshape(len(t_values), blocks.C + 1, blocks.n)[:, levels]
+    curves = reward_time(blocks, rewards, np.array(t_values, dtype=float),
+                         dist=dist)
     with _output(args.output) as out:
-        out.writelines(_reward_lines(t_values, levels, values @ dist))
+        out.writelines(_reward_lines(t_values, levels, curves[:, levels]))
 
 
 def _deviation_diffeq(blocks, t, block):
@@ -241,7 +237,7 @@ def cmd_deviation(args):
     blocks, _ = load_model(args.model)
     n = blocks.n
     block = _parse_block(args.block, blocks.C)
-    t = _parse_horizon(args.t)
+    t = _parse_nonnegative(args.t, "--t")
     if args.method == "diffeq":
         dev = _deviation_diffeq(blocks, t, block)
     elif args.method == "perturb" and t is not None:
@@ -269,13 +265,9 @@ def cmd_passage(args):
     if args.method == "oracle":
         q = assemble_generator(blocks)
         m = oracle_passage(q, args.level * blocks.n + args.phase)
-        levels = [m[k * blocks.n:(k + 1) * blocks.n]
-                  for k in range(blocks.C + 1)]
     else:
-        levels = passage_column(blocks, args.level, args.phase).m
-    rows = [(k, i, float(v)) for k, vec in enumerate(levels)
-            for i, v in enumerate(vec)]
-    _write_rows(args.output, ("level", "phase", "mean_first_passage"), rows)
+        m = passage_column(blocks, args.level, args.phase).m
+    _write_levels(args.output, "level,phase,mean_first_passage\r\n", blocks, m)
 
 
 def cmd_bench(args):
@@ -285,10 +277,11 @@ def cmd_bench(args):
         raise ModelParseError("--reps must be at least 1")
     records = bench_mod.run_bench(n_values, c_values, reps=args.reps,
                                   seed=args.seed)
-    rows = [(r.n, r.C, r.method, r.median_scaled_cpu_seconds, r.repetitions,
-             r.seed) for r in records]
-    _write_rows(args.output, ("n", "C", "method", "median_scaled_cpu_seconds",
-                              "reps", "seed"), rows)
+    with _output(args.output) as out:
+        out.write("n,C,method,median_scaled_cpu_seconds,reps,seed\r\n")
+        out.writelines(f"{r.n},{r.C},{r.method},"
+                       f"{r.median_scaled_cpu_seconds!r},{r.repetitions},"
+                       f"{r.seed}\r\n" for r in records)
 
 
 def cmd_mapph_build(args):
@@ -316,14 +309,24 @@ def _parse_range(spec):
     return list(range(start, stop + 1, step))
 
 
-def build_parser():
+def build_parser(argv=None):
+    """The parser with only the subcommand that argv[0] names, or with all
+    when it names none; usage and error text are the same either way."""
+    names = ("validate", "stationary", "gmatrix", "reward", "deviation",
+             "passage", "bench", "mapph-build")
+    wanted = argv[0] if argv and argv[0] in names else None
     parser = argparse.ArgumentParser(
         prog="qbdr",
         description="Rewards, deviation matrices and passage times of "
                     "finite QBD processes")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # the metavar lists every command in the usage of a partial build
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if wanted is None else "{" + ",".join(names) + "}")
 
     def add(name, func, **kwargs):
+        if wanted not in (None, name):  # takes its arguments, keeps none
+            return argparse.Namespace(add_argument=lambda *a, **k: None)
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(func=func)
         return p
@@ -387,7 +390,8 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         args.func(args)
     except QbdError as exc:

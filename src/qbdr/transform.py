@@ -467,24 +467,31 @@ def invert_stacked(transform, t, config, shape, states):
 
 
 def reward_time(blocks, rewards, t, k=None, inversion=InversionConfig(),
-                solver=SolverConfig()):
+                solver=SolverConfig(), dist=None):
     """Expected cumulative reward up to time t, or up to every time of a
     1-d array t, stacked along a leading time axis.
 
     Returns the level-k block when ``k`` is given, otherwise the full
-    stacked vector over all levels.  R(0) = 0 exactly.  The 41 nodes of
-    every band of time points of an array t are solved in one stacked
-    call while its work stays under the memory cap; see
-    :func:`invert_stacked`.
+    stacked vector over all levels; with a phase distribution ``dist``,
+    sum_j dist_j R_(k,j)(t) per level, weighted before the inversion.
+    R(0) = 0 exactly.  The 41 nodes of every band of time points of an
+    array t are solved in one stacked call while its work stays under the
+    memory cap; see :func:`invert_stacked`.
     """
     size = blocks.n * (blocks.C + 1)
+    shape = (blocks.n,) if k is not None else (size,)
+    if dist is not None:
+        shape = () if k is not None else (blocks.C + 1,)
 
     def transform(nodes):
         parts = reward_transform(transform_context(blocks, nodes, solver),
                                  rewards)
-        return parts[:, k] if k is not None else parts.reshape(len(nodes), -1)
+        if k is not None:
+            parts = parts[:, k]
+        if dist is not None:
+            parts = parts @ dist
+        return parts.reshape((len(nodes),) + shape)
 
-    shape = (blocks.n,) if k is not None else (size,)
     return invert_stacked(transform, t, inversion, shape, size)
 
 

@@ -11,12 +11,13 @@ import sys
 import numpy as np
 import pytest
 
-from qbdr import (assemble_generator, deviation_recursive,
+from qbdr import (assemble_generator, deviation_recursive, gmatrices,
                   last_block_column_diffeq,
                   last_block_column_perturbation, oracle_deviation,
-                  oracle_stationary, random_blocks, run_bench)
+                  oracle_passage, oracle_stationary, passage_column,
+                  random_blocks, run_bench, stationary_rmatrix)
 from qbdr.bench import REFERENCE_KERNEL_SECONDS, time_interleaved
-from qbdr.cli import _matrix_lines, _reward_lines, main
+from qbdr.cli import _matrix_lines, _reward_lines, build_parser, main
 from qbdr.model import save_model
 from conftest import mapph_example, scalar_blocks
 
@@ -201,21 +202,18 @@ def test_cli_reward_grid_values(tmp_path, model_file):
 
 
 def test_cli_reward_csv_matches_csv_writer(tmp_path, queue_file):
+    # the CLI prints the alpha-weighted curves, inverted once per level
     from qbdr import classify_drift, lost_revenue_rewards, reward_time
     blocks = mapph_example(C=6)
     alpha = classify_drift(blocks).alpha
     times, levels = [0.0, 0.5, 1.0, 1.5], [6, 0, 3, 3]
     curves = reward_time(blocks, lost_revenue_rewards(blocks, 1.0),
-                         np.array(times))
-    values = curves.reshape(4, 7, 4)[:, levels] @ alpha
+                         np.array(times), dist=alpha)
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
     writer.writerow(("t", "level", "value"))
-    for t, full, row in zip(times, curves, values):
+    for t, row in zip(times, curves[:, levels]):
         for k, v in zip(levels, row):
-            # one product weighs the phases as one dot product per level
-            assert v == pytest.approx(alpha @ full[4 * k:4 * k + 4],
-                                      rel=1e-14, abs=0.0)
             writer.writerow([repr(t), k, repr(float(v))])
     out = tmp_path / "r.csv"
     assert main(["reward", "--model", queue_file, "--t-grid", "0:1.5:0.5",
@@ -331,6 +329,8 @@ def test_cli_block_matches_full_matrix(tmp_path, queue_file, method,
     ["reward", "--t", "1.0", "--theta", "1.0", "--levels", "9"],
     ["reward", "--t-grid", "a:b:c", "--theta", "1.0"],
     ["reward", "--t-grid", "0:nan:1", "--theta", "1.0"],
+    ["reward", "--t-grid", "0:1:1e-300", "--theta", "1.0"],
+    ["reward", "--t-grid", "0:1e300:1", "--theta", "1.0"],
     ["reward", "--t", "1.0", "--theta", "1.0", "--phase-dist", "nan,0,0,1"],
     ["reward", "--t", "1.0", "--theta", "nan"],
     ["reward", "--t", "1.0", "--theta", "1.0", "--gamma", "nan"],
@@ -344,7 +344,8 @@ def test_cli_block_matches_full_matrix(tmp_path, queue_file, method,
     ["bench", "--n-range", "2", "--c-range", "5", "--reps", "0"]],
     ids=["deviation-block", "deviation-t", "deviation-t-inf", "reward-t",
          "reward-t-nan", "reward-levels", "reward-t-grid",
-         "reward-t-grid-nan", "reward-phase-dist-nan", "reward-theta-nan",
+         "reward-t-grid-nan", "reward-t-grid-oversize-step",
+         "reward-t-grid-oversize-stop", "reward-phase-dist-nan", "reward-theta-nan",
          "reward-gamma-nan", "reward-theta-negative", "reward-t-and-t-grid",
          "gmatrix-s-negative",
          "gmatrix-s-nan", "bench-n-range-text", "bench-n-range-step-0",
@@ -418,6 +419,79 @@ def test_cli_matrix_csv_matches_csv_writer(tmp_path, queue_file, block):
     assert out.read_bytes() == reference_matrix_csv(dev, 4, block or (0, 0))
 
 
+def reference_csv(header, rows):
+    """The CSV as csv.writer writes it, with repr floats."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([repr(v) if isinstance(v, float) else v
+                         for v in row])
+    return buf.getvalue().encode()
+
+
+def level_rows(vec, n):
+    """The rows (level, phase, value) of a stacked level vector."""
+    return [(a // n, a % n, float(v)) for a, v in enumerate(vec)]
+
+
+@pytest.mark.parametrize("method", ["rmatrix", "oracle", "perturb"])
+def test_cli_stationary_csv_matches_csv_writer(tmp_path, queue_file,
+                                               method):
+    blocks = mapph_example(C=6)
+    pi = {"rmatrix": lambda: stationary_rmatrix(blocks).stacked(),
+          "oracle": lambda: oracle_stationary(assemble_generator(blocks)),
+          "perturb": lambda: deviation_recursive(blocks).pi}[method]()
+    out = tmp_path / "pi.csv"
+    assert main(["stationary", "--model", queue_file, "--method", method,
+                 "--output", str(out)]) == 0
+    assert out.read_bytes() == reference_csv(
+        ("level", "phase", "probability"), level_rows(pi, 4))
+
+
+@pytest.mark.parametrize("method", ["diffeq", "oracle"])
+def test_cli_passage_csv_matches_csv_writer(tmp_path, queue_file, method):
+    blocks = mapph_example(C=6)
+    if method == "oracle":
+        m = oracle_passage(assemble_generator(blocks), 3 * 4 + 1)
+    else:
+        m = np.concatenate(passage_column(blocks, 3, 1).m)
+    out = tmp_path / "m.csv"
+    assert main(["passage", "--model", queue_file, "--level", "3",
+                 "--phase", "1", "--method", method,
+                 "--output", str(out)]) == 0
+    assert out.read_bytes() == reference_csv(
+        ("level", "phase", "mean_first_passage"), level_rows(m, 4))
+
+
+@pytest.mark.parametrize("s", ["0", "0.5"])
+def test_cli_gmatrix_csv_matches_csv_writer(tmp_path, queue_file, s):
+    gm = gmatrices(mapph_example(C=6), float(s))
+    rows = [(name, i, j, float(np.real(mat[i, j])))
+            for name, mat in (("G", gm.G), ("Ghat", gm.Ghat), ("H0", gm.H0))
+            for i in range(4) for j in range(4)]
+    rows += [("residual_G", 0, 0, gm.residual_G),
+             ("residual_Ghat", 0, 0, gm.residual_Ghat)]
+    out = tmp_path / "g.csv"
+    assert main(["gmatrix", "--model", queue_file, "--s", s,
+                 "--output", str(out)]) == 0
+    assert out.read_bytes() == reference_csv(("matrix", "i", "j", "value"),
+                                             rows)
+
+
+def test_cli_bench_csv_matches_csv_writer(tmp_path):
+    # bench times are not reproducible, so its own values are written again
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--n-range", "2", "--c-range", "1:2",
+                 "--reps", "1", "--output", str(out)]) == 0
+    header = ("n", "C", "method", "median_scaled_cpu_seconds", "reps", "seed")
+    rows = [(int(r["n"]), int(r["C"]), r["method"],
+             float(r["median_scaled_cpu_seconds"]), int(r["reps"]),
+             int(r["seed"])) for r in read_csv(out)]
+    assert len(rows) == 4
+    assert out.read_bytes() == reference_csv(header, rows)
+
+
 def test_matrix_lines_match_csv_writer_on_complex_values():
     rng = np.random.default_rng(4)
     mat = rng.standard_normal((6, 9)) * 1e5 + 1j * rng.standard_normal((6, 9))
@@ -485,6 +559,49 @@ def test_cli_transient_block_routes_agree_at_corners(tmp_path, block):
                                    for r in read_csv(out)])
     assert values["perturb"].shape == (16,)
     assert np.max(np.abs(values["diffeq"] - values["perturb"])) <= 1e-12 * 2
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["bogus"], ["deviation"],
+    ["deviation", "--model", "m.json", "--bogus"],
+    ["deviation", "--method", "nope", "--model", "m.json"], ["reward", "-h"]],
+    ids=["empty", "help", "unknown", "missing-model", "unknown-flag",
+         "bad-choice", "command-help"])
+def test_parser_of_one_command_reads_as_the_full_parser(argv, capsys):
+    def outcome(parser):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        captured = capsys.readouterr()
+        return exc.value.code, captured.out, captured.err
+
+    assert outcome(build_parser(argv)) == outcome(build_parser())
+
+
+def test_main_reads_sys_argv(tmp_path, model_file, monkeypatch):
+    out = tmp_path / "pi.csv"
+    monkeypatch.setattr(sys, "argv", ["qbdr", "stationary", "--model",
+                                      model_file, "--output", str(out)])
+    assert main() == 0
+    assert len(read_csv(out)) == 3
+
+
+def test_reward_call_builds_only_its_arguments(tmp_path, model_file,
+                                               monkeypatch):
+    import argparse
+    dests, real = [], argparse._ActionsContainer.add_argument
+
+    def counting(self, *args, **kwargs):
+        action = real(self, *args, **kwargs)
+        dests.append(action.dest)
+        return action
+
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counting)
+    assert main(["reward", "--model", model_file, "--t", "1", "--theta", "1",
+                 "--output", str(tmp_path / "r.csv")]) == 0
+    # -h of the top-level parser and of reward's, then reward's own
+    assert sorted(dests) == sorted(
+        ["help", "help", "model", "t", "t_grid", "levels", "phase_dist",
+         "theta", "gamma", "output"])
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -395,6 +395,10 @@ def test_revenue_curves_match_expm():
             curves = reward_time(blocks, rewards, times)
             gap = (curves - reference).reshape(len(times), -1, 4) @ alpha
             assert np.max(np.abs(gap)) <= 1e-6
+            # weighted before the inversion, as the CLI prints them
+            weighted = reward_time(blocks, rewards, times, dist=alpha)
+            gap = weighted - reference.reshape(len(times), -1, 4) @ alpha
+            assert np.max(np.abs(gap)) <= 1e-6
 
 
 def test_deviation_time_matches_quadrature(scalar_pr):
@@ -589,6 +593,24 @@ def test_reward_time_grid_matches_per_point(grid):
         np.testing.assert_allclose(
             reward_time(blocks, rewards, times, k=7), curves[:, 7 * n:8 * n],
             rtol=0, atol=1e-12 * np.max(np.abs(curves)))
+
+
+def test_reward_time_weights_phases_before_inversion():
+    # the QD acceleration is not linear in the values, so weighting the
+    # phases before the inversion moves the curves by roundoff only
+    times = TIME_GRIDS[0]
+    for blocks, rewards in _queue_curves():
+        alpha = classify_drift(blocks).alpha
+        per_state = reward_time(blocks, rewards, times).reshape(
+            len(times), -1, blocks.n) @ alpha
+        weighted = reward_time(blocks, rewards, times, dist=alpha)
+        assert weighted.shape == (len(times), blocks.C + 1)
+        assert _max_gap(weighted, per_state) <= 1e-12
+        at_k = reward_time(blocks, rewards, times, k=7, dist=alpha)
+        assert at_k.shape == (len(times),)
+        np.testing.assert_allclose(at_k, weighted[:, 7], rtol=0,
+                                   atol=1e-12 * np.max(np.abs(weighted)))
+        assert reward_time(blocks, rewards, 0.0, k=7, dist=alpha) == 0.0
 
 
 def _counting_contexts(monkeypatch):
