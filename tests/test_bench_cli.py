@@ -209,17 +209,13 @@ def test_cli_reward_csv_matches_csv_writer(tmp_path, queue_file):
     times, levels = [0.0, 0.5, 1.0, 1.5], [6, 0, 3, 3]
     curves = reward_time(blocks, lost_revenue_rewards(blocks, 1.0),
                          np.array(times), dist=alpha)
-    buf = io.StringIO(newline="")
-    writer = csv.writer(buf)
-    writer.writerow(("t", "level", "value"))
-    for t, row in zip(times, curves[:, levels]):
-        for k, v in zip(levels, row):
-            writer.writerow([repr(t), k, repr(float(v))])
+    rows = [(t, k, float(v)) for t, row in zip(times, curves[:, levels])
+            for k, v in zip(levels, row)]
     out = tmp_path / "r.csv"
     assert main(["reward", "--model", queue_file, "--t-grid", "0:1.5:0.5",
                  "--theta", "1.0", "--levels", "6,0,3,3",
                  "--output", str(out)]) == 0
-    assert out.read_bytes() == buf.getvalue().encode()
+    assert out.read_bytes() == reference_csv(("t", "level", "value"), rows)
 
 
 def test_reward_lines_match_csv_writer():
@@ -394,15 +390,10 @@ def test_cli_deviation_at_time_zero_is_zero(tmp_path, queue_file, method):
 
 def reference_matrix_csv(mat, n, origin=(0, 0)):
     """The matrix CSV as csv.writer writes it, one row per entry."""
-    buf = io.StringIO(newline="")
-    writer = csv.writer(buf)
-    writer.writerow(("k", "l", "i", "j", "value"))
     k0, l0 = origin
-    for a in range(mat.shape[0]):
-        for b in range(mat.shape[1]):
-            writer.writerow([k0 + a // n, l0 + b // n, a % n, b % n,
-                             repr(float(np.real(mat[a, b])))])
-    return buf.getvalue().encode()
+    return reference_csv(("k", "l", "i", "j", "value"), [
+        (k0 + a // n, l0 + b // n, a % n, b % n, float(np.real(mat[a, b])))
+        for a in range(mat.shape[0]) for b in range(mat.shape[1])])
 
 
 @pytest.mark.parametrize("block", [None, (4, 2)], ids=["full", "block"])
