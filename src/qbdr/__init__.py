@@ -5,9 +5,10 @@ The model is a level-independent quasi-birth-and-death process on levels
 0..C with n phases.  Two independent solution strategies are provided for
 the expected-reward function, the (transient and asymptotic) deviation
 matrix and mean first passage times: boundary-pinned matrix difference
-equations working with n- and 2n-sized objects, and a capacity-ladder
-recursion updating full matrices one level at a time.  Dense brute-force
-oracles back both.
+equations working with n- and 2n-sized objects, with block level
+reduction for the stationary vector and passage times, and a
+capacity-ladder recursion updating full matrices one level at a time.
+Dense brute-force oracles back both.
 """
 
 from .bench import (BenchRecord, last_block_column_diffeq,
@@ -28,9 +29,8 @@ from .oracle import (OracleConfig, oracle_deviation, oracle_passage,
                      oracle_reward, oracle_stationary,
                      oracle_transient_deviation)
 from .passage import (PassageColumn, deviation_block_asymptotic,
-                      deviation_block_column, deviation_matrix_diffeq,
-                      passage_column, passage_column_unbounded,
-                      passage_level_matrices)
+                      deviation_matrix_diffeq, passage_column,
+                      passage_column_unbounded, passage_level_matrices)
 from .perturbation import (BlockUpdate, CapacityLadderState, block_update,
                            deviation_recursive, deviation_time_recursive,
                            deviation_update, pi_step, resolvent_recursive,

@@ -2,8 +2,8 @@
 
 Both timed tasks compute the last block-column of the asymptotic deviation
 matrix, the quantity the two solution strategies share: the
-difference-equation route solves first-passage boundary systems for the
-top target level, the perturbation route climbs the capacity ladder and
+difference-equation route solves the pinned boundary system of that block
+column directly, the perturbation route climbs the capacity ladder and
 slices the result.
 
 How ``run_bench`` takes its timings (see :func:`time_interleaved`):
@@ -30,11 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gmatrices import SolverConfig, gmatrices
+from .gmatrices import SolverConfig
 from .model import QbdBlocks
-from .passage import deviation_block_column
+from .passage import deviation_matrix_diffeq
 from .perturbation import deviation_recursive
-from .stationary import stationary_rmatrix
 
 __all__ = [
     "BenchRecord",
@@ -87,12 +86,9 @@ def random_blocks(n, C, rng, min_drift=0.02):
 
 
 def last_block_column_diffeq(blocks, config=SolverConfig()):
-    """Blocks D_{k,C}, k = 0..C, via the first-passage route."""
-    gmat = gmatrices(blocks, 0.0, config) if blocks.C > 2 else None
-    pi = stationary_rmatrix(blocks, config, gmat=gmat)
-    column = deviation_block_column(blocks, pi, blocks.C, gmat=gmat,
-                                    config=config)
-    return column.reshape(-1, blocks.n)
+    """Blocks D_{k,C}, k = 0..C, from the pinned boundary system of the
+    last block column, as ``qbdr deviation --block`` solves it."""
+    return deviation_matrix_diffeq(blocks, config=config, levels=[blocks.C])
 
 
 def last_block_column_perturbation(blocks):

@@ -1,8 +1,9 @@
 """One solver for the finite matrix difference equations of a QBD.
 
-Rewards, deviation blocks and mean first passage times all solve the level
-equations A_minus1 x_{k-1} + (L_k - sI) x_k + A1 x_{k+1} = f_k, with L_k =
-B0 at level 0, C0 at the upper boundary and A0 inside; only the forcing f
+Rewards, deviation blocks and the mean first passage times of the
+upper-unbounded process all solve the level equations
+A_minus1 x_{k-1} + (L_k - sI) x_k + A1 x_{k+1} = f_k, with L_k = B0 at
+level 0, C0 at the upper boundary and A0 inside; only the forcing f
 changes from one quantity to the next.  On a run of levels a..b whose
 interior equations hold, x_k = G^{k-a} v + Ghat^{b-k} w + p_k, where G and
 Ghat solve the quadratic equations at s and p is the Green's particular

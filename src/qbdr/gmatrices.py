@@ -294,7 +294,7 @@ def gmatrices(blocks, s=0.0, config=SolverConfig()):
                      residual_Ghat=float(res[1].max()))
 
 
-def rate_matrices(blocks, g=None, ghat=None, config=SolverConfig()):
+def rate_matrices(blocks, config=SolverConfig()):
     """Sojourn-rate matrices (R, Rhat) from the s = 0 passage matrices.
 
     R records the expected sojourn rate one level up per unit of local time
@@ -303,10 +303,7 @@ def rate_matrices(blocks, g=None, ghat=None, config=SolverConfig()):
         R = A1 (-(A0 + A1 G))^{-1},   Rhat = A_minus1 (-(A0 + A_minus1 Ghat))^{-1}.
     """
     require_not_null_recurrent(blocks, "the sojourn-rate matrices")
-    if g is None or ghat is None:
-        (g_0, ghat_0), _ = _solve_pair(blocks, _check_s(0.0), config)
-        g = g_0 if g is None else g
-        ghat = ghat_0 if ghat is None else ghat
+    (g, ghat), _ = _solve_pair(blocks, _check_s(0.0), config)
     try:
         r = blocks.A1 @ np.linalg.inv(-(blocks.A0 + blocks.A1 @ g))
         rhat = blocks.A_minus1 @ np.linalg.inv(

@@ -1,22 +1,21 @@
 """Mean first passage times and asymptotic deviation blocks.
 
-For a fixed target state (l, j) the passage-time vectors over all levels
-solve the matrix difference equation Q m = -1 with the target entry pinned
-to zero.  A boundary target leaves one run of levels 0..C; any other
-target splits it into 0..l and l+1..C.  :class:`qbdr.diffeq.BoundarySystem`
-takes the forcing -1, forms the particular term from it and fixes the free
-vectors from the level equations at the run ends.
+The passage times to a target state (l, j) solve Q m = -1 off the target,
+with m = 0 on it.  :func:`passage_level_matrices` censors the levels above
+and below l by the level reduction of :mod:`qbdr.stationary`, solves the
+taboo system left on level l for every phase j at once, and climbs back
+out by m_k = X_k m_(k-+1) + y_k with X_k and y_k nonnegative.  A finite
+chain has finite passage times whatever its drift.
 
 Entry (k i, l j) of the deviation matrix equals
 pi_(l,j) [ M_pi(l,j) - M_(k,i)(l,j) ] where M holds mean first entrance
-times, and :func:`deviation_block_asymptotic` and
-:func:`deviation_block_column` form blocks from passage columns that way.
-The entries of a passage column all lie close to one large value, though,
+times, and :func:`deviation_block_asymptotic` forms blocks that way.  The
+entries of a passage column can all lie close to one large value, though,
 and the subtraction cancels their leading digits, so
 :func:`deviation_matrix_diffeq`, which the CLI uses for D and for its
-block columns, solves the equation of the deviation columns themselves,
-Q d = pi_(l,j) 1 - e_(l,j), with the same kernel: only the forcing
-differs.
+block columns, solves Q d = pi_(l,j) 1 - e_(l,j) for the deviation columns
+themselves with :class:`qbdr.diffeq.BoundarySystem`, which also serves the
+passage times of the upper-unbounded process.
 """
 
 import warnings
@@ -25,10 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffeq import BoundarySystem
-from .errors import NumericalError, PreconditionError
+from .errors import PreconditionError
 from .gmatrices import SolverConfig, gmatrices, require_not_null_recurrent
-from .model import Drift, assemble_generator, classify_drift
-from .stationary import stationary_rmatrix
+from .model import Drift, classify_drift, require_finite
+from .stationary import _negated, _solve, _sweep, stationary_rmatrix
 
 __all__ = [
     "PassageColumn",
@@ -36,11 +35,8 @@ __all__ = [
     "passage_column_unbounded",
     "passage_level_matrices",
     "deviation_block_asymptotic",
-    "deviation_block_column",
     "deviation_matrix_diffeq",
 ]
-
-_RESIDUAL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -68,29 +64,16 @@ def _passage_segments(upper, level):
     return [(0, level), (level + 1, upper)]
 
 
-def _passage_system(blocks, level, gmat, top=None):
+def _passage_system(blocks, level, gmat, top):
     """The boundary system of Q m = -1 for a target on ``level``, on the
-    levels 0..C; with ``top``, on the levels 0..top of the upper-unbounded
-    process, whose levels above ``top`` add the tail
-    (I - Ghat)^{-1} Ghat H0 1 to the particular term."""
+    levels 0..top of the upper-unbounded process, whose levels above
+    ``top`` add the tail (I - Ghat)^{-1} Ghat H0 1 to the particular
+    term."""
     n = blocks.n
-    if top is None:
-        top, upper, tail = blocks.C, blocks.C, 0.0
-    else:
-        upper = None
-        tail = np.linalg.solve(np.eye(n) - gmat.Ghat,
-                               gmat.Ghat @ (gmat.H0 @ np.ones(n)))
-    return BoundarySystem(blocks, _passage_segments(upper, level), gmat,
+    tail = np.linalg.solve(np.eye(n) - gmat.Ghat,
+                           gmat.Ghat @ (gmat.H0 @ np.ones(n)))
+    return BoundarySystem(blocks, _passage_segments(None, level), gmat,
                           np.full((top + 1, n), -1.0), tail)
-
-
-def _modified_generator(blocks, level, j):
-    """Full generator with the target-state row pinned to -e^T."""
-    q = assemble_generator(blocks)
-    idx = level * blocks.n + j
-    q[idx, :] = 0.0
-    q[idx, idx] = -1.0
-    return q, idx
 
 
 def _column_residual(blocks, level, j, m):
@@ -112,56 +95,18 @@ def _column_residual(blocks, level, j, m):
     return float(np.max(np.abs(y)))
 
 
-def _direct_taboo_column(blocks, level, j):
-    """Dense pinned-system solve, used for the C <= 2 degenerate sizes."""
-    q, idx = _modified_generator(blocks, level, j)
-    rhs = -np.ones(q.shape[0])
-    rhs[idx] = 0.0
-    try:
-        m = np.linalg.solve(q, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"taboo passage system singular: {exc}") from exc
-    return m
-
-
-def passage_column(blocks, level, j, gmat=None, config=SolverConfig()):
+def passage_column(blocks, level, j):
     """Mean first passage times from every state to target (level, j).
 
-    Phases are 0-based.  A boundary target leaves one run of levels, any
-    other target two, and the boundary system pins their free vectors.
-    Capacities C <= 2 have no interior band and route to a dense pinned
-    solve with the same output contract.
-
-    Raises
-    ------
-    AsymptoticsUndefinedError
-        For null-recurrent models (mu_k undefined).
-    NumericalError
-        If a boundary system is singular.
+    Phases are 0-based.  The column j of :func:`passage_level_matrices`,
+    which raises the same errors, with the max-norm residual of its pinned
+    taboo system.
     """
-    C, n = blocks.C, blocks.n
-    if not 0 <= level <= C:
-        raise ValueError(f"target level {level} out of range 0..{C}")
-    if not 0 <= j < n:
-        raise ValueError(f"target phase {j} out of range 0..{n - 1}")
-
-    if C <= 2:
-        m = _direct_taboo_column(blocks, level, j).reshape(C + 1, n)
-        return _finish_column(blocks, level, j, m)
-
-    gmat = _column_gmat(blocks, gmat, config)
-    system = _passage_system(blocks, level, gmat)
-    return _finish_column(blocks, level, j, system.solve((level, j)))
-
-
-def _finish_column(blocks, level, j, m):
-    m[level][j] = 0.0  # entrance time from the target itself
-    scale = max(1.0, max(np.max(np.abs(v)) for v in m))
-    for v in m:
-        v[(v < 0) & (v > -1e-12 * scale)] = 0.0
-    res = _column_residual(blocks, level, j, m)
-    return PassageColumn(target_level=level, target_phase=j,
-                         m=tuple(m), residual=res)
+    if not 0 <= j < blocks.n:
+        raise ValueError(f"target phase {j} out of range 0..{blocks.n - 1}")
+    m = passage_level_matrices(blocks, level)[:, :, j]
+    return PassageColumn(target_level=level, target_phase=j, m=tuple(m),
+                         residual=_column_residual(blocks, level, j, m))
 
 
 def passage_column_unbounded(blocks, level, j, kmax, gmat=None,
@@ -187,43 +132,54 @@ def passage_column_unbounded(blocks, level, j, kmax, gmat=None,
     return tuple(m)
 
 
-def _column_gmat(blocks, gmat, config):
-    """The G/Ghat matrices shared by every passage column; None for
-    C <= 2, whose columns take the dense pinned solve."""
-    if blocks.C <= 2:
-        return None
-    require_not_null_recurrent(blocks, "mean first passage expansions")
-    return gmatrices(blocks, 0.0, config) if gmat is None else gmat
-
-
-def passage_level_matrices(blocks, level, gmat=None, config=SolverConfig()):
+def passage_level_matrices(blocks, level):
     """All blocks M_{k, level}, k = 0..C, for one target level, stacked
     as a (C+1, n, n) array.
 
-    Column j of M_{k, level} is the passage column for phase j.
+    Column j of M_{k, level} holds the passage times to (level, j).  The
+    levels above and below ``level`` are censored once for all n phases,
+    leaving a conservative block T and a forcing r on ``level``; column j
+    there solves -T m = r without row and column j.
+
+    Raises
+    ------
+    StructuralError
+        If a block holds a NaN or infinite entry.
+    NumericalError
+        If a censored level block is singular.
     """
-    n = blocks.n
-    if not 0 <= level <= blocks.C:
-        raise ValueError(f"target level {level} out of range 0..{blocks.C}")
-    gmat = _column_gmat(blocks, gmat, config)
-    if gmat is None:
-        cols = [passage_column(blocks, level, j).m for j in range(n)]
-    else:  # the n columns share one assembled boundary system
-        system = _passage_system(blocks, level, gmat)
-        cols = [_finish_column(blocks, level, j, system.solve((level, j))).m
-                for j in range(n)]
-    return np.stack(cols, axis=2)
+    n, C = blocks.n, blocks.C
+    if not 0 <= level <= C:
+        raise ValueError(f"target level {level} out of range 0..{C}")
+    require_finite(blocks)
+    down, y_down, inflow_down, force_down = _sweep(blocks, level)
+    up, y_up, inflow_up, force_up = _sweep(blocks, level, up=True)
+    off = (blocks.B0 if level == 0 else blocks.C0 if level == C
+           else blocks.A0) + inflow_down + inflow_up
+    np.fill_diagonal(off, 0.0)
+    taboo = _negated(off)
+    rest = np.array([np.delete(np.arange(n), j) for j in range(n)])
+    m = np.zeros((C + 1, n, n))
+    m[level][rest, np.arange(n)[:, None]] = _solve(
+        taboo[rest[:, :, None], rest[:, None, :]],
+        (1.0 + force_down + force_up)[rest][..., None])[..., 0]
+    for k, step, y in zip(range(level + 1, C + 1),
+                          down[::-1] @ blocks.A_minus1, y_down[::-1]):
+        m[k] = step @ m[k - 1] + y[:, None]
+    for k, step, y in zip(range(level - 1, -1, -1),
+                          up[::-1] @ blocks.A1, y_up[::-1]):
+        m[k] = step @ m[k + 1] + y[:, None]
+    return m
 
 
-def deviation_block_asymptotic(blocks, pi, k, level, level_mats=None,
-                               gmat=None, config=SolverConfig()):
+def deviation_block_asymptotic(blocks, pi, k, level, level_mats=None):
     """Asymptotic deviation block D_{k, level} from passage times.
 
     D_{k,l} = [ 1 (sum_x pi_x M_{x,l}) - M_{k,l} ] diag(pi_l).
     """
     n, C = blocks.n, blocks.C
     if level_mats is None:
-        level_mats = passage_level_matrices(blocks, level, gmat, config)
+        level_mats = passage_level_matrices(blocks, level)
     pi_level = np.asarray(pi[level])
     if np.any((pi_level != 0) & (np.abs(pi_level) < 1e-300)):
         warnings.warn(f"stationary weights at level {level} underflow",
@@ -232,26 +188,6 @@ def deviation_block_asymptotic(blocks, pi, k, level, level_mats=None,
     for x in range(C + 1):
         mean_row = mean_row + np.asarray(pi[x]) @ level_mats[x]
     return (np.outer(np.ones(n), mean_row) - level_mats[k]) * pi_level
-
-
-def deviation_block_column(blocks, pi, level, level_mats=None, gmat=None,
-                           config=SolverConfig()):
-    """All blocks D_{k, level}, k = 0..C, as a (C+1, n, n) array.
-
-    The same blocks as :func:`deviation_block_asymptotic`, with the mean
-    row sum_x pi_x M_{x,l} formed once for the column, so the whole
-    column costs O(C n^2) once its passage matrices are known.
-    """
-    C = blocks.C
-    if level_mats is None:
-        level_mats = passage_level_matrices(blocks, level, gmat, config)
-    level_mats = np.asarray(level_mats)
-    pi_rows = np.array([pi[x] for x in range(C + 1)])
-    if np.any((pi_rows[level] != 0) & (np.abs(pi_rows[level]) < 1e-300)):
-        warnings.warn(f"stationary weights at level {level} underflow",
-                      RuntimeWarning, stacklevel=2)
-    mean_row = np.einsum("xi,xij->j", pi_rows, level_mats)
-    return (mean_row - level_mats) * pi_rows[level]
 
 
 def deviation_matrix_diffeq(blocks, pi=None, config=SolverConfig(),
@@ -282,7 +218,7 @@ def deviation_matrix_diffeq(blocks, pi=None, config=SolverConfig(),
     require_not_null_recurrent(blocks, "asymptotic deviation matrices")
     gmat = gmatrices(blocks, 0.0, config)
     if pi is None:
-        pi = stationary_rmatrix(blocks, config, gmat=gmat)
+        pi = stationary_rmatrix(blocks)
     row = np.concatenate([np.asarray(pi[k]) for k in range(C + 1)])
     targets = row.reshape(C + 1, n)[list(levels)].reshape(-1)
     force = np.broadcast_to(targets, (C + 1, n, targets.size)).copy()

@@ -1,40 +1,43 @@
-"""Stationary distribution of the finite QBD via matrix-geometric boundaries.
+"""Stationary distribution of the finite QBD by block linear level reduction.
 
-The level distribution mixes a forward geometric term in R and a backward
-one in Rhat:
+Censoring the levels above k one at a time (Gaver, Jacobs & Latouche 1984)
+leaves at level k the block
 
-    pi_k = v0 R^k + vC Rhat^{C-k},    0 <= k <= C,
+    S_C = C0,    S_k = A0 + A1 (-S_(k+1))^{-1} A_minus1    (B0 at level 0),
 
-where (v0, vC) spans the one-dimensional left kernel of a 2n x 2n boundary
-matrix and is scaled so the level probabilities sum to one.
+and the stationary rows follow from pi_0 S_0 = 0 and
+pi_k = pi_(k-1) A1 (-S_k)^{-1}.  Every block is kept as its off-diagonal
+rates, and its diagonal is taken from the row sums plus the rates out of
+the kept levels, never by subtraction (Grassmann, Taksar & Heyman 1985).
+Then -S_k is a diagonally dominant M-matrix whose small inverse, taken by
+an LU solve, is nonnegative, and all other terms are sums and products of
+nonnegative numbers, so even the smallest entries of pi keep their
+relative accuracy.  The same sweep, run
+from both ends towards a target level, gives the mean first passage times
+of :mod:`qbdr.passage`.  The unrestricted process keeps pi_k = pi_0 R^k.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalRankError
-from .gmatrices import SolverConfig, rate_matrices, require_not_null_recurrent
+from .errors import NumericalError, NumericalRankError
+from .gmatrices import SolverConfig, rate_matrices
 from .linalg import left_null_vector, matrix_powers
 from .model import require_finite
 
 __all__ = [
     "StationaryDistribution",
-    "boundary_matrix",
     "stationary_rmatrix",
     "stationary_unrestricted",
 ]
 
-_CLAMP = 1e-13
-
 
 @dataclass(frozen=True)
 class StationaryDistribution:
-    """Per-level stationary rows pi_0..pi_C plus the boundary solutions."""
+    """Per-level stationary rows pi_0..pi_C."""
 
     pi: tuple
-    v0: np.ndarray
-    vC: np.ndarray
 
     def stacked(self):
         return np.concatenate(self.pi)
@@ -46,61 +49,83 @@ class StationaryDistribution:
         return len(self.pi)
 
 
-def boundary_matrix(blocks, r, rhat):
-    """The 2n x 2n homogeneous system satisfied by (v0, vC)."""
+def _negated(off, out=0.0):
+    """-S for the level block S with off-diagonal rates ``off`` and rates
+    ``out`` leaving its level: the diagonal is a sum, not a difference."""
+    return np.diag(off.sum(axis=-1) + out) - off
+
+
+def _solve(a, b):
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"singular censored level block: {exc}") from exc
+
+
+def _sweep(blocks, stop, up=False):
+    """Censor the levels above ``stop`` one at a time from level C down,
+    or with ``up`` the levels below it from level 0 up.
+
+    Returns (inv, y, inflow, inflow_y).  For the eliminated levels k, in
+    sweep order, ``inv`` stacks (-S_k)^{-1} and ``y`` the mean times from
+    level k until the next level towards ``stop`` is first entered:
+    y_k = (-S_k)^{-1} (1 + A_out y_(k+-1)), with A_out = A1 going down and
+    A_minus1 going up.  ``inflow`` is what the eliminated levels add to the
+    off-diagonal rates of level ``stop``, and ``inflow_y`` = A_out y what
+    they add to its passage forcing.  A singular block raises
+    :class:`NumericalError`.
+    """
     n, C = blocks.n, blocks.C
-    r_pow = np.linalg.matrix_power(r, C - 1)
-    rhat_pow = np.linalg.matrix_power(rhat, C - 1)
-    top = np.hstack([blocks.B0 + r @ blocks.A_minus1,
-                     r_pow @ (r @ blocks.C0 + blocks.A1)])
-    bottom = np.hstack([rhat_pow @ (rhat @ blocks.B0 + blocks.A_minus1),
-                        blocks.C0 + rhat @ blocks.A1])
-    return np.vstack([top, bottom])
+    if up:
+        levels, toward, away = range(stop), blocks.A1, blocks.A_minus1
+    else:
+        levels, toward, away = range(C, stop, -1), blocks.A_minus1, blocks.A1
+    out = toward.sum(axis=1)
+    inv = np.empty((len(levels), n, n))
+    y = np.empty((len(levels), n))
+    inflow, inflow_y = np.zeros((n, n)), np.zeros(n)
+    for i, k in enumerate(levels):
+        block = (blocks.B0 if k == 0 else blocks.C0 if k == C
+                 else blocks.A0) + inflow
+        np.fill_diagonal(block, 0.0)
+        inv[i] = _solve(_negated(block, out), np.eye(n))
+        y[i] = inv[i] @ (1.0 + inflow_y)
+        inflow = away @ inv[i] @ toward
+        inflow_y = away @ y[i]
+    np.fill_diagonal(inflow, 0.0)
+    return inv, y, inflow, inflow_y
 
 
-def stationary_rmatrix(blocks, config=SolverConfig(), gmat=None):
-    """Stationary distribution from the R/Rhat boundary system.
+def stationary_rmatrix(blocks):
+    """Stationary distribution of the finite QBD by level reduction.
 
-    ``gmat`` may carry already-solved s = 0 passage matrices to reuse.
+    The levels are censored from the top down to level 0, pi_0 comes from
+    the taboo system of S_0 with phase 0 given weight 1, and
+    pi_k = pi_(k-1) A1 (-S_k)^{-1} climbs back up before the rows are
+    normalized.  The name is kept from the R/Rhat boundary route this
+    replaced: ``qbdr stationary --method rmatrix`` selects it and callers
+    import it under that name.  A finite chain has a stationary vector
+    whatever the drift, so null-recurrent models are accepted.
 
     Raises
     ------
     StructuralError
         If a block holds a NaN or infinite entry.
-    AsymptoticsUndefinedError
-        If the model is null recurrent (R, Rhat undefined).
-    NumericalRankError
-        If the boundary system kernel is not one-dimensional.
+    NumericalError
+        If a censored level block is singular.
     """
     require_finite(blocks)
-    require_not_null_recurrent(blocks, "stationary boundary matrices")
     n, C = blocks.n, blocks.C
-    if gmat is not None:
-        r, rhat = rate_matrices(blocks, gmat.G, gmat.Ghat, config)
-    else:
-        r, rhat = rate_matrices(blocks, config=config)
-    system = boundary_matrix(blocks, r, rhat)
-    kernel = left_null_vector(system)
-    v0, vc = kernel[:n], kernel[n:]
-
-    r_powers = matrix_powers(r, C)
-    rhat_powers = matrix_powers(rhat, C)
-    pi = [v0 @ r_powers[k] + vc @ rhat_powers[C - k] for k in range(C + 1)]
-    total = sum(row.sum() for row in pi)
-    if total < 0:
-        v0, vc, total = -v0, -vc, -total
-        pi = [-row for row in pi]
-    if abs(total) < 1e-300:
-        raise NumericalRankError("boundary kernel orthogonal to normalization")
-    scale = 1.0 / total
-    v0, vc = v0 * scale, vc * scale
-    out = []
-    for row in pi:
-        row = row * scale
-        # tiny negative roundoff would poison diag(pi_l) factors downstream
-        row[(row < 0) & (row > -_CLAMP)] = 0.0
-        out.append(row)
-    return StationaryDistribution(pi=tuple(out), v0=v0, vC=vc)
+    inv, _, inflow, _ = _sweep(blocks, 0)
+    off = blocks.B0 + inflow
+    np.fill_diagonal(off, 0.0)
+    pi = np.empty((C + 1, n))
+    pi[0, 0] = 1.0
+    pi[0, 1:] = _solve(_negated(off)[1:, 1:].T, off[0, 1:])
+    for k, step in enumerate(blocks.A1 @ inv[::-1], start=1):
+        pi[k] = pi[k - 1] @ step
+    pi /= pi.sum()
+    return StationaryDistribution(pi=tuple(pi))
 
 
 def stationary_unrestricted(blocks, kmax, config=SolverConfig()):

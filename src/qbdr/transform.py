@@ -503,7 +503,7 @@ def deviation_time(blocks, t, pi=None, inversion=InversionConfig(),
     one block column per node: O(C) work instead of O(C^2).
     """
     if pi is None:
-        pi = stationary_rmatrix(blocks, solver)
+        pi = stationary_rmatrix(blocks)
     size = blocks.n * (blocks.C + 1)
 
     def transform(nodes):

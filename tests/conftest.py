@@ -1,6 +1,7 @@
 """Shared models and dense reference formulas for the test suite."""
 
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from qbdr import (MapParams, PhParams, QbdBlocks, assemble_generator,
                   build_blocks, random_blocks)
 from qbdr.diffeq import BoundarySystem, segment_ends
 from qbdr.linalg import censor_generator, matrix_powers
-from qbdr.passage import _modified_generator, _passage_segments
+from qbdr.passage import _passage_segments
 
 
 def scalar_blocks(lam, mu, C):
@@ -75,6 +76,101 @@ def seeded_models(count, max_n=4, max_c=20, min_drift=0.05, seed=0):
         c = 1 + (3 + 7 * i) % max_c
         out.append(random_blocks(n, c, rng, min_drift=min_drift))
     return out
+
+
+def unfiltered_model(seed, i):
+    """Model i of an unfiltered draw: n = 1..4 and C = 3..82 cycle with i,
+    and only the drift bound filters the rates."""
+    return random_blocks(1 + i % 4, 3 + (7 * i) % 80,
+                         np.random.default_rng([seed, i]), min_drift=0.05)
+
+
+# The 100 unfiltered models: i < 60 at seed 7 and i < 40 at seed 8.
+UNFILTERED = [(7, i) for i in range(60)] + [(8, i) for i in range(40)]
+
+
+def _gth_censor(a, b, stop):
+    """Censor the states len(a) - 1 down to ``stop`` out of the rates
+    ``a`` (only its off-diagonal entries are read) and the times ``b``, in
+    place, as GTH elimination does (Grassmann, Taksar & Heyman 1985): each
+    pivot is the sum of the rates to the states left, never a difference.
+    Returns the pivots of the states stop..len(a) - 1."""
+    pivots = np.empty(len(a) - stop)
+    for k in range(len(a) - 1, stop - 1, -1):
+        pivots[k - stop] = a[k, :k].sum()
+        f = a[:k, k] / pivots[k - stop]
+        a[:k, :k] += np.outer(f, a[k, :k])
+        b[:k] += f * b[k]
+    return pivots
+
+
+def _gth_climb(a, b, pivots, m, stop):
+    """Back-substitute the times m[stop:] after :func:`_gth_censor`."""
+    for k in range(stop, len(a)):
+        m[k] = (b[k] + a[k, :k] @ m[:k]) / pivots[k - stop]
+
+
+def gth_stationary(q):
+    """pi of the generator ``q`` by dense GTH elimination, to entrywise
+    relative accuracy."""
+    a = np.array(q, dtype=float)
+    pivots = _gth_censor(a, np.zeros(len(a)), 1)
+    pi = np.zeros(len(a))
+    pi[0] = 1.0
+    for k in range(1, len(a)):
+        pi[k] = pi[:k] @ a[:k, k] / pivots[k - 1]
+    return pi / pi.sum()
+
+
+def gth_passage(q, targets):
+    """Mean first passage times to each state of ``targets``, one column
+    per target, by dense subtraction-free elimination of -Q m = 1 off the
+    target.  The other states are censored out once for all targets; each
+    target then censors the rest of ``targets`` in its own copy."""
+    t = len(targets)
+    perm = np.concatenate([targets, np.setdiff1d(np.arange(len(q)),
+                                                 targets)])
+    a = np.asarray(q, dtype=float)[np.ix_(perm, perm)]
+    b = np.ones(len(a))
+    pivots = _gth_censor(a, b, t)
+    m = np.zeros((len(a), t))
+    for i in range(t):
+        order = [i] + [x for x in range(t) if x != i]
+        small_a, small_b = a[np.ix_(order, order)], b[order]
+        column = np.zeros(t)
+        _gth_climb(small_a, small_b, _gth_censor(small_a, small_b, 1),
+                   column, 1)
+        m[order, i] = column
+    _gth_climb(a, b, pivots, m, t)
+    out = np.empty_like(m)
+    out[perm] = m
+    return out
+
+
+def exact_generator(q):
+    """The generator ``q`` in exact rationals, each float read exactly and
+    each diagonal entry minus the exact sum of its row's off-diagonal
+    rates, as the GTH references read it."""
+    rows = [[Fraction(v) for v in row]
+            for row in np.asarray(q, dtype=float).tolist()]
+    for i, row in enumerate(rows):
+        row[i] = -sum(v for j, v in enumerate(row) if j != i)
+    return rows
+
+
+def exact_solve(a, b):
+    """x with a x = b in exact rational arithmetic, for a list of rows
+    ``a`` and a list ``b``; x is a list of Fractions."""
+    rows = [list(row) + [Fraction(r)] for row, r in zip(a, b)]
+    size = len(rows)
+    for k in range(size):
+        pivot = next(i for i in range(k, size) if rows[i][k] != 0)
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        for i in range(size):
+            if i != k and rows[i][k] != 0:
+                f = rows[i][k] / rows[k][k]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[k])]
+    return [rows[k][size] / rows[k][k] for k in range(size)]
 
 
 def random_rewards(blocks, seed=0):
@@ -152,14 +248,32 @@ def passage_level_set(blocks, level):
     return segment_ends(_passage_segments(blocks.C, level))
 
 
+def boundary_matrix(blocks, r, rhat):
+    """The 2n x 2n homogeneous system whose left kernel (v0, vC) gives the
+    matrix-geometric form pi_k = v0 R^k + vC Rhat^{C-k} of the
+    stationary rows."""
+    C = blocks.C
+    r_pow = np.linalg.matrix_power(r, C - 1)
+    rhat_pow = np.linalg.matrix_power(rhat, C - 1)
+    top = np.hstack([blocks.B0 + r @ blocks.A_minus1,
+                     r_pow @ (r @ blocks.C0 + blocks.A1)])
+    bottom = np.hstack([rhat_pow @ (rhat @ blocks.B0 + blocks.A_minus1),
+                        blocks.C0 + rhat @ blocks.A1])
+    return np.vstack([top, bottom])
+
+
 def censored_passage_generator(blocks, level, j):
-    """The pinned generator censored onto :func:`passage_level_set`.
+    """The pinned generator, whose target-state row is -e^T, censored onto
+    :func:`passage_level_set`.
 
     This is the generator factor of the stated Z^(j) matrices; the tests
     use it to confirm the factorization.
     """
     n = blocks.n
-    q, _ = _modified_generator(blocks, level, j)
+    q = assemble_generator(blocks)
+    idx = level * n + j
+    q[idx, :] = 0.0
+    q[idx, idx] = -1.0
     keep = []
     for lv in passage_level_set(blocks, level):
         keep.extend(range(lv * n, (lv + 1) * n))

@@ -169,10 +169,10 @@ def test_criterion_4_first_passage_suite():
         q = assemble_generator(blocks)
         gm = gmatrices(blocks)
         for level in range(c + 1):
-            mats = passage_level_matrices(blocks, level, gm)
+            mats = passage_level_matrices(blocks, level)
             diag_ok &= not np.diag(mats[level]).any()
             for j in range(n):
-                col = passage_column(blocks, level, j, gm)
+                col = passage_column(blocks, level, j)
                 reference = oracle_passage(q, level * n + j)
                 worst_col = max(worst_col,
                                 np.max(np.abs(col.stacked() - reference)))

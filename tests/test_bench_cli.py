@@ -169,7 +169,7 @@ def test_cli_stationary_methods_agree(model_file, tmp_path):
 def test_cli_stationary_null_recurrent_exit_code(tmp_path):
     path = tmp_path / "critical.json"
     save_model(path, scalar_blocks(1.0, 1.0, 2))
-    assert main(["stationary", "--model", str(path)]) == 4
+    assert main(["deviation", "--model", str(path)]) == 4
 
 
 def test_cli_gmatrix(model_file, tmp_path):

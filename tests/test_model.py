@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ import pytest
 from qbdr import (Drift, ModelParseError, QbdBlocks, RewardSpec,
                   StructuralError, assemble_generator, classify_drift,
                   deviation_recursive, gmatrices, is_irreducible, load_model,
-                  random_blocks, save_model, stationary_rmatrix, validate)
+                  passage_column, random_blocks, save_model,
+                  stationary_rmatrix, validate)
 from qbdr.model import model_from_dict, model_to_dict
 from conftest import mapph_example, scalar_blocks
 
@@ -106,8 +108,18 @@ def test_validate_flags_nonfinite_entry(value):
         model_from_dict(data)
 
 
+def passage_column_c2(blocks):
+    return passage_column(replace(blocks, C=2), 0, 0)
+
+
+def passage_column_c4(blocks):
+    return passage_column(blocks, 0, 0)
+
+
 @pytest.mark.parametrize("route", [deviation_recursive, stationary_rmatrix,
-                                   gmatrices], ids=lambda f: f.__name__)
+                                   gmatrices, passage_column_c2,
+                                   passage_column_c4],
+                         ids=lambda f: f.__name__)
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_library_routes_reject_nonfinite_blocks(route, value):
     blocks = QbdBlocks.from_matrices([[2.0]], [[value]], [[1.0]], [[-1.0]],

@@ -1,18 +1,18 @@
 import numpy as np
 import pytest
 
-from qbdr import (AsymptoticsUndefinedError, PreconditionError,
-                  assemble_generator,
-                  deviation_block_asymptotic, deviation_block_column,
-                  deviation_matrix_diffeq, deviation_recursive,
-                  gmatrices, oracle_deviation,
+from qbdr import (PreconditionError, assemble_generator,
+                  deviation_block_asymptotic, deviation_matrix_diffeq,
+                  deviation_recursive, gmatrices, oracle_deviation,
                   oracle_passage, oracle_stationary, passage_column,
                   passage_column_unbounded, passage_level_matrices,
                   random_blocks, stationary_rmatrix)
 from qbdr.diffeq import BoundarySystem
 from qbdr.passage import _passage_system
-from conftest import (censored_passage_generator, mu_k, passage_z_factor,
-                      passage_z_matrix, scalar_blocks)
+from conftest import (UNFILTERED, censored_passage_generator,
+                      exact_generator, exact_solve, gth_passage,
+                      gth_stationary, mapph_example, mu_k, passage_z_factor,
+                      passage_z_matrix, scalar_blocks, unfiltered_model)
 
 
 def test_mu_boundary_single_term():
@@ -60,10 +60,9 @@ def test_passage_exponential_first_arrival():
 def test_passage_matches_oracle_all_targets(seed, n, c):
     blocks = random_blocks(n, c, np.random.default_rng(seed))
     q = assemble_generator(blocks)
-    gm = gmatrices(blocks)
     for level in range(c + 1):
         for j in range(n):
-            col = passage_column(blocks, level, j, gm)
+            col = passage_column(blocks, level, j)
             reference = oracle_passage(q, level * n + j)
             assert np.max(np.abs(col.stacked() - reference)) <= 1e-8
             assert col.residual <= 1e-8
@@ -82,9 +81,14 @@ def test_passage_small_capacity_routes():
                                        atol=1e-10)
 
 
-def test_passage_rejects_null_recurrent():
-    with pytest.raises(AsymptoticsUndefinedError):
-        passage_column(scalar_blocks(1.0, 1.0, 4), 0, 0)
+def test_passage_null_recurrent_matches_oracle():
+    # the finite chain has finite passage times whatever the drift
+    blocks = scalar_blocks(1.0, 1.0, 4)
+    q = assemble_generator(blocks)
+    for level in range(5):
+        col = passage_column(blocks, level, 0)
+        np.testing.assert_allclose(col.stacked(), oracle_passage(q, level),
+                                   rtol=1e-12)
 
 
 @pytest.mark.parametrize("seed,n,c", [(0, 2, 5), (1, 3, 4), (2, 2, 7)])
@@ -111,27 +115,11 @@ def test_level_matrices_match_single_columns(seed, n, c):
 
 
 @pytest.mark.parametrize("seed,n,c", [(0, 2, 5), (1, 3, 4), (2, 2, 7)])
-def test_deviation_block_column_matches_single_blocks(seed, n, c):
-    blocks = random_blocks(n, c, np.random.default_rng(seed))
-    pi = stationary_rmatrix(blocks)
-    for level in (0, 1, c - 1, c):
-        mats = passage_level_matrices(blocks, level)
-        column = deviation_block_column(blocks, pi, level, level_mats=mats)
-        assert column.shape == (c + 1, n, n)
-        for k in range(c + 1):
-            block = deviation_block_asymptotic(blocks, pi, k, level,
-                                               level_mats=mats)
-            gap = np.max(np.abs(column[k] - block))
-            assert gap <= 1e-13 * np.max(np.abs(block))
-
-
-@pytest.mark.parametrize("seed,n,c", [(0, 2, 5), (1, 3, 4), (2, 2, 7)])
 def test_passage_residual_matches_dense_pinned_system(seed, n, c):
     blocks = random_blocks(n, c, np.random.default_rng(seed))
-    gm = gmatrices(blocks)
     for level in (0, 1, c - 1, c):
         for j in range(n):
-            col = passage_column(blocks, level, j, gm)
+            col = passage_column(blocks, level, j)
             q = assemble_generator(blocks)
             idx = level * n + j
             q[idx, :] = 0.0
@@ -151,10 +139,9 @@ def test_passage_unbounded_target_states(scalar_pr):
 
 def test_passage_unbounded_matches_large_capacity(scalar_pr):
     big = scalar_blocks(1.0, 2.0, 200)
-    gm_big = gmatrices(big)
     for level in (0, 1, 4):
         unb = passage_column_unbounded(scalar_pr, level, 0, kmax=5)
-        fin = passage_column(big, level, 0, gm_big)
+        fin = passage_column(big, level, 0)
         for k in range(6):
             assert np.max(np.abs(unb[k] - fin.m[k])) <= 1e-6
 
@@ -195,17 +182,65 @@ def test_deviation_assembly_matches_oracle(seed):
     assert rel <= 1e-8
 
 
+@pytest.mark.parametrize("blocks", [
+    mapph_example(C=6), mapph_example(C=6, swapped=True),
+    random_blocks(3, 8, np.random.default_rng(3)),
+    random_blocks(1, 29, np.random.default_rng(4), min_drift=0.05)],
+    ids=["queue-high", "queue-low", "n3", "n1"])
+def test_gth_references_match_exact_solve(blocks):
+    # the dense references of the entrywise tests, against exact rational
+    # solves of the same equations
+    q = assemble_generator(blocks)
+    size = len(q)
+    gen = exact_generator(q)
+    system = [list(col) for col in zip(*gen)][:-1] + [[1] * size]
+    exact = np.array(exact_solve(system, [0] * (size - 1) + [1]),
+                     dtype=float)
+    assert np.max(np.abs(gth_stationary(q) - exact) / exact) <= 1e-12
+    targets = [0, size // 2, size - 1]
+    times = gth_passage(q, targets)
+    for i, target in enumerate(targets):
+        taboo = [[-v for j, v in enumerate(row) if j != target]
+                 for r, row in enumerate(gen) if r != target]
+        exact = np.array(exact_solve(taboo, [1] * (size - 1)), dtype=float)
+        keep = np.arange(size) != target
+        assert times[target, i] == 0.0
+        assert np.max(np.abs(times[keep, i] - exact) / exact) <= 1e-12
+
+
+def worst_column_error(blocks):
+    """Largest gap of the passage columns to targets {0, 1, C//2, C-1, C}
+    x every phase, each relative to the column's max-norm, against the
+    dense subtraction-free reference."""
+    n, C = blocks.n, blocks.C
+    levels = sorted({0, 1, C // 2, C - 1, C})
+    reference = gth_passage(assemble_generator(blocks),
+                            [level * n + j for level in levels
+                             for j in range(n)])
+    got = np.concatenate([passage_level_matrices(blocks, level)
+                          .reshape(-1, n) for level in levels], axis=1)
+    return np.max(np.abs(got - reference)
+                  / np.max(np.abs(reference), axis=0))
+
+
+def test_passage_matches_gth_on_unfiltered_models():
+    # 38 of these models once missed 1e-8, by up to the column's size
+    worst = max(worst_column_error(unfiltered_model(seed, i))
+                for seed, i in UNFILTERED)
+    assert worst <= 1e-8
+
+
+@pytest.mark.parametrize("swapped", [False, True], ids=["high", "low"])
+@pytest.mark.parametrize("c", [60, 80])
+def test_passage_matches_gth_on_queues(c, swapped):
+    # passage times reach about 1e37 on both queues at C = 80
+    assert worst_column_error(mapph_example(C=c, swapped=swapped)) <= 1e-8
+
+
 def test_level_matrices_zero_diagonal():
     blocks = random_blocks(3, 5, np.random.default_rng(9))
     mats = passage_level_matrices(blocks, 2)
     np.testing.assert_allclose(np.diag(mats[2]), 0.0)
-
-
-def unfiltered_model(seed, i):
-    """Model i of an unfiltered draw: n = 1..4 and C = 3..82 cycle with i,
-    and only the drift bound filters the rates."""
-    return random_blocks(1 + i % 4, 3 + (7 * i) % 80,
-                         np.random.default_rng([seed, i]), min_drift=0.05)
 
 
 def relative_gap(value, reference):

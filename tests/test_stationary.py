@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from qbdr import (AsymptoticsUndefinedError, assemble_generator,
-                  oracle_stationary, random_blocks, rate_matrices,
-                  stationary_rmatrix, stationary_unrestricted)
-from qbdr.stationary import boundary_matrix
-from conftest import mapph_example, scalar_blocks
+from qbdr import (assemble_generator, oracle_stationary, random_blocks,
+                  rate_matrices, stationary_rmatrix, stationary_unrestricted)
+from qbdr.linalg import left_null_vector
+from conftest import (UNFILTERED, boundary_matrix, gth_stationary,
+                      mapph_example, scalar_blocks, unfiltered_model)
 
 
 def test_scalar_geometric(scalar_pr):
@@ -46,15 +46,44 @@ def test_boundary_system_rank(seed):
 def test_geometric_structure(scalar_pr):
     dist = stationary_rmatrix(scalar_pr)
     r, rhat = rate_matrices(scalar_pr)
+    kernel = left_null_vector(boundary_matrix(scalar_pr, r, rhat))
+    rows = [kernel[:1] @ np.linalg.matrix_power(r, k)
+            + kernel[1:] @ np.linalg.matrix_power(rhat, 2 - k)
+            for k in range(3)]
+    total = sum(row.sum() for row in rows)
     for k in range(3):
-        expected = (dist.v0 @ np.linalg.matrix_power(r, k)
-                    + dist.vC @ np.linalg.matrix_power(rhat, 2 - k))
-        np.testing.assert_allclose(dist.pi[k], expected, atol=1e-14)
+        np.testing.assert_allclose(dist.pi[k], rows[k] / total, atol=1e-14)
 
 
-def test_null_recurrent_rejected():
-    with pytest.raises(AsymptoticsUndefinedError):
-        stationary_rmatrix(scalar_blocks(1.0, 1.0, 3))
+def test_null_recurrent_matches_oracle():
+    # the finite chain has a stationary vector whatever the drift
+    blocks = scalar_blocks(1.0, 1.0, 3)
+    np.testing.assert_allclose(
+        stationary_rmatrix(blocks).stacked(),
+        oracle_stationary(assemble_generator(blocks)), atol=1e-14)
+
+
+def worst_relative_error(blocks):
+    """Largest entrywise relative gap of pi to the dense GTH solve."""
+    ref = gth_stationary(assemble_generator(blocks))
+    gap = np.abs(stationary_rmatrix(blocks).stacked() - ref)
+    return np.max(gap / ref) if ref.min() > 0 else np.inf
+
+
+def test_entrywise_matches_gth_on_unfiltered_models():
+    # Small entries of pi once came out wrong by factors up to 5.8e30 here
+    # while the normwise error stayed below 1e-10.
+    worst = max(worst_relative_error(unfiltered_model(seed, i))
+                for seed, i in UNFILTERED)
+    assert worst <= 1e-8
+
+
+@pytest.mark.parametrize("swapped", [False, True], ids=["high", "low"])
+@pytest.mark.parametrize("c", [60, 80])
+def test_entrywise_matches_gth_on_queues(c, swapped):
+    # level C of the low-blocking queue holds the blocking probability,
+    # and the high-blocking queue's level 0 mass is below 1e-28
+    assert worst_relative_error(mapph_example(C=c, swapped=swapped)) <= 1e-8
 
 
 def test_unrestricted_geometric(scalar_pr):

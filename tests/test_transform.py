@@ -410,6 +410,14 @@ def test_deviation_time_matches_quadrature(scalar_pr):
         assert np.max(np.abs(inverted - quad)) <= 1e-6
 
 
+def test_deviation_time_null_recurrent_matches_quadrature():
+    # a finite chain has D(t) whatever its drift
+    blocks = scalar_blocks(1.0, 1.0, 4)
+    q = assemble_generator(blocks)
+    quad = oracle_transient_deviation(q, oracle_stationary(q), 2.0)
+    assert np.max(np.abs(deviation_time(blocks, 2.0) - quad)) <= 1e-6
+
+
 def test_occupation_rows_sum_to_horizon():
     blocks = random_blocks(2, 3, np.random.default_rng(8))
     pi = stationary_rmatrix(blocks)
