@@ -7,9 +7,9 @@ Phase indices on the command line are 0-based.  ``reward`` weights the
 phases before the Laplace inversion, so it inverts one curve per level.
 """
 
-import argparse
 import contextlib
 import sys
+import types
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .errors import (ModelError, ModelParseError, NumericalError,
                      PreconditionError, QbdError, StructuralError)
 from .gmatrices import gmatrices
 from .model import (assemble_generator, classify_drift, load_model,
-                    save_model, validate)
+                    open_for_writing, save_model, validate)
 from .oracle import (oracle_deviation, oracle_passage, oracle_stationary,
                      oracle_transient_deviation)
 from .passage import deviation_matrix_diffeq, passage_column
@@ -38,7 +38,7 @@ def _output(path):
     if not path:
         yield sys.stdout
         return
-    with open(path, "w", newline="") as out:
+    with open_for_writing(path, newline="") as out:
         yield out
 
 
@@ -309,98 +309,118 @@ def _parse_range(spec):
     return list(range(start, stop + 1, step))
 
 
-def build_parser(argv=None):
-    """The parser with only the subcommand that argv[0] names, or with all
-    when it names none; usage and error text are the same either way."""
-    names = ("validate", "stationary", "gmatrix", "reward", "deviation",
-             "passage", "bench", "mapph-build")
-    wanted = argv[0] if argv and argv[0] in names else None
-    parser = argparse.ArgumentParser(
-        prog="qbdr",
-        description="Rewards, deviation matrices and passage times of "
-                    "finite QBD processes")
-    # the metavar lists every command in the usage of a partial build
-    sub = parser.add_subparsers(
-        dest="command", required=True,
-        metavar=None if wanted is None else "{" + ",".join(names) + "}")
+def _opt(flag, convert=str, default=None, required=False, choices=(),
+         help=""):
+    """An option; with choices, its default is the first of them."""
+    return (flag, convert, choices[0] if choices else default, required,
+            choices, help)
 
-    def add(name, func, **kwargs):
-        if wanted not in (None, name):  # takes its arguments, keeps none
-            return argparse.Namespace(add_argument=lambda *a, **k: None)
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(func=func)
-        return p
 
-    p = add("validate", cmd_validate, help="check model invariants")
-    p.add_argument("--model", required=True)
+def _commands():
+    """Each command's handler, help line and options, by name."""
+    model, output = _opt("--model", required=True), _opt("--output")
+    theta, gamma = _opt("--theta", float), _opt("--gamma", float)
+    return {
+        "validate": (cmd_validate, "check model invariants", [model]),
+        "stationary": (cmd_stationary, "stationary distribution", [model, _opt(
+            "--method", choices=("rmatrix", "oracle", "perturb")), output]),
+        "gmatrix": (cmd_gmatrix, "G(s), Ghat(s) and H0(s)",
+                    [model, _opt("--s", float, 0.0), output]),
+        "reward": (cmd_reward, "expected cumulative reward", [
+            model, _opt("--t", float), _opt("--t-grid"),
+            _opt("--levels", help="comma-separated initial levels"),
+            _opt("--phase-dist", str, "alpha",
+                 help="alpha, uniform, or comma-separated weights"),
+            theta, gamma, output]),
+        "deviation": (cmd_deviation, "deviation matrix or blocks", [
+            model, _opt("--method", choices=("diffeq", "perturb", "oracle")),
+            _opt("--t", float,
+                 help="transient horizon (omit for the asymptotic matrix)"),
+            _opt("--block", help="restrict output to block K,L"), output]),
+        "passage": (cmd_passage, "mean first passage times", [
+            model, _opt("--level", int, required=True),
+            _opt("--phase", int, required=True, help="target phase, 0-based"),
+            _opt("--method", choices=("diffeq", "oracle")), output]),
+        "bench": (cmd_bench, "two-method CPU-time benchmark", [
+            _opt("--n-range", str, "2:5"), _opt("--c-range", str, "5:100:5"),
+            _opt("--reps", int, 3), _opt("--seed", int, 0), output]),
+        "mapph-build": (cmd_mapph_build, "build a MAP/PH/1/C model", [
+            _opt("--params", required=True), theta, gamma,
+            _opt("--output", required=True)]),
+    }
 
-    p = add("stationary", cmd_stationary, help="stationary distribution")
-    p.add_argument("--model", required=True)
-    p.add_argument("--method", choices=["rmatrix", "oracle", "perturb"],
-                   default="rmatrix")
-    p.add_argument("--output")
 
-    p = add("gmatrix", cmd_gmatrix, help="G(s), Ghat(s) and H0(s)")
-    p.add_argument("--model", required=True)
-    p.add_argument("--s", type=float, default=0.0)
-    p.add_argument("--output")
+def _usage(table, name, full=False):
+    """The usage line of qbdr or of one command, or in full its help."""
+    if name is None:
+        usage = "usage: qbdr [-h] {" + ",".join(table) + "} ..."
+        rows = [(cmd, entry[1], True) for cmd, entry in table.items()]
+    else:
+        rows = [(f"{flag} " + ("{" + ",".join(choices) + "}" if choices else
+                              flag[2:].replace("-", "_").upper()), text, req)
+                for flag, _, _, req, choices, text in table[name][2]]
+        usage = " ".join([f"usage: qbdr {name} [-h]"] + [
+            left if req else f"[{left}]" for left, _, req in rows])
+    rows = [f"  {left:22s} {text}".rstrip() for left, text, _ in rows]
+    return "\n".join([usage, "", *rows]) if full else usage
 
-    p = add("reward", cmd_reward, help="expected cumulative reward")
-    p.add_argument("--model", required=True)
-    p.add_argument("--t", type=float)
-    p.add_argument("--t-grid")
-    p.add_argument("--levels", help="comma-separated initial levels")
-    p.add_argument("--phase-dist", default="alpha",
-                   help="alpha, uniform, or comma-separated weights")
-    p.add_argument("--theta", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--output")
 
-    p = add("deviation", cmd_deviation, help="deviation matrix or blocks")
-    p.add_argument("--model", required=True)
-    p.add_argument("--method", choices=["diffeq", "perturb", "oracle"],
-                   default="diffeq")
-    p.add_argument("--t", type=float, help="transient horizon (omit for "
-                                           "the asymptotic matrix)")
-    p.add_argument("--block", help="restrict output to block K,L")
-    p.add_argument("--output")
+def parse(argv):
+    """The (handler, namespace) that argv asks for: a command, then its
+    flags by full name, as --flag value or --flag=value (a value may begin
+    with '-'; the last one wins).  Help (-h) and misuse are printed here,
+    and their handler returns the exit code, 0 or 2."""
+    table = _commands()
+    name = argv[0] if argv and argv[0] in table else None
+    if "-h" in argv or "--help" in argv:
+        print(_usage(table, name, full=True))
+        return (lambda _: 0), None
 
-    p = add("passage", cmd_passage, help="mean first passage times")
-    p.add_argument("--model", required=True)
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--phase", type=int, required=True,
-                   help="target phase, 0-based")
-    p.add_argument("--method", choices=["diffeq", "oracle"],
-                   default="diffeq")
-    p.add_argument("--output")
+    def fail(reason):
+        print(f"{_usage(table, name)}\nqbdr{' ' + name if name else ''}: "
+              f"error: {reason}", file=sys.stderr)
+        return (lambda _: 2), None
 
-    p = add("bench", cmd_bench, help="two-method CPU-time benchmark")
-    p.add_argument("--n-range", default="2:5")
-    p.add_argument("--c-range", default="5:100:5")
-    p.add_argument("--reps", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output")
-
-    p = add("mapph-build", cmd_mapph_build, help="build a MAP/PH/1/C model")
-    p.add_argument("--params", required=True)
-    p.add_argument("--theta", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--output", required=True)
-    return parser
+    if name is None:
+        return fail(f"argument command: invalid choice: {argv[0]!r}" if argv
+                    else "the following arguments are required: command")
+    handler, _, options = table[name]
+    given, tokens = {}, iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if flag not in (option[0] for option in options):
+            return fail(f"unrecognized arguments: {token}")
+        given[flag] = value if eq else next(tokens, None)
+        if given[flag] is None:
+            return fail(f"argument {flag}: expected one argument")
+    args = types.SimpleNamespace()
+    for flag, convert, default, required, choices, _ in options:
+        if required and flag not in given:
+            return fail(f"the following arguments are required: {flag}")
+        try:
+            value = convert(given[flag]) if flag in given else default
+        except ValueError:
+            return fail(f"argument {flag}: invalid {convert.__name__} value:"
+                        f" {given[flag]!r}")
+        if choices and value not in choices:
+            return fail(f"argument {flag}: invalid choice: {value!r} (choose"
+                        f" from {', '.join(choices)})")
+        setattr(args, flag[2:].replace("-", "_"), value)
+    return handler, args
 
 
 def main(argv=None):
-    argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv).parse_args(argv)
+    """Run the command that argv (default sys.argv[1:]) asks for; the exit
+    code is the handler's, or that of the error it raises."""
+    handler, args = parse(sys.argv[1:] if argv is None else argv)
     try:
-        args.func(args)
+        return handler(args) or 0
     except QbdError as exc:
         print(f"error: {exc.category}: {exc}", file=sys.stderr)
         for cls, code in _EXIT_CODES:
             if isinstance(exc, cls):
                 return code
         return 3
-    return 0
 
 
 if __name__ == "__main__":

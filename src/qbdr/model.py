@@ -391,7 +391,15 @@ def load_model(path):
     return model_from_dict(data)
 
 
+def open_for_writing(path, newline=None):
+    """``open(path, "w")``, reporting an OSError as ModelParseError."""
+    try:
+        return open(path, "w", newline=newline)
+    except OSError as exc:
+        raise ModelParseError(f"{path}: {exc}") from exc
+
+
 def save_model(path, blocks, rewards=None):
-    with open(path, "w") as fh:
+    with open_for_writing(path) as fh:
         json.dump(model_to_dict(blocks, rewards), fh, indent=1)
         fh.write("\n")

@@ -35,29 +35,14 @@ def report(name, ok, detail=""):
     assert ok, line
 
 
-def power_decay(blocks):
-    """min(sp G, sp Ghat)^C, the scale of the smallest boundary pivot."""
-    gm = gmatrices(blocks)
-    smallest = min(np.max(np.abs(np.linalg.eigvals(gm.G))),
-                   np.max(np.abs(np.linalg.eigvals(gm.Ghat))))
-    return smallest ** blocks.C
-
-
-def model_grid(count, max_n, max_c, seed=0, min_drift=0.05,
-               min_decay=1e-4):
-    """Seeded random models, restricted to draws whose boundary systems
-    stay resolvable in double precision: the difference-equation route
-    works through pivots of size sp(.)^C, so the agreement tolerances are
-    only meaningful while that factor clears the roundoff floor."""
+def model_grid(count, max_n, max_c, seed=0, min_drift=0.05):
+    """Seeded random models, every draw kept: the routes must meet their
+    tolerances on each, not only on well-conditioned ones."""
     out = []
     for i in range(count):
         n, c = 1 + i % max_n, 1 + (3 + 7 * i) % max_c
-        for attempt in range(100):
-            rng = np.random.default_rng([seed, i, attempt])
-            blocks = random_blocks(n, c, rng, min_drift=min_drift)
-            if power_decay(blocks) >= min_decay:
-                break
-        out.append(blocks)
+        rng = np.random.default_rng([seed, i, 0])
+        out.append(random_blocks(n, c, rng, min_drift=min_drift))
     return out
 
 
@@ -158,14 +143,8 @@ def test_criterion_4_first_passage_suite():
     diag_ok = True
     cases = [(1, 4, 0), (2, 5, 1), (3, 8, 2), (2, 8, 3), (3, 6, 4)]
     for n, c, seed in cases:
-        # absolute 1e-8 on passage times of size ~1/decay needs the
-        # boundary pivots well clear of roundoff
-        for attempt in range(100):
-            blocks = random_blocks(n, c,
-                                   np.random.default_rng([10, seed, attempt]),
-                                   min_drift=0.05)
-            if power_decay(blocks) >= 1e-2:
-                break
+        blocks = random_blocks(n, c, np.random.default_rng([10, seed, 0]),
+                               min_drift=0.05)
         q = assemble_generator(blocks)
         gm = gmatrices(blocks)
         for level in range(c + 1):

@@ -17,7 +17,7 @@ from qbdr import (assemble_generator, deviation_recursive, gmatrices,
                   oracle_passage, oracle_stationary, passage_column,
                   random_blocks, run_bench, stationary_rmatrix)
 from qbdr.bench import REFERENCE_KERNEL_SECONDS, time_interleaved
-from qbdr.cli import _matrix_lines, _reward_lines, build_parser, main
+from qbdr.cli import _matrix_lines, _reward_lines, main, parse
 from qbdr.model import save_model
 from conftest import mapph_example, scalar_blocks
 
@@ -151,6 +151,20 @@ def test_cli_validate_flags_bad_model(tmp_path):
 
 def test_cli_missing_file_is_parse_error(tmp_path):
     assert main(["validate", "--model", str(tmp_path / "nope.json")]) == 2
+
+
+def test_cli_unwritable_output_is_parse_error(tmp_path, model_file, capsys):
+    out = str(tmp_path / "missing" / "pi.csv")
+    assert main(["stationary", "--model", model_file, "--output", out]) == 2
+    assert capsys.readouterr().err.startswith("error: parse: ")
+
+
+def test_cli_mapph_build_unwritable_output_is_parse_error(tmp_path, capsys):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"map": ARRIVAL, "ph": SERVICE, "C": 5}))
+    out = str(tmp_path / "missing" / "model.json")
+    assert main(["mapph-build", "--params", str(params), "--output", out]) == 2
+    assert capsys.readouterr().err.startswith("error: parse: ")
 
 
 def test_cli_stationary_methods_agree(model_file, tmp_path):
@@ -553,19 +567,39 @@ def test_cli_transient_block_routes_agree_at_corners(tmp_path, block):
 
 
 @pytest.mark.parametrize("argv", [
-    [], ["-h"], ["bogus"], ["deviation"],
-    ["deviation", "--model", "m.json", "--bogus"],
-    ["deviation", "--method", "nope", "--model", "m.json"], ["reward", "-h"]],
-    ids=["empty", "help", "unknown", "missing-model", "unknown-flag",
-         "bad-choice", "command-help"])
-def test_parser_of_one_command_reads_as_the_full_parser(argv, capsys):
-    def outcome(parser):
-        with pytest.raises(SystemExit) as exc:
-            parser.parse_args(argv)
-        captured = capsys.readouterr()
-        return exc.value.code, captured.out, captured.err
+    [], ["bogus"], ["deviation", "--model", "m.json", "--bogus"],
+    ["deviation"], ["deviation", "--model"],
+    ["deviation", "--method", "nope", "--model", "m.json"],
+    ["deviation", "--model", "m.json", "--t", "soon"],
+    ["passage", "--model", "m.json", "--level", "1.5", "--phase", "0"]],
+    ids=["empty", "unknown", "unknown-flag", "missing-model",
+         "no-value", "bad-choice", "non-numeric", "non-integer"])
+def test_cli_usage_error_exits_2(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage: qbdr")
+    assert ": error: " in captured.err and captured.out == ""
 
-    assert outcome(build_parser(argv)) == outcome(build_parser())
+
+@pytest.mark.parametrize("argv, names", [
+    (["-h"], ["validate", "stationary", "gmatrix", "reward", "deviation",
+              "passage", "bench", "mapph-build"]),
+    (["reward", "-h"], ["--model", "--t", "--t-grid", "--levels",
+                        "--phase-dist", "--theta", "--gamma", "--output"])],
+    ids=["help", "command-help"])
+def test_cli_help_lists_every_command_or_option(argv, names, capsys):
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("usage: qbdr")
+    assert [line.split()[0] for line in lines[2:]] == names
+
+
+def test_cli_reads_flag_equals_value_as_flag_value():
+    assert parse(["reward", "--model=m.json", "--t=2"]) == parse(
+        ["reward", "--model", "m.json", "--t", "2"])
+    _, args = parse(["reward", "--model", "m.json", "--t", "1",
+                     "--t=-2", "--levels=0,1=2"])
+    assert (args.t, args.levels, args.phase_dist) == (-2.0, "0,1=2", "alpha")
 
 
 def test_main_reads_sys_argv(tmp_path, model_file, monkeypatch):
@@ -576,31 +610,21 @@ def test_main_reads_sys_argv(tmp_path, model_file, monkeypatch):
     assert len(read_csv(out)) == 3
 
 
-def test_reward_call_builds_only_its_arguments(tmp_path, model_file,
-                                               monkeypatch):
-    import argparse
-    dests, real = [], argparse._ActionsContainer.add_argument
-
-    def counting(self, *args, **kwargs):
-        action = real(self, *args, **kwargs)
-        dests.append(action.dest)
-        return action
-
-    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counting)
-    assert main(["reward", "--model", model_file, "--t", "1", "--theta", "1",
-                 "--output", str(tmp_path / "r.csv")]) == 0
-    # -h of the top-level parser and of reward's, then reward's own
-    assert sorted(dests) == sorted(
-        ["help", "help", "model", "t", "t_grid", "levels", "phase_dist",
-         "theta", "gamma", "output"])
+def cli_import_loads(module):
+    """Whether ``import qbdr.cli`` in a fresh process loads ``module``."""
+    src = pathlib.Path(__file__).parents[1] / "src"
+    code = f"import sys, qbdr.cli; sys.exit({module!r} in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    return done.returncode != 0
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    src = pathlib.Path(__file__).parents[1] / "src"
-    code = "import sys, qbdr.cli; sys.exit('scipy' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code],
-                          env=dict(os.environ, PYTHONPATH=str(src)))
-    assert done.returncode == 0
+    assert not cli_import_loads("scipy")
+
+
+def test_cli_import_leaves_argparse_unloaded():
+    assert not cli_import_loads("argparse")
 
 
 def test_cli_deviation_transient(tmp_path, model_file):
