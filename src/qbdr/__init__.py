@@ -17,17 +17,15 @@ from .errors import (AsymptoticsUndefinedError, IterationLimitError,
                      ModelError, ModelParseError, NumericalError,
                      NumericalRankError, PreconditionError, QbdError,
                      StructuralError, TailConvergenceError, UpdateError)
-from .gmatrices import (Algorithm, GMatrices, SolverConfig, g_residual,
-                        ghat_residual, gmatrices, h0, rate_matrices, solve_g,
-                        solve_ghat)
+from .gmatrices import (GMatrices, g_residual, ghat_residual, gmatrices, h0,
+                        rate_matrices, solve_g, solve_ghat)
 from .mapph import (MapParams, PhParams, build_blocks, gained_revenue_rewards,
                     lost_revenue_rewards)
 from .model import (Drift, DriftClass, QbdBlocks, RewardSpec, Violation,
                     assemble_generator, classify_drift, is_irreducible,
                     load_model, save_model, validate)
-from .oracle import (OracleConfig, oracle_deviation, oracle_passage,
-                     oracle_reward, oracle_stationary,
-                     oracle_transient_deviation)
+from .oracle import (oracle_deviation, oracle_passage, oracle_reward,
+                     oracle_stationary, oracle_transient_deviation)
 from .passage import (PassageColumn, deviation_block_asymptotic,
                       deviation_matrix_diffeq, passage_column,
                       passage_column_unbounded, passage_level_matrices)
@@ -37,9 +35,8 @@ from .perturbation import (BlockUpdate, CapacityLadderState, block_update,
                            t_group_inverse)
 from .stationary import (StationaryDistribution, stationary_rmatrix,
                          stationary_unrestricted)
-from .transform import (BoundaryVectors, InversionConfig, TransformContext,
-                        deviation_time, deviation_transform,
-                        deviation_transform_block,
+from .transform import (BoundaryVectors, TransformContext, deviation_time,
+                        deviation_transform, deviation_transform_block,
                         deviation_transform_unbounded, inversion_nodes,
                         invert_laplace, occupation_matrix, reward_time,
                         reward_transform, reward_transform_unbounded,

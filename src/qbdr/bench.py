@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gmatrices import SolverConfig
 from .model import QbdBlocks
 from .passage import deviation_matrix_diffeq
 from .perturbation import deviation_recursive
@@ -85,10 +84,10 @@ def random_blocks(n, C, rng, min_drift=0.02):
     raise RuntimeError("could not draw a model away from null recurrence")
 
 
-def last_block_column_diffeq(blocks, config=SolverConfig()):
+def last_block_column_diffeq(blocks):
     """Blocks D_{k,C}, k = 0..C, from the pinned boundary system of the
     last block column, as ``qbdr deviation --block`` solves it."""
-    return deviation_matrix_diffeq(blocks, config=config, levels=[blocks.C])
+    return deviation_matrix_diffeq(blocks, levels=[blocks.C])
 
 
 def last_block_column_perturbation(blocks):

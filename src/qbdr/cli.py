@@ -275,6 +275,8 @@ def cmd_bench(args):
     c_values = _parse_range(args.c_range)
     if args.reps < 1:
         raise ModelParseError("--reps must be at least 1")
+    if args.seed < 0:
+        raise ModelParseError("--seed must be nonnegative")
     records = bench_mod.run_bench(n_values, c_values, reps=args.reps,
                                   seed=args.seed)
     with _output(args.output) as out:

@@ -15,13 +15,11 @@ gamma + i pi k / T of one inversion band (Re s = gamma > 0 at every node,
 see :mod:`qbdr.transform`), is solved as one batch, G and Ghat together,
 in which each node keeps its own stopping rule for each matrix.
 
-Two algorithms are provided: logarithmic reduction (quadratically
-convergent, the default), one reduction for G and Ghat, and plain
-functional iteration from the zero matrix, one equation at a time
-(linearly convergent, kept as an independent reference path).
+Both are solved by logarithmic reduction (quadratically convergent), one
+reduction for G and Ghat, until the defining-equation residual of each,
+in the entrywise max-norm, is at most _TOLERANCE.
 """
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +29,6 @@ from .linalg import stack_matmul
 from .model import Drift, require_finite
 
 __all__ = [
-    "Algorithm",
-    "SolverConfig",
     "GMatrices",
     "solve_g",
     "solve_ghat",
@@ -44,28 +40,10 @@ __all__ = [
 ]
 
 
-class Algorithm(enum.Enum):
-    FUNCTIONAL_ITERATION = "functional"
-    LOGARITHMIC_REDUCTION = "logred"
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Stopping rule for the quadratic-equation solvers.
-
-    ``tolerance`` bounds the entrywise max-norm of the defining-equation
-    residual at the returned solution.
-    """
-
-    tolerance: float = 1e-12
-    max_iterations: int = 100_000
-    algorithm: Algorithm = Algorithm.LOGARITHMIC_REDUCTION
-
-    def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+# Stopping rule of the logarithmic reduction: the largest entry of the
+# defining-equation residual at a returned solution, and the most sweeps.
+_TOLERANCE = 1e-12
+_MAX_ITERATIONS = 100_000
 
 
 @dataclass(frozen=True)
@@ -111,7 +89,7 @@ def ghat_residual(blocks, s, ghat):
         blocks.A1 + shifted @ ghat + blocks.A_minus1 @ ghat @ ghat)))
 
 
-def _solve_pair(blocks, s, config):
+def _solve_pair(blocks, s):
     """G and Ghat at every node of the checked ``s``: shape
     (2, *s.shape, n, n), with the residuals, shape (2, s.size).  Each
     solution keeps its own stopping rule; if any fails, the whole call
@@ -135,35 +113,11 @@ def _solve_pair(blocks, s, config):
              + stack_matmul(up, stack_matmul(x, x)))
         return np.max(np.abs(r), axis=(-2, -1))
 
-    if config.algorithm is Algorithm.FUNCTIONAL_ITERATION:
-        x, res = _functional_iteration(kernels, nodes, residual, config)
-    else:
-        x, res = _logarithmic_reduction(kernels, nodes, residual, config)
+    x, res = _logarithmic_reduction(kernels, nodes, residual)
     return x.reshape((2,) + s.shape + x.shape[-2:]), res
 
 
-def _functional_iteration(kernels, s, residual, config):
-    """X <- low + high X^2 from X = 0, with (low, high) = (b_down, b_up)
-    for G and swapped for Ghat, each solution until its residual meets
-    the tolerance."""
-    low, high = kernels, kernels[::-1]
-    x = np.zeros_like(low)
-    res = residual(x, s)
-    for _ in range(config.max_iterations):
-        active = res > config.tolerance
-        if not active.any():
-            break
-        x = np.where(active[..., None, None], low + high @ (x @ x), x)
-        res = residual(x, s)
-    worst = float(res.max())
-    if worst <= config.tolerance:
-        return x, res
-    raise IterationLimitError(
-        f"functional iteration stalled at residual {worst:.3e}",
-        residual=worst)
-
-
-def _logarithmic_reduction(kernels, s, residual, config):
+def _logarithmic_reduction(kernels, s, residual):
     """Logarithmic reduction of G and Ghat together: each sweep squares
     the number of jump-chain steps accounted for, so convergence is
     quadratic away from the null-recurrent boundary and linear (rate 1/2)
@@ -176,9 +130,9 @@ def _logarithmic_reduction(kernels, s, residual, config):
     trail_Ghat low....  Each side of a node keeps its best iterate and is
     done once that meets the tolerance; a side that has not improved for
     ten sweeps has stalled, and so has every one still sweeping after
-    max_iterations.  A node leaves the sweeps once both sides are done,
+    _MAX_ITERATIONS.  A node leaves the sweeps once both sides are done,
     and the arrays of the sweeping nodes shrink when one leaves."""
-    tol = config.tolerance
+    tol = _TOLERANCE
     eye = np.eye(kernels.shape[-1])
     x_out = kernels
     res_out = residual(x_out, s)
@@ -189,7 +143,7 @@ def _logarithmic_reduction(kernels, s, residual, config):
     x, trail = pair, pair[::-1]
     x_best, best, sweeping = x, res_out[:, nodes], sweeping[:, nodes]
     stale = np.zeros(best.shape, dtype=int)
-    for _ in range(config.max_iterations if nodes.size else 0):
+    for _ in range(_MAX_ITERATIONS if nodes.size else 0):
         low, high = pair
         mix = stack_matmul(high, low) + stack_matmul(low, high)
         try:
@@ -237,14 +191,14 @@ def _lr_error(what, residuals, close=""):
         f"logarithmic reduction {what} {worst:.3e}{close}", residual=worst)
 
 
-def solve_g(blocks, s=0.0, config=SolverConfig()):
+def solve_g(blocks, s=0.0):
     """Minimal nonnegative solution G(s); see module docstring."""
-    return _solve_pair(blocks, _check_s(s), config)[0][0]
+    return _solve_pair(blocks, _check_s(s))[0][0]
 
 
-def solve_ghat(blocks, s=0.0, config=SolverConfig()):
+def solve_ghat(blocks, s=0.0):
     """Minimal nonnegative solution Ghat(s); roles of A1/A_minus1 swapped."""
-    return _solve_pair(blocks, _check_s(s), config)[0][1]
+    return _solve_pair(blocks, _check_s(s))[0][1]
 
 
 def h0(blocks, s, g, ghat):
@@ -268,7 +222,7 @@ def h0(blocks, s, g, ghat):
         ) from exc
 
 
-def gmatrices(blocks, s=0.0, config=SolverConfig()):
+def gmatrices(blocks, s=0.0):
     """Solve both quadratic equations at s and bundle G, Ghat, H0.
 
     ``s`` is one transform variable or an array of them, such as the 41
@@ -287,14 +241,14 @@ def gmatrices(blocks, s=0.0, config=SolverConfig()):
     """
     require_finite(blocks)
     s = _check_s(s)
-    (g, ghat), res = _solve_pair(blocks, s, config)
+    (g, ghat), res = _solve_pair(blocks, s)
     s = s[()] if s.ndim == 0 else s
     return GMatrices(s=s, G=g, Ghat=ghat, H0=h0(blocks, s, g, ghat),
                      residual_G=float(res[0].max()),
                      residual_Ghat=float(res[1].max()))
 
 
-def rate_matrices(blocks, config=SolverConfig()):
+def rate_matrices(blocks):
     """Sojourn-rate matrices (R, Rhat) from the s = 0 passage matrices.
 
     R records the expected sojourn rate one level up per unit of local time
@@ -303,7 +257,7 @@ def rate_matrices(blocks, config=SolverConfig()):
         R = A1 (-(A0 + A1 G))^{-1},   Rhat = A_minus1 (-(A0 + A_minus1 Ghat))^{-1}.
     """
     require_not_null_recurrent(blocks, "the sojourn-rate matrices")
-    (g, ghat), _ = _solve_pair(blocks, _check_s(0.0), config)
+    (g, ghat), _ = _solve_pair(blocks, _check_s(0.0))
     try:
         r = blocks.A1 @ np.linalg.inv(-(blocks.A0 + blocks.A1 @ g))
         rhat = blocks.A_minus1 @ np.linalg.inv(

@@ -46,7 +46,7 @@ def stack_matmul(a, b):
     return out.view(np.result_type(a, b))
 
 
-def solve_refined(a, b, refinements=2):
+def solve_refined(a, b):
     """Row-equilibrated linear solve with extended-precision refinement.
 
     Boundary systems built from matrix powers can have rows of wildly
@@ -66,7 +66,7 @@ def solve_refined(a, b, refinements=2):
     if not np.iscomplexobj(a_s) and not np.iscomplexobj(b_s):
         a_l = a_s.astype(np.longdouble)
         b_l = b_s.astype(np.longdouble)
-        for _ in range(refinements):
+        for _ in range(2):
             residual = b_l - a_l @ x.astype(np.longdouble)
             x = x + np.linalg.solve(a_s, residual.astype(float))
     return x
@@ -83,18 +83,17 @@ def matrix_powers(m, kmax):
     return powers
 
 
-def left_null_vector(a, rank_tol=None):
+def left_null_vector(a):
     """Left null vector of a matrix with a one-dimensional kernel.
+
+    Singular values below 1e-9 sigma_max count as zero, which leaves room
+    for matrices assembled from iteratively solved factors, whose kernel
+    direction is only as exact as the solver tolerance.
 
     Parameters
     ----------
     a : (m, m) ndarray
         Matrix whose left kernel is sought.
-    rank_tol : float, optional
-        Singular values below ``rank_tol * sigma_max`` count as zero.  The
-        default 1e-9 leaves room for matrices assembled from iteratively
-        solved factors, whose kernel direction is only as exact as the
-        solver tolerance.
 
     Returns
     -------
@@ -106,10 +105,8 @@ def left_null_vector(a, rank_tol=None):
         If the numerical kernel is not one-dimensional.
     """
     m = a.shape[0]
-    if rank_tol is None:
-        rank_tol = 1e-9
     u, sing, _ = np.linalg.svd(a)
-    small = sing <= rank_tol * max(sing[0], 1e-300)
+    small = sing <= 1e-9 * max(sing[0], 1e-300)
     n_null = int(np.count_nonzero(small)) + (m - sing.size)
     if n_null != 1:
         raise NumericalRankError(

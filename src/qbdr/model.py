@@ -86,9 +86,9 @@ class QbdBlocks:
 
     @functools.cached_property
     def drift(self):
-        """:func:`classify_drift` at the default tolerance, computed on
-        first use and kept: the blocks are read-only, so it cannot go
-        stale, and every asymptotic route checks it."""
+        """:func:`classify_drift`, computed on first use and kept: the
+        blocks are read-only, so it cannot go stale, and every asymptotic
+        route checks it."""
         return classify_drift(self)
 
     @functools.cached_property
@@ -298,14 +298,14 @@ def is_irreducible(blocks):
     return bool(reachable(adj).all() and reachable(adj.T).all())
 
 
-def classify_drift(blocks, tol=DRIFT_TOL):
+def classify_drift(blocks):
     """Classify the drift of the unrestricted process.
 
     The stationary phase vector alpha of A = A_minus1 + A0 + A1 determines
     the mean drift alpha A1 1 - alpha A_minus1 1.  Positive drift gives a
     transient unrestricted process (a high-blocking finite system), negative
-    drift a positive recurrent one; within ``tol`` of zero the process is
-    classified null recurrent.
+    drift a positive recurrent one; within DRIFT_TOL of zero the process
+    is classified null recurrent.
 
     Raises
     ------
@@ -321,7 +321,7 @@ def classify_drift(blocks, tol=DRIFT_TOL):
         raise ModelError(f"stationary phase vector solve failed: {exc}") from exc
     drift = float(alpha @ blocks.A1 @ np.ones(blocks.n)
                   - alpha @ blocks.A_minus1 @ np.ones(blocks.n))
-    if abs(drift) <= tol:
+    if abs(drift) <= DRIFT_TOL:
         tag = Drift.NULL_RECURRENT
     elif drift > 0:
         tag = Drift.TRANSIENT

@@ -7,14 +7,11 @@ All routines are O(N^3) in the state count N and refuse to run above
 N = 2000.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NumericalError, NumericalRankError, StructuralError
 
 __all__ = [
-    "OracleConfig",
     "oracle_stationary",
     "oracle_deviation",
     "oracle_transient_deviation",
@@ -24,21 +21,11 @@ __all__ = [
 
 _MAX_STATES = 2000
 
-
-@dataclass(frozen=True)
-class OracleConfig:
-    """Step sizes for the quadrature and ODE oracles.
-
-    Both steps are divided by max(1, ||Q||_max) so that stiff models are
-    integrated with proportionally finer grids.
-    """
-
-    quadrature_step: float = 1e-3
-    ode_step: float = 1e-3
-
-    def __post_init__(self):
-        if self.quadrature_step <= 0 or self.ode_step <= 0:
-            raise ValueError("step sizes must be positive")
+# Step sizes of the quadrature and ODE oracles, each divided by
+# max(1, ||Q||_max) so that stiff models are integrated with
+# proportionally finer grids.
+_QUADRATURE_STEP = 1e-3
+_ODE_STEP = 1e-3
 
 
 def _check_size(q):
@@ -122,7 +109,7 @@ def oracle_deviation(q, pi=None):
     return dev
 
 
-def oracle_transient_deviation(q, pi=None, t=0.0, config=OracleConfig()):
+def oracle_transient_deviation(q, pi=None, t=0.0):
     """Finite-horizon deviation matrix by composite Simpson quadrature.
 
     Integrates exp(q u) - 1 pi over [0, t] on a uniform grid, with the
@@ -137,7 +124,7 @@ def oracle_transient_deviation(q, pi=None, t=0.0, config=OracleConfig()):
         return np.zeros((m, m))
     if t < 0:
         raise ValueError("t must be nonnegative")
-    h = config.quadrature_step / max(1.0, np.abs(q).max())
+    h = _QUADRATURE_STEP / max(1.0, np.abs(q).max())
     steps = int(np.ceil(t / h))
     steps += steps % 2  # Simpson needs an even interval count
     h = t / steps
@@ -154,7 +141,7 @@ def oracle_transient_deviation(q, pi=None, t=0.0, config=OracleConfig()):
     return acc * (h / 3.0)
 
 
-def oracle_reward(q, g, t, config=OracleConfig(), cross_check=False):
+def oracle_reward(q, g, t, cross_check=False):
     """Cumulative expected reward R(t) by RK4 integration of R' = qR + g.
 
     Parameters
@@ -178,7 +165,7 @@ def oracle_reward(q, g, t, config=OracleConfig(), cross_check=False):
     m = q.shape[0]
     r = np.zeros(m)
     if t > 0:
-        h = config.ode_step / max(1.0, np.abs(q).max())
+        h = _ODE_STEP / max(1.0, np.abs(q).max())
         steps = max(1, int(np.ceil(t / h)))
         h = t / steps
         for _ in range(steps):
@@ -190,7 +177,7 @@ def oracle_reward(q, g, t, config=OracleConfig(), cross_check=False):
     if cross_check:
         pi = oracle_stationary(q)
         alt = (pi @ g) * t * np.ones(m) + oracle_transient_deviation(
-            q, pi, t, config) @ g
+            q, pi, t) @ g
         gap = np.max(np.abs(alt - r))
         if gap > 1e-6 * (1.0 + np.max(np.abs(r))):
             raise NumericalError(

@@ -25,7 +25,7 @@ import numpy as np
 
 from .diffeq import BoundarySystem
 from .errors import PreconditionError
-from .gmatrices import SolverConfig, gmatrices, require_not_null_recurrent
+from .gmatrices import gmatrices, require_not_null_recurrent
 from .model import Drift, classify_drift, require_finite
 from .stationary import _negated, _solve, _sweep, stationary_rmatrix
 
@@ -109,8 +109,7 @@ def passage_column(blocks, level, j):
                          residual=_column_residual(blocks, level, j, m))
 
 
-def passage_column_unbounded(blocks, level, j, kmax, gmat=None,
-                             config=SolverConfig()):
+def passage_column_unbounded(blocks, level, j, kmax):
     """Passage times to (level, j) in the upper-unbounded QBD, levels
     0..kmax.
 
@@ -123,9 +122,8 @@ def passage_column_unbounded(blocks, level, j, kmax, gmat=None,
     n = blocks.n
     if not 0 <= j < n:
         raise ValueError(f"target phase {j} out of range 0..{n - 1}")
-    if gmat is None:
-        gmat = gmatrices(blocks, 0.0, config)
-    system = _passage_system(blocks, level, gmat, max(kmax, level + 2))
+    system = _passage_system(blocks, level, gmatrices(blocks),
+                             max(kmax, level + 2))
     m = system.solve((level, j))[:kmax + 1]
     if level <= kmax:
         m[level][j] = 0.0
@@ -172,26 +170,24 @@ def passage_level_matrices(blocks, level):
     return m
 
 
-def deviation_block_asymptotic(blocks, pi, k, level, level_mats=None):
+def deviation_block_asymptotic(blocks, pi, k, level):
     """Asymptotic deviation block D_{k, level} from passage times.
 
     D_{k,l} = [ 1 (sum_x pi_x M_{x,l}) - M_{k,l} ] diag(pi_l).
     """
     n, C = blocks.n, blocks.C
-    if level_mats is None:
-        level_mats = passage_level_matrices(blocks, level)
+    mats = passage_level_matrices(blocks, level)
     pi_level = np.asarray(pi[level])
     if np.any((pi_level != 0) & (np.abs(pi_level) < 1e-300)):
         warnings.warn(f"stationary weights at level {level} underflow",
                       RuntimeWarning, stacklevel=2)
     mean_row = np.zeros(n)
     for x in range(C + 1):
-        mean_row = mean_row + np.asarray(pi[x]) @ level_mats[x]
-    return (np.outer(np.ones(n), mean_row) - level_mats[k]) * pi_level
+        mean_row = mean_row + np.asarray(pi[x]) @ mats[x]
+    return (np.outer(np.ones(n), mean_row) - mats[k]) * pi_level
 
 
-def deviation_matrix_diffeq(blocks, pi=None, config=SolverConfig(),
-                            levels=None):
+def deviation_matrix_diffeq(blocks, pi=None, levels=None):
     """Asymptotic deviation matrix from one pinned boundary system: the
     block columns ``levels`` of D, shape (n(C+1), n len(levels)), or all of
     D with ``levels`` None.
@@ -216,7 +212,7 @@ def deviation_matrix_diffeq(blocks, pi=None, config=SolverConfig(),
     if not all(0 <= lv <= C for lv in levels):
         raise ValueError(f"target levels {levels} out of range 0..{C}")
     require_not_null_recurrent(blocks, "asymptotic deviation matrices")
-    gmat = gmatrices(blocks, 0.0, config)
+    gmat = gmatrices(blocks)
     if pi is None:
         pi = stationary_rmatrix(blocks)
     row = np.concatenate([np.asarray(pi[k]) for k in range(C + 1)])

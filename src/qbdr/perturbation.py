@@ -32,7 +32,7 @@ from .errors import StructuralError, UpdateError
 from .linalg import stack_matmul
 from .model import assemble_generator, require_finite
 from .oracle import oracle_stationary
-from .transform import InversionConfig, invert_stacked
+from .transform import invert_stacked
 
 __all__ = [
     "CapacityLadderState",
@@ -49,9 +49,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CapacityLadderState:
-    """One rung of the ladder: capacity, stationary vector, deviation."""
+    """The top of the ladder: stationary vector and deviation matrix."""
 
-    level_count: int
     pi: np.ndarray
     dev: np.ndarray
 
@@ -237,15 +236,14 @@ def _ladder_rung(dev, pi, blocks, c0_inv, p_top):
     dev -= pi @ dev
 
 
-def deviation_recursive(blocks, return_all=False):
+def deviation_recursive(blocks):
     """Full deviation matrix D(C) by climbing the capacity ladder.
 
     Seeds at capacity 1 with a dense fundamental-matrix solve, then takes
     the group-inverse, stationary and deviation updates once per rung, in
     place in one N x N array and one N-vector (N = n (C + 1)): a peak of
     about 2 N^2 doubles, the array and one product.  Returns the final
-    :class:`CapacityLadderState`, or with ``return_all`` every rung, each
-    in arrays of its own.
+    :class:`CapacityLadderState`.
 
     Raises
     ------
@@ -261,19 +259,13 @@ def deviation_recursive(blocks, return_all=False):
     size = n * (C + 1)
     dev, pi = np.empty((size, size)), np.empty(size)
     pi[:2 * n], dev[:2 * n, :2 * n] = _seed(blocks)
-    rungs = []
     for c in range(2, C + 1):
         m = n * (c + 1)
-        if return_all:
-            rungs.append(CapacityLadderState(
-                level_count=c - 1, pi=pi[:m - n].copy(),
-                dev=dev[:m - n, :m - n].copy()))
         try:
             _ladder_rung(dev[:m, :m], pi[:m], blocks, c0_inv, p_top)
         except UpdateError as exc:
             raise UpdateError(f"ladder failed at capacity {c}: {exc}") from exc
-    state = CapacityLadderState(level_count=C, pi=pi, dev=dev)
-    return rungs + [state] if return_all else state
+    return CapacityLadderState(pi=pi, dev=dev)
 
 
 def _targets(levels, C, what):
@@ -369,4 +361,4 @@ def deviation_time_recursive(blocks, t, block=None):
     def transform(nodes):
         return resolvent_recursive(blocks, nodes, pi, rows, cols)[1]
 
-    return invert_stacked(transform, t, InversionConfig(), shape, size)
+    return invert_stacked(transform, t, shape, size)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, NumericalRankError
-from .gmatrices import SolverConfig, rate_matrices
+from .gmatrices import rate_matrices
 from .linalg import left_null_vector, matrix_powers
 from .model import require_finite
 
@@ -128,14 +128,14 @@ def stationary_rmatrix(blocks):
     return StationaryDistribution(pi=tuple(pi))
 
 
-def stationary_unrestricted(blocks, kmax, config=SolverConfig()):
+def stationary_unrestricted(blocks, kmax):
     """Level rows pi_0..pi_kmax of the unrestricted positive-recurrent QBD.
 
     pi_0 spans the left kernel of B0 + R A_minus1, normalized by
     pi_0 (I - R)^{-1} 1 = 1, and pi_k = pi_0 R^k.
     """
     n = blocks.n
-    r, _ = rate_matrices(blocks, config=config)
+    r, _ = rate_matrices(blocks)
     if np.max(np.abs(np.linalg.eigvals(r))) >= 1.0:
         raise NumericalRankError(
             "unrestricted stationary distribution needs sp(R) < 1 "

@@ -38,11 +38,10 @@ import numpy as np
 
 from .diffeq import BoundarySystem
 from .errors import NumericalError, TailConvergenceError
-from .gmatrices import SolverConfig, gmatrices
+from .gmatrices import gmatrices
 from .stationary import stationary_rmatrix
 
 __all__ = [
-    "InversionConfig",
     "TransformContext",
     "BoundaryVectors",
     "transform_context",
@@ -89,23 +88,18 @@ _QD_ENTRIES = 1 << 15
 # one call per band; one BLAS thread, best of 5 processes of 15 rounds).
 _BAND_RATIO = 2.0
 
+# The de Hoog inversion: a band of times takes the 2M + 1 nodes
+# gamma + i pi k / T, k = 0..2M, M = _ORDER, and the continued fraction of
+# order 2M; the abscissa gamma = -ln(_INVERSION_TOLERANCE) / (2T) > 0 puts
+# the discretization error near _INVERSION_TOLERANCE relative.
+_ORDER = 20
+_INVERSION_TOLERANCE = 1e-12
 
-@dataclass(frozen=True)
-class InversionConfig:
-    """Parameters of the de Hoog inversion.
-
-    ``order`` is M: a band of times takes the 2M + 1 nodes
-    gamma + i pi k / T, k = 0..2M, and the continued fraction of order 2M.
-    ``tolerance`` sets the abscissa gamma = -ln(tolerance) / (2T) > 0,
-    which puts the discretization error near ``tolerance`` relative.
-    """
-
-    order: int = 20
-    tolerance: float = 1e-12
-
-    def __post_init__(self):
-        if not (self.order >= 1 and 0 < self.tolerance < 1):
-            raise ValueError("need order >= 1 and 0 < tolerance < 1")
+# Stopping rule of the reward tail series of the process with no upper
+# boundary: three successive terms at most _TAIL_TOL relative, within
+# _MAX_TERMS terms.
+_TAIL_TOL = 1e-14
+_MAX_TERMS = 100_000
 
 
 @dataclass(frozen=True)
@@ -126,9 +120,9 @@ class BoundaryVectors:
     w: np.ndarray
 
 
-def transform_context(blocks, s, config=SolverConfig()):
+def transform_context(blocks, s):
     """Solve G(s), Ghat(s) and H0(s)."""
-    gm = gmatrices(blocks, s, config)
+    gm = gmatrices(blocks, s)
     return TransformContext(gm.s, blocks, gm)
 
 
@@ -162,23 +156,23 @@ def reward_transform(ctx, rewards):
     return np.moveaxis(_reward_system(ctx, rewards).solve()[..., 0], 0, -2)
 
 
-def _tail_sum(term_at, tail_tol, max_terms):
+def _tail_sum(term_at):
     """Sum term_at(1), term_at(2), ... until the terms vanish."""
     acc = None
     quiet = 0
-    for j in range(1, max_terms + 1):
+    for j in range(1, _MAX_TERMS + 1):
         term = term_at(j)
         if term is None:
             return acc  # finite support exhausted
         acc = term if acc is None else acc + term
-        if np.max(np.abs(term)) <= tail_tol * max(1.0, np.max(np.abs(acc))):
+        if np.max(np.abs(term)) <= _TAIL_TOL * max(1.0, np.max(np.abs(acc))):
             quiet += 1
             if quiet >= 3:
                 return acc
         else:
             quiet = 0
     raise TailConvergenceError(
-        f"reward tail series did not settle within {max_terms} terms")
+        f"reward tail series did not settle within {_MAX_TERMS} terms")
 
 
 def _reward_at(rewards, level):
@@ -191,8 +185,7 @@ def _reward_at(rewards, level):
     return None  # zero beyond the finite support
 
 
-def _unbounded_reward_system(blocks, gmat, rewards, top, tail_tol,
-                             max_terms):
+def _unbounded_reward_system(blocks, gmat, rewards, top):
     """The reward equation on the levels 0..top of the run with no upper
     end; the rewards above ``top`` enter the particular term through the
     tail sum_j Ghat^j H0 g_{top+j} / s."""
@@ -204,15 +197,14 @@ def _unbounded_reward_system(blocks, gmat, rewards, top, tail_tol,
         g = _reward_at(rewards, top + j)
         return None if g is None else power @ (gmat.H0 @ g / gmat.s)
 
-    tail = _tail_sum(tail_term, tail_tol, max_terms)
+    tail = _tail_sum(tail_term)
     force = [np.zeros(blocks.n) if g is None else -g / gmat.s
              for g in (_reward_at(rewards, lv) for lv in range(top + 1))]
     return BoundarySystem(blocks, [(0, None)], gmat, np.array(force),
                           0.0 if tail is None else tail)
 
 
-def reward_transform_unbounded(blocks, rewards, s, k, config=SolverConfig(),
-                               gmat=None, tail_tol=1e-14, max_terms=100_000):
+def reward_transform_unbounded(blocks, rewards, s, k):
     """Transformed expected reward from level k with no upper boundary.
 
     ``rewards`` may be a RewardSpec, a finite sequence of level vectors
@@ -222,12 +214,10 @@ def reward_transform_unbounded(blocks, rewards, s, k, config=SolverConfig(),
     Raises
     ------
     TailConvergenceError
-        If the reward tail series does not settle within ``max_terms``.
+        If the reward tail series does not settle within _MAX_TERMS terms.
     """
-    if gmat is None:
-        gmat = gmatrices(blocks, s, config)
-    return _unbounded_reward_system(blocks, gmat, rewards, max(k, 1),
-                                    tail_tol, max_terms).solve()[k]
+    return _unbounded_reward_system(blocks, gmatrices(blocks, s), rewards,
+                                    max(k, 1)).solve()[k]
 
 
 def _deviation_columns(blocks, gmat, segments, top, levels, pi_rows):
@@ -270,8 +260,7 @@ def deviation_transform(ctx, pi):
     return np.moveaxis(cols, 0, -3).reshape(cols.shape[1:-2] + (size, size))
 
 
-def deviation_transform_unbounded(blocks, s, k, level, pi_level=None,
-                                  gmat=None, config=SolverConfig()):
+def deviation_transform_unbounded(blocks, s, k, level, pi_level=None):
     """Block (k, level) of the transformed deviation matrix with no upper
     boundary.
 
@@ -280,30 +269,29 @@ def deviation_transform_unbounded(blocks, s, k, level, pi_level=None,
     None for a transient unrestricted process, whose stationary mass at any
     fixed level is zero.
     """
-    if gmat is None:
-        gmat = gmatrices(blocks, s, config)
     if pi_level is None:
         pi_level = np.zeros(blocks.n)
     top = max(k, level, 1)
-    return _deviation_columns(blocks, gmat, [(0, None)], top, [level],
-                              [pi_level])[k]
+    return _deviation_columns(blocks, gmatrices(blocks, s), [(0, None)], top,
+                              [level], [pi_level])[k]
 
 
-def _contour(t_max, config):
+def _contour(t_max):
     """The abscissa gamma and the period T = 2 t_max of the band whose
     largest time is t_max."""
     period = 2.0 * t_max
-    return -math.log(config.tolerance) / (2.0 * period), period
+    return -math.log(_INVERSION_TOLERANCE) / (2.0 * period), period
 
 
-def inversion_nodes(t_max, config=InversionConfig()):
+def inversion_nodes(t_max):
     """The 2M + 1 nodes gamma + i pi k / T, k = 0..2M, of the band whose
-    largest time is t_max: T = 2 t_max and gamma = -ln(tolerance) / (2T),
-    so every node has Re s = gamma > 0."""
+    largest time is t_max: T = 2 t_max and
+    gamma = -ln(_INVERSION_TOLERANCE) / (2T), so every node has
+    Re s = gamma > 0."""
     if not 0 < t_max < np.inf:
         raise ValueError("inversion requires finite t > 0")
-    gamma, period = _contour(t_max, config)
-    return gamma + 1j * (math.pi / period) * np.arange(2 * config.order + 1)
+    gamma, period = _contour(t_max)
+    return gamma + 1j * (math.pi / period) * np.arange(2 * _ORDER + 1)
 
 
 def _bands(times):
@@ -321,7 +309,7 @@ def _bands(times):
     return bands
 
 
-def _dehoog(values, times, t_max, config):
+def _dehoog(values, times, t_max):
     """The inverse at the 1-d ``times`` of the band of t_max from the
     transform ``values`` at its nodes, shape (2M + 1, m): shape
     (len(times), m).
@@ -338,8 +326,8 @@ def _dehoog(values, times, t_max, config):
     convergents take a few times that many values.  An entry that is 0 at
     every node inverts to 0.
     """
-    gamma, period = _contour(t_max, config)
-    order = config.order
+    gamma, period = _contour(t_max)
+    order = _ORDER
     z = np.exp(1j * (math.pi / period) * times)[:, None]
     scale = np.exp(gamma * times)[:, None] / period
     out = np.empty((times.size, values.shape[1]))
@@ -375,7 +363,7 @@ def _dehoog(values, times, t_max, config):
     return out
 
 
-def _band_inverses(evaluate, times, config, bands_per_call=1):
+def _band_inverses(evaluate, times, bands_per_call=1):
     """(indices, inverses) of each band of the positive entries of the 1-d
     ``times``; ``evaluate`` maps the nodes of ``bands_per_call`` consecutive
     bands to the transform values stacked along a leading node axis."""
@@ -384,11 +372,11 @@ def _band_inverses(evaluate, times, config, bands_per_call=1):
         group = bands[lo:lo + bands_per_call]
         tops = [times[band[-1]] for band in group]
         values = np.asarray(evaluate(np.concatenate(
-            [inversion_nodes(t_max, config) for t_max in tops])))
+            [inversion_nodes(t_max) for t_max in tops])))
         values = values.reshape((len(group), -1) + values.shape[1:])
         for band, t_max, band_values in zip(group, tops, values):
             inverse = _dehoog(band_values.reshape(len(band_values), -1),
-                              times[band], t_max, config)
+                              times[band], t_max)
             yield band, inverse.reshape(band.shape + values.shape[2:])
 
 
@@ -399,7 +387,7 @@ def _checked_times(t):
     return times
 
 
-def invert_laplace(transform, t, config=InversionConfig()):
+def invert_laplace(transform, t):
     """Invert a Laplace transform at time t > 0, or at every time of a 1-d
     array t, one node at a time: the reference form of
     :func:`invert_stacked`, with the same bands and nodes.
@@ -411,7 +399,6 @@ def invert_laplace(transform, t, config=InversionConfig()):
         array-valued) transform value.
     t : float or 1-d array of float
         Positive times.
-    config : InversionConfig
 
     Returns
     -------
@@ -426,14 +413,14 @@ def invert_laplace(transform, t, config=InversionConfig()):
     out = None
     for band, inverse in _band_inverses(
             lambda nodes: [np.asarray(transform(complex(s))) for s in nodes],
-            flat, config):
+            flat):
         if out is None:
             out = np.empty(flat.shape + inverse.shape[1:])
         out[band] = inverse
     return out.reshape(times.shape + out.shape[1:])
 
 
-def invert_stacked(transform, t, config, shape, states):
+def invert_stacked(transform, t, shape, states):
     """Inverse at time t >= 0, or at every time of a 1-d array t, of a
     transform evaluated at a 1-d array of nodes at once, its values of
     shape ``shape`` stacked along a leading node axis; zero at t = 0.  An
@@ -453,21 +440,19 @@ def invert_stacked(transform, t, config, shape, states):
     flat = times.reshape(-1)
     out = np.zeros(flat.shape + tuple(shape))
     per_call = max(1, _STACK_ENTRIES // (states * math.prod(shape[1:])))
-    bands_per_call = max(1, per_call // (2 * config.order + 1))
+    bands_per_call = max(1, per_call // (2 * _ORDER + 1))
 
     def evaluate(nodes):
         calls = -(-len(nodes) // per_call)
         parts = [transform(part) for part in np.array_split(nodes, calls)]
         return parts[0] if calls == 1 else np.concatenate(parts)
 
-    for band, inverse in _band_inverses(evaluate, flat, config,
-                                        bands_per_call):
+    for band, inverse in _band_inverses(evaluate, flat, bands_per_call):
         out[band] = inverse
     return out.reshape(times.shape + tuple(shape))
 
 
-def reward_time(blocks, rewards, t, k=None, inversion=InversionConfig(),
-                solver=SolverConfig(), dist=None):
+def reward_time(blocks, rewards, t, k=None, dist=None):
     """Expected cumulative reward up to time t, or up to every time of a
     1-d array t, stacked along a leading time axis.
 
@@ -484,19 +469,17 @@ def reward_time(blocks, rewards, t, k=None, inversion=InversionConfig(),
         shape = () if k is not None else (blocks.C + 1,)
 
     def transform(nodes):
-        parts = reward_transform(transform_context(blocks, nodes, solver),
-                                 rewards)
+        parts = reward_transform(transform_context(blocks, nodes), rewards)
         if k is not None:
             parts = parts[:, k]
         if dist is not None:
             parts = parts @ dist
         return parts.reshape((len(nodes),) + shape)
 
-    return invert_stacked(transform, t, inversion, shape, size)
+    return invert_stacked(transform, t, shape, size)
 
 
-def deviation_time(blocks, t, pi=None, inversion=InversionConfig(),
-                   solver=SolverConfig(), block=None):
+def deviation_time(blocks, t, pi=None, block=None):
     """Transient deviation matrix D(t) by inversion of its transform.
 
     With ``block`` = (k, level), only the n x n block D(t)_{k, level}, from
@@ -507,21 +490,20 @@ def deviation_time(blocks, t, pi=None, inversion=InversionConfig(),
     size = blocks.n * (blocks.C + 1)
 
     def transform(nodes):
-        ctx = transform_context(blocks, nodes, solver)
+        ctx = transform_context(blocks, nodes)
         if block is None:
             return deviation_transform(ctx, pi)
         return deviation_transform_block(ctx, pi, *block)
 
     shape = (blocks.n,) * 2 if block is not None else (size, size)
-    return invert_stacked(transform, t, inversion, shape, size)
+    return invert_stacked(transform, t, shape, size)
 
 
-def occupation_matrix(blocks, pi, t, inversion=InversionConfig(),
-                      solver=SolverConfig()):
+def occupation_matrix(blocks, pi, t):
     """Expected occupation times V(t) = 1 pi t + D(t); rows sum to t."""
     n, C = blocks.n, blocks.C
     if t == 0:
         return np.zeros((n * (C + 1), n * (C + 1)))
     stacked = np.concatenate([np.asarray(pi[k]) for k in range(C + 1)])
     base = np.outer(np.ones(n * (C + 1)), stacked) * t
-    return base + deviation_time(blocks, t, pi, inversion, solver)
+    return base + deviation_time(blocks, t, pi)

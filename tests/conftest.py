@@ -370,10 +370,39 @@ def full_sweep_particular(g, ghat, atoms, tail=0.0):
     return down + up
 
 
-def _logred_one_equation(b_down, b_up, residual, config):
+# The stopping rule of qbdr.gmatrices: residual tolerance and sweep budget.
+SOLVER_TOL = 1e-12
+SOLVER_MAX_ITERATIONS = 100_000
+
+
+def functional_iteration(blocks, s):
+    """G(s) and Ghat(s) at one real s by plain functional iteration from
+    the zero matrix, one equation at a time: X <- b_down + b_up X^2 with
+    the one-step kernels of the uniformized jump chain, swapped for Ghat,
+    until the defining-equation residual meets SOLVER_TOL.  Linearly
+    convergent: the independent reference for the logarithmic reduction
+    of :func:`qbdr.gmatrices.gmatrices`."""
+    shifted = s * np.eye(blocks.n) - blocks.A0
+    out = []
+    for down, up in ((blocks.A_minus1, blocks.A1),
+                     (blocks.A1, blocks.A_minus1)):
+        low = np.linalg.solve(shifted, down)
+        high = np.linalg.solve(shifted, up)
+        x = np.zeros_like(low)
+        for _ in range(SOLVER_MAX_ITERATIONS):
+            if np.max(np.abs(down - shifted @ x + up @ x @ x)) <= SOLVER_TOL:
+                break
+            x = low + high @ (x @ x)
+        else:
+            raise AssertionError("functional iteration did not converge")
+        out.append(x)
+    return out
+
+
+def _logred_one_equation(b_down, b_up, residual):
     """Logarithmic reduction of X = b_down + b_up X^2 alone, one stack of
     nodes, each leaving once its best iterate meets the tolerance."""
-    tol = config.tolerance
+    tol = SOLVER_TOL
     eye = np.eye(b_down.shape[-1])
     x_out = b_down.copy()
     res_out = residual(x_out, slice(None))
@@ -381,7 +410,7 @@ def _logred_one_equation(b_down, b_up, residual, config):
     low, high = b_down[nodes], b_up[nodes]
     x, trail, x_best, best = low, high, low, res_out[nodes]
     stale = np.zeros(nodes.size, dtype=int)
-    for _ in range(config.max_iterations if nodes.size else 0):
+    for _ in range(SOLVER_MAX_ITERATIONS if nodes.size else 0):
         mix = high @ low + low @ high
         factor = np.linalg.inv(eye - mix)
         high = factor @ (high @ high)
@@ -406,7 +435,7 @@ def _logred_one_equation(b_down, b_up, residual, config):
     return x_out
 
 
-def logred_per_equation(blocks, s, config):
+def logred_per_equation(blocks, s):
     """G(s) and Ghat(s) at every node of ``s``, each equation by its own
     logarithmic reduction: the reference for the shared reduction of
     :func:`qbdr.gmatrices.gmatrices`."""
@@ -420,7 +449,6 @@ def logred_per_equation(blocks, s, config):
             return np.max(np.abs(down - shifted[idx] @ x + up @ x @ x),
                           axis=(1, 2))
         x = _logred_one_equation(np.linalg.solve(shifted, down),
-                                 np.linalg.solve(shifted, up), residual,
-                                 config)
+                                 np.linalg.solve(shifted, up), residual)
         out.append(x.reshape(s.shape + x.shape[1:]))
     return out

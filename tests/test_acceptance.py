@@ -15,14 +15,14 @@ from qbdr import (Drift, RewardSpec, assemble_generator, classify_drift,
                   deviation_time, deviation_transform,
                   deviation_transform_block, deviation_transform_unbounded,
                   gmatrices, lost_revenue_rewards, oracle_deviation,
-                  oracle_passage, oracle_reward, oracle_stationary,
-                  oracle_transient_deviation, passage_column, random_blocks,
+                  oracle_reward, oracle_stationary, oracle_transient_deviation,
+                  passage_column, random_blocks,
                   reward_time, reward_transform, reward_transform_unbounded,
                   run_bench, solve_g, solve_ghat, stationary_rmatrix,
                   stationary_unrestricted, transform_context)
 from qbdr.passage import passage_level_matrices
 from conftest import (censored_passage_generator, dense_deviation_transform,
-                      dense_reward_transform, mapph_example,
+                      dense_reward_transform, gth_passage, mapph_example,
                       passage_z_factor, passage_z_matrix, random_rewards,
                       scalar_blocks)
 
@@ -152,7 +152,7 @@ def test_criterion_4_first_passage_suite():
             diag_ok &= not np.diag(mats[level]).any()
             for j in range(n):
                 col = passage_column(blocks, level, j)
-                reference = oracle_passage(q, level * n + j)
+                reference = gth_passage(q, [level * n + j])[:, 0]
                 worst_col = max(worst_col,
                                 np.max(np.abs(col.stacked() - reference)))
                 z = passage_z_matrix(blocks, level, j, gm)

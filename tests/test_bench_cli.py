@@ -1,6 +1,5 @@
 import csv
 import functools
-import importlib.util
 import io
 import json
 import os
@@ -117,17 +116,24 @@ def test_time_interleaved_median_absorbs_mid_run_slowdown():
 
 
 def test_traced_layers_exist():
-    # The traced benchmark run wraps every function its tracer lists and
-    # fails on a name that no longer exists in its layer's module.
-    path = pathlib.Path(__file__).parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    for layer, names in tracer.LAYERS.items():
-        module = importlib.import_module(f"qbdr.{layer}")
-        missing = [name for name in names
-                   if not callable(getattr(module, name, None))]
-        assert not missing, f"qbdr.{layer} lacks {missing}"
+    # The traced benchmark run imports qbdr.cli, then wraps every function
+    # its tracer lists in the qbdr modules loaded by then, and fails on a
+    # name missing there: a deleted function or a module imported lazily.
+    root = pathlib.Path(__file__).parents[1]
+    code = ("import sys, qbdr.cli\n"
+            "loaded = dict(sys.modules)\n"
+            "import tracer\n"
+            "print(*(f'qbdr.{layer}.{name}'\n"
+            "        for layer, names in tracer.LAYERS.items()\n"
+            "        for name in names\n"
+            "        if not callable(getattr(loaded.get(f'qbdr.{layer}'),"
+            " name, None))))\n")
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(root / "src"), str(root / "perfbench")])))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +357,8 @@ def test_cli_block_matches_full_matrix(tmp_path, queue_file, method,
     ["bench", "--n-range", "x"],
     ["bench", "--n-range", "2:1:0"],
     ["bench", "--n-range", "0"],
-    ["bench", "--n-range", "2", "--c-range", "5", "--reps", "0"]],
+    ["bench", "--n-range", "2", "--c-range", "5", "--reps", "0"],
+    ["bench", "--n-range", "2", "--c-range", "5", "--seed", "-1"]],
     ids=["deviation-block", "deviation-t", "deviation-t-inf", "reward-t",
          "reward-t-nan", "reward-levels", "reward-t-grid",
          "reward-t-grid-nan", "reward-t-grid-oversize-step",
@@ -359,7 +366,7 @@ def test_cli_block_matches_full_matrix(tmp_path, queue_file, method,
          "reward-gamma-nan", "reward-theta-negative", "reward-t-and-t-grid",
          "gmatrix-s-negative",
          "gmatrix-s-nan", "bench-n-range-text", "bench-n-range-step-0",
-         "bench-n-range-0", "bench-reps-0"])
+         "bench-n-range-0", "bench-reps-0", "bench-seed-negative"])
 def test_cli_block_out_of_range_is_parse_error(tmp_path, queue_file, args):
     out = tmp_path / "x.csv"
     model = [] if args[0] == "bench" else ["--model", queue_file]

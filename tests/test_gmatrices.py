@@ -1,12 +1,17 @@
+import sys
+
 import numpy as np
 import pytest
 
-from qbdr import (Algorithm, AsymptoticsUndefinedError, Drift,
-                  IterationLimitError, RewardSpec, SolverConfig,
-                  classify_drift, g_residual, ghat_residual,
+from qbdr import (AsymptoticsUndefinedError, Drift, IterationLimitError,
+                  RewardSpec, classify_drift, g_residual, ghat_residual,
                   gmatrices, h0, inversion_nodes, random_blocks,
                   rate_matrices, reward_time, solve_g, solve_ghat)
-from conftest import logred_per_equation, mapph_example, scalar_blocks
+from conftest import (SOLVER_TOL, functional_iteration, logred_per_equation,
+                      mapph_example, scalar_blocks)
+
+# The package attribute qbdr.gmatrices is the function of that name.
+GMATRICES = sys.modules["qbdr.gmatrices"]
 
 
 def scalar_g_root(lam, mu, s):
@@ -50,11 +55,10 @@ def test_h0_scalar_values():
 @pytest.mark.parametrize("s", [0.0, 0.5, 2.0])
 def test_residual_identities(seed, s):
     blocks = random_blocks(1 + seed % 4, 3, np.random.default_rng(seed))
-    config = SolverConfig()
-    g = solve_g(blocks, s, config)
-    gh = solve_ghat(blocks, s, config)
-    assert g_residual(blocks, s, g) <= config.tolerance
-    assert ghat_residual(blocks, s, gh) <= config.tolerance
+    g = solve_g(blocks, s)
+    gh = solve_ghat(blocks, s)
+    assert g_residual(blocks, s, g) <= SOLVER_TOL
+    assert ghat_residual(blocks, s, gh) <= SOLVER_TOL
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -93,22 +97,17 @@ def test_g_entrywise_nonincreasing_in_s(seed):
 @pytest.mark.parametrize("seed", range(4))
 def test_algorithms_agree(seed):
     blocks = random_blocks(1 + seed, 3, np.random.default_rng(seed))
-    tol = 1e-12
-    fi = SolverConfig(tolerance=tol, algorithm=Algorithm.FUNCTIONAL_ITERATION)
-    lr = SolverConfig(tolerance=tol, algorithm=Algorithm.LOGARITHMIC_REDUCTION)
     for s in (0.0, 1.0):
-        assert np.max(np.abs(solve_g(blocks, s, fi)
-                             - solve_g(blocks, s, lr))) <= 10 * tol
-        assert np.max(np.abs(solve_ghat(blocks, s, fi)
-                             - solve_ghat(blocks, s, lr))) <= 10 * tol
+        g, ghat = functional_iteration(blocks, s)
+        assert np.max(np.abs(solve_g(blocks, s) - g)) <= 10 * SOLVER_TOL
+        assert np.max(np.abs(solve_ghat(blocks, s) - ghat)) <= 10 * SOLVER_TOL
 
 
-def test_iteration_limit_carries_residual():
+def test_iteration_limit_carries_residual(monkeypatch):
     blocks = random_blocks(2, 3, np.random.default_rng(0))
-    config = SolverConfig(max_iterations=2,
-                          algorithm=Algorithm.FUNCTIONAL_ITERATION)
+    monkeypatch.setattr(GMATRICES, "_MAX_ITERATIONS", 2)
     with pytest.raises(IterationLimitError) as err:
-        solve_g(blocks, 0.0, config)
+        solve_g(blocks, 0.0)
     assert err.value.residual is not None and err.value.residual > 0
 
 
@@ -160,10 +159,6 @@ def test_complex_s_residuals(scalar_pr):
 
 def test_solver_config_validation():
     with pytest.raises(ValueError):
-        SolverConfig(tolerance=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(max_iterations=0)
-    with pytest.raises(ValueError):
         solve_g(scalar_blocks(1.0, 2.0, 2), -1.0)
 
 
@@ -189,24 +184,23 @@ def test_batched_nodes_match_scalar_solves(seed):
             assert gap <= 1e-13 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("algorithm", list(Algorithm))
-def test_one_failing_node_fails_the_batch(algorithm):
+def test_one_failing_node_fails_the_batch(monkeypatch):
     # s = 0 on the null-recurrent boundary converges linearly; s = 50
     # converges within the iteration budget
     blocks = scalar_blocks(1.0, 1.0, 2)
-    config = SolverConfig(max_iterations=8, algorithm=algorithm)
-    assert gmatrices(blocks, 50.0, config).residual_G <= config.tolerance
+    monkeypatch.setattr(GMATRICES, "_MAX_ITERATIONS", 8)
+    assert gmatrices(blocks, 50.0).residual_G <= SOLVER_TOL
     with pytest.raises(IterationLimitError) as err:
-        gmatrices(blocks, np.array([50.0, 0.0, 50.0]), config)
-    assert err.value.residual > config.tolerance
+        gmatrices(blocks, np.array([50.0, 0.0, 50.0]))
+    assert err.value.residual > SOLVER_TOL
 
 
-def test_failing_node_fails_the_inversion():
+def test_failing_node_fails_the_inversion(monkeypatch):
     blocks = random_blocks(2, 4, np.random.default_rng(0))
     rewards = RewardSpec.zeros(2, 4)
+    monkeypatch.setattr(GMATRICES, "_MAX_ITERATIONS", 1)
     with pytest.raises(IterationLimitError):
-        reward_time(blocks, rewards, 1.0,
-                    solver=SolverConfig(max_iterations=1))
+        reward_time(blocks, rewards, 1.0)
 
 
 def test_complex_batch_needs_positive_real_parts(scalar_pr):
@@ -233,12 +227,11 @@ def _shared_reduction_cases():
 @pytest.mark.parametrize("case", range(32))
 def test_shared_reduction_matches_per_equation(case):
     blocks, s = _shared_reduction_cases()[case]
-    config = SolverConfig()
-    shared = gmatrices(blocks, s, config)
+    shared = gmatrices(blocks, s)
     for value, ref in zip((shared.G, shared.Ghat),
-                          logred_per_equation(blocks, s, config)):
+                          logred_per_equation(blocks, s)):
         assert np.max(np.abs(value - ref)) <= 1e-12 * np.max(np.abs(ref))
-    assert max(shared.residual_G, shared.residual_Ghat) <= config.tolerance
+    assert max(shared.residual_G, shared.residual_Ghat) <= SOLVER_TOL
 
 
 @pytest.mark.parametrize("s", [0.0, 0.05, complex(inversion_nodes(10.0)[7])],
@@ -247,14 +240,13 @@ def test_shared_reduction_null_recurrent_scalar(s):
     # on the null-recurrent boundary both equations converge linearly at
     # s = 0
     blocks = scalar_blocks(1.0, 1.0, 2)
-    config = SolverConfig()
-    g, ghat = solve_g(blocks, s, config), solve_ghat(blocks, s, config)
-    for value, ref in zip((g, ghat), logred_per_equation(blocks, s, config)):
+    g, ghat = solve_g(blocks, s), solve_ghat(blocks, s)
+    for value, ref in zip((g, ghat), logred_per_equation(blocks, s)):
         assert np.max(np.abs(value - ref)) <= 1e-12 * np.max(np.abs(ref))
-    assert g_residual(blocks, s, g) <= config.tolerance
-    assert ghat_residual(blocks, s, ghat) <= config.tolerance
+    assert g_residual(blocks, s, g) <= SOLVER_TOL
+    assert ghat_residual(blocks, s, ghat) <= SOLVER_TOL
     nodes = inversion_nodes(10.0)
-    shared = gmatrices(blocks, nodes, config)
+    shared = gmatrices(blocks, nodes)
     for value, ref in zip((shared.G, shared.Ghat),
-                          logred_per_equation(blocks, nodes, config)):
+                          logred_per_equation(blocks, nodes)):
         assert np.max(np.abs(value - ref)) <= 1e-12 * np.max(np.abs(ref))

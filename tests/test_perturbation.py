@@ -151,10 +151,12 @@ def test_ladder_matches_diffeq_on_mapph():
 
 @pytest.mark.parametrize("seed", range(3))
 def test_ladder_every_rung_consistent(seed):
+    # the rungs below C do not depend on C, so the ladder to each c
+    # climbs the same rungs as the ladder to 6
     blocks = random_blocks(2, 6, np.random.default_rng(seed))
-    rungs = deviation_recursive(blocks, return_all=True)
-    for state in rungs:
-        q = assemble_generator(replace(blocks, C=state.level_count))
+    for c in range(1, 7):
+        state = deviation_recursive(replace(blocks, C=c))
+        q = assemble_generator(replace(blocks, C=c))
         np.testing.assert_allclose(state.pi @ q, 0.0, atol=1e-10)
         reference = oracle_deviation(q, oracle_stationary(q))
         assert np.linalg.norm(state.dev - reference) \
@@ -192,21 +194,8 @@ def test_in_place_ladder_matches_composed_ladder(models):
     for blocks in cases:
         pi, dev = composed_ladder(blocks)
         state = deviation_recursive(blocks)
-        assert state.level_count == blocks.C
         assert _rel_gap(state.pi, pi) <= 1e-12
         assert _rel_gap(state.dev, dev) <= 1e-12
-
-
-def test_ladder_rungs_do_not_share_memory():
-    blocks = random_blocks(2, 6, np.random.default_rng(3))
-    rungs = deviation_recursive(blocks, return_all=True)
-    assert [r.level_count for r in rungs] == list(range(1, 7))
-    arrays = [a for r in rungs for a in (r.pi, r.dev)]
-    for i, a in enumerate(arrays):
-        assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
-    final = deviation_recursive(blocks)
-    np.testing.assert_array_equal(rungs[-1].dev, final.dev)
-    np.testing.assert_array_equal(rungs[-1].pi, final.pi)
 
 
 def test_ladder_peak_memory():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qbdr import (InversionConfig, NumericalError, RewardSpec,
+from qbdr import (NumericalError, RewardSpec,
                   TailConvergenceError, assemble_generator, classify_drift,
                   deviation_time, deviation_transform,
                   deviation_transform_block, deviation_transform_unbounded,
@@ -11,7 +11,6 @@ from qbdr import (InversionConfig, NumericalError, RewardSpec,
                   random_blocks, reward_time, reward_transform,
                   reward_transform_unbounded, stationary_rmatrix,
                   stationary_unrestricted, transform_context)
-from qbdr.gmatrices import SolverConfig
 from qbdr.linalg import matrix_powers
 from conftest import (censored_boundary_generator, dense_deviation_transform,
                       dense_reward_transform, full_sweep_particular,
@@ -165,20 +164,21 @@ def test_reward_unbounded_nu_shift_identity():
     gm = gmatrices(blocks, 0.9)
     rewards = [np.array([0.3, 0.1]), np.array([1.0, 0.0]),
                np.array([0.2, 0.7])]
-    nu0, nu1 = (_unbounded_reward_system(blocks, gm, rewards, top, 1e-14,
-                                         100_000).p[top - 1]
+    nu0, nu1 = (_unbounded_reward_system(blocks, gm, rewards, top).p[top - 1]
                 for top in (1, 2))
     np.testing.assert_allclose(nu0, gm.Ghat @ nu1, atol=1e-12)
 
 
-def test_reward_unbounded_tail_divergence():
+def test_reward_unbounded_tail_divergence(monkeypatch):
+    import qbdr.transform as transform
     blocks = scalar_blocks(1.0, 2.0, 2)
 
     def growing(level):
         return np.array([4.0 ** level])
 
+    monkeypatch.setattr(transform, "_MAX_TERMS", 200)
     with pytest.raises(TailConvergenceError):
-        reward_transform_unbounded(blocks, growing, 0.1, 0, max_terms=200)
+        reward_transform_unbounded(blocks, growing, 0.1, 0)
 
 
 def test_reward_unbounded_geometric_tail():
@@ -276,8 +276,7 @@ def test_deviation_unbounded_level_zero_shortcut():
     s = 0.9
     gm = gmatrices(blocks, s)
     rows = None
-    block = deviation_transform_unbounded(blocks, s, 2, 0, pi_level=rows,
-                                          gmat=gm)
+    block = deviation_transform_unbounded(blocks, s, 2, 0, pi_level=rows)
     lead = np.linalg.inv(blocks.B0 - s * np.eye(2) + blocks.A1 @ gm.G)
     expected = np.linalg.matrix_power(gm.G, 2) @ lead * (-1.0 / s)
     np.testing.assert_allclose(block, expected, atol=1e-12)
@@ -306,12 +305,6 @@ def test_invert_vector_valued():
 def test_invert_rejects_nonpositive_time():
     with pytest.raises(ValueError):
         invert_laplace(lambda s: 1.0 / s, 0.0)
-
-
-def test_inversion_config_validated():
-    for bad in ({"order": 0}, {"tolerance": 0.0}, {"tolerance": 1.0}):
-        with pytest.raises(ValueError):
-            InversionConfig(**bad)
 
 
 def test_invert_grid_of_bands():
@@ -481,9 +474,8 @@ def test_inversion_nodes_on_band():
     # the band of t_max = 2 has T = 4: nodes gamma + i pi k / 4, k = 0..40,
     # with gamma = -ln(1e-12) / 8 > 0
     nodes = inversion_nodes(2.0)
-    config = InversionConfig()
-    assert len(nodes) == 2 * config.order + 1 == 41
-    np.testing.assert_allclose(nodes.real, -np.log(config.tolerance) / 8.0)
+    assert len(nodes) == 41
+    np.testing.assert_allclose(nodes.real, -np.log(1e-12) / 8.0)
     assert (nodes.real > 0).all() and nodes[0].imag == 0.0
     np.testing.assert_allclose(np.diff(nodes.imag), np.pi / 4.0)
     with pytest.raises(ValueError):
@@ -627,9 +619,9 @@ def _counting_contexts(monkeypatch):
     calls = []
     real = transform.transform_context
 
-    def counting(blocks, s, config=SolverConfig()):
+    def counting(blocks, s):
         calls.append(s)
-        return real(blocks, s, config)
+        return real(blocks, s)
 
     monkeypatch.setattr(transform, "transform_context", counting)
     return calls
