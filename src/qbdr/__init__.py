@@ -9,10 +9,14 @@ equations working with n- and 2n-sized objects, with block level
 reduction for the stationary vector and passage times, and a
 capacity-ladder recursion updating full matrices one level at a time.
 Dense brute-force oracles back both.
+
+The names of :mod:`qbdr.bench`, and the submodule itself, load it on
+first access (PEP 562), so that ``import qbdr.cli`` does not pay for it
+outside ``qbdr bench``.
 """
 
-from .bench import (BenchRecord, last_block_column_diffeq,
-                    last_block_column_perturbation, random_blocks, run_bench)
+import importlib
+
 from .errors import (AsymptoticsUndefinedError, IterationLimitError,
                      ModelError, ModelParseError, NumericalError,
                      NumericalRankError, PreconditionError, QbdError,
@@ -43,3 +47,18 @@ from .transform import (BoundaryVectors, TransformContext, deviation_time,
                         transform_context)
 
 __version__ = "0.1.0"
+
+_BENCH_NAMES = frozenset({"BenchRecord", "last_block_column_diffeq",
+                          "last_block_column_perturbation", "random_blocks",
+                          "run_bench"})
+
+
+def __getattr__(name):
+    if name == "bench" or name in _BENCH_NAMES:
+        bench = importlib.import_module(".bench", __name__)
+        return bench if name == "bench" else getattr(bench, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _BENCH_NAMES | {"bench"})

@@ -26,7 +26,7 @@ How ``run_bench`` takes its timings (see :func:`time_interleaved`):
 
 import functools
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,8 +46,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BenchRecord:
+class BenchRecord(NamedTuple):
     """One timed grid point: per-call CPU seconds at the reference host
     speed, the median over ``repetitions`` interleaved rounds."""
 

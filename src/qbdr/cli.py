@@ -13,7 +13,6 @@ import types
 
 import numpy as np
 
-from . import bench as bench_mod
 from . import mapph
 from .errors import (ModelError, ModelParseError, NumericalError,
                      PreconditionError, QbdError, StructuralError)
@@ -277,8 +276,8 @@ def cmd_bench(args):
         raise ModelParseError("--reps must be at least 1")
     if args.seed < 0:
         raise ModelParseError("--seed must be nonnegative")
-    records = bench_mod.run_bench(n_values, c_values, reps=args.reps,
-                                  seed=args.seed)
+    from .bench import run_bench  # loaded here: only this command uses it
+    records = run_bench(n_values, c_values, reps=args.reps, seed=args.seed)
     with _output(args.output) as out:
         out.write("n,C,method,median_scaled_cpu_seconds,reps,seed\r\n")
         out.writelines(f"{r.n},{r.C},{r.method},"

@@ -74,16 +74,20 @@ class BoundarySystem:
     Ghat and H0, with the batch shape of s as leading axes; ``f`` holds the
     forcing at every level evaluated, shape (levels, n), or
     (levels, *batch, n, m).  The particular term ``p`` is swept from the
-    atoms -H0 f_l, formed in one stacked product on the levels l >= 1 from
-    the first to the last whose forcing is nonzero (the sweep leaves level
-    0 out, a run end), and from ``tail``, the contribution of the atoms
-    above the last level of a run with no upper end.  Only the levels next
+    atoms -H0 f_l on the levels l >= 1 from the first to the last whose
+    forcing is nonzero (the sweep leaves level 0 out, a run end), formed by
+    one small product per level and node, and from ``tail``, the
+    contribution of the atoms above the last level of a run with no upper
+    end.  With a ``divisor`` (shaped to broadcast against (*batch, n, m)),
+    the forcing is f / divisor, and f is the same at every node (its batch
+    axes have length 1): each node then forms the atoms of all those levels
+    in one product before dividing them.  Only the levels next
     to a segment end are read from ``f`` and ``p`` for the system, whose
     assembled form, shape (*batch, rows, columns), is kept, so several pins
     can share it.
     """
 
-    def __init__(self, blocks, segments, gmat, f, tail=0.0):
+    def __init__(self, blocks, segments, gmat, f, tail=0.0, divisor=None):
         self.blocks, self.segments = blocks, segments
         self.gs = (np.asarray(gmat.G), np.asarray(gmat.Ghat))
         self.ends = segment_ends(segments)
@@ -96,10 +100,20 @@ class BoundarySystem:
         self._width = sum(widths)
         self._dtype = np.result_type(*self.gs, gmat.s)
         f = np.asarray(f)
-        atoms = np.zeros(f.shape, np.result_type(self._dtype, gmat.H0, f))
+        batch = self.gs[0].shape[:-2]
+        shape = f.shape if divisor is None else (
+            (len(f),) + batch + f.shape[-2:])
+        atoms = np.zeros(shape, np.result_type(self._dtype, gmat.H0, f))
         forced = np.flatnonzero(
             np.any(f[1:], axis=tuple(range(1, f.ndim)))) + 1
-        if forced.size:  # vectors are taken as one-column matrices
+        if forced.size and divisor is not None:
+            lo, hi = forced[0], forced[-1] + 1
+            levels = np.moveaxis(f[lo:hi].reshape(hi - lo, n, -1), 0, 1)
+            atoms[lo:hi] = np.moveaxis(np.matmul(
+                -gmat.H0, levels.reshape(n, -1)).reshape(
+                    batch + (n, hi - lo, -1)), -2, 0)
+            atoms[lo:hi] /= divisor
+        elif forced.size:  # vectors are taken as one-column matrices
             part = (slice(forced[0], forced[-1] + 1), ...) + (
                 () if f.ndim > 2 else (None,))
             np.matmul(-gmat.H0, f[part], out=atoms[part])
@@ -109,7 +123,7 @@ class BoundarySystem:
         for level in self.ends:
             terms = self._terms(level)
             rows.append(self._rows(terms))
-            piece = f[level].copy()
+            piece = f[level].copy() if divisor is None else f[level] / divisor
             for k, block in terms:
                 piece -= stack_matmul(block, self.p[k])
             rhs.append(piece)

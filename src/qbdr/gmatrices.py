@@ -20,7 +20,7 @@ reduction for G and Ghat, until the defining-equation residual of each,
 in the entrywise max-norm, is at most _TOLERANCE.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,8 +46,7 @@ _TOLERANCE = 1e-12
 _MAX_ITERATIONS = 100_000
 
 
-@dataclass(frozen=True)
-class GMatrices:
+class GMatrices(NamedTuple):
     """G(s), Ghat(s) and the local kernel H0(s) with solver residuals.
 
     For an array of transform variables the matrices carry its shape as

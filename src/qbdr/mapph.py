@@ -16,12 +16,11 @@ with t = -T 1 the service exit rates.
 """
 
 import json
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ModelParseError, StructuralError
-from .model import QbdBlocks, RewardSpec
+from .model import Frozen, QbdBlocks, RewardSpec
 
 __all__ = [
     "MapParams",
@@ -36,17 +35,12 @@ __all__ = [
 _TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class MapParams:
+class MapParams(Frozen):
     """Markovian arrival process rates (D0 without, D1 with an arrival)."""
 
-    D0: np.ndarray
-    D1: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "D0", np.atleast_2d(np.asarray(self.D0, float)))
-        object.__setattr__(self, "D1", np.atleast_2d(np.asarray(self.D1, float)))
-        d0, d1 = self.D0, self.D1
+    def __init__(self, D0, D1):
+        d0 = np.atleast_2d(np.asarray(D0, float))
+        d1 = np.atleast_2d(np.asarray(D1, float))
         if d0.shape != d1.shape or d0.shape[0] != d0.shape[1]:
             raise StructuralError("D0 and D1 must be square and congruent")
         off = d0 - np.diag(np.diag(d0))
@@ -54,32 +48,29 @@ class MapParams:
             raise StructuralError("MAP rates must be nonnegative")
         if np.max(np.abs((d0 + d1).sum(axis=1))) > _TOL:
             raise StructuralError("D0 + D1 must have zero row sums")
+        vars(self).update(D0=d0, D1=d1)
 
     @property
     def order(self):
         return self.D0.shape[0]
 
 
-@dataclass(frozen=True)
-class PhParams:
-    """Phase-type service law: initial vector tau and sub-generator T."""
+class PhParams(Frozen):
+    """Phase-type service law: initial vector tau and sub-generator T, with
+    the exit rates t_exit = -T 1 (negative roundoff clipped to 0)."""
 
-    tau: np.ndarray
-    T: np.ndarray
-    t_exit: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "tau", np.asarray(self.tau, float).ravel())
-        object.__setattr__(self, "T", np.atleast_2d(np.asarray(self.T, float)))
-        if self.T.shape != (self.tau.size, self.tau.size):
+    def __init__(self, tau, T):
+        tau = np.asarray(tau, float).ravel()
+        T = np.atleast_2d(np.asarray(T, float))
+        if T.shape != (tau.size, tau.size):
             raise StructuralError("tau and T sizes disagree")
-        if self.tau.min() < 0 or abs(self.tau.sum() - 1.0) > _TOL:
+        if tau.min() < 0 or abs(tau.sum() - 1.0) > _TOL:
             raise StructuralError("tau must be a probability vector")
-        off = self.T - np.diag(np.diag(self.T))
-        exit_rates = -self.T.sum(axis=1)
+        off = T - np.diag(np.diag(T))
+        exit_rates = -T.sum(axis=1)
         if off.min() < 0 or exit_rates.min() < -_TOL:
             raise StructuralError("T must be a proper sub-generator")
-        object.__setattr__(self, "t_exit", np.maximum(exit_rates, 0.0))
+        vars(self).update(tau=tau, T=T, t_exit=np.maximum(exit_rates, 0.0))
 
     @property
     def order(self):

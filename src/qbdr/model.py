@@ -17,7 +17,7 @@ files and the command line.
 import enum
 import functools
 import json
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,6 +45,7 @@ __all__ = [
 
 ROW_SUM_TOL = 1e-12
 DRIFT_TOL = 1e-10
+_BLOCK_NAMES = ("A_minus1", "A0", "A1", "B0", "C0")
 
 
 def _frozen(a):
@@ -53,25 +54,29 @@ def _frozen(a):
     return out
 
 
-@dataclass(frozen=True)
-class QbdBlocks:
+class Frozen:
+    """Base of the records whose attributes are set once, in ``__init__``
+    (through ``vars(self)``), and never assigned or deleted after."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+
+class QbdBlocks(Frozen):
     """The five generator blocks of a finite QBD process plus its capacity.
 
     Immutable after construction; the arrays are stored read-only so an
     instance can safely be shared across threads.
     """
 
-    n: int
-    C: int
-    A_minus1: np.ndarray
-    A0: np.ndarray
-    A1: np.ndarray
-    B0: np.ndarray
-    C0: np.ndarray
-
-    def __post_init__(self):
-        for name in ("A_minus1", "A0", "A1", "B0", "C0"):
-            object.__setattr__(self, name, _frozen(getattr(self, name)))
+    def __init__(self, n, C, A_minus1, A0, A1, B0, C0):
+        blocks = (A_minus1, A0, A1, B0, C0)
+        vars(self).update(zip(_BLOCK_NAMES, map(_frozen, blocks)), n=n, C=C)
 
     @classmethod
     def from_matrices(cls, A_minus1, A0, A1, B0, C0, C):
@@ -79,6 +84,11 @@ class QbdBlocks:
         A0 = np.atleast_2d(np.asarray(A0, dtype=float))
         return cls(n=A0.shape[0], C=int(C), A_minus1=A_minus1, A0=A0,
                    A1=A1, B0=B0, C0=C0)
+
+    def with_capacity(self, C):
+        """The same blocks with capacity ``C``."""
+        return QbdBlocks(self.n, C, *(getattr(self, name)
+                                      for name in _BLOCK_NAMES))
 
     def interior_sum(self):
         """A_minus1 + A0 + A1, the phase process generator."""
@@ -100,18 +110,15 @@ class QbdBlocks:
                    for name in _BLOCK_NAMES)
 
 
-@dataclass(frozen=True)
-class RewardSpec:
+class RewardSpec(Frozen):
     """Per-level reward (or loss) rate vectors g_0 .. g_C.
 
     ``g[k][i]`` is the reward earned per unit time while the process sits in
     level k, phase i.
     """
 
-    g: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "g", tuple(_frozen(v) for v in self.g))
+    def __init__(self, g):
+        vars(self).update(g=tuple(_frozen(v) for v in g))
 
     @classmethod
     def zeros(cls, n, C):
@@ -131,8 +138,7 @@ class Drift(enum.Enum):
     NULL_RECURRENT = "NullRecurrent"
 
 
-@dataclass(frozen=True)
-class DriftClass:
+class DriftClass(NamedTuple):
     """Recurrence classification of the unrestricted (infinite-level) process.
 
     ``mean_drift`` is alpha A1 1 - alpha A_minus1 1 where alpha is the
@@ -142,11 +148,10 @@ class DriftClass:
 
     tag: Drift
     mean_drift: float
-    alpha: np.ndarray = field(repr=False)
+    alpha: np.ndarray
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One violated model invariant, as reported by :func:`validate`."""
 
     block: str
@@ -157,9 +162,6 @@ class Violation:
     def __str__(self):
         where = f" row {self.row}" if self.row is not None else ""
         return f"{self.block}{where}: {self.kind} (magnitude {self.magnitude:.3g})"
-
-
-_BLOCK_NAMES = ("A_minus1", "A0", "A1", "B0", "C0")
 
 
 def _shape_violations(blocks):

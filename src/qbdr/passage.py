@@ -19,7 +19,7 @@ passage times of the upper-unbounded process.
 """
 
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,8 +39,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PassageColumn:
+class PassageColumn(NamedTuple):
     """Mean first passage times to state (target_level, target_phase).
 
     ``m[k][i]`` is the expected entrance time from level k, phase i; the

@@ -24,7 +24,7 @@ the defining equations T X = I - W, W X = 0 (checked directly in the
 tests).
 """
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,16 +47,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CapacityLadderState:
+class CapacityLadderState(NamedTuple):
     """The top of the ladder: stationary vector and deviation matrix."""
 
     pi: np.ndarray
     dev: np.ndarray
 
 
-@dataclass(frozen=True)
-class BlockUpdate:
+class BlockUpdate(NamedTuple):
     """Block-row perturbation Q = T + E_K P.
 
     As :func:`block_update` builds it: K is the second-to-last level and P
@@ -195,7 +193,7 @@ def deviation_update(dev, pi_new, update):
 
 def _seed(blocks):
     """Dense rung C = 1."""
-    q1 = assemble_generator(replace(blocks, C=1))
+    q1 = assemble_generator(blocks.with_capacity(1))
     pi1 = oracle_stationary(q1)
     one_pi = np.outer(np.ones(q1.shape[0]), pi1)
     return pi1, np.linalg.inv(one_pi - q1) - one_pi
@@ -315,7 +313,7 @@ def resolvent_recursive(blocks, s, pi, levels=None, columns=None):
     cols_kept = _targets(columns, C, "columns")
     s = np.asarray(s)[..., None, None]
     lower = np.linalg.inv(s * np.eye(n) - blocks.C0)
-    q1 = assemble_generator(replace(blocks, C=1))
+    q1 = assemble_generator(blocks.with_capacity(1))
     x = np.linalg.inv(s * np.eye(2 * n) - q1)
     if 0 not in rows_kept:
         x = x[..., n:, :]

@@ -17,14 +17,12 @@ from both ends towards a target level, gives the mean first passage times
 of :mod:`qbdr.passage`.  The unrestricted process keeps pi_k = pi_0 R^k.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NumericalError, NumericalRankError
 from .gmatrices import rate_matrices
 from .linalg import left_null_vector, matrix_powers
-from .model import require_finite
+from .model import Frozen, require_finite
 
 __all__ = [
     "StationaryDistribution",
@@ -33,11 +31,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class StationaryDistribution:
+class StationaryDistribution(Frozen):
     """Per-level stationary rows pi_0..pi_C."""
 
-    pi: tuple
+    def __init__(self, pi):
+        vars(self).update(pi=pi)
 
     def stacked(self):
         return np.concatenate(self.pi)

@@ -32,7 +32,7 @@ two convergents reads far below the measured error.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,8 +102,7 @@ _TAIL_TOL = 1e-14
 _MAX_TERMS = 100_000
 
 
-@dataclass(frozen=True)
-class TransformContext:
+class TransformContext(NamedTuple):
     """Model plus G/Ghat/H0 at s; with an array of nodes ``gmat.G`` and
     ``gmat.Ghat`` have shape (*s.shape, n, n)."""
 
@@ -112,8 +111,7 @@ class TransformContext:
     gmat: object
 
 
-@dataclass(frozen=True)
-class BoundaryVectors:
+class BoundaryVectors(NamedTuple):
     """The two free vectors of the difference-equation solution."""
 
     v: np.ndarray
@@ -133,11 +131,12 @@ def _s_column(s):
 
 def _reward_system(ctx, rewards):
     """The reward equation (Q - sI) x = -g/s on the levels 0..C, with one
-    right-hand-side column."""
+    right-hand-side column.  -g is the same at every node, so each node
+    forms its atoms -H0 g_l in one product before dividing them by s."""
     g = np.asarray(rewards.g)
     g = g.reshape((len(g),) + (1,) * np.ndim(ctx.s) + (-1, 1))
-    return BoundarySystem(ctx.blocks, [(0, ctx.blocks.C)], ctx.gmat,
-                          -g / _s_column(ctx.s))
+    return BoundarySystem(ctx.blocks, [(0, ctx.blocks.C)], ctx.gmat, -g,
+                          divisor=_s_column(ctx.s))
 
 
 def boundary_vectors(ctx, rewards):

@@ -1,6 +1,5 @@
 """Shared models and dense reference formulas for the test suite."""
 
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -304,11 +303,11 @@ class StackedBoundarySystem(BoundarySystem):
     G^{k-a} v + Ghat^{b-k} w + p_k.  The reference for the squared end
     powers and the sweeps of :class:`qbdr.diffeq.BoundarySystem`."""
 
-    def __init__(self, blocks, segments, gmat, f, tail=0.0):
+    def __init__(self, blocks, segments, gmat, f, tail=0.0, divisor=None):
         top = len(f) - 1
         self.stacks = tuple(matrix_powers(np.asarray(g), top)
                             for g in (gmat.G, gmat.Ghat))
-        super().__init__(blocks, segments, gmat, f, tail)
+        super().__init__(blocks, segments, gmat, f, tail, divisor)
 
     def _power(self, which, e):
         return self.stacks[which][e]
@@ -337,7 +336,7 @@ def t_generator(blocks, capacity):
     size = n * (capacity + 1)
     t = np.zeros((size, size))
     t[:size - n, :size - n] = assemble_generator(
-        replace(blocks, C=capacity - 1))
+        blocks.with_capacity(capacity - 1))
     t[size - n:, size - 2 * n:size - n] = blocks.A_minus1
     t[size - n:, size - n:] = blocks.C0
     return t

@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -632,6 +633,54 @@ def test_cli_import_leaves_scipy_unloaded():
 
 def test_cli_import_leaves_argparse_unloaded():
     assert not cli_import_loads("argparse")
+
+
+@pytest.mark.parametrize("module", ["qbdr.bench", "dataclasses"])
+def test_cli_import_leaves_bench_and_dataclasses_unloaded(module):
+    assert not cli_import_loads(module)
+
+
+def test_package_loads_bench_names_on_first_access():
+    src = pathlib.Path(__file__).parents[1] / "src"
+    code = textwrap.dedent("""\
+        import sys, qbdr
+        assert "qbdr.bench" not in sys.modules
+        assert {"bench", "run_bench", "BenchRecord"} <= set(dir(qbdr))
+        from qbdr import (BenchRecord, last_block_column_diffeq,
+                          last_block_column_perturbation, random_blocks,
+                          run_bench)
+        import qbdr.bench as bench
+        assert qbdr.bench is bench
+        assert (BenchRecord, last_block_column_diffeq,
+                last_block_column_perturbation, random_blocks,
+                run_bench) == (bench.BenchRecord,
+                               bench.last_block_column_diffeq,
+                               bench.last_block_column_perturbation,
+                               bench.random_blocks, bench.run_bench)
+        try:
+            qbdr.no_such_name
+        except AttributeError:
+            pass
+        else:
+            sys.exit("qbdr.no_such_name resolved")
+        """)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert done.returncode == 0, done.stderr
+
+
+def test_cli_bench_runs_in_a_fresh_process():
+    src = pathlib.Path(__file__).parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "qbdr.cli", "bench", "--n-range", "1",
+         "--c-range", "1:2", "--reps", "1"], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "n,C,method,median_scaled_cpu_seconds,reps,seed"
+    assert [line.split(",")[:3] for line in lines[1:]] == [
+        ["1", "1", "DifferenceEq"], ["1", "1", "Perturbation"],
+        ["1", "2", "DifferenceEq"], ["1", "2", "Perturbation"]]
 
 
 def test_cli_deviation_transient(tmp_path, model_file):

@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -109,7 +108,7 @@ def test_validate_flags_nonfinite_entry(value):
 
 
 def passage_column_c2(blocks):
-    return passage_column(replace(blocks, C=2), 0, 0)
+    return passage_column(blocks.with_capacity(2), 0, 0)
 
 
 def passage_column_c4(blocks):
@@ -158,6 +157,44 @@ def test_is_irreducible(scalar_pr):
 def test_blocks_arrays_read_only(scalar_pr):
     with pytest.raises(ValueError):
         scalar_pr.A0[0, 0] = 5.0
+
+
+@pytest.mark.parametrize("record, field", [
+    ("blocks", "C"), ("blocks", "A0"), ("blocks", "drift"),
+    ("rewards", "g"), ("gmat", "G"), ("column", "residual")])
+def test_record_fields_cannot_be_assigned_or_deleted(scalar_pr, record,
+                                                     field):
+    records = {"blocks": scalar_pr, "rewards": RewardSpec.zeros(1, 2),
+               "gmat": gmatrices(scalar_pr, 0.5),
+               "column": passage_column(scalar_pr, 0, 0)}
+    with pytest.raises(AttributeError):
+        setattr(records[record], field, None)
+    with pytest.raises(AttributeError):
+        delattr(records[record], field)
+
+
+def test_blocks_classify_drift_once(scalar_pr, monkeypatch):
+    import qbdr.model
+    calls = []
+    monkeypatch.setattr(qbdr.model, "classify_drift",
+                        lambda b: calls.append(b) or classify_drift(b))
+    blocks = scalar_pr.with_capacity(scalar_pr.C)
+    assert blocks.drift is blocks.drift
+    assert blocks.drift.tag is Drift.POSITIVE_RECURRENT and calls == [blocks]
+
+
+@pytest.mark.parametrize("capacity", [1, 3, 12])
+def test_with_capacity_is_the_queue_at_that_capacity(capacity):
+    queue = mapph_example(C=5)
+    moved = queue.with_capacity(capacity)
+    built = mapph_example(C=capacity)
+    assert (moved.n, moved.C, queue.C) == (built.n, capacity, 5)
+    for name in ("A_minus1", "A0", "A1", "B0", "C0"):
+        np.testing.assert_array_equal(getattr(moved, name),
+                                      getattr(built, name))
+        assert not getattr(moved, name).flags.writeable
+    np.testing.assert_array_equal(assemble_generator(moved),
+                                  assemble_generator(built))
 
 
 def test_model_json_roundtrip(tmp_path, scalar_pr):

@@ -1,5 +1,4 @@
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +14,7 @@ from conftest import mapph_example, t_generator
 
 def ladder_ingredients(blocks, capacity):
     """Previous-rung pi and deviation, plus T and its group inverse."""
-    q_prev = assemble_generator(replace(blocks, C=capacity - 1))
+    q_prev = assemble_generator(blocks.with_capacity(capacity - 1))
     pi_prev = oracle_stationary(q_prev)
     dev_prev = oracle_deviation(q_prev, pi_prev)
     t = t_generator(blocks, capacity)
@@ -85,7 +84,7 @@ def test_pi_step_reads_only_top_two_levels():
     np.testing.assert_array_equal(pi_step(pi_prev, poisoned, update),
                                   pi_step(pi_prev, t_sharp, update))
     with pytest.raises(ValueError, match="second-to-last"):
-        pi_step(pi_prev, t_sharp, replace(update, K=2))
+        pi_step(pi_prev, t_sharp, update._replace(K=2))
 
 
 def test_deviation_update_null_perturbation():
@@ -155,8 +154,8 @@ def test_ladder_every_rung_consistent(seed):
     # climbs the same rungs as the ladder to 6
     blocks = random_blocks(2, 6, np.random.default_rng(seed))
     for c in range(1, 7):
-        state = deviation_recursive(replace(blocks, C=c))
-        q = assemble_generator(replace(blocks, C=c))
+        state = deviation_recursive(blocks.with_capacity(c))
+        q = assemble_generator(blocks.with_capacity(c))
         np.testing.assert_allclose(state.pi @ q, 0.0, atol=1e-10)
         reference = oracle_deviation(q, oracle_stationary(q))
         assert np.linalg.norm(state.dev - reference) \
@@ -166,7 +165,7 @@ def test_ladder_every_rung_consistent(seed):
 def composed_ladder(blocks):
     """Reference: the ladder as a composition of the one-rung public
     functions, each rung in new arrays."""
-    q1 = assemble_generator(replace(blocks, C=1))
+    q1 = assemble_generator(blocks.with_capacity(1))
     pi = oracle_stationary(q1)
     one_pi = np.outer(np.ones(q1.shape[0]), pi)
     dev = np.linalg.inv(one_pi - q1) - one_pi
@@ -240,7 +239,7 @@ def full_resolvent_ladder(blocks, s):
     n = blocks.n
     lower = np.linalg.inv(s * np.eye(n) - blocks.C0)
     x = np.linalg.inv(s * np.eye(2 * n)
-                      - assemble_generator(replace(blocks, C=1)))
+                      - assemble_generator(blocks.with_capacity(1)))
     for c in range(2, blocks.C + 1):
         size = x.shape[0]
         ext = np.zeros((size + n, size + n), dtype=complex)
@@ -347,7 +346,7 @@ def test_woodbury_rejects_update_below_top():
     update = block_update(blocks, 4)
     dev = deviation_recursive(blocks).dev
     with pytest.raises(ValueError, match="second-to-last"):
-        deviation_update(dev, np.ones(10) / 10, replace(update, K=2))
+        deviation_update(dev, np.ones(10) / 10, update._replace(K=2))
 
 
 @pytest.mark.parametrize("block", [None, (3, 1)], ids=["full", "block"])
