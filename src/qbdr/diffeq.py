@@ -26,7 +26,8 @@ The rows at the run ends read only the powers 0 to 2 of G and Ghat and, per
 run, one end power of each, formed by repeated squaring; the solution is
 swept level by level, forward from v by G and backward from w by Ghat.  So
 no power is kept per level, and once G and Ghat are known a solve costs
-O(C n^2) per right-hand side.
+O(C n^2) per right-hand side.  The solution at one level k alone reads two
+more end powers, G^{k-a} and Ghat^{b-k}, and p_k, and sweeps nothing more.
 """
 
 import numpy as np
@@ -237,6 +238,12 @@ class BoundarySystem:
         out += self.p
         return out
 
-    def solve(self, pin=None):
-        """The solution at every level of ``p``."""
-        return self.evaluate(self.free_vectors(pin))
+    def solve(self, pin=None, level=None):
+        """The solution at every level of ``p``, or at ``level`` = k only:
+        p_k plus the free vectors times the row of the end map at k, which
+        holds G^{k-a} and Ghat^{b-k} of the run (a, b) that holds k."""
+        u = self.free_vectors(pin)
+        if level is None:
+            return self.evaluate(u)
+        eye = np.eye(self.blocks.n)
+        return stack_matmul(self._rows([(level, eye)]), u) + self.p[level]

@@ -17,7 +17,9 @@ only its forcing to :class:`qbdr.diffeq.BoundarySystem`, which forms the
 particular term, pins the free vectors of the forward term in G(s)^k and
 the backward term in Ghat(s)^{C-k} with the level equations at 0 and C and
 sweeps the solution from them, so a transform value costs O(C n^2) per
-right-hand side once G(s) and Ghat(s) are solved.
+right-hand side once G(s) and Ghat(s) are solved.  A single block (k, l)
+sweeps only the particular term of column l: its value at block row k is
+G^k v + Ghat^{C-k} w + p_k, from two end powers.
 
 Time domain values are recovered by the Fourier-series inversion of de
 Hoog, Knight & Stokes (1982), accelerated by a quotient-difference
@@ -219,9 +221,10 @@ def reward_transform_unbounded(blocks, rewards, s, k):
                                     max(k, 1)).solve()[k]
 
 
-def _deviation_columns(blocks, gmat, segments, top, levels, pi_rows):
+def _deviation_columns(blocks, gmat, segments, top, levels, pi_rows, row=None):
     """Block columns ``levels`` of (1/s)(sI - Q)^{-1} - (1/s^2) 1 pi at
-    every level 0..``top``, shape (top + 1, *s.shape, n, len(levels) n).
+    every level 0..``top``, shape (top + 1, *s.shape, n, len(levels) n),
+    or at the block row ``row`` only, without the level axis.
 
     Column l solves (Q - sI) x = -I/s at level l.
     """
@@ -230,7 +233,7 @@ def _deviation_columns(blocks, gmat, segments, top, levels, pi_rows):
                      dtype=np.result_type(gmat.H0, s))
     for i, level in enumerate(levels):
         force[level, ..., i * n:(i + 1) * n] = -np.eye(n) / s
-    cols = BoundarySystem(blocks, segments, gmat, force).solve()
+    cols = BoundarySystem(blocks, segments, gmat, force).solve(level=row)
     return cols - np.concatenate([np.asarray(r) for r in pi_rows]) / s ** 2
 
 
@@ -245,7 +248,7 @@ def deviation_transform_block(ctx, pi, k, level):
     if not (0 <= k <= b.C and 0 <= level <= b.C):
         raise ValueError(f"block ({k}, {level}) out of range 0..{b.C}")
     return _deviation_columns(b, ctx.gmat, [(0, b.C)], b.C, [level],
-                              [pi[level]])[k]
+                              [pi[level]], k)
 
 
 def deviation_transform(ctx, pi):
@@ -272,7 +275,7 @@ def deviation_transform_unbounded(blocks, s, k, level, pi_level=None):
         pi_level = np.zeros(blocks.n)
     top = max(k, level, 1)
     return _deviation_columns(blocks, gmatrices(blocks, s), [(0, None)], top,
-                              [level], [pi_level])[k]
+                              [level], [pi_level], k)
 
 
 def _contour(t_max):
@@ -462,6 +465,8 @@ def reward_time(blocks, rewards, t, k=None, dist=None):
     array t are solved in one stacked call while its work stays under the
     memory cap; see :func:`invert_stacked`.
     """
+    if k is not None and not 0 <= k <= blocks.C:
+        raise ValueError(f"level {k} out of range 0..{blocks.C}")
     size = blocks.n * (blocks.C + 1)
     shape = (blocks.n,) if k is not None else (size,)
     if dist is not None:
@@ -482,8 +487,10 @@ def deviation_time(blocks, t, pi=None, block=None):
     """Transient deviation matrix D(t) by inversion of its transform.
 
     With ``block`` = (k, level), only the n x n block D(t)_{k, level}, from
-    one block column per node: O(C) work instead of O(C^2).
+    one block column per node, read at row k: O(C) work instead of O(C^2).
     """
+    if block is not None and not all(0 <= b <= blocks.C for b in block):
+        raise ValueError(f"block {block} out of range 0..{blocks.C}")
     if pi is None:
         pi = stationary_rmatrix(blocks)
     size = blocks.n * (blocks.C + 1)

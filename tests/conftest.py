@@ -301,7 +301,9 @@ class StackedBoundarySystem(BoundarySystem):
     from the sequential stacks 0..top of G and Ghat, top the last level of
     ``f``, and the solution evaluated level by level as
     G^{k-a} v + Ghat^{b-k} w + p_k.  The reference for the squared end
-    powers and the sweeps of :class:`qbdr.diffeq.BoundarySystem`."""
+    powers and the sweeps of :class:`qbdr.diffeq.BoundarySystem`.  The read
+    of one level, ``solve(level=k)``, is inherited: it takes its two powers
+    G^{k-a} and Ghat^{b-k} from the stacks, with no sweep."""
 
     def __init__(self, blocks, segments, gmat, f, tail=0.0, divisor=None):
         top = len(f) - 1

@@ -80,6 +80,50 @@ def test_general_forcing_at_zero_with_pin():
         assert _max_gap(system.p[k], green_sum(gmat, f, k)) <= 1e-12
 
 
+@pytest.mark.parametrize("segments", [
+    [(0, 12)], [(0, 4), (5, 12)], [(0, 3), (4, 4), (5, 12)], [(0, None)]],
+    ids=["one-run", "two-runs", "one-level-run", "no-upper-end"])
+@pytest.mark.parametrize("blocks", [
+    mapph_example(C=12), random_blocks(3, 12, np.random.default_rng(6))],
+    ids=["queue", "n3"])
+def test_level_read_matches_swept_column(blocks, segments):
+    # block columns forced by -I/s at their target level, at complex
+    # nodes: the read at each level k from the two end powers of its run
+    # is level k of the swept solution to roundoff
+    nodes = np.array([0.5 + 3.0j, 2.0 - 1.0j, 7.0 + 0.0j])
+    gmat = gmatrices(blocks, nodes)
+    n = blocks.n
+    for target in (0, 5, 12):
+        f = np.zeros((13, 3, n, n), dtype=complex)
+        f[target] = -np.eye(n) / nodes[:, None, None]
+        system = BoundarySystem(blocks, segments, gmat, f)
+        swept = system.solve()
+        for k in range(13):
+            assert _max_gap(system.solve(level=k), swept[k]) <= 1e-14, (
+                target, k)
+
+
+def test_deviation_block_reads_its_row_level_only(monkeypatch):
+    # a transformed deviation block, bounded or not, and its inverse never
+    # sweep the solution over the levels of its column
+    blocks = mapph_example(C=12)
+    pi = stationary_rmatrix(blocks)
+    ctx = transform_context(blocks, inversion_nodes(2.0))
+    full = deviation_transform(ctx, pi)
+
+    def swept(self, u):
+        raise AssertionError("BoundarySystem.evaluate called")
+
+    monkeypatch.setattr(BoundarySystem, "evaluate", swept)
+    for k, level in ((0, 0), (3, 9), (12, 0), (12, 12)):
+        block = deviation_transform_block(ctx, pi, k, level)
+        assert _max_gap(block, full[..., 4 * k:4 * k + 4,
+                                    4 * level:4 * level + 4]) <= 1e-12
+        deviation_transform_unbounded(blocks, 1.0 + 2.0j, k, level,
+                                      pi_level=pi[level])
+    transform.deviation_time(blocks, 2.0, pi, block=(3, 9))
+
+
 def _gap_to_stacked(monkeypatch, compute):
     """The relative max-norm gap between compute() with the kernel and
     with the stacked-power reference."""

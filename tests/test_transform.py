@@ -697,6 +697,33 @@ def test_time_routes_reject_negative_or_nonfinite_time(scalar_pr):
             deviation_time(scalar_pr, times)
 
 
+@pytest.mark.parametrize("t", [0.0, 1.0, np.array([0.0, 1.0])])
+@pytest.mark.parametrize("bad", [-1, 6, 99])
+def test_time_routes_reject_levels_before_solving(monkeypatch, t, bad):
+    # at t = 0 no transform is evaluated, so a level checked only there
+    # would give zeros; a negative one would index from the top
+    import qbdr.transform as transform
+    blocks = mapph_example(C=5)
+    rewards = random_rewards(blocks)
+    pi = stationary_rmatrix(blocks)
+
+    def unsolved(*args):
+        raise AssertionError("transform evaluated")
+
+    monkeypatch.setattr(transform, "transform_context", unsolved)
+    with pytest.raises(ValueError, match="out of range 0..5"):
+        reward_time(blocks, rewards, t, k=bad)
+    for block in ((bad, 0), (0, bad)):
+        with pytest.raises(ValueError, match="out of range 0..5"):
+            deviation_time(blocks, t, pi, block=block)
+    monkeypatch.undo()
+    for level in (0, 5):
+        assert reward_time(blocks, rewards, t, k=level).shape == (
+            np.shape(t) + (4,))
+        assert deviation_time(blocks, t, pi, block=(level, 5 - level)).shape \
+            == np.shape(t) + (4, 4)
+
+
 def test_particular_skips_zero_atoms_bitwise(monkeypatch):
     # lost revenue is zero below level C, and one block column has its
     # atom at its target level only: both routes give the same bytes as
