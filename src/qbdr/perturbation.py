@@ -11,12 +11,12 @@ previous rung's stationary vector and deviation matrix, so the stationary
 vector, the deviation matrix and the resolvent all update by one-block
 low-rank formulas per rung.
 
-The resolvent ladder carries only the block rows and block columns it is
-asked for, plus the top two levels: a block of D(t) costs O(C n^3) per
-Laplace node instead of O(C^3 n^3), and the 2M + 1 = 41 nodes
-gamma + i pi k / T (Re s = gamma > 0) of every inversion band of a t-grid
-climb it as one stack.  A full D(t) carries every row and column and
-splits the nodes at the memory cap shared with :mod:`qbdr.transform`.
+The resolvent ladder climbs four levels per rung and carries only the
+block rows and columns asked for, plus the top level: a block of D(t)
+costs O((C/4) n^3) per Laplace node plus one inverse of size 4n, and the
+41 nodes of every inversion band of a t-grid climb it as one stack.  A
+full D(t) carries every row and column and splits the nodes at the memory
+cap shared with :mod:`qbdr.transform`.
 
 Note the printed source for the group inverse of T(C) carries a typo in
 its lower-left block; the form implemented here is the one that satisfies
@@ -32,7 +32,7 @@ from .errors import StructuralError, UpdateError
 from .linalg import stack_matmul
 from .model import assemble_generator, require_finite
 from .oracle import oracle_stationary
-from .transform import invert_stacked
+from .transform import invert_stacked, levels_in_range
 
 __all__ = [
     "CapacityLadderState",
@@ -75,21 +75,23 @@ def block_update(blocks, capacity):
     return BlockUpdate(K=capacity - 1, P=p)
 
 
-def _extend(x, blocks, lower, offset=0.0):
-    """Rows ``x`` of a matrix extended by a transient top level.
+def _extend(x, blocks, lower, offset=0.0, first=None):
+    """Rows ``x`` of a matrix extended by a transient band of levels.
 
     ``x`` has shape (*batch, m, size), its last n rows the top level; the
-    extended matrix is [[x, 0], [lower (M x + offset), lower]] with M = [0
-    ... 0 A_minus1], so the result has the new top level's n rows below
-    ``x``'s rows, padded by n zero columns.
+    extended matrix is [[x, 0], [first (M x + offset), lower]] with M = [0
+    ... 0 A_minus1] and ``first`` the band's first column block in
+    ``lower``'s rows (default: ``lower``, a one-level band).
     """
     n = blocks.n
     m, size = x.shape[-2:]
-    out = np.zeros(x.shape[:-2] + (m + n, size + n),
+    rows, cols = lower.shape[-2:]
+    out = np.zeros(x.shape[:-2] + (m + rows, size + cols),
                    dtype=np.result_type(x, lower))
     out[..., :m, :size] = x
     out[..., m:, :size] = stack_matmul(
-        lower, stack_matmul(blocks.A_minus1, x[..., -n:, :]) + offset)
+        lower if first is None else first,
+        stack_matmul(blocks.A_minus1, x[..., -n:, :]) + offset)
     out[..., m:, size:] = lower
     return out
 
@@ -107,17 +109,16 @@ def _top_product(x, update):
     return stack_matmul(update.P[:, -2 * n:], x[..., -2 * n:, :])
 
 
-def _woodbury(x, update):
+def _woodbury(x, update, end=None, k=-2):
     """Rows ``x`` of x (I - E_K P x)^{-1} = x + x E_K (I - P x E_K)^{-1} P x,
     through one n x n solve; raises UpdateError if that system is singular.
-    ``x``'s last 2n rows must hold levels K and K+1 (see
-    :func:`_top_product`), and its last 2n columns too: K's columns are
-    read as the second-to-last column block, so ``x`` may carry any subset
-    of the lower column blocks.
+    The rows of ``x`` up to ``end`` (default: all) end with levels K and
+    K+1, and level K's columns are its column block ``k`` (default: the
+    second-to-last), so ``x`` may carry any subset of the other blocks.
     """
     n = update.P.shape[0]
-    cols = slice(-2 * n, -n)
-    px = _top_product(x, update)
+    cols = slice(k * n, (k + 1) * n or None)
+    px = _top_product(x[..., :end, :], update)
     try:
         scaled = np.linalg.solve(np.eye(n) - px[..., cols], px)
     except np.linalg.LinAlgError as exc:
@@ -268,32 +269,35 @@ def deviation_recursive(blocks):
 
 def _targets(levels, C, what):
     """The target ``levels`` (default: all of 0..C) as a set; raises
-    ValueError if one is outside 0..C or given twice."""
+    ValueError unless they are distinct integers in 0..C."""
     levels = list(range(C + 1) if levels is None else levels)
-    targets = set(levels)
-    if len(targets) < len(levels) or not targets <= set(range(C + 1)):
+    if len(set(levels)) < len(levels) or not levels_in_range(levels, C):
         raise ValueError(f"target {what} {levels} must be distinct levels"
                          f" in 0..{C}")
-    return targets
+    return set(levels)
+
+
+# Levels per rung of the resolvent ladder.  Min of 40 calls of the ladder
+# on the four transient perturb block jobs, summed over seeds 1-3, one BLAS
+# thread: 34.1 ms at one level; 23.5, 19.0, 18.6, 23.7, 19.5 and 36.0 ms at
+# 2, 3, 4, 5, 6 and 8; 17.9 ms at 12 // n, within the host's noise of 4.
+_RUNG_LEVELS = 4
 
 
 def resolvent_recursive(blocks, s, pi, levels=None, columns=None):
     """Block rows of (sI - Q(C))^{-1} and of the transformed deviation
     matrix, recursively, at one node or a 1-d array of nodes at once.
 
-    Each rung extends the tracked rows by the transient top level, with
-    (sI - C0)^{-1} where the group inverse has -C0^{-1}, and takes the
-    deviation ladder's Woodbury step.  That step updates a row from its own
-    value and the rows of the top two levels only, so the ladder carries
-    the rows of the target ``levels`` (default: all) and of the current
-    top level, dropping the old top after each rung unless it is a target.
-    Columns decouple the same way: the extension writes the new top row of
-    column j from column j of the old top row, and the Woodbury step ties
-    column j only to itself and to the columns of level K = c - 1, so the
-    ladder carries the column blocks of the target ``columns`` (default:
-    all) and of the top two levels.  One target block costs O(C n^3) per
-    node instead of O(C^3 n^3) for the full resolvent.  ``pi`` is the
-    stationary vector of Q(C), which does not depend on s, for
+    From the dense resolvent at capacity (C - 1) mod L + 1, each rung adds
+    a transient band S of L = ``_RUNG_LEVELS`` levels above the top level
+    a: T = [[Q(a), 0], [M, S]], M = A_minus1 from the band's first level to
+    a, has resolvent [[R, 0], [W M R, W]], W = (sI - S)^{-1} at every rung,
+    and :func:`deviation_update`'s Woodbury step through a gives Q(a + L).
+    It reads the rows of levels a, a + 1 and the columns of a, so the
+    ladder carries only the rows of the target ``levels``, the columns of
+    the target ``columns`` (default: all) and those of the top level: a
+    block costs O((C/L) n^3) per node plus one inverse of size Ln, not
+    O(C^3 n^3).  ``pi`` is the stationary vector of Q(C), for
 
         Dtilde(C)(s) = (1/s)(sI - Q(C))^{-1} - (1/s^2) 1 pi(C).
 
@@ -304,35 +308,46 @@ def resolvent_recursive(blocks, s, pi, levels=None, columns=None):
     Raises
     ------
     ValueError
-        If a target level or column is outside 0..C or given twice.
+        If a target level or column is not an integer in 0..C, or repeated.
     UpdateError
         With the failing capacity noted, if a rung's system is singular.
     """
-    n, C = blocks.n, blocks.C
+    n, C, h = blocks.n, blocks.C, _RUNG_LEVELS
     rows_kept = _targets(levels, C, "levels")
     cols_kept = _targets(columns, C, "columns")
     s = np.asarray(s)[..., None, None]
-    lower = np.linalg.inv(s * np.eye(n) - blocks.C0)
-    q1 = assemble_generator(blocks.with_capacity(1))
-    x = np.linalg.inv(s * np.eye(2 * n) - q1)
-    if 0 not in rows_kept:
-        x = x[..., n:, :]
-    if 0 not in cols_kept:
-        x = x[..., n:]
-    for c in range(2, C + 1):
+    idx = np.arange(n * (C + 1)).reshape(C + 1, n)  # state indices by level
+
+    def kept(x, rl, cl, top):  # x cut to the target levels and ``top``
+        ri = [i for i, k in enumerate(rl) if k in rows_kept or k == top]
+        ci = [i for i, k in enumerate(cl) if k in cols_kept or k == top]
+        x = x if len(ri) == len(rl) else x[..., idx[ri].ravel(), :]
+        x = x if len(ci) == len(cl) else x[..., idx[ci].ravel()]
+        return x, [rl[i] for i in ri], [cl[i] for i in ci]
+
+    band = np.linalg.inv(s * np.eye(h * n) - assemble_generator(
+        blocks.with_capacity(h))[n:, n:])
+    top = (C - 1) % h + 1
+    rl = list(range(top + 1))
+    cl = [k for k in rl if k in cols_kept or k == top]
+    q, eye = assemble_generator(blocks.with_capacity(top)), np.eye(len(rl) * n)
+    x, rl, cl = kept(np.linalg.solve(s * eye - q, eye[:, idx[cl].ravel()]),
+                     rl, cl, top)
+    for c in range(top + h, C + 1, h):
+        a = c - h
+        band_rows = sorted({a + 1, c} | {k for k in rows_kept if a < k < c})
+        band_cols = sorted({c} | {k for k in cols_kept if a < k < c})
+        w = band[..., idx[band_rows].ravel() - n * (a + 1), :]
+        lower = w[..., idx[band_cols].ravel() - n * (a + 1)]
         try:
-            x = _woodbury(_extend(x, blocks, lower), block_update(blocks, c))
+            x = _woodbury(_extend(x, blocks, lower, first=w[..., :n]),
+                          block_update(blocks, a + 1), n * len(rl) + n,
+                          len(cl) - 1)
         except UpdateError as exc:
             raise UpdateError(
                 f"resolvent ladder failed at capacity {c}: {exc}") from exc
-        if c - 1 not in rows_kept:
-            x = np.concatenate([x[..., :-2 * n, :], x[..., -n:, :]], axis=-2)
-        if c - 1 not in cols_kept:
-            x = np.concatenate([x[..., :-2 * n], x[..., -n:]], axis=-1)
-    if C not in rows_kept:
-        x = x[..., :-n, :]
-    if C not in cols_kept:
-        x = x[..., :-n]
+        x, rl, cl = kept(x, rl + band_rows, cl + band_cols, c)
+    x = kept(x, rl, cl, None)[0]
     pi = pi.reshape(C + 1, n)[sorted(cols_kept)].reshape(-1)
     return x, x / s - pi / s ** 2
 
@@ -343,12 +358,12 @@ def deviation_time_recursive(blocks, t, block=None):
     The nodes of all inversion bands of a t-grid climb the ladder as one
     stack, split at the transform module's memory cap for a full D(t).
     With ``block`` = (k, level), only the n x n block D(t)_{k, level}, from
-    the ladder over block row k and block column level: O(C n^3) per node.
+    the ladder over block row k and block column level: O(C n^3 / 4) per node.
     pi(C) does not depend on s, so its ladder is climbed once.
     """
     n, C = blocks.n, blocks.C
     size = n * (C + 1)
-    if block is not None and not all(0 <= b <= C for b in block):
+    if block is not None and not levels_in_range(block, C):
         raise ValueError(f"block {block} out of range 0..{C}")
     pi = deviation_recursive(blocks).pi
     if block is None:

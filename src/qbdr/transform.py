@@ -34,6 +34,7 @@ two convergents reads far below the measured error.
 """
 
 import math
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -237,6 +238,14 @@ def _deviation_columns(blocks, gmat, segments, top, levels, pi_rows, row=None):
     return cols - np.concatenate([np.asarray(r) for r in pi_rows]) / s ** 2
 
 
+def levels_in_range(levels, C):
+    """Whether every level is an integer in 0..C (numpy integers count)."""
+    try:
+        return all(0 <= operator.index(k) <= C for k in levels)
+    except TypeError:
+        return False
+
+
 def deviation_transform_block(ctx, pi, k, level):
     """Block (k, level) of the transformed transient deviation matrix.
 
@@ -245,7 +254,7 @@ def deviation_transform_block(ctx, pi, k, level):
     (1/s)(sI - Q)^{-1} - (1/s^2) 1 pi.
     """
     b = ctx.blocks
-    if not (0 <= k <= b.C and 0 <= level <= b.C):
+    if not levels_in_range((k, level), b.C):
         raise ValueError(f"block ({k}, {level}) out of range 0..{b.C}")
     return _deviation_columns(b, ctx.gmat, [(0, b.C)], b.C, [level],
                               [pi[level]], k)
@@ -465,7 +474,7 @@ def reward_time(blocks, rewards, t, k=None, dist=None):
     array t are solved in one stacked call while its work stays under the
     memory cap; see :func:`invert_stacked`.
     """
-    if k is not None and not 0 <= k <= blocks.C:
+    if k is not None and not levels_in_range([k], blocks.C):
         raise ValueError(f"level {k} out of range 0..{blocks.C}")
     size = blocks.n * (blocks.C + 1)
     shape = (blocks.n,) if k is not None else (size,)
@@ -489,7 +498,7 @@ def deviation_time(blocks, t, pi=None, block=None):
     With ``block`` = (k, level), only the n x n block D(t)_{k, level}, from
     one block column per node, read at row k: O(C) work instead of O(C^2).
     """
-    if block is not None and not all(0 <= b <= blocks.C for b in block):
+    if block is not None and not levels_in_range(block, blocks.C):
         raise ValueError(f"block {block} out of range 0..{blocks.C}")
     if pi is None:
         pi = stationary_rmatrix(blocks)

@@ -287,6 +287,38 @@ def _state_indices(levels, n):
     return np.concatenate([np.arange(k * n, (k + 1) * n) for k in levels])
 
 
+@pytest.mark.parametrize("at", ["scalar", "nodes"])
+@pytest.mark.parametrize("C", [1, 3, 4, 5, 8, 9])
+def test_multilevel_rungs_match_single_level_ladder(C, at):
+    # rungs of four levels above the dense seed at capacity (C - 1) % 4 + 1,
+    # against the one-level reference: targets at the seed's levels and at
+    # the first, interior and top levels of every band, and all levels
+    blocks = random_blocks(2 + C % 2, C, np.random.default_rng(C))
+    n, top = blocks.n, (C - 1) % 4 + 1
+    firsts = list(range(top + 1, C + 1, 4))
+    targets = [sorted({0, top - 1, top}), firsts,
+               sorted([k + 1 for k in firsts] + [k + 2 for k in firsts]),
+               [k + 3 for k in firsts], None]
+    targets = [levels for levels in targets if levels != []]
+    s = 0.4 + 1.5j if at == "scalar" else inversion_nodes(2.0)
+    pi = deviation_recursive(blocks).pi
+    nodes = np.asarray(s)[..., None, None]
+    full = np.array([full_resolvent_ladder(blocks, node)
+                     for node in np.ravel(s)]).reshape(nodes.shape[:-2]
+                                                       + (n * (C + 1),) * 2)
+    dtilde = full / nodes - pi / nodes ** 2
+    for levels in targets:
+        rows = _state_indices(range(C + 1) if levels is None else levels, n)
+        for columns in targets:
+            cols = _state_indices(range(C + 1) if columns is None
+                                  else columns, n)
+            resolvent, dt = resolvent_recursive(blocks, s, pi, levels,
+                                                columns)
+            assert resolvent.shape == np.shape(s) + (len(rows), len(cols))
+            assert _rel_gap(resolvent, full[..., rows, :][..., cols]) <= 1e-12
+            assert _rel_gap(dt, dtilde[..., rows, :][..., cols]) <= 1e-12
+
+
 def test_resolvent_all_levels_is_full_resolvent():
     blocks = random_blocks(3, 6, np.random.default_rng(8))
     nodes = inversion_nodes(2.0)
@@ -299,7 +331,9 @@ def test_resolvent_all_levels_is_full_resolvent():
 
 
 def test_resolvent_singular_rung_names_capacity(monkeypatch):
-    blocks = random_blocks(2, 6, np.random.default_rng(1))
+    # at C = 14 the ladder solves for the seed at capacity 2, then climbs
+    # rungs of four levels to 6, 10 and 14: the third solve is the rung to 10
+    blocks = random_blocks(2, 14, np.random.default_rng(1))
     pi = deviation_recursive(blocks).pi
     solve, calls = np.linalg.solve, []
 
@@ -310,12 +344,12 @@ def test_resolvent_singular_rung_names_capacity(monkeypatch):
         return solve(*args)
 
     monkeypatch.setattr(np.linalg, "solve", failing_third_solve)
-    with pytest.raises(UpdateError, match="capacity 4"):
+    with pytest.raises(UpdateError, match="capacity 10"):
         resolvent_recursive(blocks, inversion_nodes(1.0), pi, [2])
 
 
-@pytest.mark.parametrize("targets", [[1, 1], [0, 7]],
-                         ids=["repeated", "outside"])
+@pytest.mark.parametrize("targets", [[1, 1], [0, 7], [2.0]],
+                         ids=["repeated", "outside", "float"])
 def test_resolvent_rejects_bad_levels(targets):
     blocks = random_blocks(2, 6, np.random.default_rng(1))
     pi = deviation_recursive(blocks).pi
@@ -328,16 +362,19 @@ def test_resolvent_rejects_bad_levels(targets):
                                    (11, 12), (12, 12)],
                          ids=lambda b: f"{b[0]},{b[1]}")
 def test_block_ladder_carries_at_most_three_levels(monkeypatch, block):
-    # the O(C n^3) shape: every rung works on the target block row and
-    # column plus the top two levels, whatever the capacity
+    # the O((C/4) n^3) shape: one Woodbury step per rung of four levels,
+    # each on the target block row, the old top level, the band's first
+    # level and the new top, and on the target block column, the old top
+    # and the new top, whatever the capacity
     import qbdr.perturbation as perturbation
     blocks = random_blocks(2, 12, np.random.default_rng(5))
     shapes, woodbury = [], perturbation._woodbury
     monkeypatch.setattr(perturbation, "_woodbury",
-                        lambda x, u: shapes.append(x.shape) or woodbury(x, u))
+                        lambda x, *args: shapes.append(x.shape)
+                        or woodbury(x, *args))
     deviation_time_recursive(blocks, 2.0, block=block)
-    assert len(shapes) == blocks.C - 1
-    assert all(shape[-2] <= 3 * 2 and shape[-1] <= 3 * 2
+    assert len(shapes) == (blocks.C - 1) // 4
+    assert all(shape[-2] <= 4 * 2 and shape[-1] <= 3 * 2
                for shape in shapes)
 
 

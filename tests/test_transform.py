@@ -698,11 +698,14 @@ def test_time_routes_reject_negative_or_nonfinite_time(scalar_pr):
 
 
 @pytest.mark.parametrize("t", [0.0, 1.0, np.array([0.0, 1.0])])
-@pytest.mark.parametrize("bad", [-1, 6, 99])
+@pytest.mark.parametrize("bad", [-1, 6, 99, 2.5])
 def test_time_routes_reject_levels_before_solving(monkeypatch, t, bad):
     # at t = 0 no transform is evaluated, so a level checked only there
-    # would give zeros; a negative one would index from the top
+    # would give zeros; a negative one would index from the top, and a
+    # fractional one would fail only after the G/Ghat solve
+    import qbdr.perturbation as perturbation
     import qbdr.transform as transform
+    from qbdr import deviation_time_recursive
     blocks = mapph_example(C=5)
     rewards = random_rewards(blocks)
     pi = stationary_rmatrix(blocks)
@@ -711,17 +714,23 @@ def test_time_routes_reject_levels_before_solving(monkeypatch, t, bad):
         raise AssertionError("transform evaluated")
 
     monkeypatch.setattr(transform, "transform_context", unsolved)
+    monkeypatch.setattr(perturbation, "deviation_recursive", unsolved)
+    monkeypatch.setattr(perturbation, "resolvent_recursive", unsolved)
     with pytest.raises(ValueError, match="out of range 0..5"):
         reward_time(blocks, rewards, t, k=bad)
     for block in ((bad, 0), (0, bad)):
         with pytest.raises(ValueError, match="out of range 0..5"):
             deviation_time(blocks, t, pi, block=block)
+        with pytest.raises(ValueError, match="out of range 0..5"):
+            deviation_time_recursive(blocks, t, block=block)
     monkeypatch.undo()
-    for level in (0, 5):
+    for level in (0, np.int64(5)):
         assert reward_time(blocks, rewards, t, k=level).shape == (
             np.shape(t) + (4,))
         assert deviation_time(blocks, t, pi, block=(level, 5 - level)).shape \
             == np.shape(t) + (4, 4)
+        assert deviation_time_recursive(blocks, t, block=(level, 5 - level)) \
+            .shape == np.shape(t) + (4, 4)
 
 
 def test_particular_skips_zero_atoms_bitwise(monkeypatch):
