@@ -37,10 +37,11 @@ class NumericalError(QbdError):
 
 
 class IterationLimitError(NumericalError):
-    """A fixed-point solver did not reach the residual tolerance.
+    """An iterative solver broke down, diverged or did not settle within
+    its sweep budget.
 
-    Carries the last residual so callers can decide whether the partial
-    answer is usable.
+    Carries the residual of its last finite iterate so callers can judge
+    how far from a solution it stopped.
     """
 
     def __init__(self, message, residual=None):

@@ -13,11 +13,15 @@ with positive real part (the iterations carry over unchanged in complex
 arithmetic).  An array of s, such as the 2M + 1 = 41 nodes
 gamma + i pi k / T of one inversion band (Re s = gamma > 0 at every node,
 see :mod:`qbdr.transform`), is solved as one batch, G and Ghat together,
-in which each node keeps its own stopping rule for each matrix.
+in which each node stops on its own.
 
-Both are solved by logarithmic reduction (quadratically convergent), one
-reduction for G and Ghat, until the defining-equation residual of each,
-in the entrywise max-norm, is at most _TOLERANCE.
+Both are solved by logarithmic reduction (Latouche & Ramaswami 1993;
+quadratically convergent), one reduction for G and Ghat, until a sweep's
+increment to each is at most a few ulps of its largest entry.  That stop
+is scale-free: multiplying every rate by k (a change of time unit) leaves
+the sweeps unchanged, and the solutions land at roundoff.  Bini, Latouche
+& Meini, *Numerical Methods for Structured Markov Chains* (2005), discuss
+stopping tests for this algorithm.
 """
 
 from typing import NamedTuple
@@ -40,9 +44,10 @@ __all__ = [
 ]
 
 
-# Stopping rule of the logarithmic reduction: the largest entry of the
-# defining-equation residual at a returned solution, and the most sweeps.
-_TOLERANCE = 1e-12
+# Stopping rule of the logarithmic reduction: the largest increment of a
+# sweep, relative to the largest entry of the sum it adds to (a few ulps),
+# and the most sweeps.
+_INCREMENT_TOL = 4 * np.finfo(float).eps
 _MAX_ITERATIONS = 100_000
 
 
@@ -62,9 +67,11 @@ class GMatrices(NamedTuple):
 
 
 def _check_s(s):
-    """The transform variable(s) as a float or complex array: s >= 0 on
-    the real axis; complex nodes need positive real parts."""
+    """The transform variable(s) as a float or complex array: finite,
+    s >= 0 on the real axis; complex nodes need positive real parts."""
     s = np.asarray(s)
+    if not np.isfinite(s).all():
+        raise ValueError("s must be finite")
     if np.iscomplexobj(s) and s.imag.any():
         if (s.real <= 0).any():
             raise ValueError("complex s requires a positive real part")
@@ -91,8 +98,7 @@ def ghat_residual(blocks, s, ghat):
 def _solve_pair(blocks, s):
     """G and Ghat at every node of the checked ``s``: shape
     (2, *s.shape, n, n), with the residuals, shape (2, s.size).  Each
-    solution keeps its own stopping rule; if any fails, the whole call
-    raises."""
+    node stops on its own; if any fails, the whole call raises."""
     n = blocks.n
     nodes = s.reshape(-1)[:, None, None]
     down = np.array([blocks.A_minus1, blocks.A1])[:, None]
@@ -105,18 +111,18 @@ def _solve_pair(blocks, s):
                            np.hstack([blocks.A_minus1, blocks.A1]))
     kernels = np.stack([both[..., :n], both[..., n:]])
 
-    def residual(x, s):
+    def residual(x, idx):
         """Max-norm residuals of (G, Ghat) iterates, shape (2, B, n, n),
-        at the B nodes ``s``, shape (B, 1, 1)."""
-        r = (down + stack_matmul(blocks.A0, x) - s * x
+        at the B nodes ``nodes[idx]``."""
+        r = (down + stack_matmul(blocks.A0, x) - nodes[idx] * x
              + stack_matmul(up, stack_matmul(x, x)))
         return np.max(np.abs(r), axis=(-2, -1))
 
-    x, res = _logarithmic_reduction(kernels, nodes, residual)
-    return x.reshape((2,) + s.shape + x.shape[-2:]), res
+    x = _logarithmic_reduction(kernels, residual)
+    return x.reshape((2,) + s.shape + x.shape[-2:]), residual(x, slice(None))
 
 
-def _logarithmic_reduction(kernels, s, residual):
+def _logarithmic_reduction(kernels, residual):
     """Logarithmic reduction of G and Ghat together: each sweep squares
     the number of jump-chain steps accounted for, so convergence is
     quadratic away from the null-recurrent boundary and linear (rate 1/2)
@@ -126,68 +132,49 @@ def _logarithmic_reduction(kernels, s, residual):
     the same with the pair swapped, so the mix, its inverse and both
     squarings serve both: only the running sums x and their trails differ,
     x_G += trail_G low with trail_G high..., x_Ghat += trail_Ghat high with
-    trail_Ghat low....  Each side of a node keeps its best iterate and is
-    done once that meets the tolerance; a side that has not improved for
-    ten sweeps has stalled, and so has every one still sweeping after
-    _MAX_ITERATIONS.  A node leaves the sweeps once both sides are done,
-    and the arrays of the sweeping nodes shrink when one leaves."""
-    tol = _TOLERANCE
+    trail_Ghat low....  The increment trail x pair is a product that decays
+    to zero rather than a difference that settles at roundoff, so a node
+    is done once, for G and for Ghat separately, its increment is at most
+    _INCREMENT_TOL times the largest entry of that side's x: a rule at
+    roundoff whatever the units of the rates.  A node leaves the sweeps
+    once done; ``residual`` (of the last iterates, at the indices of the
+    nodes still sweeping) is only evaluated for the error of a failed
+    reduction."""
     eye = np.eye(kernels.shape[-1])
-    x_out = kernels
-    res_out = residual(x_out, s)
-    sweeping = res_out > tol
-    nodes = np.flatnonzero(sweeping.any(axis=0))
-    pair = x_out[:, nodes]  # (low, high)
-    s = s[nodes]
+    x_out = np.empty_like(kernels)
+    nodes = np.arange(kernels.shape[1])
+    pair = kernels  # (low, high)
     x, trail = pair, pair[::-1]
-    x_best, best, sweeping = x, res_out[:, nodes], sweeping[:, nodes]
-    stale = np.zeros(best.shape, dtype=int)
-    for _ in range(_MAX_ITERATIONS if nodes.size else 0):
+    for _ in range(_MAX_ITERATIONS):
         low, high = pair
         mix = stack_matmul(high, low) + stack_matmul(low, high)
         try:
             factor = np.linalg.inv(eye - mix)
         except np.linalg.LinAlgError as exc:
-            raise _lr_error("broke down at residual", best[sweeping]) from exc
+            raise _lr_error("broke down", residual(x, nodes)) from exc
         pair = stack_matmul(factor, stack_matmul(pair, pair))
-        x = x + stack_matmul(trail, pair)
+        step = stack_matmul(trail, pair)
+        if not np.isfinite(step).all():
+            raise _lr_error("diverged", residual(x, nodes))
+        x = x + step
         trail = stack_matmul(trail, pair[::-1])
-        res = residual(x, s)
-        better = res < best
-        if better.all():
-            x_best, best, stale = x, res, stale * 0
-        else:
-            bad = sweeping & ~np.isfinite(res)
-            if bad.any():
-                raise _lr_error("diverged (last residual", best[bad], ")")
-            x_best = np.where(better[..., None, None], x, x_best)
-            best = np.where(better, res, best)
-            stale = np.where(better, 0, stale + 1)
-            if (stale[sweeping] >= 10).any():
-                raise _lr_error("stalled at residual",
-                                best[sweeping & (stale >= 10)])
-        done = sweeping & (best <= tol)
+        done = (np.max(np.abs(step), axis=(-2, -1))
+                <= _INCREMENT_TOL * np.max(np.abs(x), axis=(-2, -1))).all(0)
         if done.any():
-            side, node = np.nonzero(done)
-            x_out[side, nodes[node]] = x_best[side, node]
-            res_out[side, nodes[node]] = best[side, node]
-            sweeping = sweeping & ~done
-            keep = sweeping.any(axis=0)
-            if not keep.any():
-                break
-            nodes, s = nodes[keep], s[keep]
-            pair, x, trail, x_best, best, stale, sweeping = (
-                a[:, keep] for a in (pair, x, trail, x_best, best, stale,
-                                     sweeping))
-    if (res_out <= tol).all():
-        return x_out, res_out
-    raise _lr_error("stalled at residual", best[sweeping])
+            x_out[:, nodes[done]] = x[:, done]
+            if done.all():
+                return x_out
+            nodes = nodes[~done]
+            pair, x, trail = pair[:, ~done], x[:, ~done], trail[:, ~done]
+    raise _lr_error(f"did not settle in {_MAX_ITERATIONS} sweeps",
+                    residual(x, nodes))
 
 
-def _lr_error(what, residuals, close=""):
+def _lr_error(what, residuals):
     worst = float(np.max(residuals))
     return IterationLimitError(
-        f"logarithmic reduction {what} {worst:.3e}{close}", residual=worst)
+        f"logarithmic reduction {what} (residual {worst:.3e})",
+        residual=worst)
 
 
 def solve_g(blocks, s=0.0):
@@ -233,8 +220,11 @@ def gmatrices(blocks, s=0.0):
     ------
     StructuralError
         If a block holds a NaN or infinite entry.
+    ValueError
+        If an s is not finite, is negative or is complex with a
+        nonpositive real part.
     IterationLimitError
-        If either solver fails to reach the residual tolerance.
+        If the reduction breaks down, diverges or does not settle.
     AsymptoticsUndefinedError
         If s = 0 and the model is null recurrent (H0 singular).
     """

@@ -28,6 +28,7 @@ from .errors import PreconditionError
 from .gmatrices import gmatrices, require_not_null_recurrent
 from .model import Drift, classify_drift, require_finite
 from .stationary import _negated, _solve, _sweep, stationary_rmatrix
+from .transform import levels_in_range
 
 __all__ = [
     "PassageColumn",
@@ -101,7 +102,7 @@ def passage_column(blocks, level, j):
     which raises the same errors, with the max-norm residual of its pinned
     taboo system.
     """
-    if not 0 <= j < blocks.n:
+    if not levels_in_range([j], blocks.n - 1):
         raise ValueError(f"target phase {j} out of range 0..{blocks.n - 1}")
     m = passage_level_matrices(blocks, level)[:, :, j]
     return PassageColumn(target_level=level, target_phase=j, m=tuple(m),
@@ -146,7 +147,7 @@ def passage_level_matrices(blocks, level):
         If a censored level block is singular.
     """
     n, C = blocks.n, blocks.C
-    if not 0 <= level <= C:
+    if not levels_in_range([level], C):
         raise ValueError(f"target level {level} out of range 0..{C}")
     require_finite(blocks)
     down, y_down, inflow_down, force_down = _sweep(blocks, level)
@@ -208,7 +209,7 @@ def deviation_matrix_diffeq(blocks, pi=None, levels=None):
     """
     n, C = blocks.n, blocks.C
     levels = range(C + 1) if levels is None else levels
-    if not all(0 <= lv <= C for lv in levels):
+    if not levels_in_range(levels, C):
         raise ValueError(f"target levels {levels} out of range 0..{C}")
     require_not_null_recurrent(blocks, "asymptotic deviation matrices")
     gmat = gmatrices(blocks)

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from qbdr import (AsymptoticsUndefinedError, Drift, IterationLimitError,
-                  RewardSpec, classify_drift, g_residual, ghat_residual,
+                  QbdBlocks, RewardSpec, classify_drift,
+                  deviation_matrix_diffeq, g_residual, ghat_residual,
                   gmatrices, h0, inversion_nodes, random_blocks,
                   rate_matrices, reward_time, solve_g, solve_ghat)
 from conftest import (SOLVER_TOL, functional_iteration, logred_per_equation,
-                      mapph_example, scalar_blocks)
+                      mapph_example, random_rewards, scalar_blocks,
+                      unfiltered_model)
 
 # The package attribute qbdr.gmatrices is the function of that name.
 GMATRICES = sys.modules["qbdr.gmatrices"]
@@ -124,9 +126,10 @@ def test_h0_null_recurrent_fails_fast():
     g = solve_g(blocks, 0.0)
     gh = solve_ghat(blocks, 0.0)
     # both passage matrices are stochastic on the null-recurrent boundary;
-    # the root is double there, so residual 1e-12 pins the entry to ~1e-6
-    assert g[0, 0] == pytest.approx(1.0, abs=1e-5)
-    assert gh[0, 0] == pytest.approx(1.0, abs=1e-5)
+    # the root is double there and convergence linear, but the increments
+    # halve each sweep, so the reduction still stops at roundoff
+    assert g[0, 0] == pytest.approx(1.0, abs=1e-14)
+    assert gh[0, 0] == pytest.approx(1.0, abs=1e-14)
     with pytest.raises(AsymptoticsUndefinedError):
         h0(blocks, 0.0, g, gh)
     with pytest.raises(AsymptoticsUndefinedError):
@@ -160,6 +163,20 @@ def test_complex_s_residuals(scalar_pr):
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         solve_g(scalar_blocks(1.0, 2.0, 2), -1.0)
+
+
+@pytest.mark.parametrize("s", [np.nan, np.inf, [1.0, np.nan],
+                               complex(np.inf, 1.0), complex(1.0, np.nan)],
+                         ids=["nan", "inf", "array-nan", "complex-inf",
+                              "complex-nan"])
+def test_non_finite_s_rejected_before_solving(monkeypatch, s):
+    # rejected by the argument check; the reduction is never reached
+    def unsolved(*args):
+        raise AssertionError("reduction started")
+
+    monkeypatch.setattr(GMATRICES, "_logarithmic_reduction", unsolved)
+    with pytest.raises(ValueError):
+        gmatrices(scalar_blocks(1.0, 2.0, 2), s)
 
 
 # ---------------------------------------------------------------------------
@@ -250,3 +267,28 @@ def test_shared_reduction_null_recurrent_scalar(s):
     for value, ref in zip((shared.G, shared.Ghat),
                           logred_per_equation(blocks, nodes)):
         assert np.max(np.abs(value - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+# ---------------------------------------------------------------------------
+# a scale-free stop
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("model", ["queue", "7-25", "8-8"])
+def test_results_independent_of_rate_scale(model):
+    # G and Ghat do not change when every rate is multiplied by k, D
+    # divides by k and R_kQ(t / k) = R_Q(t) / k; so the reduction's stop
+    # must not depend on the units of the rates.
+    blocks = (mapph_example(C=20) if model == "queue"
+              else unfiltered_model(*map(int, model.split("-"))))
+    rewards = random_rewards(blocks)
+    times = np.array([0.5, 2.0, 7.0])
+    dev, reward = (deviation_matrix_diffeq(blocks),
+                   reward_time(blocks, rewards, times))
+    for k in (1e-6, 1e-3, 1e3, 1e4, 1e5):
+        scaled = QbdBlocks(blocks.n, blocks.C, *(
+            k * getattr(blocks, name)
+            for name in ("A_minus1", "A0", "A1", "B0", "C0")))
+        for value, ref in ((k * deviation_matrix_diffeq(scaled), dev),
+                           (k * reward_time(scaled, rewards, times / k),
+                            reward)):
+            assert np.max(np.abs(value - ref)) <= 1e-12 * np.max(np.abs(ref))

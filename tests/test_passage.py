@@ -259,6 +259,23 @@ def test_deviation_matrix_matches_ladder_on_unfiltered_models():
     assert worst <= 1e-8
 
 
+def test_deviation_matrix_matches_ladder_on_small_models():
+    # The 54 unfiltered models with at most 90 states, column-relative: the
+    # ladder reads 2.8e-14 on them against a 40-digit reference, so G and
+    # Ghat, which the difference-equation route inherits, must be at
+    # roundoff too.
+    worst = 0.0
+    for seed, i in UNFILTERED:
+        blocks = unfiltered_model(seed, i)
+        if blocks.n * (blocks.C + 1) > 90:
+            continue
+        dev, ref = (deviation_matrix_diffeq(blocks),
+                    deviation_recursive(blocks).dev)
+        worst = max(worst, np.max(np.max(np.abs(dev - ref), axis=0)
+                                  / np.max(np.abs(ref), axis=0)))
+    assert worst <= 1e-12
+
+
 @pytest.mark.parametrize("seed,i,pin_level", [(8, 2, 1), (7, 15, 27)])
 def test_deviation_matrix_pin_splits_run(seed, i, pin_level):
     # The most probable state, whose equation gives way to the pin, lies
@@ -293,9 +310,20 @@ def test_deviation_matrix_uses_supplied_pi():
 
 def test_deviation_matrix_rejects_levels_out_of_range():
     blocks = random_blocks(2, 4, np.random.default_rng(0))
-    for levels in ([5], [-1], [0, 5]):
+    for levels in ([5], [-1], [0, 5], [2.5]):
         with pytest.raises(ValueError):
             deviation_matrix_diffeq(blocks, levels=levels)
+
+
+def test_passage_rejects_targets_outside_the_states():
+    # a fractional level or phase fails here, not in numpy indexing
+    blocks = random_blocks(2, 4, np.random.default_rng(0))
+    for level in (2.5, 5, -1):
+        with pytest.raises(ValueError):
+            passage_level_matrices(blocks, level)
+    for level, phase in ((2.5, 1), (2, 1.5), (2, 2), (2, -1)):
+        with pytest.raises(ValueError):
+            passage_column(blocks, level, phase)
 
 
 def test_deviation_matrix_rejects_null_recurrent():
