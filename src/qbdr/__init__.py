@@ -20,7 +20,7 @@ import importlib
 from .errors import (AsymptoticsUndefinedError, IterationLimitError,
                      ModelError, ModelParseError, NumericalError,
                      NumericalRankError, PreconditionError, QbdError,
-                     StructuralError, TailConvergenceError, UpdateError)
+                     StructuralError, UpdateError)
 from .gmatrices import (GMatrices, g_residual, ghat_residual, gmatrices, h0,
                         rate_matrices, solve_g, solve_ghat)
 from .mapph import (MapParams, PhParams, build_blocks, gained_revenue_rewards,
@@ -32,19 +32,16 @@ from .oracle import (oracle_deviation, oracle_passage, oracle_reward,
                      oracle_stationary, oracle_transient_deviation)
 from .passage import (PassageColumn, deviation_block_asymptotic,
                       deviation_matrix_diffeq, passage_column,
-                      passage_column_unbounded, passage_level_matrices)
+                      passage_level_matrices)
 from .perturbation import (BlockUpdate, CapacityLadderState, block_update,
                            deviation_recursive, deviation_time_recursive,
                            deviation_update, pi_step, resolvent_recursive,
                            t_group_inverse)
-from .stationary import (StationaryDistribution, stationary_rmatrix,
-                         stationary_unrestricted)
+from .stationary import StationaryDistribution, stationary_rmatrix
 from .transform import (BoundaryVectors, TransformContext, deviation_time,
                         deviation_transform, deviation_transform_block,
-                        deviation_transform_unbounded, inversion_nodes,
-                        invert_laplace, occupation_matrix, reward_time,
-                        reward_transform, reward_transform_unbounded,
-                        transform_context)
+                        inversion_nodes, invert_laplace, occupation_matrix,
+                        reward_time, reward_transform, transform_context)
 
 __version__ = "0.1.0"
 

@@ -1,26 +1,23 @@
 """One solver for the finite matrix difference equations of a QBD.
 
-Rewards, deviation blocks and the mean first passage times of the
-upper-unbounded process all solve the level equations
+Rewards and deviation blocks all solve the level equations
 A_minus1 x_{k-1} + (L_k - sI) x_k + A1 x_{k+1} = f_k, with L_k = B0 at
-level 0, C0 at the upper boundary and A0 inside; only the forcing f
-changes from one quantity to the next.  On a run of levels a..b whose
-interior equations hold, x_k = G^{k-a} v + Ghat^{b-k} w + p_k, where G and
-Ghat solve the quadratic equations at s and p is the Green's particular
-term with atoms -H0 f_l, which satisfies the interior equations; the
-sweep leaves out level 0, which is a run end, and a run with no upper end
-takes the atoms above the last level evaluated as one tail vector.  A run
-of one level, or with no upper end, keeps only v.  The level equations at
-the run ends, one row of which may be replaced by a pinned entry
-x_(level, j) = 0, fix the free vectors.  Values and forcings may carry one
-trailing right-hand-side axis, whose columns are solved together.
+level 0, C0 at the top level C and A0 inside; only the forcing f changes
+from one quantity to the next.  On a run of levels a..b whose interior
+equations hold, x_k = G^{k-a} v + Ghat^{b-k} w + p_k, where G and Ghat
+solve the quadratic equations at s and p is the Green's particular term
+with atoms -H0 f_l, which satisfies the interior equations; the sweep
+leaves out level 0, which is a run end.  A run of one level keeps only v.
+The level equations at the run ends, one row of which may be replaced by a
+pinned entry x_(level, j) = 0, fix the free vectors.  Values and forcings
+carry one trailing right-hand-side axis, whose columns are solved
+together.
 
 The transform variable s may be an array of nodes, such as the nodes of one
 Laplace inversion, all solved in the same stacked operations: G, Ghat and
 the system matrices then carry the shape of s as leading batch axes, and
-every stack indexed by level (particular terms, forcings and solutions)
-carries them right after its level axis, followed by the trailing
-right-hand-side axis, which batched values must have.
+every stack indexed by level (particular terms and solutions) carries them
+right after its level axis, followed by the trailing right-hand-side axis.
 
 The rows at the run ends read only the powers 0 to 2 of G and Ghat and, per
 run, one end power of each, formed by repeated squaring; the solution is
@@ -38,23 +35,19 @@ from .linalg import solve_refined, stack_matmul
 __all__ = ["particular", "segment_ends", "BoundarySystem"]
 
 
-def particular(g, ghat, atoms, tail=0.0):
+def particular(g, ghat, atoms):
     """The particular term sum_{l=1}^{k} G^{k-l} a_l
-    + sum_{l=k+1}^{top} Ghat^{l-k} a_l + Ghat^{top-k} tail at every level
-    k = 0..top, by one forward and one backward sweep.  ``tail`` is the
-    contribution of the atoms above ``top``; ``atoms[0]`` is not read.
-    The forward sweep is exactly zero below the first nonzero atom and the
-    backward sweep from the last one up, unless the tail is nonzero, so
-    each sweep starts there."""
+    + sum_{l=k+1}^{top} Ghat^{l-k} a_l at every level k = 0..top, by one
+    forward and one backward sweep; ``atoms[0]`` is not read.  The forward
+    sweep is exactly zero below the first nonzero atom and the backward
+    sweep from the last one up, so each sweep starts there."""
     atoms = np.asarray(atoms)
-    down = np.zeros(atoms.shape, dtype=np.result_type(g, ghat, atoms, tail))
+    down = np.zeros(atoms.shape, dtype=np.result_type(g, ghat, atoms))
     up = np.zeros_like(down)
-    up[-1] = tail
     nonzero = np.flatnonzero(
         np.any(atoms[1:], axis=tuple(range(1, atoms.ndim)))) + 1
-    first = nonzero[0] if nonzero.size else len(atoms)
-    last = (len(atoms) - 1 if np.any(tail)
-            else nonzero[-1] if nonzero.size else 0)
+    first, last = ((nonzero[0], nonzero[-1]) if nonzero.size
+                   else (len(atoms), 0))
     for k in range(first, len(atoms)):
         down[k] = stack_matmul(g, down[k - 1]) + atoms[k]
     for k in range(last - 1, -1, -1):
@@ -64,31 +57,27 @@ def particular(g, ghat, atoms, tail=0.0):
 
 def segment_ends(segments):
     """The sorted levels whose equations pin the free vectors."""
-    return tuple(sorted({lv for seg in segments for lv in seg} - {None}))
+    return tuple(sorted({lv for seg in segments for lv in seg}))
 
 
 class BoundarySystem:
     """The level equations at the segment ends, in the free vectors.
 
-    ``segments`` lists consecutive runs (a, b) covering the levels from 0,
-    with b None on a last run that has no upper end.  ``gmat`` holds s, G,
-    Ghat and H0, with the batch shape of s as leading axes; ``f`` holds the
-    forcing at every level evaluated, shape (levels, n), or
-    (levels, *batch, n, m).  The particular term ``p`` is swept from the
-    atoms -H0 f_l on the levels l >= 1 from the first to the last whose
-    forcing is nonzero (the sweep leaves level 0 out, a run end), formed by
-    one small product per level and node, and from ``tail``, the
-    contribution of the atoms above the last level of a run with no upper
-    end.  With a ``divisor`` (shaped to broadcast against (*batch, n, m)),
-    the forcing is f / divisor, and f is the same at every node (its batch
-    axes have length 1): each node then forms the atoms of all those levels
-    in one product before dividing them.  Only the levels next
-    to a segment end are read from ``f`` and ``p`` for the system, whose
-    assembled form, shape (*batch, rows, columns), is kept, so several pins
-    can share it.
+    ``segments`` lists consecutive runs (a, b) covering the levels 0..C.
+    ``gmat`` holds s, G, Ghat and H0, with the batch shape of s as leading
+    axes.  ``f`` holds the forcing at every level, shape (C + 1, n, m) when
+    it is the same at every node, or (C + 1, *batch, n, m); the forcing is
+    f / ``divisor``, the divisor shaped to broadcast against
+    (*batch, n, m).  The particular term ``p`` is swept from the atoms
+    -H0 f_l / divisor on the levels l >= 1 from the first to the last whose
+    forcing is nonzero (the sweep leaves level 0 out, a run end); each node
+    forms the atoms of all those levels in one product before dividing
+    them.  Only the levels next to a segment end are read from ``f`` and
+    ``p`` for the system, whose assembled form, shape
+    (*batch, rows, columns), is kept, so several pins can share it.
     """
 
-    def __init__(self, blocks, segments, gmat, f, tail=0.0, divisor=None):
+    def __init__(self, blocks, segments, gmat, f, divisor=1.0):
         self.blocks, self.segments = blocks, segments
         self.gs = (np.asarray(gmat.G), np.asarray(gmat.Ghat))
         self.ends = segment_ends(segments)
@@ -96,37 +85,31 @@ class BoundarySystem:
         self._powers = {}
         self._batch = (slice(None),) * (self.gs[0].ndim - 2)
         self._shift = np.asarray(gmat.s)[..., None, None] * np.eye(n)
-        widths = [n if b in (None, a) else 2 * n for a, b in segments]
+        widths = [n if b == a else 2 * n for a, b in segments]
         self._starts = [sum(widths[:i]) for i in range(len(widths))]
         self._width = sum(widths)
         self._dtype = np.result_type(*self.gs, gmat.s)
         f = np.asarray(f)
-        batch = self.gs[0].shape[:-2]
-        shape = f.shape if divisor is None else (
-            (len(f),) + batch + f.shape[-2:])
-        atoms = np.zeros(shape, np.result_type(self._dtype, gmat.H0, f))
+        batch, m = self.gs[0].shape[:-2], f.shape[-1]
+        atoms = np.zeros((len(f),) + batch + (n, m),
+                         np.result_type(self._dtype, gmat.H0, f, divisor))
         forced = np.flatnonzero(
             np.any(f[1:], axis=tuple(range(1, f.ndim)))) + 1
-        if forced.size and divisor is not None:
+        if forced.size:
             lo, hi = forced[0], forced[-1] + 1
-            levels = np.moveaxis(f[lo:hi].reshape(hi - lo, n, -1), 0, 1)
+            levels = np.moveaxis(f[lo:hi], 0, -2)
             atoms[lo:hi] = np.moveaxis(np.matmul(
-                -gmat.H0, levels.reshape(n, -1)).reshape(
-                    batch + (n, hi - lo, -1)), -2, 0)
+                -gmat.H0, levels.reshape(levels.shape[:-2] + (-1,))).reshape(
+                    batch + (n, hi - lo, m)), -2, 0)
             atoms[lo:hi] /= divisor
-        elif forced.size:  # vectors are taken as one-column matrices
-            part = (slice(forced[0], forced[-1] + 1), ...) + (
-                () if f.ndim > 2 else (None,))
-            np.matmul(-gmat.H0, f[part], out=atoms[part])
-        self.p = particular(*self.gs, atoms, tail)
-        f = np.asarray(f, dtype=np.result_type(self._dtype, self.p, f))
+        self.p = particular(*self.gs, atoms)
         rows, rhs = [], []
         for level in self.ends:
             terms = self._terms(level)
             rows.append(self._rows(terms))
-            piece = f[level].copy() if divisor is None else f[level] / divisor
+            piece = f[level] / divisor
             for k, block in terms:
-                piece -= stack_matmul(block, self.p[k])
+                piece = piece - stack_matmul(block, self.p[k])
             rhs.append(piece)
         self.matrix = np.concatenate(rows, axis=-2)
         self.rhs = np.concatenate(rhs, axis=len(self._batch))
@@ -174,15 +157,14 @@ class BoundarySystem:
         out = np.zeros(self.gs[0].shape[:-1] + (self._width,),
                        dtype=self._dtype)
         for (a, b), c in zip(self.segments, self._starts):
-            part = [(k, blk) for k, blk in terms
-                    if a <= k and (b is None or k <= b)]
+            part = [(k, blk) for k, blk in terms if a <= k <= b]
             if not part:
                 continue
             lo, hi = part[0][0], part[-1][0]
             out[..., c:c + n] = stack_matmul(sum(
                 stack_matmul(blk, self._power(0, k - lo)) for k, blk in part),
                 self._power(0, lo - a))
-            if b not in (None, a):
+            if b != a:
                 out[..., c + n:c + 2 * n] = stack_matmul(sum(
                     stack_matmul(blk, self._power(1, hi - k))
                     for k, blk in part), self._power(1, b - hi))
@@ -226,13 +208,13 @@ class BoundarySystem:
         n = self.blocks.n
         out = np.zeros(self.p.shape, dtype=np.result_type(g, ghat, u, self.p))
         for (a, b), c in zip(self.segments, self._starts):
-            if b not in (None, a):
+            if b != a:
                 out[b] = u[self._batch + (slice(c + n, c + 2 * n),)]
                 for k in range(b - 1, a - 1, -1):
                     out[k] = stack_matmul(ghat, out[k + 1])
             x = u[self._batch + (slice(c, c + n),)]
             out[a] += x
-            for k in range(a + 1, len(out) if b is None else b + 1):
+            for k in range(a + 1, b + 1):
                 x = stack_matmul(g, x)
                 out[k] += x
         out += self.p

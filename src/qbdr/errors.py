@@ -66,6 +66,3 @@ class PreconditionError(QbdError):
 class AsymptoticsUndefinedError(PreconditionError):
     """Asymptotic quantities were requested for a null-recurrent model."""
 
-
-class TailConvergenceError(PreconditionError):
-    """An infinite reward series did not converge under truncation."""

@@ -54,8 +54,10 @@ _MAX_ITERATIONS = 100_000
 class GMatrices(NamedTuple):
     """G(s), Ghat(s) and the local kernel H0(s) with solver residuals.
 
-    For an array of transform variables the matrices carry its shape as
-    leading axes, and each residual is the largest over the nodes.
+    The residuals are those of the uniformized equations
+    X = b_down + b_up X^2, so they do not scale with the rates.  For an
+    array of transform variables the matrices carry its shape as leading
+    axes, and each residual is the largest over the nodes.
     """
 
     s: complex
@@ -101,8 +103,6 @@ def _solve_pair(blocks, s):
     node stops on its own; if any fails, the whole call raises."""
     n = blocks.n
     nodes = s.reshape(-1)[:, None, None]
-    down = np.array([blocks.A_minus1, blocks.A1])[:, None]
-    up = down[::-1]
     # One-step kernels of the uniformized jump chain, (b_down, b_up) with
     # b_down + b_up (sub)stochastic: G solves X = b_down + b_up X^2 and
     # Ghat the same with the kernels swapped.  One solve per node serves
@@ -113,9 +113,11 @@ def _solve_pair(blocks, s):
 
     def residual(x, idx):
         """Max-norm residuals of (G, Ghat) iterates, shape (2, B, n, n),
-        at the B nodes ``nodes[idx]``."""
-        r = (down + stack_matmul(blocks.A0, x) - nodes[idx] * x
-             + stack_matmul(up, stack_matmul(x, x)))
+        at the B nodes ``idx``, in the uniformized equations
+        X = b_down + b_up X^2 (kernels swapped for Ghat), whose terms are
+        probabilities: the same whatever the units of the rates."""
+        pair = kernels[:, idx]
+        r = pair + stack_matmul(pair[::-1], stack_matmul(x, x)) - x
         return np.max(np.abs(r), axis=(-2, -1))
 
     x = _logarithmic_reduction(kernels, residual)

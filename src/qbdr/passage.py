@@ -14,8 +14,7 @@ entries of a passage column can all lie close to one large value, though,
 and the subtraction cancels their leading digits, so
 :func:`deviation_matrix_diffeq`, which the CLI uses for D and for its
 block columns, solves Q d = pi_(l,j) 1 - e_(l,j) for the deviation columns
-themselves with :class:`qbdr.diffeq.BoundarySystem`, which also serves the
-passage times of the upper-unbounded process.
+themselves with :class:`qbdr.diffeq.BoundarySystem`.
 """
 
 import warnings
@@ -24,16 +23,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .diffeq import BoundarySystem
-from .errors import PreconditionError
 from .gmatrices import gmatrices, require_not_null_recurrent
-from .model import Drift, classify_drift, require_finite
+from .model import require_finite
 from .stationary import _negated, _solve, _sweep, stationary_rmatrix
 from .transform import levels_in_range
 
 __all__ = [
     "PassageColumn",
     "passage_column",
-    "passage_column_unbounded",
     "passage_level_matrices",
     "deviation_block_asymptotic",
     "deviation_matrix_diffeq",
@@ -56,24 +53,11 @@ class PassageColumn(NamedTuple):
         return np.concatenate(self.m)
 
 
-def _passage_segments(upper, level):
-    """Runs of levels around a target level; ``upper`` is the top level,
-    None for the upper-unbounded process."""
-    if level in (0, upper):
-        return [(0, upper)]
-    return [(0, level), (level + 1, upper)]
-
-
-def _passage_system(blocks, level, gmat, top):
-    """The boundary system of Q m = -1 for a target on ``level``, on the
-    levels 0..top of the upper-unbounded process, whose levels above
-    ``top`` add the tail (I - Ghat)^{-1} Ghat H0 1 to the particular
-    term."""
-    n = blocks.n
-    tail = np.linalg.solve(np.eye(n) - gmat.Ghat,
-                           gmat.Ghat @ (gmat.H0 @ np.ones(n)))
-    return BoundarySystem(blocks, _passage_segments(None, level), gmat,
-                          np.full((top + 1, n), -1.0), tail)
+def _passage_segments(C, level):
+    """Runs of the levels 0..C split after a target level inside them."""
+    if level in (0, C):
+        return [(0, C)]
+    return [(0, level), (level + 1, C)]
 
 
 def _column_residual(blocks, level, j, m):
@@ -107,27 +91,6 @@ def passage_column(blocks, level, j):
     m = passage_level_matrices(blocks, level)[:, :, j]
     return PassageColumn(target_level=level, target_phase=j, m=tuple(m),
                          residual=_column_residual(blocks, level, j, m))
-
-
-def passage_column_unbounded(blocks, level, j, kmax):
-    """Passage times to (level, j) in the upper-unbounded QBD, levels
-    0..kmax.
-
-    Only defined for positive recurrent models, whose particular term
-    converges as the levels above grow without bound.
-    """
-    if classify_drift(blocks).tag is not Drift.POSITIVE_RECURRENT:
-        raise PreconditionError(
-            "unbounded passage times need a positive recurrent model")
-    n = blocks.n
-    if not 0 <= j < n:
-        raise ValueError(f"target phase {j} out of range 0..{n - 1}")
-    system = _passage_system(blocks, level, gmatrices(blocks),
-                             max(kmax, level + 2))
-    m = system.solve((level, j))[:kmax + 1]
-    if level <= kmax:
-        m[level][j] = 0.0
-    return tuple(m)
 
 
 def passage_level_matrices(blocks, level):
@@ -173,9 +136,12 @@ def passage_level_matrices(blocks, level):
 def deviation_block_asymptotic(blocks, pi, k, level):
     """Asymptotic deviation block D_{k, level} from passage times.
 
-    D_{k,l} = [ 1 (sum_x pi_x M_{x,l}) - M_{k,l} ] diag(pi_l).
+    D_{k,l} = [ 1 (sum_x pi_x M_{x,l}) - M_{k,l} ] diag(pi_l).  Raises
+    ValueError if k or ``level`` is outside 0..C.
     """
     n, C = blocks.n, blocks.C
+    if not levels_in_range((k, level), C):
+        raise ValueError(f"block ({k}, {level}) out of range 0..{C}")
     mats = passage_level_matrices(blocks, level)
     pi_level = np.asarray(pi[level])
     if np.any((pi_level != 0) & (np.abs(pi_level) < 1e-300)):

@@ -14,20 +14,17 @@ an LU solve, is nonnegative, and all other terms are sums and products of
 nonnegative numbers, so even the smallest entries of pi keep their
 relative accuracy.  The same sweep, run
 from both ends towards a target level, gives the mean first passage times
-of :mod:`qbdr.passage`.  The unrestricted process keeps pi_k = pi_0 R^k.
+of :mod:`qbdr.passage`.
 """
 
 import numpy as np
 
-from .errors import NumericalError, NumericalRankError
-from .gmatrices import rate_matrices
-from .linalg import left_null_vector, matrix_powers
+from .errors import NumericalError
 from .model import Frozen, require_finite
 
 __all__ = [
     "StationaryDistribution",
     "stationary_rmatrix",
-    "stationary_unrestricted",
 ]
 
 
@@ -125,24 +122,3 @@ def stationary_rmatrix(blocks):
     pi /= pi.sum()
     return StationaryDistribution(pi=tuple(pi))
 
-
-def stationary_unrestricted(blocks, kmax):
-    """Level rows pi_0..pi_kmax of the unrestricted positive-recurrent QBD.
-
-    pi_0 spans the left kernel of B0 + R A_minus1, normalized by
-    pi_0 (I - R)^{-1} 1 = 1, and pi_k = pi_0 R^k.
-    """
-    n = blocks.n
-    r, _ = rate_matrices(blocks)
-    if np.max(np.abs(np.linalg.eigvals(r))) >= 1.0:
-        raise NumericalRankError(
-            "unrestricted stationary distribution needs sp(R) < 1 "
-            "(positive recurrent model)")
-    if n == 1:
-        pi0 = np.ones(1)
-    else:
-        pi0 = left_null_vector(blocks.B0 + r @ blocks.A_minus1)
-    mass = pi0 @ np.linalg.solve(np.eye(n) - r, np.ones(n))
-    pi0 = pi0 / mass
-    powers = matrix_powers(r, kmax)
-    return [pi0 @ powers[k] for k in range(kmax + 1)]

@@ -10,10 +10,12 @@ Ghat(s), H0(s), so that the many evaluations at one s share the expensive
 solves.
 
 The level blocks of the transformed reward vector solve the matrix
-difference equation (Q - sI) x = -g/s, and every block column of the
-transformed deviation matrix solves the same equation with forcing -I/s at
-its target level, all columns in one boundary solve.  Each route passes
-only its forcing to :class:`qbdr.diffeq.BoundarySystem`, which forms the
+difference equation (Q - sI) x = -g/s, and every block column l of the
+transformed deviation matrix solves the same equation with forcing
+-E_l / s, E_l the identity at level l and zero elsewhere, all columns in
+one boundary solve.  Both forcings are the same at every node up to the
+divisor s.  Each route passes only its forcing to
+:class:`qbdr.diffeq.BoundarySystem`, which forms the
 particular term, pins the free vectors of the forward term in G(s)^k and
 the backward term in Ghat(s)^{C-k} with the level equations at 0 and C and
 sweeps the solution from them, so a transform value costs O(C n^2) per
@@ -40,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .diffeq import BoundarySystem
-from .errors import NumericalError, TailConvergenceError
+from .errors import NumericalError
 from .gmatrices import gmatrices
 from .stationary import stationary_rmatrix
 
@@ -50,10 +52,8 @@ __all__ = [
     "transform_context",
     "boundary_vectors",
     "reward_transform",
-    "reward_transform_unbounded",
     "deviation_transform_block",
     "deviation_transform",
-    "deviation_transform_unbounded",
     "inversion_nodes",
     "invert_laplace",
     "invert_stacked",
@@ -98,13 +98,6 @@ _BAND_RATIO = 2.0
 _ORDER = 20
 _INVERSION_TOLERANCE = 1e-12
 
-# Stopping rule of the reward tail series of the process with no upper
-# boundary: three successive terms at most _TAIL_TOL relative, within
-# _MAX_TERMS terms.
-_TAIL_TOL = 1e-14
-_MAX_TERMS = 100_000
-
-
 class TransformContext(NamedTuple):
     """Model plus G/Ghat/H0 at s; with an array of nodes ``gmat.G`` and
     ``gmat.Ghat`` have shape (*s.shape, n, n)."""
@@ -134,11 +127,9 @@ def _s_column(s):
 
 def _reward_system(ctx, rewards):
     """The reward equation (Q - sI) x = -g/s on the levels 0..C, with one
-    right-hand-side column.  -g is the same at every node, so each node
-    forms its atoms -H0 g_l in one product before dividing them by s."""
-    g = np.asarray(rewards.g)
-    g = g.reshape((len(g),) + (1,) * np.ndim(ctx.s) + (-1, 1))
-    return BoundarySystem(ctx.blocks, [(0, ctx.blocks.C)], ctx.gmat, -g,
+    right-hand-side column."""
+    return BoundarySystem(ctx.blocks, [(0, ctx.blocks.C)], ctx.gmat,
+                          -np.asarray(rewards.g)[..., None],
                           divisor=_s_column(ctx.s))
 
 
@@ -158,83 +149,19 @@ def reward_transform(ctx, rewards):
     return np.moveaxis(_reward_system(ctx, rewards).solve()[..., 0], 0, -2)
 
 
-def _tail_sum(term_at):
-    """Sum term_at(1), term_at(2), ... until the terms vanish."""
-    acc = None
-    quiet = 0
-    for j in range(1, _MAX_TERMS + 1):
-        term = term_at(j)
-        if term is None:
-            return acc  # finite support exhausted
-        acc = term if acc is None else acc + term
-        if np.max(np.abs(term)) <= _TAIL_TOL * max(1.0, np.max(np.abs(acc))):
-            quiet += 1
-            if quiet >= 3:
-                return acc
-        else:
-            quiet = 0
-    raise TailConvergenceError(
-        f"reward tail series did not settle within {_MAX_TERMS} terms")
-
-
-def _reward_at(rewards, level):
-    """Reward vector at a level, for a finite sequence or a callable rule."""
-    if callable(rewards):
-        return np.asarray(rewards(level), dtype=float)
-    seq = rewards.g if hasattr(rewards, "g") else rewards
-    if level < len(seq):
-        return np.asarray(seq[level], dtype=float)
-    return None  # zero beyond the finite support
-
-
-def _unbounded_reward_system(blocks, gmat, rewards, top):
-    """The reward equation on the levels 0..top of the run with no upper
-    end; the rewards above ``top`` enter the particular term through the
-    tail sum_j Ghat^j H0 g_{top+j} / s."""
-    power = np.eye(blocks.n)  # Ghat^j at term j
-
-    def tail_term(j):
-        nonlocal power
-        power = power @ gmat.Ghat
-        g = _reward_at(rewards, top + j)
-        return None if g is None else power @ (gmat.H0 @ g / gmat.s)
-
-    tail = _tail_sum(tail_term)
-    force = [np.zeros(blocks.n) if g is None else -g / gmat.s
-             for g in (_reward_at(rewards, lv) for lv in range(top + 1))]
-    return BoundarySystem(blocks, [(0, None)], gmat, np.array(force),
-                          0.0 if tail is None else tail)
-
-
-def reward_transform_unbounded(blocks, rewards, s, k):
-    """Transformed expected reward from level k with no upper boundary.
-
-    ``rewards`` may be a RewardSpec, a finite sequence of level vectors
-    (zero beyond its length), or a callable level -> vector whose tail must
-    decay for the series to settle.
-
-    Raises
-    ------
-    TailConvergenceError
-        If the reward tail series does not settle within _MAX_TERMS terms.
-    """
-    return _unbounded_reward_system(blocks, gmatrices(blocks, s), rewards,
-                                    max(k, 1)).solve()[k]
-
-
-def _deviation_columns(blocks, gmat, segments, top, levels, pi_rows, row=None):
+def _deviation_columns(blocks, gmat, levels, pi_rows, row=None):
     """Block columns ``levels`` of (1/s)(sI - Q)^{-1} - (1/s^2) 1 pi at
-    every level 0..``top``, shape (top + 1, *s.shape, n, len(levels) n),
-    or at the block row ``row`` only, without the level axis.
+    every level 0..C, shape (C + 1, *s.shape, n, len(levels) n), or at the
+    block row ``row`` only, without the level axis.
 
-    Column l solves (Q - sI) x = -I/s at level l.
+    Column l solves (Q - sI) x = -E_l / s.
     """
     n, s = blocks.n, _s_column(gmat.s)
-    force = np.zeros((top + 1,) + gmat.G.shape[:-1] + (len(levels) * n,),
-                     dtype=np.result_type(gmat.H0, s))
+    force = np.zeros((blocks.C + 1, n, len(levels) * n))
     for i, level in enumerate(levels):
-        force[level, ..., i * n:(i + 1) * n] = -np.eye(n) / s
-    cols = BoundarySystem(blocks, segments, gmat, force).solve(level=row)
+        force[level, :, i * n:(i + 1) * n] = -np.eye(n)
+    cols = BoundarySystem(blocks, [(0, blocks.C)], gmat, force,
+                          divisor=s).solve(level=row)
     return cols - np.concatenate([np.asarray(r) for r in pi_rows]) / s ** 2
 
 
@@ -256,8 +183,7 @@ def deviation_transform_block(ctx, pi, k, level):
     b = ctx.blocks
     if not levels_in_range((k, level), b.C):
         raise ValueError(f"block ({k}, {level}) out of range 0..{b.C}")
-    return _deviation_columns(b, ctx.gmat, [(0, b.C)], b.C, [level],
-                              [pi[level]], k)
+    return _deviation_columns(b, ctx.gmat, [level], [pi[level]], k)
 
 
 def deviation_transform(ctx, pi):
@@ -265,26 +191,9 @@ def deviation_transform(ctx, pi):
     boundary solve."""
     b = ctx.blocks
     levels = range(b.C + 1)
-    cols = _deviation_columns(b, ctx.gmat, [(0, b.C)], b.C, levels,
-                              [pi[lv] for lv in levels])
+    cols = _deviation_columns(b, ctx.gmat, levels, [pi[lv] for lv in levels])
     size = b.n * (b.C + 1)
     return np.moveaxis(cols, 0, -3).reshape(cols.shape[1:-2] + (size, size))
-
-
-def deviation_transform_unbounded(blocks, s, k, level, pi_level=None):
-    """Block (k, level) of the transformed deviation matrix with no upper
-    boundary.
-
-    ``pi_level`` is the stationary row of the unrestricted process at the
-    target level (see :func:`qbdr.stationary.stationary_unrestricted`); pass
-    None for a transient unrestricted process, whose stationary mass at any
-    fixed level is zero.
-    """
-    if pi_level is None:
-        pi_level = np.zeros(blocks.n)
-    top = max(k, level, 1)
-    return _deviation_columns(blocks, gmatrices(blocks, s), [(0, None)], top,
-                              [level], [pi_level], k)
 
 
 def _contour(t_max):

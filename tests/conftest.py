@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qbdr import (MapParams, PhParams, QbdBlocks, assemble_generator,
-                  build_blocks, random_blocks)
+                  build_blocks, gmatrices, random_blocks)
 from qbdr.diffeq import BoundarySystem, segment_ends
 from qbdr.linalg import censor_generator, matrix_powers
 from qbdr.passage import _passage_segments
@@ -203,7 +203,7 @@ def nu_k(ctx, rewards, k):
 def z_matrix(ctx):
     """The 2n x 2n boundary matrix Z(s, C) pinning the free vectors of a
     transform context."""
-    zero = np.zeros((ctx.blocks.C + 1, ctx.blocks.n))
+    zero = np.zeros((ctx.blocks.C + 1, ctx.blocks.n, 1))
     return BoundarySystem(ctx.blocks, [(0, ctx.blocks.C)], ctx.gmat,
                           zero).matrix
 
@@ -281,7 +281,7 @@ def censored_passage_generator(blocks, level, j):
 
 def _bare_passage_system(blocks, level, gmat):
     """The passage boundary system without particular term or forcing."""
-    zero = np.zeros((blocks.C + 1, blocks.n))
+    zero = np.zeros((blocks.C + 1, blocks.n, 1))
     return BoundarySystem(blocks, _passage_segments(blocks.C, level), gmat,
                           zero)
 
@@ -305,11 +305,11 @@ class StackedBoundarySystem(BoundarySystem):
     of one level, ``solve(level=k)``, is inherited: it takes its two powers
     G^{k-a} and Ghat^{b-k} from the stacks, with no sweep."""
 
-    def __init__(self, blocks, segments, gmat, f, tail=0.0, divisor=None):
+    def __init__(self, blocks, segments, gmat, f, divisor=1.0):
         top = len(f) - 1
         self.stacks = tuple(matrix_powers(np.asarray(g), top)
                             for g in (gmat.G, gmat.Ghat))
-        super().__init__(blocks, segments, gmat, f, tail, divisor)
+        super().__init__(blocks, segments, gmat, f, divisor)
 
     def _power(self, which, e):
         return self.stacks[which][e]
@@ -321,13 +321,12 @@ class StackedBoundarySystem(BoundarySystem):
         out = np.empty(self.p.shape, dtype=np.result_type(gp, u, self.p))
         for (a, b), c in zip(self.segments, self._starts):
             v = u[batch + (slice(c, c + n),)]
-            if b not in (None, a):
-                w = u[batch + (slice(c + n, c + 2 * n),)]
-                for k in range(a, b + 1):
-                    out[k] = gp[k - a] @ v + ghp[b - k] @ w + self.p[k]
-            else:
-                for k in range(a, len(out) if b is None else b + 1):
-                    out[k] = gp[k - a] @ v + self.p[k]
+            if b == a:
+                out[a] = gp[0] @ v + self.p[a]
+                continue
+            w = u[batch + (slice(c + n, c + 2 * n),)]
+            for k in range(a, b + 1):
+                out[k] = gp[k - a] @ v + ghp[b - k] @ w + self.p[k]
         return out
 
 
@@ -350,6 +349,19 @@ def dense_reward_transform(q, g, s):
     return np.linalg.solve(s * np.eye(size) - q, g / s)
 
 
+def censored_generator(blocks, s, top):
+    """The upper-unbounded QBD on levels 0..top, with the levels above top
+    censored out of the process killed at rate s: the top block becomes
+    A0 + A1 G(s) (Latouche & Ramaswami 1999).  Its resolvent
+    (sI - Q)^{-1} is that of the unbounded process on the levels 0..top."""
+    n = blocks.n
+    q = assemble_generator(blocks.with_capacity(top))
+    top_block = blocks.A0 + blocks.A1 @ gmatrices(blocks, s).G
+    q = q.astype(np.result_type(q, top_block))
+    q[-n:, -n:] = top_block
+    return q
+
+
 def dense_deviation_transform(q, pi, s):
     """(1/s)(sI - Q)^{-1} - (1/s^2) 1 pi."""
     size = q.shape[0]
@@ -357,13 +369,12 @@ def dense_deviation_transform(q, pi, s):
             - np.outer(np.ones(size), pi) / s ** 2)
 
 
-def full_sweep_particular(g, ghat, atoms, tail=0.0):
+def full_sweep_particular(g, ghat, atoms):
     """:func:`qbdr.diffeq.particular` as it was before it skipped zero
     atoms: both sweeps over every level."""
     atoms = np.asarray(atoms)
-    down = np.zeros(atoms.shape, dtype=np.result_type(g, ghat, atoms, tail))
+    down = np.zeros(atoms.shape, dtype=np.result_type(g, ghat, atoms))
     up = np.zeros_like(down)
-    up[-1] = tail
     for k in range(1, len(atoms)):
         down[k] = g @ down[k - 1] + atoms[k]
     for k in range(len(atoms) - 2, -1, -1):

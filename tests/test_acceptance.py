@@ -13,16 +13,15 @@ import numpy as np
 from qbdr import (Drift, RewardSpec, assemble_generator, classify_drift,
                   deviation_matrix_diffeq, deviation_recursive,
                   deviation_time, deviation_transform,
-                  deviation_transform_block, deviation_transform_unbounded,
-                  gmatrices, lost_revenue_rewards, oracle_deviation,
-                  oracle_reward, oracle_stationary, oracle_transient_deviation,
-                  passage_column, random_blocks,
-                  reward_time, reward_transform, reward_transform_unbounded,
-                  run_bench, solve_g, solve_ghat, stationary_rmatrix,
-                  stationary_unrestricted, transform_context)
+                  deviation_transform_block, gmatrices, lost_revenue_rewards,
+                  oracle_deviation, oracle_reward, oracle_stationary,
+                  oracle_transient_deviation, passage_column, random_blocks,
+                  reward_time, reward_transform, run_bench, solve_g,
+                  solve_ghat, stationary_rmatrix, transform_context)
 from qbdr.passage import passage_level_matrices
-from conftest import (censored_passage_generator, dense_deviation_transform,
-                      dense_reward_transform, gth_passage, mapph_example,
+from conftest import (censored_generator, censored_passage_generator,
+                      dense_deviation_transform, dense_reward_transform,
+                      gth_passage, mapph_example,
                       passage_z_factor, passage_z_matrix, random_rewards,
                       scalar_blocks)
 
@@ -249,28 +248,28 @@ def test_criterion_7_benchmark_shape():
 
 
 def test_criterion_8_large_capacity_limits():
+    # the unbounded reference censors the levels above 5 into the top
+    # block A0 + A1 G(s); its stationary rows are (1 - rho) rho^l, or zero
+    # for a transient process
     worst = 0.0
     s = 1.0
+    g = np.array([0.4, 1.0, 0.7, 0.0, 0.0, 0.0])
     for lam, mu in ((1.0, 2.0), (2.0, 1.0)):
-        small = scalar_blocks(lam, mu, 5)
         big = scalar_blocks(lam, mu, 200)
         ctx = transform_context(big, s)
         pi_big = stationary_rmatrix(big)
-        recurrent = classify_drift(small).tag is Drift.POSITIVE_RECURRENT
-        rows = stationary_unrestricted(small, 6) if recurrent else None
-        support = [np.array([0.4]), np.array([1.0]), np.array([0.7])]
-        rewards = RewardSpec(g=tuple(
-            [np.array([0.4]), np.array([1.0]), np.array([0.7])]
-            + [np.array([0.0])] * 198))
+        rho = lam / mu
+        pi = (1 - rho) * rho ** np.arange(6) if rho < 1 else np.zeros(6)
+        q = censored_generator(scalar_blocks(lam, mu, 5), s, 5)
+        reward, dev = (dense_reward_transform(q, g, s),
+                       dense_deviation_transform(q, pi, s))
+        rewards = RewardSpec(g=tuple(np.array([v]) for v in g)
+                             + (np.array([0.0]),) * 195)
         finite_reward = reward_transform(ctx, rewards)
         for k in range(6):
-            unbounded = reward_transform_unbounded(small, support, s, k)
-            worst = max(worst, np.max(np.abs(unbounded - finite_reward[k])))
+            worst = max(worst, abs(reward[k] - finite_reward[k, 0]))
             for level in range(6):
                 fin = deviation_transform_block(ctx, pi_big, k, level)
-                unb = deviation_transform_unbounded(
-                    small, s, k, level,
-                    pi_level=rows[level] if recurrent else None)
-                worst = max(worst, np.max(np.abs(fin - unb)))
+                worst = max(worst, abs(dev[k, level] - fin[0, 0]))
     report("criterion 8: capacity limits match the unbounded formulas",
            worst <= 1e-6, f"worst gap {worst:.2e}")

@@ -13,16 +13,13 @@ import pytest
 
 import qbdr.passage as passage
 import qbdr.transform as transform
-from qbdr import (Drift, assemble_generator, classify_drift,
-                  deviation_matrix_diffeq, gmatrices,
+from qbdr import (assemble_generator, deviation_matrix_diffeq, gmatrices,
                   deviation_transform, deviation_transform_block,
-                  deviation_transform_unbounded, inversion_nodes,
-                  lost_revenue_rewards, passage_column_unbounded,
+                  inversion_nodes, lost_revenue_rewards,
                   passage_level_matrices, random_blocks, reward_transform,
-                  reward_transform_unbounded, stationary_rmatrix,
-                  stationary_unrestricted, transform_context)
+                  stationary_rmatrix, transform_context)
 from qbdr.diffeq import BoundarySystem
-from conftest import StackedBoundarySystem, mapph_example, random_rewards
+from conftest import StackedBoundarySystem, mapph_example
 
 TOL = 1e-12
 
@@ -81,22 +78,23 @@ def test_general_forcing_at_zero_with_pin():
 
 
 @pytest.mark.parametrize("segments", [
-    [(0, 12)], [(0, 4), (5, 12)], [(0, 3), (4, 4), (5, 12)], [(0, None)]],
-    ids=["one-run", "two-runs", "one-level-run", "no-upper-end"])
+    [(0, 12)], [(0, 4), (5, 12)], [(0, 3), (4, 4), (5, 12)]],
+    ids=["one-run", "two-runs", "one-level-run"])
 @pytest.mark.parametrize("blocks", [
     mapph_example(C=12), random_blocks(3, 12, np.random.default_rng(6))],
     ids=["queue", "n3"])
 def test_level_read_matches_swept_column(blocks, segments):
-    # block columns forced by -I/s at their target level, at complex
+    # block columns forced by -E_l / s at their target level l, at complex
     # nodes: the read at each level k from the two end powers of its run
     # is level k of the swept solution to roundoff
     nodes = np.array([0.5 + 3.0j, 2.0 - 1.0j, 7.0 + 0.0j])
     gmat = gmatrices(blocks, nodes)
     n = blocks.n
     for target in (0, 5, 12):
-        f = np.zeros((13, 3, n, n), dtype=complex)
-        f[target] = -np.eye(n) / nodes[:, None, None]
-        system = BoundarySystem(blocks, segments, gmat, f)
+        f = np.zeros((13, n, n))
+        f[target] = -np.eye(n)
+        system = BoundarySystem(blocks, segments, gmat, f,
+                                divisor=nodes[:, None, None])
         swept = system.solve()
         for k in range(13):
             assert _max_gap(system.solve(level=k), swept[k]) <= 1e-14, (
@@ -104,8 +102,8 @@ def test_level_read_matches_swept_column(blocks, segments):
 
 
 def test_deviation_block_reads_its_row_level_only(monkeypatch):
-    # a transformed deviation block, bounded or not, and its inverse never
-    # sweep the solution over the levels of its column
+    # a transformed deviation block and its inverse never sweep the
+    # solution over the levels of its column
     blocks = mapph_example(C=12)
     pi = stationary_rmatrix(blocks)
     ctx = transform_context(blocks, inversion_nodes(2.0))
@@ -119,8 +117,6 @@ def test_deviation_block_reads_its_row_level_only(monkeypatch):
         block = deviation_transform_block(ctx, pi, k, level)
         assert _max_gap(block, full[..., 4 * k:4 * k + 4,
                                     4 * level:4 * level + 4]) <= 1e-12
-        deviation_transform_unbounded(blocks, 1.0 + 2.0j, k, level,
-                                      pi_level=pi[level])
     transform.deviation_time(blocks, 2.0, pi, block=(3, 9))
 
 
@@ -134,16 +130,6 @@ def _gap_to_stacked(monkeypatch, compute):
         reference = np.asarray(compute())
     assert new.shape == reference.shape
     return np.max(np.abs(new - reference)) / np.max(np.abs(reference))
-
-
-def _recurrent_models():
-    out = []
-    for seed in range(20):
-        blocks = random_blocks(2 + seed % 2, 30,
-                               np.random.default_rng([3, seed]))
-        if classify_drift(blocks).tag is Drift.POSITIVE_RECURRENT:
-            out.append(blocks)
-    return out[:3]
 
 
 @pytest.mark.parametrize("blocks", [
@@ -162,26 +148,6 @@ def test_passage_runs_match_stacked_kernel(monkeypatch, blocks):
         gap = _gap_to_stacked(
             monkeypatch, lambda: passage_level_matrices(blocks, level))
         assert gap <= TOL, (level, gap)
-
-
-def test_upper_unbounded_runs_match_stacked_kernel(monkeypatch):
-    models = _recurrent_models()
-    assert models
-    for blocks in models:
-        rewards = random_rewards(blocks)
-        rows = stationary_unrestricted(blocks, 8)
-        for level in (0, 3):
-            assert _gap_to_stacked(monkeypatch, lambda: np.array(
-                passage_column_unbounded(blocks, level, 1, kmax=20))) <= TOL
-            for s in (0.7, 1.0 + 2.0j):
-                assert _gap_to_stacked(
-                    monkeypatch, lambda: deviation_transform_unbounded(
-                        blocks, s, 5, level, pi_level=rows[level])) <= TOL
-        for s in (0.7, 1.0 + 2.0j):
-            for k in (0, 6):
-                assert _gap_to_stacked(
-                    monkeypatch, lambda: reward_transform_unbounded(
-                        blocks, rewards, s, k)) <= TOL
 
 
 @pytest.mark.parametrize("t", [0.5, 10.0])

@@ -273,6 +273,25 @@ def test_shared_reduction_null_recurrent_scalar(s):
 # a scale-free stop
 # ---------------------------------------------------------------------------
 
+def _scaled(blocks, k):
+    """The same model with every rate multiplied by k."""
+    return QbdBlocks(blocks.n, blocks.C, *(
+        k * getattr(blocks, name)
+        for name in ("A_minus1", "A0", "A1", "B0", "C0")))
+
+
+@pytest.mark.parametrize("k", [1e-6, 1.0, 1e5])
+def test_residuals_independent_of_rate_scale(k):
+    # the residuals of the uniformized equations, whose terms are
+    # probabilities, read roundoff at every rate scale; those of
+    # A_minus1 + (A0 - sI) G + A1 G^2 scale with the rates (4.8e-22 at
+    # k = 1e-6 and 4.0e-11 at k = 1e5 on the same G)
+    scaled = _scaled(mapph_example(C=20), k)
+    for s in (0.0, k * inversion_nodes(2.0)):
+        gm = gmatrices(scaled, s)
+        assert max(gm.residual_G, gm.residual_Ghat) <= 4 * np.finfo(float).eps
+
+
 @pytest.mark.parametrize("model", ["queue", "7-25", "8-8"])
 def test_results_independent_of_rate_scale(model):
     # G and Ghat do not change when every rate is multiplied by k, D
@@ -285,9 +304,7 @@ def test_results_independent_of_rate_scale(model):
     dev, reward = (deviation_matrix_diffeq(blocks),
                    reward_time(blocks, rewards, times))
     for k in (1e-6, 1e-3, 1e3, 1e4, 1e5):
-        scaled = QbdBlocks(blocks.n, blocks.C, *(
-            k * getattr(blocks, name)
-            for name in ("A_minus1", "A0", "A1", "B0", "C0")))
+        scaled = _scaled(blocks, k)
         for value, ref in ((k * deviation_matrix_diffeq(scaled), dev),
                            (k * reward_time(scaled, rewards, times / k),
                             reward)):

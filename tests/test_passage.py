@@ -5,10 +5,8 @@ from qbdr import (PreconditionError, assemble_generator,
                   deviation_block_asymptotic, deviation_matrix_diffeq,
                   deviation_recursive, gmatrices, oracle_deviation,
                   oracle_passage, oracle_stationary, passage_column,
-                  passage_column_unbounded, passage_level_matrices,
-                  random_blocks, stationary_rmatrix)
+                  passage_level_matrices, random_blocks, stationary_rmatrix)
 from qbdr.diffeq import BoundarySystem
-from qbdr.passage import _passage_system
 from conftest import (UNFILTERED, censored_passage_generator,
                       exact_generator, exact_solve, gth_passage,
                       gth_stationary, mapph_example, mu_k, passage_z_factor,
@@ -30,18 +28,24 @@ def test_mu_scalar_value(scalar_pr):
 def test_mu_sweep_matches_direct():
     blocks = random_blocks(3, 6, np.random.default_rng(1))
     gm = gmatrices(blocks)
-    swept = BoundarySystem(blocks, [(0, 6)], gm, np.full((7, 3), -1.0)).p
+    swept = BoundarySystem(blocks, [(0, 6)], gm, np.full((7, 3, 1), -1.0)).p
     for k in range(7):
-        np.testing.assert_allclose(mu_k(blocks, gm, k), swept[k], atol=1e-10)
+        np.testing.assert_allclose(mu_k(blocks, gm, k), swept[k, :, 0],
+                                   atol=1e-10)
 
 
 def test_mu_limit_matches_large_capacity(scalar_pr):
+    # with no upper boundary the levels above k add
+    # sum_{j>=1} Ghat^j H0 1 = (I - Ghat)^{-1} Ghat H0 1
     big = scalar_blocks(1.0, 2.0, 200)
     gm_big = gmatrices(big)
     gm = gmatrices(scalar_pr)
-    limit = _passage_system(scalar_pr, 0, gm, top=5).p
+    h = gm.H0 @ np.ones(1)
+    tail = np.linalg.solve(np.eye(1) - gm.Ghat, gm.Ghat @ h)
     for k in range(6):
-        gap = np.max(np.abs(mu_k(big, gm_big, k) - limit[k]))
+        limit = tail + sum(np.linalg.matrix_power(gm.G, j) @ h
+                           for j in range(k))
+        gap = np.max(np.abs(mu_k(big, gm_big, k) - limit))
         assert gap <= 1e-8
 
 
@@ -128,27 +132,6 @@ def test_passage_residual_matches_dense_pinned_system(seed, n, c):
             rhs[idx] = 0.0
             dense = np.max(np.abs(q @ col.stacked() - rhs))
             assert abs(col.residual - dense) <= 1e-12
-
-
-def test_passage_unbounded_target_states(scalar_pr):
-    col = passage_column_unbounded(scalar_pr, 0, 0, kmax=5)
-    assert col[0][0] == 0.0
-    col3 = passage_column_unbounded(scalar_pr, 3, 0, kmax=5)
-    assert col3[3][0] == 0.0
-
-
-def test_passage_unbounded_matches_large_capacity(scalar_pr):
-    big = scalar_blocks(1.0, 2.0, 200)
-    for level in (0, 1, 4):
-        unb = passage_column_unbounded(scalar_pr, level, 0, kmax=5)
-        fin = passage_column(big, level, 0)
-        for k in range(6):
-            assert np.max(np.abs(unb[k] - fin.m[k])) <= 1e-6
-
-
-def test_passage_unbounded_needs_positive_recurrence(scalar_tr):
-    with pytest.raises(PreconditionError):
-        passage_column_unbounded(scalar_tr, 0, 0, kmax=3)
 
 
 def test_deviation_block_two_state_hand_value(two_state):
@@ -324,6 +307,12 @@ def test_passage_rejects_targets_outside_the_states():
     for level, phase in ((2.5, 1), (2, 1.5), (2, 2), (2, -1)):
         with pytest.raises(ValueError):
             passage_column(blocks, level, phase)
+    # a deviation block's row k = -1 once read row C, and k = C + 1 failed
+    # in numpy indexing
+    pi = stationary_rmatrix(blocks)
+    for k, level in ((-1, 2), (5, 2), (2.5, 2), (2, 5)):
+        with pytest.raises(ValueError, match="out of range 0..4"):
+            deviation_block_asymptotic(blocks, pi, k, level)
 
 
 def test_deviation_matrix_rejects_null_recurrent():

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from qbdr import (assemble_generator, oracle_stationary, random_blocks,
-                  rate_matrices, stationary_rmatrix, stationary_unrestricted)
+                  rate_matrices, stationary_rmatrix)
 from qbdr.linalg import left_null_vector
-from conftest import (UNFILTERED, boundary_matrix, gth_stationary,
-                      mapph_example, scalar_blocks, unfiltered_model)
+from conftest import (UNFILTERED, boundary_matrix, censored_generator,
+                      gth_stationary, mapph_example, scalar_blocks,
+                      unfiltered_model)
 
 
 def test_scalar_geometric(scalar_pr):
@@ -87,15 +88,16 @@ def test_entrywise_matches_gth_on_queues(c, swapped):
 
 
 def test_unrestricted_geometric(scalar_pr):
-    rows = stationary_unrestricted(scalar_pr, 6)
-    expected = [0.5 ** (k + 1) for k in range(7)]
-    np.testing.assert_allclose([r[0] for r in rows], expected, atol=1e-13)
+    # the unbounded process censored onto the levels 0..6 keeps
+    # pi_k = (1/2)^(k+1), over the mass 1 - (1/2)^7 of those levels
+    rows = gth_stationary(censored_generator(scalar_pr, 0.0, 6))
+    expected = [0.5 ** (k + 1) / (1 - 0.5 ** 7) for k in range(7)]
+    np.testing.assert_allclose(rows, expected, atol=1e-13)
 
 
 def test_unrestricted_matches_large_capacity():
     blocks = mapph_example(C=5, swapped=True)  # positive recurrent
     big = mapph_example(C=60, swapped=True)
-    rows = stationary_unrestricted(blocks, 4)
-    dist = stationary_rmatrix(big)
-    for k in range(5):
-        np.testing.assert_allclose(rows[k], dist.pi[k], atol=1e-9)
+    rows = gth_stationary(censored_generator(blocks, 0.0, 4))
+    near = stationary_rmatrix(big).stacked()[:rows.size]
+    np.testing.assert_allclose(rows, near / near.sum(), atol=1e-9)

@@ -1,19 +1,17 @@
 import numpy as np
 import pytest
 
-from qbdr import (NumericalError, RewardSpec,
-                  TailConvergenceError, assemble_generator, classify_drift,
-                  deviation_time, deviation_transform,
-                  deviation_transform_block, deviation_transform_unbounded,
-                  gmatrices, inversion_nodes, invert_laplace,
-                  occupation_matrix, oracle_deviation,
+from qbdr import (NumericalError, RewardSpec, assemble_generator,
+                  classify_drift, deviation_time, deviation_transform,
+                  deviation_transform_block, gmatrices, inversion_nodes,
+                  invert_laplace, occupation_matrix, oracle_deviation,
                   oracle_reward, oracle_stationary, oracle_transient_deviation,
                   random_blocks, reward_time, reward_transform,
-                  reward_transform_unbounded, stationary_rmatrix,
-                  stationary_unrestricted, transform_context)
+                  stationary_rmatrix, transform_context)
 from qbdr.linalg import matrix_powers
-from conftest import (censored_boundary_generator, dense_deviation_transform,
-                      dense_reward_transform, full_sweep_particular,
+from conftest import (censored_boundary_generator, censored_generator,
+                      dense_deviation_transform, dense_reward_transform,
+                      full_sweep_particular,
                       mapph_example, nu_k, random_rewards, scalar_blocks,
                       z_matrix)
 
@@ -138,7 +136,9 @@ def test_reward_transform_mapph_dense():
 # ---------------------------------------------------------------------------
 
 def test_reward_unbounded_finite_support_both_drifts():
-    support = [np.array([1.0])]
+    # the unbounded process censored onto the levels 0..5 (rewards on
+    # level 0 only) against capacity 200
+    g = np.array([1.0, 0, 0, 0, 0, 0])
     for lam, mu in ((1.0, 2.0), (2.0, 1.0)):
         small = scalar_blocks(lam, mu, 2)
         big = scalar_blocks(lam, mu, 200)
@@ -146,52 +146,9 @@ def test_reward_unbounded_finite_support_both_drifts():
         rewards = RewardSpec(g=tuple([np.array([1.0])]
                                      + [np.array([0.0])] * 200))
         finite = reward_transform(ctx, rewards)
+        unb = dense_reward_transform(censored_generator(small, 1.0, 5), g, 1.0)
         for k in (0, 2, 5):
-            unb = reward_transform_unbounded(small, support, 1.0, k)
-            assert np.max(np.abs(unb - finite[k])) <= 1e-8
-
-
-def test_reward_unbounded_zero():
-    blocks = scalar_blocks(1.0, 2.0, 2)
-    out = reward_transform_unbounded(blocks, [np.array([0.0])], 1.0, 3)
-    assert not out.any()
-
-
-def test_reward_unbounded_nu_shift_identity():
-    # the tail sum beyond level 1 against the sweep over level 2
-    from qbdr.transform import _unbounded_reward_system
-    blocks = random_blocks(2, 3, np.random.default_rng(5))
-    gm = gmatrices(blocks, 0.9)
-    rewards = [np.array([0.3, 0.1]), np.array([1.0, 0.0]),
-               np.array([0.2, 0.7])]
-    nu0, nu1 = (_unbounded_reward_system(blocks, gm, rewards, top).p[top - 1]
-                for top in (1, 2))
-    np.testing.assert_allclose(nu0, gm.Ghat @ nu1, atol=1e-12)
-
-
-def test_reward_unbounded_tail_divergence(monkeypatch):
-    import qbdr.transform as transform
-    blocks = scalar_blocks(1.0, 2.0, 2)
-
-    def growing(level):
-        return np.array([4.0 ** level])
-
-    monkeypatch.setattr(transform, "_MAX_TERMS", 200)
-    with pytest.raises(TailConvergenceError):
-        reward_transform_unbounded(blocks, growing, 0.1, 0)
-
-
-def test_reward_unbounded_geometric_tail():
-    blocks = scalar_blocks(1.0, 2.0, 2)
-    big = scalar_blocks(1.0, 2.0, 400)
-
-    def tail(level):
-        return np.array([0.5 ** level])
-
-    rewards = RewardSpec(g=tuple(np.array([0.5 ** k]) for k in range(401)))
-    finite = reward_transform(_ctx(big, 1.0), rewards)
-    unb = reward_transform_unbounded(blocks, tail, 1.0, 0)
-    assert np.max(np.abs(unb - finite[0])) <= 1e-8
+            assert np.max(np.abs(unb[k] - finite[k])) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -259,27 +216,29 @@ def test_deviation_transform_small_s_approaches_asymptotic(scalar_pr):
 
 
 def test_deviation_unbounded_positive_recurrent(scalar_pr):
+    # pi_l = (1/2)^(l+1) for the unbounded process
     big = scalar_blocks(1.0, 2.0, 200)
     ctx = _ctx(big, 1.0)
     pi_big = stationary_rmatrix(big)
-    rows = stationary_unrestricted(scalar_pr, 6)
+    unb = dense_deviation_transform(censored_generator(scalar_pr, 1.0, 3),
+                                    0.5 ** np.arange(1, 5), 1.0)
     for k in range(4):
         for level in range(4):
             fin = deviation_transform_block(ctx, pi_big, k, level)
-            unb = deviation_transform_unbounded(scalar_pr, 1.0, k, level,
-                                                pi_level=rows[level])
-            assert np.max(np.abs(fin - unb)) <= 1e-8
+            assert np.max(np.abs(fin - unb[k, level])) <= 1e-8
 
 
 def test_deviation_unbounded_level_zero_shortcut():
+    # column 0 of the unbounded resolvent is G^k x_0, and the level 0
+    # equation gives (B0 - sI + A1 G) x_0 = -I/s
     blocks = random_blocks(2, 3, np.random.default_rng(6))
     s = 0.9
     gm = gmatrices(blocks, s)
-    rows = None
-    block = deviation_transform_unbounded(blocks, s, 2, 0, pi_level=rows)
+    dense = dense_deviation_transform(censored_generator(blocks, s, 3),
+                                      np.zeros(8), s)
     lead = np.linalg.inv(blocks.B0 - s * np.eye(2) + blocks.A1 @ gm.G)
     expected = np.linalg.matrix_power(gm.G, 2) @ lead * (-1.0 / s)
-    np.testing.assert_allclose(block, expected, atol=1e-12)
+    np.testing.assert_allclose(dense[4:6, :2], expected, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
