@@ -4,10 +4,11 @@ processes.
 The model is a level-independent quasi-birth-and-death process on levels
 0..C with n phases.  Two independent solution strategies are provided for
 the expected-reward function, the (transient and asymptotic) deviation
-matrix and mean first passage times: boundary-pinned matrix difference
-equations working with n- and 2n-sized objects, with block level
-reduction for the stationary vector and passage times, and a
-capacity-ladder recursion updating full matrices one level at a time.
+matrix and mean first passage times: matrix difference equations
+working with n- and 2n-sized objects for the transformed quantities
+(s != 0), block level reduction for the stationary vector, passage times
+and the asymptotic deviation matrix (s = 0), and a capacity-ladder
+recursion updating full matrices one level at a time.
 Dense brute-force oracles back both.
 
 The names of :mod:`qbdr.bench`, and the submodule itself, load it on

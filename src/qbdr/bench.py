@@ -1,10 +1,9 @@
 """Random test models and the two-method timing benchmark.
 
 Both timed tasks compute the last block-column of the asymptotic deviation
-matrix, the quantity the two solution strategies share: the
-difference-equation route solves the pinned boundary system of that block
-column directly, the perturbation route climbs the capacity ladder and
-slices the result.
+matrix, the quantity the two solution strategies share: the structured
+route solves for that block column directly by level reduction, O(C n^3),
+the perturbation route climbs the capacity ladder and slices the result.
 
 How ``run_bench`` takes its timings (see :func:`time_interleaved`):
 
@@ -84,8 +83,8 @@ def random_blocks(n, C, rng, min_drift=0.02):
 
 
 def last_block_column_diffeq(blocks):
-    """Blocks D_{k,C}, k = 0..C, from the pinned boundary system of the
-    last block column, as ``qbdr deviation --block`` solves it."""
+    """Blocks D_{k,C}, k = 0..C, by level reduction for the last block
+    column alone, as ``qbdr deviation --block`` solves it."""
     return deviation_matrix_diffeq(blocks, levels=[blocks.C])
 
 

@@ -2,7 +2,7 @@
 
 Subcommands wrap the library operations and emit CSV.  Exit codes:
 0 success, 2 parse or validation failure, 3 numerical failure,
-4 violated precondition (e.g. asymptotics of a null-recurrent model).
+4 violated precondition (e.g. H0 at s = 0 of a null-recurrent model).
 Phase indices on the command line are 0-based.  ``reward`` weights the
 phases before the Laplace inversion, so it inverts one curve per level.
 """

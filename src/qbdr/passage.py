@@ -1,11 +1,16 @@
-"""Mean first passage times and asymptotic deviation blocks.
+"""Mean first passage times and asymptotic deviation matrices.
 
 The passage times to a target state (l, j) solve Q m = -1 off the target,
-with m = 0 on it.  :func:`passage_level_matrices` censors the levels above
-and below l by the level reduction of :mod:`qbdr.stationary`, solves the
-taboo system left on level l for every phase j at once, and climbs back
-out by m_k = X_k m_(k-+1) + y_k with X_k and y_k nonnegative.  A finite
-chain has finite passage times whatever its drift.
+with m = 0 on it, and column (l, j) of the deviation matrix solves
+Q d = pi_(l,j) 1 - e_(l,j).  Both go by the level reduction of
+:mod:`qbdr.stationary`: one sweep from each end censors the levels above
+and below one level, carrying the forcing (1, or I - 1 pi) along; the
+taboo system left on that level is solved with one entry pinned at zero,
+and the solution climbs back out by x_k = X_k x_(k-+1) + y_k.  For passage
+times the pinned entry is the target, and X_k and y_k are nonnegative; for
+D it is the most probable state, and the centring d - 1 (pi d) follows.
+A finite chain has finite passage times and a deviation matrix whatever
+its drift.
 
 Entry (k i, l j) of the deviation matrix equals
 pi_(l,j) [ M_pi(l,j) - M_(k,i)(l,j) ] where M holds mean first entrance
@@ -13,8 +18,7 @@ times, and :func:`deviation_block_asymptotic` forms blocks that way.  The
 entries of a passage column can all lie close to one large value, though,
 and the subtraction cancels their leading digits, so
 :func:`deviation_matrix_diffeq`, which the CLI uses for D and for its
-block columns, solves Q d = pi_(l,j) 1 - e_(l,j) for the deviation columns
-themselves with :class:`qbdr.diffeq.BoundarySystem`.
+block columns, solves for the deviation columns themselves.
 """
 
 import warnings
@@ -22,8 +26,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .diffeq import BoundarySystem
-from .gmatrices import gmatrices, require_not_null_recurrent
 from .model import require_finite
 from .stationary import _negated, _solve, _sweep, stationary_rmatrix
 from .transform import levels_in_range
@@ -51,13 +53,6 @@ class PassageColumn(NamedTuple):
 
     def stacked(self):
         return np.concatenate(self.m)
-
-
-def _passage_segments(C, level):
-    """Runs of the levels 0..C split after a target level inside them."""
-    if level in (0, C):
-        return [(0, C)]
-    return [(0, level), (level + 1, C)]
 
 
 def _column_residual(blocks, level, j, m):
@@ -113,24 +108,44 @@ def passage_level_matrices(blocks, level):
     if not levels_in_range([level], C):
         raise ValueError(f"target level {level} out of range 0..{C}")
     require_finite(blocks)
-    down, y_down, inflow_down, force_down = _sweep(blocks, level)
-    up, y_up, inflow_up, force_up = _sweep(blocks, level, up=True)
+    return _level_reduction(blocks, level, np.ones((C + 1, n, 1)),
+                            np.arange(n))
+
+
+def _level_reduction(blocks, level, force, pins):
+    """The solution x, shape (C + 1, n, len(pins)), of (Q x)_k = -force_k
+    (``force`` (C + 1, n, 1) or (C + 1, n, len(pins))) on every row but
+    the state (level, pins[c]) of column c, where x is zero instead.
+
+    The levels above and below ``level`` are censored by two sweeps
+    (:func:`qbdr.stationary._sweep`), which leave on ``level`` the
+    conservative block T and the forcing r; column c there solves -T x = r
+    without row and column pins[c], and the sweeps' x_k = X_k x_(k-+1) + y_k
+    climb back out from it.
+    """
+    n, C = blocks.n, blocks.C
+    down, y_down, inflow_down, force_down = _sweep(blocks, level, force)
+    up, y_up, inflow_up, force_up = _sweep(blocks, level, force, up=True)
     off = (blocks.B0 if level == 0 else blocks.C0 if level == C
            else blocks.A0) + inflow_down + inflow_up
     np.fill_diagonal(off, 0.0)
     taboo = _negated(off)
-    rest = np.array([np.delete(np.arange(n), j) for j in range(n)])
-    m = np.zeros((C + 1, n, n))
-    m[level][rest, np.arange(n)[:, None]] = _solve(
-        taboo[rest[:, :, None], rest[:, None, :]],
-        (1.0 + force_down + force_up)[rest][..., None])[..., 0]
+    rhs = np.broadcast_to(force[level] + force_down + force_up,
+                          (n, len(pins)))
+    cols = np.arange(len(pins))[:, None]
+    # row c: the phases other than pins[c], in increasing order
+    rest = np.arange(n - 1) + (np.arange(n - 1) >= np.asarray(pins)[:, None])
+    x = np.empty((C + 1, n, len(pins)))
+    x[level] = 0.0
+    x[level][rest, cols] = _solve(taboo[rest[:, :, None], rest[:, None, :]],
+                                  rhs[rest, cols][..., None])[..., 0]
     for k, step, y in zip(range(level + 1, C + 1),
                           down[::-1] @ blocks.A_minus1, y_down[::-1]):
-        m[k] = step @ m[k - 1] + y[:, None]
+        x[k] = step @ x[k - 1] + y
     for k, step, y in zip(range(level - 1, -1, -1),
                           up[::-1] @ blocks.A1, y_up[::-1]):
-        m[k] = step @ m[k + 1] + y[:, None]
-    return m
+        x[k] = step @ x[k + 1] + y
+    return x
 
 
 def deviation_block_asymptotic(blocks, pi, k, level):
@@ -154,22 +169,25 @@ def deviation_block_asymptotic(blocks, pi, k, level):
 
 
 def deviation_matrix_diffeq(blocks, pi=None, levels=None):
-    """Asymptotic deviation matrix from one pinned boundary system: the
-    block columns ``levels`` of D, shape (n(C+1), n len(levels)), or all of
-    D with ``levels`` None.
+    """Asymptotic deviation matrix by level reduction: the block columns
+    ``levels`` of D, shape (n(C+1), n len(levels)), or all of D with
+    ``levels`` None.
 
     Column (l, j) of D solves Q d = pi_(l,j) 1 - e_(l,j) with pi d = 0.  Q
-    is singular, so the level equation row of the most probable state r
-    gives way to the pin d_r = 0, with the run split at r's level so that r
-    sits at a run end; the centring d - 1 (pi d) then restores pi d = 0.
-    All the columns share one boundary system and one solve.
+    is singular, so the levels are censored towards the level of the most
+    probable state r, whose equation gives way to the pin d_r = 0 as a
+    passage target's does; the centring d - 1 (pi d) then restores
+    pi d = 0.  All the columns share the two sweeps.  A finite chain has a
+    deviation matrix whatever its drift, so null-recurrent models are
+    accepted.  The name is kept from the difference-equation route this
+    replaced: ``qbdr deviation --method diffeq`` selects it.
 
     Raises
     ------
-    AsymptoticsUndefinedError
-        For null-recurrent models (H0 undefined).
+    StructuralError
+        If a block holds a NaN or infinite entry.
     NumericalError
-        If the boundary system is singular.
+        If a censored level block is singular.
     ValueError
         If a level is outside 0..C.
     """
@@ -177,16 +195,15 @@ def deviation_matrix_diffeq(blocks, pi=None, levels=None):
     levels = range(C + 1) if levels is None else levels
     if not levels_in_range(levels, C):
         raise ValueError(f"target levels {levels} out of range 0..{C}")
-    require_not_null_recurrent(blocks, "asymptotic deviation matrices")
-    gmat = gmatrices(blocks)
+    require_finite(blocks)
     if pi is None:
         pi = stationary_rmatrix(blocks)
     row = np.concatenate([np.asarray(pi[k]) for k in range(C + 1)])
     targets = row.reshape(C + 1, n)[list(levels)].reshape(-1)
-    force = np.broadcast_to(targets, (C + 1, n, targets.size)).copy()
+    force = np.broadcast_to(-targets, (C + 1, n, targets.size)).copy()
     for i, level in enumerate(levels):
-        force[level, :, i * n:(i + 1) * n] -= np.eye(n)
+        force[level, :, i * n:(i + 1) * n] += np.eye(n)
     level, j = divmod(int(np.argmax(row)), n)
-    system = BoundarySystem(blocks, _passage_segments(C, level), gmat, force)
-    d = system.solve((level, j)).reshape(row.size, targets.size)
+    d = _level_reduction(blocks, level, force, np.full(targets.size, j))
+    d = d.reshape(row.size, targets.size)
     return d - row @ d

@@ -200,12 +200,13 @@ def _seed(blocks):
     return pi1, np.linalg.inv(one_pi - q1) - one_pi
 
 
-def _ladder_rung(dev, pi, blocks, c0_inv, p_top):
+def _ladder_rung(dev, pi, blocks, c0_inv, p_top, work):
     """One rung up the deviation ladder, in place.
 
     ``dev`` (N x N) and ``pi`` (N) are views whose leading m = N - n rows,
     columns and entries hold D and pi of the rung below; on return the
-    whole views hold the rung above.  The rung writes the new top level of
+    whole views hold the rung above.  ``work`` is an N x N scratch array
+    for the product x_K S.  The rung writes the new top level of
     -T^# (see :func:`t_group_inverse`) around D, forms P (-T^#) from
     ``p_top`` = [A0 - C0, A1] and the top two levels, and solves the one
     n x n system that serves both :func:`pi_step` and the Woodbury step of
@@ -231,7 +232,7 @@ def _ladder_rung(dev, pi, blocks, c0_inv, p_top):
     pi += pi[k] @ scaled
     pi[(pi < 0) & (pi > -1e-13)] = 0.0
     pi /= pi.sum()
-    dev += dev[:, k] @ scaled
+    dev += np.matmul(dev[:, k], scaled, out=work)
     dev -= pi @ dev
 
 
@@ -256,12 +257,13 @@ def deviation_recursive(blocks):
     c0_inv = _c0_inverse(blocks)
     p_top = np.hstack([blocks.A0 - blocks.C0, blocks.A1])
     size = n * (C + 1)
-    dev, pi = np.empty((size, size)), np.empty(size)
+    dev, pi, work = np.empty((size, size)), np.empty(size), np.empty(size**2)
     pi[:2 * n], dev[:2 * n, :2 * n] = _seed(blocks)
     for c in range(2, C + 1):
         m = n * (c + 1)
         try:
-            _ladder_rung(dev[:m, :m], pi[:m], blocks, c0_inv, p_top)
+            _ladder_rung(dev[:m, :m], pi[:m], blocks, c0_inv, p_top,
+                         work[:m * m].reshape(m, m))
         except UpdateError as exc:
             raise UpdateError(f"ladder failed at capacity {c}: {exc}") from exc
     return CapacityLadderState(pi=pi, dev=dev)

@@ -13,8 +13,9 @@ Then -S_k is a diagonally dominant M-matrix whose small inverse, taken by
 an LU solve, is nonnegative, and all other terms are sums and products of
 nonnegative numbers, so even the smallest entries of pi keep their
 relative accuracy.  The same sweep, run
-from both ends towards a target level, gives the mean first passage times
-of :mod:`qbdr.passage`.
+from both ends towards a target level with a forcing carried along, gives
+the mean first passage times and the deviation matrix of
+:mod:`qbdr.passage`.
 """
 
 import numpy as np
@@ -57,18 +58,21 @@ def _solve(a, b):
         raise NumericalError(f"singular censored level block: {exc}") from exc
 
 
-def _sweep(blocks, stop, up=False):
+def _sweep(blocks, stop, force, up=False):
     """Censor the levels above ``stop`` one at a time from level C down,
-    or with ``up`` the levels below it from level 0 up.
+    or with ``up`` the levels below it from level 0 up, carrying along the
+    forcing ``force``, shape (C + 1, n, m), of the level equations
+    (Q x)_k = -force_k.
 
     Returns (inv, y, inflow, inflow_y).  For the eliminated levels k, in
-    sweep order, ``inv`` stacks (-S_k)^{-1} and ``y`` the mean times from
-    level k until the next level towards ``stop`` is first entered:
-    y_k = (-S_k)^{-1} (1 + A_out y_(k+-1)), with A_out = A1 going down and
-    A_minus1 going up.  ``inflow`` is what the eliminated levels add to the
-    off-diagonal rates of level ``stop``, and ``inflow_y`` = A_out y what
-    they add to its passage forcing.  A singular block raises
-    :class:`NumericalError`.
+    sweep order, ``inv`` stacks (-S_k)^{-1} and ``y`` the terms of
+    x_k = (-S_k)^{-1} A_in x_(k-+1) + y_k, with A_in = A_minus1 going down
+    and A1 going up: y_k = (-S_k)^{-1} (force_k + A_out y_(k+-1)), with
+    A_out the other one.  Under the forcing 1, y_k holds the mean times
+    from level k until the next level towards ``stop`` is first entered.
+    ``inflow`` is what the eliminated levels add to the off-diagonal rates
+    of level ``stop``, and ``inflow_y`` = A_out y what they add to its
+    forcing.  A singular block raises :class:`NumericalError`.
     """
     n, C = blocks.n, blocks.C
     if up:
@@ -77,14 +81,14 @@ def _sweep(blocks, stop, up=False):
         levels, toward, away = range(C, stop, -1), blocks.A_minus1, blocks.A1
     out = toward.sum(axis=1)
     inv = np.empty((len(levels), n, n))
-    y = np.empty((len(levels), n))
-    inflow, inflow_y = np.zeros((n, n)), np.zeros(n)
+    y = np.empty((len(levels),) + force.shape[1:])
+    inflow, inflow_y = np.zeros((n, n)), np.zeros(force.shape[1:])
     for i, k in enumerate(levels):
         block = (blocks.B0 if k == 0 else blocks.C0 if k == C
                  else blocks.A0) + inflow
         np.fill_diagonal(block, 0.0)
         inv[i] = _solve(_negated(block, out), np.eye(n))
-        y[i] = inv[i] @ (1.0 + inflow_y)
+        y[i] = inv[i] @ (force[k] + inflow_y)
         inflow = away @ inv[i] @ toward
         inflow_y = away @ y[i]
     np.fill_diagonal(inflow, 0.0)
@@ -111,7 +115,7 @@ def stationary_rmatrix(blocks):
     """
     require_finite(blocks)
     n, C = blocks.n, blocks.C
-    inv, _, inflow, _ = _sweep(blocks, 0)
+    inv, _, inflow, _ = _sweep(blocks, 0, np.empty((C + 1, n, 0)))
     off = blocks.B0 + inflow
     np.fill_diagonal(off, 0.0)
     pi = np.empty((C + 1, n))

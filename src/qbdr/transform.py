@@ -128,7 +128,7 @@ def _s_column(s):
 def _reward_system(ctx, rewards):
     """The reward equation (Q - sI) x = -g/s on the levels 0..C, with one
     right-hand-side column."""
-    return BoundarySystem(ctx.blocks, [(0, ctx.blocks.C)], ctx.gmat,
+    return BoundarySystem(ctx.blocks, ctx.gmat,
                           -np.asarray(rewards.g)[..., None],
                           divisor=_s_column(ctx.s))
 
@@ -160,8 +160,7 @@ def _deviation_columns(blocks, gmat, levels, pi_rows, row=None):
     force = np.zeros((blocks.C + 1, n, len(levels) * n))
     for i, level in enumerate(levels):
         force[level, :, i * n:(i + 1) * n] = -np.eye(n)
-    cols = BoundarySystem(blocks, [(0, blocks.C)], gmat, force,
-                          divisor=s).solve(level=row)
+    cols = BoundarySystem(blocks, gmat, force, divisor=s).solve(level=row)
     return cols - np.concatenate([np.asarray(r) for r in pi_rows]) / s ** 2
 
 

@@ -7,9 +7,8 @@ import pytest
 
 from qbdr import (MapParams, PhParams, QbdBlocks, assemble_generator,
                   build_blocks, gmatrices, random_blocks)
-from qbdr.diffeq import BoundarySystem, segment_ends
-from qbdr.linalg import censor_generator, matrix_powers
-from qbdr.passage import _passage_segments
+from qbdr.diffeq import BoundarySystem, particular
+from qbdr.linalg import censor_generator, matrix_powers, solve_refined
 
 
 def scalar_blocks(lam, mu, C):
@@ -204,8 +203,7 @@ def z_matrix(ctx):
     """The 2n x 2n boundary matrix Z(s, C) pinning the free vectors of a
     transform context."""
     zero = np.zeros((ctx.blocks.C + 1, ctx.blocks.n, 1))
-    return BoundarySystem(ctx.blocks, [(0, ctx.blocks.C)], ctx.gmat,
-                          zero).matrix
+    return BoundarySystem(ctx.blocks, ctx.gmat, zero).matrix
 
 
 def censored_boundary_generator(blocks, s):
@@ -241,10 +239,19 @@ def mu_k(blocks, gmat, k):
     return out
 
 
+def passage_segments(C, level):
+    """Runs of the levels 0..C split after a pinned level inside them, so
+    that it sits at a run end."""
+    if level in (0, C):
+        return [(0, C)]
+    return [(0, level), (level + 1, C)]
+
+
 def passage_level_set(blocks, level):
     """Levels on which the passage boundary system for a target level
     lives."""
-    return segment_ends(_passage_segments(blocks.C, level))
+    return sorted({lv for run in passage_segments(blocks.C, level)
+                   for lv in run})
 
 
 def boundary_matrix(blocks, r, rhat):
@@ -282,8 +289,8 @@ def censored_passage_generator(blocks, level, j):
 def _bare_passage_system(blocks, level, gmat):
     """The passage boundary system without particular term or forcing."""
     zero = np.zeros((blocks.C + 1, blocks.n, 1))
-    return BoundarySystem(blocks, _passage_segments(blocks.C, level), gmat,
-                          zero)
+    return StackedBoundarySystem(blocks, gmat, zero,
+                                 segments=passage_segments(blocks.C, level))
 
 
 def passage_z_matrix(blocks, level, j, gmat):
@@ -296,38 +303,146 @@ def passage_z_factor(blocks, level, gmat):
     return _bare_passage_system(blocks, level, gmat).end_map()
 
 
-class StackedBoundarySystem(BoundarySystem):
-    """The boundary system as it was before the sweeps: every power read
-    from the sequential stacks 0..top of G and Ghat, top the last level of
-    ``f``, and the solution evaluated level by level as
-    G^{k-a} v + Ghat^{b-k} w + p_k.  The reference for the squared end
-    powers and the sweeps of :class:`qbdr.diffeq.BoundarySystem`.  The read
-    of one level, ``solve(level=k)``, is inherited: it takes its two powers
-    G^{k-a} and Ghat^{b-k} from the stacks, with no sweep."""
+class StackedBoundarySystem:
+    """The paper's boundary system: the level equations at the ends of the
+    runs (a, b) of ``segments`` (default: one run 0..C), in the free
+    vectors of every run, with every power of G and Ghat read from the
+    sequential stacks 0..top (top the last level of ``f``) and the
+    solution evaluated level by level as x_k = G^{k-a} v + Ghat^{b-k} w
+    + p_k; a run of one level keeps only v.  ``f``, ``divisor`` and the
+    particular term p are as in :class:`qbdr.diffeq.BoundarySystem`.
 
-    def __init__(self, blocks, segments, gmat, f, divisor=1.0):
-        top = len(f) - 1
-        self.stacks = tuple(matrix_powers(np.asarray(g), top)
+    With one run it is the reference for the squared end powers and the
+    sweeps of that kernel.  At s = 0 the level equations are singular: a
+    pin (level, j) replaces the row of state (level, j) by
+    -x_(level, j) = 0, and the runs split at ``level`` give the paper's
+    systems for passage times and for D (:func:`pinned_deviation_matrix`).
+    """
+
+    def __init__(self, blocks, gmat, f, divisor=1.0, segments=None):
+        n = blocks.n
+        self.blocks = blocks
+        self.segments = segments or [(0, blocks.C)]
+        self.ends = sorted({lv for run in self.segments for lv in run})
+        f = np.asarray(f)
+        self.stacks = tuple(matrix_powers(np.asarray(g), len(f) - 1)
                             for g in (gmat.G, gmat.Ghat))
-        super().__init__(blocks, segments, gmat, f, divisor)
+        self._batch = (slice(None),) * (self.stacks[0].ndim - 3)
+        self._shift = np.asarray(gmat.s)[..., None, None] * np.eye(n)
+        widths = [n if b == a else 2 * n for a, b in self.segments]
+        self._starts = np.cumsum([0] + widths[:-1])
+        self._width = sum(widths)
+        atoms = np.array([-gmat.H0 @ level for level in f]) / divisor
+        self.p = particular(gmat.G, gmat.Ghat, atoms)
+        rows, rhs = [], []
+        for level in self.ends:
+            terms = self._terms(level)
+            rows.append(self._rows(terms))
+            rhs.append(f[level] / divisor
+                       - sum(block @ self.p[k] for k, block in terms))
+        self.matrix = np.concatenate(rows, axis=-2)
+        self.rhs = np.concatenate(rhs, axis=len(self._batch))
 
-    def _power(self, which, e):
-        return self.stacks[which][e]
+    def _terms(self, level):
+        b, top = self.blocks, self.segments[-1][1]
+        local = (b.B0 if level == 0 else b.C0 if level == top else b.A0)
+        terms = [(level, local - self._shift)]
+        if level > 0:
+            terms.insert(0, (level - 1, b.A_minus1))
+        if level != top:
+            terms.append((level + 1, b.A1))
+        return terms
 
-    def evaluate(self, u):
+    def _rows(self, terms):
+        """The coefficients of the free vectors in sum_k B_k (x_k - p_k),
+        with the power each run's terms share factored out, as the kernel
+        does."""
         gp, ghp = self.stacks
         n = self.blocks.n
-        batch = (slice(None),) * (gp.ndim - 3)
+        out = np.zeros(gp.shape[1:-1] + (self._width,),
+                       dtype=np.result_type(gp, ghp, self._shift))
+        for (a, b), c in zip(self.segments, self._starts):
+            part = [(k, blk) for k, blk in terms if a <= k <= b]
+            if not part:
+                continue
+            lo, hi = part[0][0], part[-1][0]
+            out[..., c:c + n] = sum(
+                blk @ gp[k - lo] for k, blk in part) @ gp[lo - a]
+            if b != a:
+                out[..., c + n:c + 2 * n] = sum(
+                    blk @ ghp[hi - k] for k, blk in part) @ ghp[b - hi]
+        return out
+
+    def pinned(self, pin=None):
+        """The system matrix and right-hand side, with the row of
+        ``pin`` = (level, j) replaced by -x_(level, j) = 0."""
+        if pin is None:
+            return self.matrix, self.rhs
+        level, j = pin
+        n = self.blocks.n
+        row = self.ends.index(level) * n + j
+        matrix, rhs = self.matrix.copy(), self.rhs.copy()
+        barred = [(k, -np.eye(n) if k == level else np.zeros((n, n)))
+                  for k, _ in self._terms(level)]
+        matrix[..., row, :] = self._rows(barred)[..., j, :]
+        rhs[self._batch + (row,)] = self.p[level][self._batch + (j,)]
+        return matrix, rhs
+
+    def end_map(self):
+        """The matrix taking the free vectors to x_k - p_k at the run
+        ends; the system matrix is the censored level equations times it."""
+        eye = np.eye(self.blocks.n)
+        return np.concatenate([self._rows([(level, eye)])
+                               for level in self.ends], axis=-2)
+
+    def free_vectors(self, pin=None):
+        return solve_refined(*self.pinned(pin))
+
+    def solve(self, pin=None, level=None):
+        """The solution at every level, or at ``level`` only."""
+        u = self.free_vectors(pin)
+        if level is not None:
+            eye = np.eye(self.blocks.n)
+            return self._rows([(level, eye)]) @ u + self.p[level]
+        gp, ghp = self.stacks
+        n = self.blocks.n
         out = np.empty(self.p.shape, dtype=np.result_type(gp, u, self.p))
         for (a, b), c in zip(self.segments, self._starts):
-            v = u[batch + (slice(c, c + n),)]
+            v = u[self._batch + (slice(c, c + n),)]
             if b == a:
-                out[a] = gp[0] @ v + self.p[a]
+                out[a] = v + self.p[a]
                 continue
-            w = u[batch + (slice(c + n, c + 2 * n),)]
+            w = u[self._batch + (slice(c + n, c + 2 * n),)]
             for k in range(a, b + 1):
                 out[k] = gp[k - a] @ v + ghp[b - k] @ w + self.p[k]
         return out
+
+
+def pinned_deviation_matrix(blocks, pi):
+    """The paper's s = 0 route to D: Q d = 1 pi - I through G(0), Ghat(0)
+    and H0, on the runs split at the level of the most probable state r,
+    whose equation gives way to the pin d_r = 0, then centred by pi."""
+    n, C = blocks.n, blocks.C
+    row = np.concatenate([np.asarray(pi[k]) for k in range(C + 1)])
+    force = np.outer(np.ones(row.size), row) - np.eye(row.size)
+    level, j = divmod(int(np.argmax(row)), n)
+    system = StackedBoundarySystem(blocks, gmatrices(blocks),
+                                   force.reshape(C + 1, n, row.size),
+                                   segments=passage_segments(C, level))
+    d = system.solve((level, j)).reshape(row.size, row.size)
+    return d - row @ d
+
+
+def pinned_passage_matrices(blocks, level):
+    """The paper's s = 0 route to the passage times to every phase of
+    ``level``, stacked as :func:`qbdr.passage_level_matrices` stacks them:
+    Q m = -1 on the runs split at ``level``, pinned at each target."""
+    n, C = blocks.n, blocks.C
+    system = StackedBoundarySystem(blocks, gmatrices(blocks),
+                                   np.full((C + 1, n, 1), -1.0),
+                                   segments=passage_segments(C, level))
+    return np.concatenate([system.solve((level, j)) for j in range(n)],
+                          axis=-1)
 
 
 def t_generator(blocks, capacity):

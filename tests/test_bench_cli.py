@@ -188,9 +188,19 @@ def test_cli_stationary_methods_agree(model_file, tmp_path):
 
 
 def test_cli_stationary_null_recurrent_exit_code(tmp_path):
-    path = tmp_path / "critical.json"
+    # a finite chain has a deviation matrix whatever its drift, but H0 at
+    # s = 0 is singular on a null-recurrent model
+    path, out = tmp_path / "critical.json", tmp_path / "d.csv"
     save_model(path, scalar_blocks(1.0, 1.0, 2))
-    assert main(["deviation", "--model", str(path)]) == 4
+    assert main(["gmatrix", "--model", str(path), "--s", "0"]) == 4
+    blocks = scalar_blocks(1.0, 1.0, 40)
+    save_model(path, blocks)
+    assert main(["deviation", "--model", str(path), "--method", "diffeq",
+                 "--output", str(out)]) == 0
+    ref = deviation_recursive(blocks).dev
+    values = np.array([float(r["value"]) for r in read_csv(out)])
+    assert np.max(np.abs(values.reshape(ref.shape) - ref)) <= (
+        1e-12 * np.max(np.abs(ref)))
 
 
 def test_cli_gmatrix(model_file, tmp_path):

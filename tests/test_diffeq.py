@@ -1,17 +1,19 @@
-"""The boundary-system kernel on a general forcing, and against its
-stacked-power form.
+"""The boundary-system kernel on a general forcing, and against the paper's
+system in its stacked-power form.
 
 :class:`conftest.StackedBoundarySystem` reads every power of G and Ghat from
 the sequential stacks 0..top and evaluates the solution level by level, as
 the kernel did before it squared the few end powers its rows read and swept
-the solution from the free vectors.  Every route below is run once with
-each kernel; the two must agree to 1e-12 relative in the max-norm.
+the solution from the free vectors; it also splits the levels into runs and
+pins one state, as the paper's s = 0 systems do.  Every transform route
+below is run once with each, and the two must agree to 1e-12 relative in
+the max-norm; the s = 0 routes, which go by level reduction, must agree
+with the paper's pinned systems as closely.
 """
 
 import numpy as np
 import pytest
 
-import qbdr.passage as passage
 import qbdr.transform as transform
 from qbdr import (assemble_generator, deviation_matrix_diffeq, gmatrices,
                   deviation_transform, deviation_transform_block,
@@ -19,7 +21,8 @@ from qbdr import (assemble_generator, deviation_matrix_diffeq, gmatrices,
                   passage_level_matrices, random_blocks, reward_transform,
                   stationary_rmatrix, transform_context)
 from qbdr.diffeq import BoundarySystem
-from conftest import StackedBoundarySystem, mapph_example
+from conftest import (StackedBoundarySystem, mapph_example,
+                      pinned_deviation_matrix, pinned_passage_matrices)
 
 TOL = 1e-12
 
@@ -42,25 +45,30 @@ def _max_gap(value, reference):
 @pytest.mark.parametrize("segments", [[(0, 12)], [(0, 4), (5, 12)]])
 def test_general_forcing_at_complex_nodes(segments):
     # three right-hand-side columns forced at every level, at a batch of
-    # nodes: the solution meets every level equation (Q - sI) x = f
+    # nodes: the kernel's solution, and that of the paper's system on the
+    # runs ``segments``, meet every level equation (Q - sI) x = f
     blocks = random_blocks(3, 12, np.random.default_rng(11))
     nodes = np.array([0.3 + 2.0j, 1.5 - 0.5j, 4.0 + 0.0j])
     gmat = gmatrices(blocks, nodes)
     rng = np.random.default_rng(12)
     f = rng.normal(size=(13, 3, 3, 3)) + 1j * rng.normal(size=(13, 3, 3, 3))
-    system = BoundarySystem(blocks, segments, gmat, f)
-    x = np.moveaxis(system.solve(), 0, 1).reshape(3, 39, 3)
+    system = BoundarySystem(blocks, gmat, f)
     q = assemble_generator(blocks)
-    for node, xs, fs in zip(nodes, x, np.moveaxis(f, 0, 1).reshape(3, 39, 3)):
-        residual = (q - node * np.eye(39)) @ xs - fs
-        assert np.max(np.abs(residual)) <= 1e-10 * np.max(np.abs(fs))
+    for solution in (system.solve(), StackedBoundarySystem(
+            blocks, gmat, f, segments=segments).solve()):
+        x = np.moveaxis(solution, 0, 1).reshape(3, 39, 3)
+        for node, xs, fs in zip(nodes, x,
+                                np.moveaxis(f, 0, 1).reshape(3, 39, 3)):
+            residual = (q - node * np.eye(39)) @ xs - fs
+            assert np.max(np.abs(residual)) <= 1e-10 * np.max(np.abs(fs))
     for k in range(13):
         assert _max_gap(system.p[k], green_sum(gmat, f, k)) <= 1e-12
 
 
 def test_general_forcing_at_zero_with_pin():
-    # Q is singular: a forcing with pi f = 0 keeps Q x = f solvable, so
-    # the equation of the pinned state holds too once the others do
+    # Q is singular: a forcing with pi f = 0 keeps Q x = f solvable, so in
+    # the paper's pinned system the equation of the pinned state holds too
+    # once the others do
     blocks = random_blocks(3, 12, np.random.default_rng(11))
     pi = stationary_rmatrix(blocks).stacked()
     rng = np.random.default_rng(13)
@@ -68,7 +76,8 @@ def test_general_forcing_at_zero_with_pin():
     flat -= np.outer(np.ones(39), pi @ flat)
     f = flat.reshape(13, 3, 4)
     gmat = gmatrices(blocks)
-    system = BoundarySystem(blocks, [(0, 6), (7, 12)], gmat, f)
+    system = StackedBoundarySystem(blocks, gmat, f,
+                                   segments=[(0, 6), (7, 12)])
     x = system.solve((6, 1))
     assert np.max(np.abs(x[6, 1])) <= 1e-12 * np.max(np.abs(x))
     residual = assemble_generator(blocks) @ x.reshape(39, 4) - flat
@@ -85,20 +94,25 @@ def test_general_forcing_at_zero_with_pin():
     ids=["queue", "n3"])
 def test_level_read_matches_swept_column(blocks, segments):
     # block columns forced by -E_l / s at their target level l, at complex
-    # nodes: the read at each level k from the two end powers of its run
-    # is level k of the swept solution to roundoff
+    # nodes: the kernel's read at each level k from its two end powers is
+    # level k of its swept solution to roundoff, and the paper's system
+    # on the runs ``segments`` reads the same value from the end powers of
+    # the run that holds k
     nodes = np.array([0.5 + 3.0j, 2.0 - 1.0j, 7.0 + 0.0j])
     gmat = gmatrices(blocks, nodes)
     n = blocks.n
     for target in (0, 5, 12):
         f = np.zeros((13, n, n))
         f[target] = -np.eye(n)
-        system = BoundarySystem(blocks, segments, gmat, f,
-                                divisor=nodes[:, None, None])
+        system = BoundarySystem(blocks, gmat, f, divisor=nodes[:, None, None])
+        runs = StackedBoundarySystem(blocks, gmat, f,
+                                     divisor=nodes[:, None, None],
+                                     segments=segments)
         swept = system.solve()
         for k in range(13):
             assert _max_gap(system.solve(level=k), swept[k]) <= 1e-14, (
                 target, k)
+            assert _max_gap(runs.solve(level=k), swept[k]) <= TOL, (target, k)
 
 
 def test_deviation_block_reads_its_row_level_only(monkeypatch):
@@ -125,28 +139,27 @@ def _gap_to_stacked(monkeypatch, compute):
     with the stacked-power reference."""
     new = np.asarray(compute())
     with monkeypatch.context() as patch:
-        for module in (passage, transform):
-            patch.setattr(module, "BoundarySystem", StackedBoundarySystem)
+        patch.setattr(transform, "BoundarySystem", StackedBoundarySystem)
         reference = np.asarray(compute())
     assert new.shape == reference.shape
-    return np.max(np.abs(new - reference)) / np.max(np.abs(reference))
+    return _max_gap(new, reference)
 
 
 @pytest.mark.parametrize("blocks", [
     random_blocks(2, 30, np.random.default_rng(3)),
     random_blocks(3, 25, np.random.default_rng(4)),
     random_blocks(4, 20, np.random.default_rng(5))], ids=["n2", "n3", "n4"])
-def test_passage_runs_match_stacked_kernel(monkeypatch, blocks):
-    # A boundary target keeps one run; C // 2 splits it mid-run and C - 1
-    # leaves a one-level last run (C, C).  The two kernels round
-    # differently, so they agree to 1e-12 only where the passage system is
-    # well conditioned: on the blocking queue the passage times reach 1e9
-    # at C = 20, both kernels miss the exact times by ~1e-5 relative, and
-    # they differ from each other by ~1e-11.
+def test_passage_runs_match_stacked_kernel(blocks):
+    # Level reduction against the paper's pinned system, whose runs split
+    # at the target level: a boundary target keeps one run, C // 2 splits
+    # it mid-run and C - 1 leaves a one-level last run (C, C).  The two
+    # agree to 1e-12 only where the paper's system is well conditioned: on
+    # the blocking queue the passage times reach 1e9 at C = 20, and it
+    # misses the exact times by ~1e-5 relative.
     C = blocks.C
     for level in (0, C // 2, C - 1, C):
-        gap = _gap_to_stacked(
-            monkeypatch, lambda: passage_level_matrices(blocks, level))
+        gap = _max_gap(passage_level_matrices(blocks, level),
+                       pinned_passage_matrices(blocks, level))
         assert gap <= TOL, (level, gap)
 
 
@@ -173,8 +186,8 @@ def test_criterion_1_grid_matches_stacked_kernel(monkeypatch):
     worst = 0.0
     for blocks in model_grid(50, max_n=4, max_c=20):
         pi = stationary_rmatrix(blocks)
-        worst = max(worst, _gap_to_stacked(
-            monkeypatch, lambda: deviation_matrix_diffeq(blocks, pi)))
+        worst = max(worst, _max_gap(deviation_matrix_diffeq(blocks, pi),
+                                    pinned_deviation_matrix(blocks, pi)))
         for s in (0.1, 1.0 + 2.0j):
             ctx = transform_context(blocks, s)
             worst = max(worst, _gap_to_stacked(

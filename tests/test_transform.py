@@ -400,7 +400,7 @@ def test_boundary_end_powers_match_sequential_products():
     blocks = random_blocks(2, 37, np.random.default_rng(9))
     ctx = transform_context(blocks, np.array([1.1, 0.4 + 3j]))
     zero = np.zeros((38, 2, 2, 1))
-    system = BoundarySystem(blocks, [(0, 37)], ctx.gmat, zero)
+    system = BoundarySystem(blocks, ctx.gmat, zero)
     assert set(system._powers) == {(which, e) for which in (0, 1)
                                    for e in (0, 1, 36)}
     for which, g in enumerate((ctx.gmat.G, ctx.gmat.Ghat)):
