@@ -112,21 +112,19 @@ def passage_level_matrices(blocks, level):
                             np.arange(n))
 
 
-def _level_reduction(blocks, level, force, pins, down=None):
+def _level_reduction(blocks, level, force, pins):
     """The solution x, shape (C + 1, n, len(pins)), of (Q x)_k = -force_k
     (``force`` (C + 1, n, 1) or (C + 1, n, len(pins))) on every row but
     the state (level, pins[c]) of column c, where x is zero instead.
 
     The levels above and below ``level`` are censored by two sweeps
-    (:func:`qbdr.stationary._sweep`; ``down``, if given, holds the
-    inverses of the sweep from level C), which leave on ``level`` the
+    (:func:`qbdr.stationary._sweep`), which leave on ``level`` the
     conservative block T and the forcing r; column c there solves -T x = r
     without row and column pins[c], and the sweeps' x_k = X_k x_(k-+1) + y_k
     climb back out from it.
     """
     n, C = blocks.n, blocks.C
-    down, y_down, inflow_down, force_down = _sweep(blocks, level, force,
-                                                   inv=down)
+    down, y_down, inflow_down, force_down = _sweep(blocks, level, force)
     up, y_up, inflow_up, force_up = _sweep(blocks, level, force, up=True)
     off = (blocks.B0 if level == 0 else blocks.C0 if level == C
            else blocks.A0) + inflow_down + inflow_up
@@ -179,9 +177,7 @@ def deviation_matrix_diffeq(blocks, pi=None, levels=None):
     is singular, so the levels are censored towards the level of the most
     probable state r, whose equation gives way to the pin d_r = 0 as a
     passage target's does; the centring d - 1 (pi d) then restores
-    pi d = 0.  All the columns share the two sweeps, and the sweep from
-    level C reuses the inverses of ``pi``'s own sweep when ``pi`` is the
-    :func:`stationary_rmatrix` of ``blocks``.  A finite chain has a
+    pi d = 0.  All the columns share the two sweeps.  A finite chain has a
     deviation matrix whatever its drift, so null-recurrent models are
     accepted.  The name is kept from the difference-equation route this
     replaced: ``qbdr deviation --method diffeq`` selects it.
@@ -205,11 +201,9 @@ def deviation_matrix_diffeq(blocks, pi=None, levels=None):
     row = np.concatenate([np.asarray(pi[k]) for k in range(C + 1)])
     targets = row.reshape(C + 1, n)[list(levels)].reshape(-1)
     force = np.broadcast_to(-targets, (C + 1, n, targets.size)).copy()
-    force.reshape(C + 1, n, -1, n)[list(levels), :, range(len(levels))] += (
-        np.eye(n))
+    for i, level in enumerate(levels):
+        force[level, :, i * n:(i + 1) * n] += np.eye(n)
     level, j = divmod(int(np.argmax(row)), n)
-    model, inv = getattr(pi, "censored", (None, None))
-    d = _level_reduction(blocks, level, force, np.full(targets.size, j),
-                         inv[:C - level] if model is blocks else None)
+    d = _level_reduction(blocks, level, force, np.full(targets.size, j))
     d = d.reshape(row.size, targets.size)
     return d - row @ d

@@ -30,12 +30,10 @@ __all__ = [
 
 
 class StationaryDistribution(Frozen):
-    """Per-level stationary rows pi_0..pi_C, with ``censored`` = (blocks,
-    inv): the model and the inverses (-S_k)^{-1}, k = C..1, of the sweep
-    that gave them, which the deviation matrix of the same model reuses."""
+    """Per-level stationary rows pi_0..pi_C."""
 
-    def __init__(self, pi, censored=(None, None)):
-        vars(self).update(pi=pi, censored=censored)
+    def __init__(self, pi):
+        vars(self).update(pi=pi)
 
     def stacked(self):
         return np.concatenate(self.pi)
@@ -50,9 +48,7 @@ class StationaryDistribution(Frozen):
 def _negated(off, out=0.0):
     """-S for the level block S with off-diagonal rates ``off`` and rates
     ``out`` leaving its level: the diagonal is a sum, not a difference."""
-    neg = -off
-    np.fill_diagonal(neg, off.sum(axis=-1) + out)
-    return neg
+    return np.diag(off.sum(axis=-1) + out) - off
 
 
 def _solve(a, b):
@@ -62,12 +58,11 @@ def _solve(a, b):
         raise NumericalError(f"singular censored level block: {exc}") from exc
 
 
-def _sweep(blocks, stop, force, up=False, inv=None):
+def _sweep(blocks, stop, force, up=False):
     """Censor the levels above ``stop`` one at a time from level C down,
     or with ``up`` the levels below it from level 0 up, carrying along the
     forcing ``force``, shape (C + 1, n, m), of the level equations
-    (Q x)_k = -force_k.  ``inv``, if given, holds the inverses of this
-    sweep, formed before.
+    (Q x)_k = -force_k.
 
     Returns (inv, y, inflow, inflow_y).  For the eliminated levels k, in
     sweep order, ``inv`` stacks (-S_k)^{-1} and ``y`` the terms of
@@ -84,22 +79,17 @@ def _sweep(blocks, stop, force, up=False, inv=None):
         levels, toward, away = range(stop), blocks.A1, blocks.A_minus1
     else:
         levels, toward, away = range(C, stop, -1), blocks.A_minus1, blocks.A1
-    inflow = np.zeros((n, n))
-    if inv is None:
-        out, eye = toward.sum(axis=1), np.eye(n)
-        inv = np.empty((len(levels), n, n))
-        for i, k in enumerate(levels):
-            block = (blocks.B0 if k == 0 else blocks.C0 if k == C
-                     else blocks.A0) + inflow
-            np.fill_diagonal(block, 0.0)
-            inv[i] = _solve(_negated(block, out), eye)
-            inflow = away @ inv[i] @ toward
-    elif len(levels):
-        inflow = away @ inv[-1] @ toward
+    out = toward.sum(axis=1)
+    inv = np.empty((len(levels), n, n))
     y = np.empty((len(levels),) + force.shape[1:])
-    inflow_y = np.zeros(force.shape[1:])
+    inflow, inflow_y = np.zeros((n, n)), np.zeros(force.shape[1:])
     for i, k in enumerate(levels):
+        block = (blocks.B0 if k == 0 else blocks.C0 if k == C
+                 else blocks.A0) + inflow
+        np.fill_diagonal(block, 0.0)
+        inv[i] = _solve(_negated(block, out), np.eye(n))
         y[i] = inv[i] @ (force[k] + inflow_y)
+        inflow = away @ inv[i] @ toward
         inflow_y = away @ y[i]
     np.fill_diagonal(inflow, 0.0)
     return inv, y, inflow, inflow_y
@@ -134,5 +124,5 @@ def stationary_rmatrix(blocks):
     for k, step in enumerate(blocks.A1 @ inv[::-1], start=1):
         pi[k] = pi[k - 1] @ step
     pi /= pi.sum()
-    return StationaryDistribution(pi=tuple(pi), censored=(blocks, inv))
+    return StationaryDistribution(pi=tuple(pi))
 
