@@ -27,8 +27,8 @@ from .gmatrices import (GMatrices, g_residual, ghat_residual, gmatrices, h0,
 from .mapph import (MapParams, PhParams, build_blocks, gained_revenue_rewards,
                     lost_revenue_rewards)
 from .model import (Drift, DriftClass, QbdBlocks, RewardSpec, Violation,
-                    assemble_generator, classify_drift, is_irreducible,
-                    load_model, save_model, validate)
+                    assemble_generator, classify_drift, load_model,
+                    save_model, validate)
 from .oracle import (oracle_deviation, oracle_passage, oracle_reward,
                      oracle_stationary, oracle_transient_deviation)
 from .passage import (PassageColumn, deviation_block_asymptotic,
@@ -41,8 +41,8 @@ from .perturbation import (BlockUpdate, CapacityLadderState, block_update,
 from .stationary import StationaryDistribution, stationary_rmatrix
 from .transform import (BoundaryVectors, TransformContext, deviation_time,
                         deviation_transform, deviation_transform_block,
-                        inversion_nodes, invert_laplace, occupation_matrix,
-                        reward_time, reward_transform, transform_context)
+                        inversion_nodes, invert_laplace, reward_time,
+                        reward_transform, transform_context)
 
 __version__ = "0.1.0"
 

@@ -31,6 +31,14 @@ _EXIT_CODES = (
     (PreconditionError, 4), (NumericalError, 3), (QbdError, 3),
 )
 
+# Characters per string that _matrix_lines yields, so that a matrix of 324
+# states takes about 14 writes instead of one per row.  On the asymptotic
+# benchmark's six matrices (one BLAS thread, medians of 100-150 paired
+# rounds) chunks of 64 or 256 KB wrote them 0.1 to 4 ms faster than one
+# write per row, and chunks of 1 MB, which outgrow the L2 cache, 2.5 to
+# 4.7 ms slower.
+_WRITE_CHUNK = 1 << 18
+
 
 @contextlib.contextmanager
 def _output(path):
@@ -43,19 +51,30 @@ def _output(path):
 
 def _matrix_lines(mat, n, origin=(0, 0)):
     """The CSV lines (k, l, i, j, value) of a block-structured matrix whose
-    top-left block is block ``origin`` of the deviation matrix: the header,
-    then one string per matrix row, byte for byte what csv.writer writes
-    for the same rows with repr floats, at a fraction of its cost.  Each
-    row fills one %-template, built once with \0 and \1 standing for its
-    k and i."""
+    top-left block is block ``origin`` of the deviation matrix, byte for
+    byte what csv.writer writes for the same rows with repr floats, as
+    strings of about _WRITE_CHUNK characters each, the header first.
+
+    Float ``repr`` is the floor of the cost, about 90% of it on a matrix
+    of 324 states.  Each matrix row fills the %-template of its phase i,
+    built once per call with \0 standing for its level k, so a row takes
+    one ``replace`` and one ``tolist``.  Converting the whole matrix in
+    one ``tolist`` would hold a Python float per entry at once, 3.6 MB
+    more peak memory at 324 states."""
     k0, l0 = origin
-    yield "k,l,i,j,value\r\n"
-    template = "".join(f"\0{l0 + b // n},\1{b % n},%r\r\n"
-                       for b in range(mat.shape[1]))
-    for a in range(mat.shape[0]):
-        row = template.replace("\0", f"{k0 + a // n},").replace(
-            "\1", f"{a % n},")
-        yield row % tuple(np.real(mat[a]).astype(float).tolist())
+    templates = ["".join(f"\0,{l0 + b // n},{i},{b % n},%r\r\n"
+                         for b in range(mat.shape[1])) for i in range(n)]
+    chunk, size = ["k,l,i,j,value\r\n"], 0
+    for a, row in enumerate(np.asarray(np.real(mat), dtype=float)):
+        line = (templates[a % n].replace("\0", str(k0 + a // n))
+                % tuple(row.tolist()))
+        chunk.append(line)
+        size += len(line)
+        if size >= _WRITE_CHUNK:
+            yield "".join(chunk)
+            chunk, size = [], 0
+    if chunk:
+        yield "".join(chunk)
 
 
 def _grid_lines(header, rows, columns, values):

@@ -36,7 +36,6 @@ __all__ = [
     "classify_drift",
     "validate",
     "require_finite",
-    "is_irreducible",
     "model_from_dict",
     "model_to_dict",
     "load_model",
@@ -274,30 +273,6 @@ def assemble_generator(blocks):
     put(C, C - 1, blocks.A_minus1)
     put(C, C, blocks.C0)
     return q
-
-
-def is_irreducible(blocks):
-    """Whether the assembled generator has a single communicating class.
-
-    Checked by graph reachability on the nonzero pattern of the generator.
-    """
-    q = assemble_generator(blocks)
-    m = q.shape[0]
-    adj = (np.abs(q) > 0) & ~np.eye(m, dtype=bool)
-
-    def reachable(a):
-        seen = np.zeros(m, dtype=bool)
-        seen[0] = True
-        stack = [0]
-        while stack:
-            i = stack.pop()
-            for j in np.nonzero(a[i])[0]:
-                if not seen[j]:
-                    seen[j] = True
-                    stack.append(j)
-        return seen
-
-    return bool(reachable(adj).all() and reachable(adj.T).all())
 
 
 def classify_drift(blocks):

@@ -8,7 +8,36 @@ import pytest
 from qbdr import (MapParams, PhParams, QbdBlocks, assemble_generator,
                   build_blocks, gmatrices, random_blocks)
 from qbdr.diffeq import BoundarySystem, particular
-from qbdr.linalg import censor_generator, matrix_powers, solve_refined
+from qbdr.linalg import matrix_powers, solve_refined
+
+
+def censor_generator(q, keep):
+    """Censor a (possibly non-conservative) generator onto a subset of states.
+
+    Watching the process only while it visits ``keep`` gives the generator
+    ``Q_kk + Q_kd (-Q_dd)^{-1} Q_dk`` where ``d`` are the censored states.
+
+    Parameters
+    ----------
+    q : (m, m) ndarray
+        Generator, may be complex and may leak probability mass.
+    keep : array_like of int
+        State indices to keep, in the order they should appear.
+
+    Returns
+    -------
+    (len(keep), len(keep)) ndarray.
+    """
+    keep = np.asarray(keep, dtype=int)
+    m = q.shape[0]
+    drop = np.setdiff1d(np.arange(m), keep)
+    qkk = q[np.ix_(keep, keep)]
+    if drop.size == 0:
+        return qkk.copy()
+    qkd = q[np.ix_(keep, drop)]
+    qdd = q[np.ix_(drop, drop)]
+    qdk = q[np.ix_(drop, keep)]
+    return qkk + qkd @ np.linalg.solve(-qdd, qdk)
 
 
 def scalar_blocks(lam, mu, C):

@@ -502,6 +502,26 @@ def test_cli_gmatrix_csv_matches_csv_writer(tmp_path, queue_file, s):
                                              rows)
 
 
+@pytest.mark.parametrize("block", [None, (4, 2)], ids=["full", "block"])
+def test_cli_matrix_csv_across_write_chunks(tmp_path, queue_file, monkeypatch,
+                                            block):
+    # about two matrix rows per write: the header and the rows span chunks
+    import qbdr.cli as cli
+    monkeypatch.setattr(cli, "_WRITE_CHUNK", 150 if block else 1500)
+    q = assemble_generator(mapph_example(C=6))
+    dev = oracle_deviation(q, oracle_stationary(q))
+    args = ["deviation", "--model", queue_file, "--method", "oracle"]
+    if block is not None:
+        k, level = block
+        dev = dev[k * 4:(k + 1) * 4, level * 4:(level + 1) * 4]
+        args += ["--block", f"{k},{level}"]
+    chunks = list(cli._matrix_lines(dev, 4, block or (0, 0)))
+    assert 1 < len(chunks) < len(dev)
+    out = tmp_path / "d.csv"
+    assert main(args + ["--output", str(out)]) == 0
+    assert out.read_bytes() == reference_matrix_csv(dev, 4, block or (0, 0))
+
+
 def test_cli_bench_csv_matches_csv_writer(tmp_path):
     # bench times are not reproducible, so its own values are written again
     out = tmp_path / "bench.csv"

