@@ -30,11 +30,9 @@ time is at most 2 times their smallest; a band with largest time t_max
 takes the 2M + 1 = 41 nodes gamma + i pi k / T, k = 0..2M, with
 T = 2 t_max and gamma = -ln(1e-12) / (2T), so Re s = gamma > 0 at every
 node, and those nodes serve every time of the band.  The bands' nodes are
-solved together, and each band's continued fraction is built from its own
-nodes' values: the quotient-difference tables of the bands of one call are
-built side by side in one pass, and each band's convergents are evaluated
-at its own times.  No error estimate is reported: the gap between the
-last two convergents reads far below the measured error.
+solved together, but each band's continued fraction is built from its own
+nodes' values.  No error estimate is reported: the gap between the last
+two convergents reads far below the measured error.
 """
 
 import math
@@ -229,12 +227,10 @@ def _bands(times):
     return bands
 
 
-def _dehoog(values, band_times, tops):
-    """The inverses at the 1-d times of each band of ``band_times``, whose
-    largest times are ``tops``, from the transform ``values`` at the
-    bands' nodes, shape (bands, 2M + 1, m): shape (bands, width, m), a
-    band's times first and then its largest time again up to the
-    ``width`` of the longest band.
+def _dehoog(values, times, t_max):
+    """The inverse at the 1-d ``times`` of the band of t_max from the
+    transform ``values`` at its nodes, shape (2M + 1, m): shape
+    (len(times), m).
 
     The trapezoid sum of the Bromwich integral on Re s = gamma is the power
     series sum_k a_k z^k in z = exp(i pi t / T), a_0 = F(gamma) / 2 and
@@ -243,28 +239,20 @@ def _dehoog(values, band_times, tops):
     d_0 / (1 + d_1 z / (1 + d_2 z / ...)), whose convergent of order 2M,
     closed with de Hoog's improved remainder, is evaluated at every time.
     The QD table depends on the entry only, so each chunk of entries builds
-    it once for all times of its band.  The rhombus rules act entrywise,
-    so the bands' tables are built side by side in one pass, and each
-    band's convergents are evaluated at its own times.  A chunk of m
-    entries of every band keeps (2M + 1 + width) m bands under
-    _QD_ENTRIES, so its tables and convergents take a few times that many
-    values.  An entry that is 0 at every node of a band inverts to 0 there.
+    it once for all times of the band.  A chunk's m entries keep
+    (2M + 1 + len(times)) m under _QD_ENTRIES, so its table and
+    convergents take a few times that many values.  An entry that is 0 at
+    every node inverts to 0.
     """
-    width = max(times.size for times in band_times)
-    z, scale = [], []
-    for times, t_max in zip(band_times, tops):
-        times = np.take(times, np.arange(width), mode="clip")
-        gamma, period = _contour(t_max)
-        z.append(np.exp(1j * (math.pi / period) * times)[:, None])
-        scale.append(np.exp(gamma * times)[:, None] / period)
-    z, scale = np.stack(z), np.stack(scale)  # (bands, width, 1)
-    values = np.moveaxis(values, 0, 1)  # (2M + 1, bands, m)
+    gamma, period = _contour(t_max)
     order = _ORDER
-    out = np.empty((len(tops), width, values.shape[2]))
-    chunk = max(1, _QD_ENTRIES // ((len(values) + width) * len(tops)))
+    z = np.exp(1j * (math.pi / period) * times)[:, None]
+    scale = np.exp(gamma * times)[:, None] / period
+    out = np.empty((times.size, values.shape[1]))
+    chunk = max(1, _QD_ENTRIES // (len(values) + times.size))
     with np.errstate(all="ignore"):  # 0/0 of all-zero entries, checked below
-        for lo in range(0, values.shape[2], chunk):
-            a = values[..., lo:lo + chunk]
+        for lo in range(0, values.shape[1], chunk):
+            a = values[:, lo:lo + chunk]
             d = np.empty_like(a)
             d[0] = a[0] / 2
             q = a[1:] / np.concatenate([d[:1], a[1:-1]])  # q_1
@@ -274,7 +262,6 @@ def _dehoog(values, band_times, tops):
                 d[2 * r - 1], d[2 * r] = -q[0], -e[0]
                 if r < order:
                     q = q[1:-1] * e[1:] / e[:-1]
-            d = d[:, :, None]  # (2M + 1, bands, 1, chunk)
             # convergents A_i / B_i by the three-term recurrence
             a_prev, a_cur, b_prev, b_cur = 0.0, d[0], 1.0, 1.0
             for i in range(1, 2 * order):
@@ -284,33 +271,31 @@ def _dehoog(values, band_times, tops):
             h = (1.0 + (d[-2] - d[-1]) * z) / 2.0
             x = d[-1] * z / h ** 2
             rem = h * x / (np.sqrt(1.0 + x) + 1.0)  # h (sqrt(1 + x) - 1)
-            out[..., lo:lo + chunk] = scale * np.real(
+            out[:, lo:lo + chunk] = scale * np.real(
                 (a_cur + rem * a_prev) / (b_cur + rem * b_prev))
-    np.copyto(out, 0.0, where=~values.any(axis=0)[:, None])
-    for band_out, t_max in zip(out, tops):
-        if not np.isfinite(band_out).all():
-            raise NumericalError(
-                f"Laplace inversion broke down in the band up to t = "
-                f"{t_max!r}: the quotient-difference table is not finite")
+    out[:, ~values.any(axis=0)] = 0.0
+    if not np.isfinite(out).all():
+        raise NumericalError(
+            f"Laplace inversion broke down in the band up to t = {t_max!r}:"
+            " the quotient-difference table is not finite")
     return out
 
 
 def _band_inverses(evaluate, times, bands_per_call=1):
     """(indices, inverses) of each band of the positive entries of the 1-d
     ``times``; ``evaluate`` maps the nodes of ``bands_per_call`` consecutive
-    bands to the transform values stacked along a leading node axis, and
-    the bands of one call are inverted in one pass."""
+    bands to the transform values stacked along a leading node axis."""
     bands = _bands(times)
     for lo in range(0, len(bands), bands_per_call):
         group = bands[lo:lo + bands_per_call]
         tops = [times[band[-1]] for band in group]
         values = np.asarray(evaluate(np.concatenate(
             [inversion_nodes(t_max) for t_max in tops])))
-        shape = values.shape[1:]
-        values = values.reshape((len(group), 2 * _ORDER + 1, -1))
-        inverses = _dehoog(values, [times[band] for band in group], tops)
-        for band, inverse in zip(group, inverses):
-            yield band, inverse[:band.size].reshape(band.shape + shape)
+        values = values.reshape((len(group), -1) + values.shape[1:])
+        for band, t_max, band_values in zip(group, tops, values):
+            inverse = _dehoog(band_values.reshape(len(band_values), -1),
+                              times[band], t_max)
+            yield band, inverse.reshape(band.shape + values.shape[2:])
 
 
 def _checked_times(t):

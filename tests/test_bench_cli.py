@@ -505,9 +505,9 @@ def test_cli_gmatrix_csv_matches_csv_writer(tmp_path, queue_file, s):
 @pytest.mark.parametrize("block", [None, (4, 2)], ids=["full", "block"])
 def test_cli_matrix_csv_across_write_chunks(tmp_path, queue_file, monkeypatch,
                                             block):
-    # about two matrix rows per write: the header and the rows span chunks
+    # two to three matrix rows per write, and a shorter last one
     import qbdr.cli as cli
-    monkeypatch.setattr(cli, "_WRITE_CHUNK", 150 if block else 1500)
+    monkeypatch.setattr(cli, "_WRITE_CHUNK", 300 if block else 2000)
     q = assemble_generator(mapph_example(C=6))
     dev = oracle_deviation(q, oracle_stationary(q))
     args = ["deviation", "--model", queue_file, "--method", "oracle"]
@@ -517,6 +517,7 @@ def test_cli_matrix_csv_across_write_chunks(tmp_path, queue_file, monkeypatch,
         args += ["--block", f"{k},{level}"]
     chunks = list(cli._matrix_lines(dev, 4, block or (0, 0)))
     assert 1 < len(chunks) < len(dev)
+    assert 0 < len(chunks[-1]) < cli._WRITE_CHUNK
     out = tmp_path / "d.csv"
     assert main(args + ["--output", str(out)]) == 0
     assert out.read_bytes() == reference_matrix_csv(dev, 4, block or (0, 0))

@@ -641,46 +641,26 @@ def test_grid_equals_its_bands_inverted_alone():
         assert np.array_equal(grid, np.concatenate([route(b) for b in bands]))
 
 
-def _queue_curve_bands():
-    """The lost-revenue transform of the C = 60 queue at the nodes of the
-    four bands of 0.5:10:0.5, shape (4, 41, 61), with the bands' times and
-    largest times."""
+@pytest.mark.parametrize("bad", [0, 2, 3])
+def test_inversion_breakdown_names_its_band(bad):
+    # the lost-revenue curve of the C = 60 queue on 0.5:10:0.5: four bands
+    # in one call, one entry of one band not finite at one node
     import qbdr.transform as transform
     from qbdr import lost_revenue_rewards
     blocks = mapph_example(C=60)
     times = np.arange(0.5, 10.25, 0.5)
-    bands = [times[band] for band in transform._bands(times)]
-    tops = [band[-1] for band in bands]
+    tops = [times[band[-1]] for band in transform._bands(times)]
+    assert tops == [1.0, 3.0, 7.0, 10.0]
     nodes = np.concatenate([inversion_nodes(top) for top in tops])
     values = reward_transform(transform_context(blocks, nodes),
                               lost_revenue_rewards(blocks, 1.0))
     values = values @ classify_drift(blocks).alpha
-    return values.reshape(len(bands), len(values) // len(bands), -1), \
-        bands, tops
-
-
-def test_one_qd_pass_equals_each_band_alone():
-    # the bands' QD tables side by side, each band's convergents at its own
-    # times padded to the longest band, give the bytes of one pass per band
-    import qbdr.transform as transform
-    values, bands, tops = _queue_curve_bands()
-    assert [band.size for band in bands] == [2, 4, 8, 6]
-    stacked = transform._dehoog(values, bands, tops)
-    assert stacked.shape == (4, 8, 61)
-    for i, (band, top) in enumerate(zip(bands, tops)):
-        alone = transform._dehoog(values[i:i + 1], [band], [top])
-        assert alone.shape == (1, band.size, 61)
-        assert np.array_equal(stacked[i, :band.size], alone[0])
-
-
-@pytest.mark.parametrize("bad", [0, 2, 3])
-def test_one_qd_pass_names_the_band_that_broke_down(bad):
-    import qbdr.transform as transform
-    values, bands, tops = _queue_curve_bands()
-    values[bad, 7, 30] = np.nan
+    values[bad * 41 + 7, 30] = np.nan
+    inverses = transform._band_inverses(lambda _: values, times, 4)
     with pytest.raises(NumericalError,
                        match=re.escape(f"up to t = {tops[bad]!r}:")):
-        transform._dehoog(values, bands, tops)
+        for _ in inverses:
+            pass
 
 
 @pytest.mark.parametrize("bands", [2.5, 0.5, 0.0])
