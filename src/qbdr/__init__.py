@@ -22,8 +22,7 @@ from .errors import (AsymptoticsUndefinedError, IterationLimitError,
                      ModelError, ModelParseError, NumericalError,
                      NumericalRankError, PreconditionError, QbdError,
                      StructuralError, UpdateError)
-from .gmatrices import (GMatrices, g_residual, ghat_residual, gmatrices, h0,
-                        rate_matrices, solve_g, solve_ghat)
+from .gmatrices import GMatrices, gmatrices, h0, rate_matrices
 from .mapph import (MapParams, PhParams, build_blocks, gained_revenue_rewards,
                     lost_revenue_rewards)
 from .model import (Drift, DriftClass, QbdBlocks, RewardSpec, Violation,

@@ -18,14 +18,19 @@ the system matrices then carry the shape of s as leading batch axes, and
 every stack indexed by level (particular terms and solutions) carries them
 right after its level axis, followed by the trailing right-hand-side axis.
 
-The rows at levels 0 and C read only the powers 0 to 2 of G and Ghat and
-one end power of each, G^(C-1) and Ghat^(C-1), formed by repeated squaring;
-the solution is swept level by level, forward from v by G and backward
-from w by Ghat.  So no power is kept per level, and once G and Ghat are
-known a solve costs O(C n^2) per right-hand side.  The solution at one
-level k alone reads two more end powers, G^k and Ghat^{C-k}, and p_k, and
-sweeps nothing more.
+Every power of G and Ghat is a product of their squares G^(2^i) and
+Ghat^(2^i), kept per system in one table.  The rows at levels 0 and C read
+the powers 0 to 2 and G^(C-1), Ghat^(C-1); the solution is swept level by
+level, forward from v by G and backward from w by Ghat, so once G and Ghat
+are known a solve costs O(C n^2) per right-hand side.  A forcing with one
+forced level l (a block column -E_l / s, the lost-revenue reward at C) has
+p_k = G^{k-l} a_l for k >= l and Ghat^{l-k} a_l for k < l: the rows, and
+the solution at one level k (which reads G^k and Ghat^{C-k} too), take p_k
+from the table in O(log C) products, and the full solution carries a_l in
+its two sweeps, so no p is swept.
 """
+
+import functools
 
 import numpy as np
 
@@ -62,20 +67,20 @@ class BoundarySystem:
     axes.  ``f`` holds the forcing at every level, shape (C + 1, n, m) when
     it is the same at every node, or (C + 1, *batch, n, m); the forcing is
     f / ``divisor``, the divisor shaped to broadcast against
-    (*batch, n, m).  The particular term ``p`` is swept from the atoms
-    -H0 f_l / divisor on the levels l >= 1 from the first to the last whose
-    forcing is nonzero (the sweep leaves level 0 out, an end of the run);
-    each node forms the atoms of all those levels in one product before
-    dividing them.  Only the levels next to 0 and C are read from ``f`` and
-    ``p`` for the system, whose assembled form, shape (*batch, 2n, 2n), is
-    kept.
+    (*batch, n, m).  The atoms are -H0 f_l / divisor on the levels l >= 1
+    from the first to the last whose forcing is nonzero (level 0 is an end
+    of the run, not an atom); each node forms them in one product before
+    dividing them.  With one such level, p_k is read in closed form;
+    otherwise the particular term ``p`` is swept once (zero with no atom).
+    Only the levels next to 0 and C are read from ``f`` and p for the
+    system, whose assembled form, shape (*batch, 2n, 2n), is kept.
     """
 
     def __init__(self, blocks, gmat, f, divisor=1.0):
         self.blocks = blocks
         self.gs = (np.asarray(gmat.G), np.asarray(gmat.Ghat))
         n = blocks.n
-        self._powers = {}
+        self._squares = ([self.gs[0]], [self.gs[1]])
         self._batch = (slice(None),) * (self.gs[0].ndim - 2)
         self._shift = np.asarray(gmat.s)[..., None, None] * np.eye(n)
         f = np.asarray(f)
@@ -91,17 +96,35 @@ class BoundarySystem:
                 -gmat.H0, levels.reshape(levels.shape[:-2] + (-1,))).reshape(
                     batch + (n, hi - lo, m)), -2, 0)
             atoms[lo:hi] /= divisor
-        self.p = particular(*self.gs, atoms)
+        if forced.size == 1:
+            self._atom, self._atoms = (int(forced[0]), atoms[forced[0]]), atoms
+        else:
+            self._atom = None
+            self.p = particular(*self.gs, atoms) if forced.size else atoms
         rows, rhs = [], []
         for level in (0, blocks.C):
             terms = self._terms(level)
             rows.append(self._rows(terms))
             piece = f[level] / divisor
             for k, block in terms:
-                piece = piece - stack_matmul(block, self.p[k])
+                piece = piece - stack_matmul(block, self._particular_at(k))
             rhs.append(piece)
         self.matrix = np.concatenate(rows, axis=-2)
         self.rhs = np.concatenate(rhs, axis=len(self._batch))
+
+    @functools.cached_property
+    def p(self):
+        """The particular term at every level, swept on first read."""
+        return particular(*self.gs, self._atoms)
+
+    def _particular_at(self, k):
+        """p_k: G^{k-l} a_l (k >= l) or Ghat^{l-k} a_l (k < l) for the
+        one forced level l, else level k of the swept ``p``."""
+        if self._atom is None:
+            return self.p[k]
+        level, atom = self._atom
+        return stack_matmul(self._power(0, k - level) if k >= level
+                            else self._power(1, level - k), atom)
 
     def _terms(self, level):
         """The blocks of the level equation at ``level``, by the level of
@@ -116,23 +139,20 @@ class BoundarySystem:
         return terms
 
     def _power(self, which, e):
-        """G^e (``which`` 0) or Ghat^e (``which`` 1), kept; from I, which
-        multiplies exactly, np.linalg.matrix_power's products: (g g) g at
-        e = 3, else repeated squaring."""
-        key = (which, e)
-        if key not in self._powers:
-            g = square = self.gs[which]
-            power = np.zeros_like(g) + np.eye(g.shape[-1])
-            if e == 3:
-                power, e = stack_matmul(g, g), 1
-            while e:
-                e, bit = divmod(e, 2)
-                if bit:
-                    power = stack_matmul(power, square)
-                if e:
-                    square = stack_matmul(square, square)
-            self._powers[key] = power
-        return self._powers[key]
+        """G^e (``which`` 0) or Ghat^e (1) by np.linalg.matrix_power's
+        products of the squares, the table extended as e needs: I at e = 0,
+        (g g) g at e = 3, else the squares of e's bits, lowest first."""
+        e, table = int(e), self._squares[which]
+        while len(table) < e.bit_length():
+            table.append(stack_matmul(table[-1], table[-1]))
+        bits = ([1, 0] if e == 3 else
+                [i for i in range(e.bit_length()) if e >> i & 1])
+        if not bits:
+            return np.zeros_like(table[0]) + np.eye(self.blocks.n)
+        power = table[bits[0]]
+        for i in bits[1:]:
+            power = stack_matmul(power, table[i])
+        return power
 
     def _rows(self, terms):
         """The coefficients of (v, w) in sum_k B_k (x_k - p_k).  The power
@@ -157,30 +177,38 @@ class BoundarySystem:
             raise NumericalError(f"boundary system singular: {exc}") from exc
 
     def evaluate(self, u):
-        """x_k at every level of ``p`` from the free vectors ``u``: a
-        backward sweep Ghat^{C-k} w from level C, then a forward sweep
-        G^k v from level 0, plus p_k.  Each level's product broadcasts over
-        the batch axes."""
+        """x_k = B_k + F_k + p_k at every level from the free vectors
+        ``u``: sweeps B_k = Ghat B_{k+1} from B_C = w, F_k = G F_{k-1} from
+        F_0 = v.  With one forced level l, B_k = Ghat (B_{k+1} + [k+1 = l]
+        a_l), F_k = G F_{k-1} + [k = l] a_l and p is not added.  Each
+        level's product broadcasts over the batch axes."""
         g, ghat = self.gs
         n, C = self.blocks.n, self.blocks.C
-        out = np.empty(self.p.shape, dtype=np.result_type(g, ghat, u, self.p))
+        level, atom = self._atom or (None, self.p[0])
+        out = np.empty((C + 1,) + atom.shape,
+                       dtype=np.result_type(g, ghat, u, atom))
         out[C] = u[self._batch + (slice(n, 2 * n),)]
         for k in range(C - 1, -1, -1):
-            out[k] = stack_matmul(ghat, out[k + 1])
+            top = out[k + 1] + atom if k + 1 == level else out[k + 1]
+            out[k] = stack_matmul(ghat, top)
         x = u[self._batch + (slice(0, n),)]
         out[0] += x
         for k in range(1, C + 1):
             x = stack_matmul(g, x)
+            if k == level:
+                x = x + atom
             out[k] += x
-        out += self.p
+        if level is None:
+            out += self.p
         return out
 
     def solve(self, level=None):
-        """The solution at every level of ``p``, or at ``level`` = k only:
+        """The solution at every level 0..C, or at ``level`` = k only:
         p_k plus the free vectors times the row of the end map at k, which
         holds G^k and Ghat^{C-k}."""
         u = self.free_vectors()
         if level is None:
             return self.evaluate(u)
         eye = np.eye(self.blocks.n)
-        return stack_matmul(self._rows([(level, eye)]), u) + self.p[level]
+        return (stack_matmul(self._rows([(level, eye)]), u)
+                + self._particular_at(level))

@@ -34,10 +34,6 @@ from .model import Drift, require_finite
 
 __all__ = [
     "GMatrices",
-    "solve_g",
-    "solve_ghat",
-    "g_residual",
-    "ghat_residual",
     "h0",
     "gmatrices",
     "rate_matrices",
@@ -82,19 +78,6 @@ def _check_s(s):
     if (s < 0).any():
         raise ValueError("s must be nonnegative")
     return s
-
-
-def g_residual(blocks, s, g):
-    """Max-norm residual of A_minus1 + (A0 - sI) G + A1 G^2."""
-    shifted = blocks.A0 - s * np.eye(blocks.n)
-    return float(np.max(np.abs(blocks.A_minus1 + shifted @ g + blocks.A1 @ g @ g)))
-
-
-def ghat_residual(blocks, s, ghat):
-    """Max-norm residual of A1 + (A0 - sI) Ghat + A_minus1 Ghat^2."""
-    shifted = blocks.A0 - s * np.eye(blocks.n)
-    return float(np.max(np.abs(
-        blocks.A1 + shifted @ ghat + blocks.A_minus1 @ ghat @ ghat)))
 
 
 def _solve_pair(blocks, s):
@@ -177,16 +160,6 @@ def _lr_error(what, residuals):
     return IterationLimitError(
         f"logarithmic reduction {what} (residual {worst:.3e})",
         residual=worst)
-
-
-def solve_g(blocks, s=0.0):
-    """Minimal nonnegative solution G(s); see module docstring."""
-    return _solve_pair(blocks, _check_s(s))[0][0]
-
-
-def solve_ghat(blocks, s=0.0):
-    """Minimal nonnegative solution Ghat(s); roles of A1/A_minus1 swapped."""
-    return _solve_pair(blocks, _check_s(s))[0][1]
 
 
 def h0(blocks, s, g, ghat):

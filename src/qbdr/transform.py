@@ -20,8 +20,8 @@ particular term, pins the free vectors of the forward term in G(s)^k and
 the backward term in Ghat(s)^{C-k} with the level equations at 0 and C and
 sweeps the solution from them, so a transform value costs O(C n^2) per
 right-hand side once G(s) and Ghat(s) are solved.  A single block (k, l)
-sweeps only the particular term of column l: its value at block row k is
-G^k v + Ghat^{C-k} w + p_k, from two end powers.
+sweeps nothing: its value at row k, G^k v + Ghat^{C-k} w + p_k with p_k =
+G^{k-l} a_l or Ghat^{l-k} a_l, takes O(log C) products per node.
 
 Time domain values are recovered by the Fourier-series inversion of de
 Hoog, Knight & Stokes (1982), accelerated by a quotient-difference
@@ -288,7 +288,7 @@ def _band_inverses(evaluate, times, bands_per_call=1):
     bands = _bands(times)
     for lo in range(0, len(bands), bands_per_call):
         group = bands[lo:lo + bands_per_call]
-        tops = [times[band[-1]] for band in group]
+        tops = [float(times[band[-1]]) for band in group]
         values = np.asarray(evaluate(np.concatenate(
             [inversion_nodes(t_max) for t_max in tops])))
         values = values.reshape((len(group), -1) + values.shape[1:])

@@ -8,6 +8,7 @@ import pytest
 from qbdr import (MapParams, PhParams, QbdBlocks, assemble_generator,
                   build_blocks, gmatrices, random_blocks)
 from qbdr.diffeq import BoundarySystem, particular
+from qbdr.gmatrices import _check_s, _solve_pair
 from qbdr.linalg import matrix_powers, solve_refined
 
 
@@ -533,6 +534,31 @@ def full_sweep_particular(g, ghat, atoms):
 SOLVER_INCREMENT_TOL = 4 * np.finfo(float).eps
 SOLVER_TOL = 1e-12
 SOLVER_MAX_ITERATIONS = 100_000
+
+
+def solve_g(blocks, s=0.0):
+    """G(s) alone from :mod:`qbdr.gmatrices`' shared reduction, without
+    H0, so also at s = 0 on the null-recurrent boundary."""
+    return _solve_pair(blocks, _check_s(s))[0][0]
+
+
+def solve_ghat(blocks, s=0.0):
+    """Ghat(s) alone, as :func:`solve_g`."""
+    return _solve_pair(blocks, _check_s(s))[0][1]
+
+
+def g_residual(blocks, s, g):
+    """Max-norm residual of A_minus1 + (A0 - sI) G + A1 G^2."""
+    shifted = blocks.A0 - s * np.eye(blocks.n)
+    return float(np.max(np.abs(
+        blocks.A_minus1 + shifted @ g + blocks.A1 @ g @ g)))
+
+
+def ghat_residual(blocks, s, ghat):
+    """Max-norm residual of A1 + (A0 - sI) Ghat + A_minus1 Ghat^2."""
+    shifted = blocks.A0 - s * np.eye(blocks.n)
+    return float(np.max(np.abs(
+        blocks.A1 + shifted @ ghat + blocks.A_minus1 @ ghat @ ghat)))
 
 
 def functional_iteration(blocks, s):

@@ -16,8 +16,8 @@ from qbdr import (Drift, RewardSpec, assemble_generator, classify_drift,
                   deviation_transform_block, gmatrices, lost_revenue_rewards,
                   oracle_deviation, oracle_reward, oracle_stationary,
                   oracle_transient_deviation, passage_column, random_blocks,
-                  reward_time, reward_transform, run_bench, solve_g,
-                  solve_ghat, stationary_rmatrix, transform_context)
+                  reward_time, reward_transform, run_bench,
+                  stationary_rmatrix, transform_context)
 from qbdr.passage import passage_level_matrices
 from conftest import (censored_generator, censored_passage_generator,
                       dense_deviation_transform, dense_reward_transform,

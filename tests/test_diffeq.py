@@ -97,22 +97,27 @@ def test_level_read_matches_swept_column(blocks, segments):
     # nodes: the kernel's read at each level k from its two end powers is
     # level k of its swept solution to roundoff, and the paper's system
     # on the runs ``segments`` reads the same value from the end powers of
-    # the run that holds k
+    # the run that holds k.  One forced level l >= 1 takes p_k from the
+    # table of squares, which is the Green's sum; level 0 is no atom
     nodes = np.array([0.5 + 3.0j, 2.0 - 1.0j, 7.0 + 0.0j])
+    divisor = nodes[:, None, None]
     gmat = gmatrices(blocks, nodes)
     n = blocks.n
-    for target in (0, 5, 12):
+    for target in (0, 1, 5, 11, 12):
         f = np.zeros((13, n, n))
         f[target] = -np.eye(n)
-        system = BoundarySystem(blocks, gmat, f, divisor=nodes[:, None, None])
-        runs = StackedBoundarySystem(blocks, gmat, f,
-                                     divisor=nodes[:, None, None],
+        system = BoundarySystem(blocks, gmat, f, divisor=divisor)
+        runs = StackedBoundarySystem(blocks, gmat, f, divisor=divisor,
                                      segments=segments)
         swept = system.solve()
         for k in range(13):
             assert _max_gap(system.solve(level=k), swept[k]) <= 1e-14, (
                 target, k)
             assert _max_gap(runs.solve(level=k), swept[k]) <= TOL, (target, k)
+            if target:
+                assert _max_gap(system._particular_at(k),
+                                green_sum(gmat, f, k) / divisor) <= TOL
+        assert target or not system.p.any()
 
 
 def test_deviation_block_reads_its_row_level_only(monkeypatch):
@@ -132,6 +137,46 @@ def test_deviation_block_reads_its_row_level_only(monkeypatch):
         assert _max_gap(block, full[..., 4 * k:4 * k + 4,
                                     4 * level:4 * level + 4]) <= 1e-12
     transform.deviation_time(blocks, 2.0, pi, block=(3, 9))
+
+
+def test_one_level_forcing_sweeps_no_particular_term(monkeypatch):
+    # a block column forces one level, or none at level 0, and the
+    # lost-revenue reward forces level C only: their particular terms are
+    # read from the table of squares or carried in the solution's sweeps,
+    # never swept on their own
+    import qbdr.diffeq as diffeq
+    blocks = mapph_example(C=12)
+    pi = stationary_rmatrix(blocks)
+    ctx = transform_context(blocks, inversion_nodes(2.0))
+
+    def sweep(*args):
+        raise AssertionError("diffeq.particular called")
+
+    monkeypatch.setattr(diffeq, "particular", sweep)
+    for k, level in ((0, 0), (3, 9), (12, 1), (0, 12)):
+        deviation_transform_block(ctx, pi, k, level)
+    transform.deviation_time(blocks, 2.0, pi, block=(3, 9))
+    transform.reward_time(blocks, lost_revenue_rewards(blocks, 1.0),
+                          np.array([0.5, 2.0, 6.0]))
+
+
+def test_table_powers_match_matrix_power():
+    # every power is the squares of its exponent's bits multiplied in
+    # np.linalg.matrix_power's order, so at real nodes, where the kernel's
+    # products are plain matmuls, it is that function's value per node to
+    # the last bit, up to 2C; complex products go through real ones and
+    # agree to roundoff (test_transform)
+    blocks = random_blocks(3, 12, np.random.default_rng(6))
+    nodes = np.array([0.3, 1.0, 7.5])
+    gmat = gmatrices(blocks, nodes)
+    system = BoundarySystem(blocks, gmat, np.zeros((13, 3, 1)))
+    for which, g in enumerate((gmat.G, gmat.Ghat)):
+        for e in range(2 * blocks.C + 1):
+            power = system._power(which, e)
+            for node in range(len(nodes)):
+                assert np.array_equal(
+                    power[node], np.linalg.matrix_power(g[node], e)), (
+                        which, e, node)
 
 
 def _gap_to_stacked(monkeypatch, compute):

@@ -5,11 +5,11 @@ import pytest
 
 from qbdr import (AsymptoticsUndefinedError, Drift, IterationLimitError,
                   QbdBlocks, RewardSpec, classify_drift,
-                  deviation_matrix_diffeq, g_residual, ghat_residual,
-                  gmatrices, h0, inversion_nodes, random_blocks,
-                  rate_matrices, reward_time, solve_g, solve_ghat)
-from conftest import (SOLVER_TOL, functional_iteration, logred_per_equation,
-                      mapph_example, random_rewards, scalar_blocks,
+                  deviation_matrix_diffeq, gmatrices, h0, inversion_nodes,
+                  random_blocks, rate_matrices, reward_time)
+from conftest import (SOLVER_TOL, functional_iteration, g_residual,
+                      ghat_residual, logred_per_equation, mapph_example,
+                      random_rewards, scalar_blocks, solve_g, solve_ghat,
                       unfiltered_model)
 
 # The package attribute qbdr.gmatrices is the function of that name.

@@ -407,14 +407,14 @@ def test_reward_linear_asymptote(scalar_pr):
 
 def test_boundary_end_powers_match_sequential_products():
     # the rows at the ends of the run 0..C read G and Ghat to the powers
-    # 0, 1 and C - 1 only, each squared up, not a stack of C + 1 powers
+    # 0, 1 and C - 1 only, from one table of squares G^(2^i) up to the
+    # highest bit of C - 1, not a stack of C + 1 powers
     from qbdr.diffeq import BoundarySystem
     blocks = random_blocks(2, 37, np.random.default_rng(9))
     ctx = transform_context(blocks, np.array([1.1, 0.4 + 3j]))
     zero = np.zeros((38, 2, 2, 1))
     system = BoundarySystem(blocks, ctx.gmat, zero)
-    assert set(system._powers) == {(which, e) for which in (0, 1)
-                                   for e in (0, 1, 36)}
+    assert [len(table) for table in system._squares] == [(36).bit_length()] * 2
     for which, g in enumerate((ctx.gmat.G, ctx.gmat.Ghat)):
         sequential = matrix_powers(g, 37)
         assert np.array_equal(system._power(which, 0), sequential[0])
@@ -658,7 +658,7 @@ def test_inversion_breakdown_names_its_band(bad):
     values[bad * 41 + 7, 30] = np.nan
     inverses = transform._band_inverses(lambda _: values, times, 4)
     with pytest.raises(NumericalError,
-                       match=re.escape(f"up to t = {tops[bad]!r}:")):
+                       match=re.escape(f"up to t = {float(tops[bad])}:")):
         for _ in inverses:
             pass
 
@@ -727,19 +727,23 @@ def test_time_routes_reject_levels_before_solving(monkeypatch, t, bad):
 
 
 def test_particular_skips_zero_atoms_bitwise(monkeypatch):
-    # lost revenue is zero below level C, and one block column has its
-    # atom at its target level only: both routes give the same bytes as
-    # sweeping every level
+    # lost revenue on the top two levels, and two block columns, force more
+    # than one level, so their particular term is swept: starting each
+    # sweep at the first nonzero atom gives the same bytes as sweeping
+    # every level
     import qbdr.diffeq as diffeq
     from qbdr import lost_revenue_rewards
+    from qbdr.transform import _deviation_columns
     blocks = mapph_example(C=60)
-    rewards = lost_revenue_rewards(blocks, 1.0)
+    lost = lost_revenue_rewards(blocks, 1.0).g
+    rewards = RewardSpec(g=lost[:-2] + lost[-1:] * 2)
     pi = stationary_rmatrix(blocks)
     ctx = transform_context(blocks, inversion_nodes(2.0))
 
     def results():
         return (reward_transform(ctx, rewards),
-                deviation_transform_block(ctx, pi, 17, 30))
+                _deviation_columns(blocks, ctx.gmat, [17, 30],
+                                   [pi[17], pi[30]], 24))
 
     skipped = results()
     monkeypatch.setattr(diffeq, "particular", full_sweep_particular)
