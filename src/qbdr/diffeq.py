@@ -20,7 +20,7 @@ right after its level axis, followed by the trailing right-hand-side axis.
 
 Every power of G and Ghat is a product of their squares G^(2^i) and
 Ghat^(2^i), kept per system in one table.  The rows at levels 0 and C read
-the powers 0 to 2 and G^(C-1), Ghat^(C-1); the solution is swept level by
+the powers 1 and 2 and G^(C-1), Ghat^(C-1); the solution is swept level by
 level, forward from v by G and backward from w by Ghat, so once G and Ghat
 are known a solve costs O(C n^2) per right-hand side.  A forcing with one
 forced level l (a block column -E_l / s, the lost-revenue reward at C) has
@@ -123,7 +123,9 @@ class BoundarySystem:
         if self._atom is None:
             return self.p[k]
         level, atom = self._atom
-        return stack_matmul(self._power(0, k - level) if k >= level
+        if k == level:
+            return atom
+        return stack_matmul(self._power(0, k - level) if k > level
                             else self._power(1, level - k), atom)
 
     def _terms(self, level):
@@ -154,20 +156,25 @@ class BoundarySystem:
             power = stack_matmul(power, table[i])
         return power
 
+    def _times(self, x, which, e):
+        """x G^e (``which`` 0) or x Ghat^e (1); x itself at e = 0, where
+        no identity is formed or multiplied."""
+        return x if e == 0 else stack_matmul(x, self._power(which, e))
+
     def _rows(self, terms):
         """The coefficients of (v, w) in sum_k B_k (x_k - p_k).  The power
         the terms share is factored out, (sum_k B_k G^{k-lo}) G^lo: where
         the powers of a long run decay to roundoff, another association of
         these products moves the solution far more than roundoff.  The
-        terms span at most three levels, so only the powers 0..2 and the
-        one end power lo (or C - hi) of each are read."""
+        terms span at most three levels, so only the powers 1..2 and the
+        one end power lo (or C - hi) of each are read.  The local term
+        B_k - sI carries the batch shape into both sums."""
         lo, hi = terms[0][0], terms[-1][0]
         return np.concatenate([
-            stack_matmul(sum(stack_matmul(blk, self._power(0, k - lo))
-                             for k, blk in terms), self._power(0, lo)),
-            stack_matmul(sum(stack_matmul(blk, self._power(1, hi - k))
-                             for k, blk in terms),
-                         self._power(1, self.blocks.C - hi))], axis=-1)
+            self._times(sum(self._times(blk, 0, k - lo) for k, blk in terms),
+                        0, lo),
+            self._times(sum(self._times(blk, 1, hi - k) for k, blk in terms),
+                        1, self.blocks.C - hi)], axis=-1)
 
     def free_vectors(self):
         """The stacked free vectors (v, w)."""
@@ -204,11 +211,11 @@ class BoundarySystem:
 
     def solve(self, level=None):
         """The solution at every level 0..C, or at ``level`` = k only:
-        p_k plus the free vectors times the row of the end map at k, which
-        holds G^k and Ghat^{C-k}."""
+        p_k plus the free vectors times the row of the end map at k,
+        [G^k, Ghat^{C-k}]."""
         u = self.free_vectors()
         if level is None:
             return self.evaluate(u)
-        eye = np.eye(self.blocks.n)
-        return (stack_matmul(self._rows([(level, eye)]), u)
-                + self._particular_at(level))
+        row = np.concatenate([self._power(0, level),
+                              self._power(1, self.blocks.C - level)], axis=-1)
+        return stack_matmul(row, u) + self._particular_at(level)

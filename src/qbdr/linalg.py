@@ -47,29 +47,20 @@ def stack_matmul(a, b):
 
 
 def solve_refined(a, b):
-    """Row-equilibrated linear solve with extended-precision refinement.
+    """Row-equilibrated linear solve.
 
     Boundary systems built from matrix powers can have rows of wildly
-    different magnitude; equilibration plus a couple of refinement steps
-    (residuals accumulated in long double) keeps the solution accurate far
-    beyond what a plain LU solve delivers on such graded systems.  ``a``
-    may stack systems along leading axes, (..., m, m); ``b`` is then
-    (..., m, k), or (m,) for a single system.
+    different magnitude; scaling each row by its largest entry before the
+    LU solve keeps such graded systems from losing accuracy to the
+    pivoting.  ``a`` may stack systems along leading axes, (..., m, m);
+    ``b`` is then (..., m, k), or (m,) for a single system.
     """
     a = np.asarray(a)
     b = np.asarray(b)
     scale = np.max(np.abs(a), axis=-1, keepdims=True)
     scale[scale == 0.0] = 1.0
-    a_s = a / scale
-    b_s = b / (scale if b.ndim == a.ndim else scale[..., 0])
-    x = np.linalg.solve(a_s, b_s)
-    if not np.iscomplexobj(a_s) and not np.iscomplexobj(b_s):
-        a_l = a_s.astype(np.longdouble)
-        b_l = b_s.astype(np.longdouble)
-        for _ in range(2):
-            residual = b_l - a_l @ x.astype(np.longdouble)
-            x = x + np.linalg.solve(a_s, residual.astype(float))
-    return x
+    return np.linalg.solve(a / scale,
+                           b / (scale if b.ndim == a.ndim else scale[..., 0]))
 
 
 def matrix_powers(m, kmax):

@@ -3,8 +3,10 @@
 Everything here works directly on an assembled generator matrix with plain
 dense linear algebra, deliberately independent of the structured solvers in
 the rest of the package, so the two paths can be checked against each other.
-All routines are O(N^3) in the state count N and refuse to run above
-N = 2000.
+The transient quantities are closed forms, each one matrix exponential
+whatever t is: D(t) = D - exp(q t) D and R(t) from the exponential of the
+generator bordered by the reward rates.  All routines are O(N^3) in the
+state count N and refuse to run above N = 2000.
 """
 
 import numpy as np
@@ -20,12 +22,6 @@ __all__ = [
 ]
 
 _MAX_STATES = 2000
-
-# Step sizes of the quadrature and ODE oracles, each divided by
-# max(1, ||Q||_max) so that stiff models are integrated with
-# proportionally finer grids.
-_QUADRATURE_STEP = 1e-3
-_ODE_STEP = 1e-3
 
 
 def _check_size(q):
@@ -110,39 +106,27 @@ def oracle_deviation(q, pi=None):
 
 
 def oracle_transient_deviation(q, pi=None, t=0.0):
-    """Finite-horizon deviation matrix by composite Simpson quadrature.
+    """Finite-horizon deviation matrix D(t) = int_0^t (exp(q u) - 1 pi) du
+    in closed form.
 
-    Integrates exp(q u) - 1 pi over [0, t] on a uniform grid, with the
-    matrix exponential of one step computed once by scaling-and-squaring and
-    propagated multiplicatively.  The quadrature error is O(h^4).
+    q D = 1 pi - I makes the integrand -d/du exp(q u) D, so
+    D(t) = D - exp(q t) D: one matrix exponential, with D from
+    :func:`oracle_deviation`, whose identity check covers this one too.
     """
     q = _check_size(q)
-    if pi is None:
-        pi = oracle_stationary(q)
-    m = q.shape[0]
-    if t == 0.0:
-        return np.zeros((m, m))
     if t < 0:
         raise ValueError("t must be nonnegative")
-    h = _QUADRATURE_STEP / max(1.0, np.abs(q).max())
-    steps = int(np.ceil(t / h))
-    steps += steps % 2  # Simpson needs an even interval count
-    h = t / steps
-    one_pi = np.outer(np.ones(m), pi)
-    import scipy.linalg  # slow to import; this is its only user
-    step_exp = scipy.linalg.expm(q * h)
-    acc = np.eye(m) - one_pi  # integrand at u = 0
-    cur = np.eye(m)
-    for j in range(1, steps):
-        cur = cur @ step_exp
-        acc += (4.0 if j % 2 else 2.0) * (cur - one_pi)
-    cur = cur @ step_exp
-    acc += cur - one_pi
-    return acc * (h / 3.0)
+    dev = oracle_deviation(q, pi)
+    import scipy.linalg  # slow to import; this module is its only user
+    return dev - scipy.linalg.expm(q * t) @ dev
 
 
-def oracle_reward(q, g, t, cross_check=False):
-    """Cumulative expected reward R(t) by RK4 integration of R' = qR + g.
+def oracle_reward(q, g, t):
+    """Cumulative expected reward R(t) = int_0^t exp(q u) g du, the solution
+    of R' = qR + g with R(0) = 0, in closed form.
+
+    R(t) is the first m entries of the last column of
+    exp(t [[q, g], [0, 0]]) (Van Loan 1978), so it needs neither pi nor D.
 
     Parameters
     ----------
@@ -150,39 +134,19 @@ def oracle_reward(q, g, t, cross_check=False):
     g : (m,) ndarray
         Reward rate per state.
     t : float
-    cross_check : bool
-        Also evaluate (pi g) 1 t + D(t) g with the quadrature oracle and
-        raise if the two disagree by more than 1e-6 (1 + scale).
 
     Returns
     -------
     (m,) ndarray.
     """
     q = _check_size(q)
-    g = np.asarray(g, dtype=float)
     if t < 0:
         raise ValueError("t must be nonnegative")
     m = q.shape[0]
-    r = np.zeros(m)
-    if t > 0:
-        h = _ODE_STEP / max(1.0, np.abs(q).max())
-        steps = max(1, int(np.ceil(t / h)))
-        h = t / steps
-        for _ in range(steps):
-            k1 = q @ r + g
-            k2 = q @ (r + 0.5 * h * k1) + g
-            k3 = q @ (r + 0.5 * h * k2) + g
-            k4 = q @ (r + h * k3) + g
-            r = r + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    if cross_check:
-        pi = oracle_stationary(q)
-        alt = (pi @ g) * t * np.ones(m) + oracle_transient_deviation(
-            q, pi, t) @ g
-        gap = np.max(np.abs(alt - r))
-        if gap > 1e-6 * (1.0 + np.max(np.abs(r))):
-            raise NumericalError(
-                f"reward oracle cross-check failed (gap {gap:.3e})")
-    return r
+    aug = np.zeros((m + 1, m + 1))
+    aug[:m, :m], aug[:m, m] = q, g
+    import scipy.linalg
+    return scipy.linalg.expm(aug * t)[:m, m]
 
 
 def oracle_passage(q, target):

@@ -77,9 +77,35 @@ def test_reward_initial_condition(scalar_pr):
     assert not oracle_reward(q, np.array([1.0, 2.0, 3.0]), 0.0).any()
 
 
+def simpson_transient_deviation(q, pi, t, steps):
+    """D(t) by composite Simpson quadrature of exp(q u) - 1 pi over an even
+    number of steps, the exponential of one step propagated by products."""
+    import scipy.linalg
+    h = t / steps
+    one_pi = np.outer(np.ones(len(q)), pi)
+    step_exp = scipy.linalg.expm(q * h)
+    acc = np.eye(len(q)) - one_pi
+    cur = np.eye(len(q))
+    for j in range(1, steps + 1):
+        cur = cur @ step_exp
+        acc += (1.0 if j == steps else 4.0 if j % 2 else 2.0) * (cur - one_pi)
+    return acc * (h / 3.0)
+
+
 def test_reward_cross_check(scalar_pr):
+    # R(t) = (pi g) t 1 + D(t) g between the two closed forms, and D(t)
+    # against a quadrature witness that shares no step with either
     q = assemble_generator(scalar_pr)
-    oracle_reward(q, np.array([0.0, 0.0, 1.5]), 1.0, cross_check=True)
+    pi = oracle_stationary(q)
+    g = np.array([0.0, 0.0, 1.5])
+    for t in (1.0, 10.0):
+        dev_t = oracle_transient_deviation(q, pi, t)
+        expected = (pi @ g) * t + dev_t @ g
+        gap = np.max(np.abs(oracle_reward(q, g, t) - expected))
+        assert gap <= 1e-12 * np.max(np.abs(expected))
+    witness = simpson_transient_deviation(q, pi, 1.0, 2000)
+    assert np.max(np.abs(oracle_transient_deviation(q, pi, 1.0)
+                         - witness)) <= 1e-12
 
 
 def test_passage_two_state():

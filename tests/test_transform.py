@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from qbdr import (NumericalError, RewardSpec, assemble_generator,
-                  classify_drift, deviation_time, deviation_transform,
+                  classify_drift, deviation_time, deviation_time_recursive,
+                  deviation_transform,
                   deviation_transform_block, gmatrices, inversion_nodes,
                   invert_laplace, oracle_deviation, oracle_reward,
                   oracle_stationary, oracle_transient_deviation,
@@ -333,19 +334,16 @@ def test_reward_time_mapph_ordering():
 def test_revenue_curves_match_expm():
     # the paper's revenue curves, weighted by the phase distribution alpha,
     # against R(t) as the last column of exp(t [[Q, g], [0, 0]])
-    from scipy.linalg import expm
     from qbdr import gained_revenue_rewards, lost_revenue_rewards
     times = np.arange(0.5, 10.25, 0.5)
     for swapped in (False, True):
         blocks = mapph_example(C=60, swapped=swapped)
         alpha = classify_drift(blocks).alpha
         q = assemble_generator(blocks)
-        size = q.shape[0]
         for rewards in (lost_revenue_rewards(blocks, 1.0),
                         gained_revenue_rewards(blocks, 1.0, 1.0)):
-            aug = np.zeros((size + 1, size + 1))
-            aug[:size, :size], aug[:size, size] = q, rewards.stacked()
-            reference = np.array([expm(aug * t)[:size, size] for t in times])
+            reference = np.array([oracle_reward(q, rewards.stacked(), t)
+                                  for t in times])
             curves = reward_time(blocks, rewards, times)
             gap = (curves - reference).reshape(len(times), -1, 4) @ alpha
             assert np.max(np.abs(gap)) <= 1e-6
@@ -370,6 +368,24 @@ def test_deviation_time_null_recurrent_matches_quadrature():
     q = assemble_generator(blocks)
     quad = oracle_transient_deviation(q, oracle_stationary(q), 2.0)
     assert np.max(np.abs(deviation_time(blocks, 2.0) - quad)) <= 1e-6
+
+
+@pytest.mark.parametrize("t", [1e3, 1e4])
+@pytest.mark.parametrize("blocks", [mapph_example(C=10),
+                                    scalar_blocks(1.0, 1.0 + 1e-6, 40)],
+                         ids=["queue", "near-null"])
+def test_long_horizon_matches_closed_form(blocks, t):
+    # the corner block (0, C), the worst of the blocks read on the queue
+    n, C = blocks.n, blocks.C
+    q = assemble_generator(blocks)
+    rewards = random_rewards(blocks)
+    exact = oracle_transient_deviation(q, oracle_stationary(q), t)[:n, -n:]
+    for route in (deviation_time, deviation_time_recursive):
+        block = route(blocks, t, block=(0, C))
+        assert np.max(np.abs(block - exact)) <= 1e-6
+    gap = (reward_time(blocks, rewards, t)
+           - oracle_reward(q, rewards.stacked(), t))
+    assert np.max(np.abs(gap)) <= 1e-6
 
 
 def occupation_matrix(blocks, pi, t):
