@@ -93,8 +93,8 @@ def simpson_transient_deviation(q, pi, t, steps):
 
 
 def test_reward_cross_check(scalar_pr):
-    # R(t) = (pi g) t 1 + D(t) g between the two closed forms, and D(t)
-    # against a quadrature witness that shares no step with either
+    # R(t) = (pi g) t 1 + D(t) g between the two closed forms, and the
+    # closed D(t) = D - exp(q t) D against Simpson quadrature of its integral
     q = assemble_generator(scalar_pr)
     pi = oracle_stationary(q)
     g = np.array([0.0, 0.0, 1.5])

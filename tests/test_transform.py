@@ -5,8 +5,8 @@ import pytest
 
 from qbdr import (NumericalError, RewardSpec, assemble_generator,
                   classify_drift, deviation_time, deviation_time_recursive,
-                  deviation_transform,
-                  deviation_transform_block, gmatrices, inversion_nodes,
+                  deviation_transform, deviation_transform_block,
+                  gmatrices, inversion_nodes,
                   invert_laplace, oracle_deviation, oracle_reward,
                   oracle_stationary, oracle_transient_deviation,
                   random_blocks, reward_time, reward_transform,
