@@ -25,7 +25,7 @@ from .errors import (AsymptoticsUndefinedError, IterationLimitError,
 from .gmatrices import GMatrices, gmatrices, h0, rate_matrices
 from .mapph import (MapParams, PhParams, build_blocks, gained_revenue_rewards,
                     lost_revenue_rewards)
-from .model import (Drift, DriftClass, QbdBlocks, RewardSpec, Violation,
+from .model import (Drift, DriftClass, QbdBlocks, Violation,
                     assemble_generator, classify_drift, load_model,
                     save_model, validate)
 from .oracle import (oracle_deviation, oracle_passage, oracle_reward,
@@ -37,7 +37,7 @@ from .perturbation import (BlockUpdate, CapacityLadderState, block_update,
                            deviation_recursive, deviation_time_recursive,
                            deviation_update, pi_step, resolvent_recursive,
                            t_group_inverse)
-from .stationary import StationaryDistribution, stationary_rmatrix
+from .stationary import stationary_rmatrix
 from .transform import (BoundaryVectors, TransformContext, deviation_time,
                         deviation_transform, deviation_transform_block,
                         inversion_nodes, invert_laplace, reward_time,

@@ -205,7 +205,7 @@ def cmd_stationary(args):
     elif args.method == "perturb":
         pi = deviation_recursive(blocks).pi
     else:
-        pi = stationary_rmatrix(blocks).pi
+        pi = stationary_rmatrix(blocks)
     _write_levels(args.output, "level,phase,probability\r\n", blocks, pi)
 
 

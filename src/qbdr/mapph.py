@@ -15,12 +15,10 @@ Kronecker factor:
 with t = -T 1 the service exit rates.
 """
 
-import json
-
 import numpy as np
 
 from .errors import ModelParseError, StructuralError
-from .model import Frozen, QbdBlocks, RewardSpec
+from .model import Frozen, QbdBlocks, _frozen, _read_json
 
 __all__ = [
     "MapParams",
@@ -95,7 +93,8 @@ def build_blocks(map_params, ph_params, C):
 
 
 def lost_revenue_rewards(blocks, theta):
-    """Loss rate per state when each rejected customer costs theta.
+    """Loss rate per state when each rejected customer costs theta, as a
+    read-only (C+1, n) array.
 
     Revenue leaks only at full capacity, at the arrival rate:
     g_k = 0 for k < C and g_C = theta A1 1.
@@ -103,23 +102,23 @@ def lost_revenue_rewards(blocks, theta):
     if theta < 0:
         raise ValueError("theta must be nonnegative")
     n, C = blocks.n, blocks.C
-    g = [np.zeros(n) for _ in range(C)]
-    g.append(theta * (blocks.A1 @ np.ones(n)))
-    return RewardSpec(g=tuple(g))
+    g = np.zeros((C + 1, n))
+    g[C] = theta * (blocks.A1 @ np.ones(n))
+    return _frozen(g)
 
 
 def gained_revenue_rewards(blocks, theta, gamma):
-    """Earning rate when admissions pay theta and occupancy gamma per head.
+    """Earning rate when admissions pay theta and occupancy gamma per head,
+    as a read-only (C+1, n) array.
 
     g_k = theta A1 1 + gamma k 1 below capacity, g_C = gamma C 1.
     """
     if theta < 0 or gamma < 0:
         raise ValueError("theta and gamma must be nonnegative")
     n, C = blocks.n, blocks.C
-    entry = theta * (blocks.A1 @ np.ones(n))
-    g = [entry + gamma * k * np.ones(n) for k in range(C)]
-    g.append(gamma * C * np.ones(n))
-    return RewardSpec(g=tuple(g))
+    g = theta * (blocks.A1 @ np.ones(n)) + gamma * np.arange(C + 1)[:, None]
+    g[C] = gamma * C
+    return _frozen(g)
 
 
 def params_from_dict(data):
@@ -134,9 +133,5 @@ def params_from_dict(data):
 
 
 def load_params(path):
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ModelParseError(f"{path}: {exc}") from exc
-    return params_from_dict(data)
+    """Load (map_params, ph_params, C) from a JSON parameter file."""
+    return params_from_dict(_read_json(path))

@@ -12,11 +12,17 @@ A_minus1, A0, A1, and the boundary local blocks B0 (level 0) and C0
 Phases are stored 0-based; a phase j in 1..n of the usual queueing notation
 corresponds to index j-1 everywhere in this package, including the JSON model
 files and the command line.
+
+Every per-level vector, such as the reward rates g_0..g_C, the stationary
+rows or a column of passage times, is one read-only float array of shape
+(C+1, n) whose row k is level k; ``reshape(-1)`` gives the vector over all
+n(C+1) states in the order of the generator's rows.
 """
 
 import enum
 import functools
 import json
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -26,7 +32,6 @@ from .linalg import left_null_vector
 
 __all__ = [
     "QbdBlocks",
-    "RewardSpec",
     "Drift",
     "DriftClass",
     "Violation",
@@ -109,28 +114,6 @@ class QbdBlocks(Frozen):
                    for name in _BLOCK_NAMES)
 
 
-class RewardSpec(Frozen):
-    """Per-level reward (or loss) rate vectors g_0 .. g_C.
-
-    ``g[k][i]`` is the reward earned per unit time while the process sits in
-    level k, phase i.
-    """
-
-    def __init__(self, g):
-        vars(self).update(g=tuple(_frozen(v) for v in g))
-
-    @classmethod
-    def zeros(cls, n, C):
-        return cls(g=tuple(np.zeros(n) for _ in range(C + 1)))
-
-    def stacked(self):
-        """All levels concatenated into one length-(C+1)n vector."""
-        return np.concatenate(self.g)
-
-    def __len__(self):
-        return len(self.g)
-
-
 class Drift(enum.Enum):
     POSITIVE_RECURRENT = "PositiveRecurrent"
     TRANSIENT = "Transient"
@@ -199,6 +182,14 @@ def require_finite(blocks):
     if not blocks.finite:
         raise StructuralError("non-finite model blocks: " + "; ".join(
             map(str, _nonfinite_violations(blocks))))
+
+
+def levels_in_range(levels, C):
+    """Whether every level is an integer in 0..C (numpy integers count)."""
+    try:
+        return all(0 <= operator.index(k) <= C for k in levels)
+    except TypeError:
+        return False
 
 
 def validate(blocks):
@@ -312,6 +303,8 @@ def classify_drift(blocks):
 # ---------------------------------------------------------------------------
 
 def model_to_dict(blocks, rewards=None):
+    """The model dict format of ``blocks`` and the (C+1, n) reward rates
+    ``rewards``, if given."""
     out = {
         "n": blocks.n,
         "C": blocks.C,
@@ -324,12 +317,13 @@ def model_to_dict(blocks, rewards=None):
         },
     }
     if rewards is not None:
-        out["reward"] = {"g": [v.tolist() for v in rewards.g]}
+        out["reward"] = {"g": np.asarray(rewards).tolist()}
     return out
 
 
 def model_from_dict(data):
-    """Parse the model dict format; returns (blocks, rewards_or_None)."""
+    """Parse the model dict format; returns (blocks, rewards_or_None),
+    the rewards a read-only (C+1, n) array of the rates g_0..g_C."""
     try:
         n = int(data["n"])
         C = int(data["C"])
@@ -346,26 +340,30 @@ def model_from_dict(data):
     rewards = None
     if "reward" in data and data["reward"] is not None:
         try:
-            g = [np.asarray(v, dtype=float) for v in data["reward"]["g"]]
+            rewards = _frozen(data["reward"]["g"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ModelParseError(f"invalid reward data: {exc}") from exc
-        if len(g) != C + 1 or any(v.shape != (n,) for v in g):
+        if rewards.shape != (C + 1, n):
             raise ModelParseError(
                 f"reward must hold {C + 1} vectors of length {n}")
-        if not all(np.isfinite(v).all() for v in g):
+        if not np.isfinite(rewards).all():
             raise ModelParseError("reward entries must be finite")
-        rewards = RewardSpec(g=tuple(g))
     return blocks, rewards
+
+
+def _read_json(path):
+    """The data of the JSON file ``path``; an OSError or a malformed file
+    raises ModelParseError."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ModelParseError(f"{path}: {exc}") from exc
 
 
 def load_model(path):
     """Load (blocks, rewards_or_None) from a JSON model file."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ModelParseError(f"{path}: {exc}") from exc
-    return model_from_dict(data)
+    return model_from_dict(_read_json(path))
 
 
 def open_for_writing(path, newline=None):

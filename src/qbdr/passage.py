@@ -10,7 +10,9 @@ and the solution climbs back out by x_k = X_k x_(k-+1) + y_k.  For passage
 times the pinned entry is the target, and X_k and y_k are nonnegative; for
 D it is the most probable state, and the centring d - 1 (pi d) follows.
 A finite chain has finite passage times and a deviation matrix whatever
-its drift.
+its drift.  Like pi, the passage times of a column are held per level, as
+the rows of a read-only (C+1, n) array, and the functions that take pi
+take it flat or in that shape.
 
 Entry (k i, l j) of the deviation matrix equals
 pi_(l,j) [ M_pi(l,j) - M_(k,i)(l,j) ] where M holds mean first entrance
@@ -26,9 +28,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import require_finite
+from .model import _frozen, levels_in_range, require_finite
 from .stationary import _negated, _solve, _sweep, stationary_rmatrix
-from .transform import levels_in_range
 
 __all__ = [
     "PassageColumn",
@@ -42,17 +43,14 @@ __all__ = [
 class PassageColumn(NamedTuple):
     """Mean first passage times to state (target_level, target_phase).
 
-    ``m[k][i]`` is the expected entrance time from level k, phase i; the
-    target entry is exactly zero.
+    ``m`` is a read-only (C+1, n) array: ``m[k, i]`` is the expected
+    entrance time from level k, phase i; the target entry is exactly zero.
     """
 
     target_level: int
     target_phase: int
-    m: tuple
+    m: np.ndarray
     residual: float
-
-    def stacked(self):
-        return np.concatenate(self.m)
 
 
 def _column_residual(blocks, level, j, m):
@@ -61,16 +59,15 @@ def _column_residual(blocks, level, j, m):
     The generator is applied level by level as a block-tridiagonal product
     over the stacked (C+1, n) levels, O(C n^2), rather than assembled.  Every
     row's right-hand side is -1 except the pinned target row, whose row is
-    -e^T with right-hand side 0, so its residual is -m[level][j].
+    -e^T with right-hand side 0, so its residual is -m[level, j].
     """
-    x = np.asarray(m)
-    y = x @ blocks.A0.T
-    y[0] = blocks.B0 @ x[0]
-    y[-1] = blocks.C0 @ x[-1]
-    y[1:] += x[:-1] @ blocks.A_minus1.T
-    y[:-1] += x[1:] @ blocks.A1.T
+    y = m @ blocks.A0.T
+    y[0] = blocks.B0 @ m[0]
+    y[-1] = blocks.C0 @ m[-1]
+    y[1:] += m[:-1] @ blocks.A_minus1.T
+    y[:-1] += m[1:] @ blocks.A1.T
     y += 1.0
-    y[level, j] = -x[level, j]
+    y[level, j] = -m[level, j]
     return float(np.max(np.abs(y)))
 
 
@@ -83,8 +80,8 @@ def passage_column(blocks, level, j):
     """
     if not levels_in_range([j], blocks.n - 1):
         raise ValueError(f"target phase {j} out of range 0..{blocks.n - 1}")
-    m = passage_level_matrices(blocks, level)[:, :, j]
-    return PassageColumn(target_level=level, target_phase=j, m=tuple(m),
+    m = _frozen(passage_level_matrices(blocks, level)[:, :, j])
+    return PassageColumn(target_level=level, target_phase=j, m=m,
                          residual=_column_residual(blocks, level, j, m))
 
 
@@ -151,21 +148,20 @@ def _level_reduction(blocks, level, force, pins):
 def deviation_block_asymptotic(blocks, pi, k, level):
     """Asymptotic deviation block D_{k, level} from passage times.
 
-    D_{k,l} = [ 1 (sum_x pi_x M_{x,l}) - M_{k,l} ] diag(pi_l).  Raises
+    D_{k,l} = [ 1 (sum_x pi_x M_{x,l}) - M_{k,l} ] diag(pi_l), with
+    ``pi`` the stationary vector, flat or of shape (C+1, n).  Raises
     ValueError if k or ``level`` is outside 0..C.
     """
     n, C = blocks.n, blocks.C
     if not levels_in_range((k, level), C):
         raise ValueError(f"block ({k}, {level}) out of range 0..{C}")
     mats = passage_level_matrices(blocks, level)
-    pi_level = np.asarray(pi[level])
-    if np.any((pi_level != 0) & (np.abs(pi_level) < 1e-300)):
+    pi = np.reshape(pi, (C + 1, n))
+    if np.any((pi[level] != 0) & (np.abs(pi[level]) < 1e-300)):
         warnings.warn(f"stationary weights at level {level} underflow",
                       RuntimeWarning, stacklevel=2)
-    mean_row = np.zeros(n)
-    for x in range(C + 1):
-        mean_row = mean_row + np.asarray(pi[x]) @ mats[x]
-    return (np.outer(np.ones(n), mean_row) - mats[k]) * pi_level
+    mean_row = sum(row @ mat for row, mat in zip(pi, mats))
+    return (np.outer(np.ones(n), mean_row) - mats[k]) * pi[level]
 
 
 def deviation_matrix_diffeq(blocks, pi=None, levels=None):
@@ -173,8 +169,9 @@ def deviation_matrix_diffeq(blocks, pi=None, levels=None):
     ``levels`` of D, shape (n(C+1), n len(levels)), or all of D with
     ``levels`` None.
 
-    Column (l, j) of D solves Q d = pi_(l,j) 1 - e_(l,j) with pi d = 0.  Q
-    is singular, so the levels are censored towards the level of the most
+    Column (l, j) of D solves Q d = pi_(l,j) 1 - e_(l,j) with pi d = 0,
+    ``pi`` flat or of shape (C+1, n) (default: :func:`stationary_rmatrix`).
+    Q is singular, so the levels are censored towards the level of the most
     probable state r, whose equation gives way to the pin d_r = 0 as a
     passage target's does; the centring d - 1 (pi d) then restores
     pi d = 0.  All the columns share the two sweeps.  A finite chain has a
@@ -198,12 +195,12 @@ def deviation_matrix_diffeq(blocks, pi=None, levels=None):
     require_finite(blocks)
     if pi is None:
         pi = stationary_rmatrix(blocks)
-    row = np.concatenate([np.asarray(pi[k]) for k in range(C + 1)])
-    targets = row.reshape(C + 1, n)[list(levels)].reshape(-1)
+    pi = np.reshape(pi, (C + 1, n))
+    targets = pi[list(levels)].reshape(-1)
     force = np.broadcast_to(-targets, (C + 1, n, targets.size)).copy()
     for i, level in enumerate(levels):
         force[level, :, i * n:(i + 1) * n] += np.eye(n)
-    level, j = divmod(int(np.argmax(row)), n)
+    level, j = divmod(int(np.argmax(pi)), n)
     d = _level_reduction(blocks, level, force, np.full(targets.size, j))
-    d = d.reshape(row.size, targets.size)
-    return d - row @ d
+    d = d.reshape(pi.size, targets.size)
+    return d - pi.reshape(-1) @ d

@@ -30,9 +30,9 @@ import numpy as np
 
 from .errors import StructuralError, UpdateError
 from .linalg import stack_matmul
-from .model import assemble_generator, require_finite
+from .model import assemble_generator, levels_in_range, require_finite
 from .oracle import oracle_stationary
-from .transform import invert_stacked, levels_in_range
+from .transform import invert_stacked
 
 __all__ = [
     "CapacityLadderState",
@@ -299,7 +299,8 @@ def resolvent_recursive(blocks, s, pi, levels=None, columns=None):
     ladder carries only the rows of the target ``levels``, the columns of
     the target ``columns`` (default: all) and those of the top level: a
     block costs O((C/L) n^3) per node plus one inverse of size Ln, not
-    O(C^3 n^3).  ``pi`` is the stationary vector of Q(C), for
+    O(C^3 n^3).  ``pi`` is the stationary vector of Q(C), flat or of shape
+    (C+1, n), for
 
         Dtilde(C)(s) = (1/s)(sI - Q(C))^{-1} - (1/s^2) 1 pi(C).
 
@@ -350,7 +351,7 @@ def resolvent_recursive(blocks, s, pi, levels=None, columns=None):
                 f"resolvent ladder failed at capacity {c}: {exc}") from exc
         x, rl, cl = kept(x, rl + band_rows, cl + band_cols, c)
     x = kept(x, rl, cl, None)[0]
-    pi = pi.reshape(C + 1, n)[sorted(cols_kept)].reshape(-1)
+    pi = np.reshape(pi, (C + 1, n))[sorted(cols_kept)].reshape(-1)
     return x, x / s - pi / s ** 2
 
 

@@ -6,43 +6,24 @@ leaves at level k the block
     S_C = C0,    S_k = A0 + A1 (-S_(k+1))^{-1} A_minus1    (B0 at level 0),
 
 and the stationary rows follow from pi_0 S_0 = 0 and
-pi_k = pi_(k-1) A1 (-S_k)^{-1}.  Every block is kept as its off-diagonal
-rates, and its diagonal is taken from the row sums plus the rates out of
-the kept levels, never by subtraction (Grassmann, Taksar & Heyman 1985).
-Then -S_k is a diagonally dominant M-matrix whose small inverse, taken by
-an LU solve, is nonnegative, and all other terms are sums and products of
-nonnegative numbers, so even the smallest entries of pi keep their
-relative accuracy.  The same sweep, run
-from both ends towards a target level with a forcing carried along, gives
-the mean first passage times and the deviation matrix of
-:mod:`qbdr.passage`.
+pi_k = pi_(k-1) A1 (-S_k)^{-1}, the rows of one read-only (C+1, n) array.
+Every block is kept as its off-diagonal rates, and its diagonal is taken
+from the row sums plus the rates out of the kept levels, never by
+subtraction (Grassmann, Taksar & Heyman 1985).  Then -S_k is a diagonally
+dominant M-matrix whose small inverse, taken by an LU solve, is
+nonnegative, and all other terms are sums and products of nonnegative
+numbers, so even the smallest entries of pi keep their relative accuracy.
+The same sweep, run from both ends towards a target level with a forcing
+carried along, gives the mean first passage times and the deviation matrix
+of :mod:`qbdr.passage`.
 """
 
 import numpy as np
 
 from .errors import NumericalError
-from .model import Frozen, require_finite
+from .model import _frozen, require_finite
 
-__all__ = [
-    "StationaryDistribution",
-    "stationary_rmatrix",
-]
-
-
-class StationaryDistribution(Frozen):
-    """Per-level stationary rows pi_0..pi_C."""
-
-    def __init__(self, pi):
-        vars(self).update(pi=pi)
-
-    def stacked(self):
-        return np.concatenate(self.pi)
-
-    def __getitem__(self, k):
-        return self.pi[k]
-
-    def __len__(self):
-        return len(self.pi)
+__all__ = ["stationary_rmatrix"]
 
 
 def _negated(off, out=0.0):
@@ -101,10 +82,12 @@ def stationary_rmatrix(blocks):
     The levels are censored from the top down to level 0, pi_0 comes from
     the taboo system of S_0 with phase 0 given weight 1, and
     pi_k = pi_(k-1) A1 (-S_k)^{-1} climbs back up before the rows are
-    normalized.  The name is kept from the R/Rhat boundary route this
-    replaced: ``qbdr stationary --method rmatrix`` selects it and callers
-    import it under that name.  A finite chain has a stationary vector
-    whatever the drift, so null-recurrent models are accepted.
+    normalized.  Returns pi_0..pi_C as the rows of a read-only (C+1, n)
+    array, whose ``reshape(-1)`` is the vector over all states.  The name
+    is kept from the R/Rhat boundary route this replaced:
+    ``qbdr stationary --method rmatrix`` selects it and callers import it
+    under that name.  A finite chain has a stationary vector whatever the
+    drift, so null-recurrent models are accepted.
 
     Raises
     ------
@@ -124,5 +107,5 @@ def stationary_rmatrix(blocks):
     for k, step in enumerate(blocks.A1 @ inv[::-1], start=1):
         pi[k] = pi[k - 1] @ step
     pi /= pi.sum()
-    return StationaryDistribution(pi=tuple(pi))
+    return _frozen(pi)
 

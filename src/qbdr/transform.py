@@ -36,7 +36,6 @@ two convergents reads far below the measured error.
 """
 
 import math
-import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -44,6 +43,7 @@ import numpy as np
 from .diffeq import BoundarySystem
 from .errors import NumericalError
 from .gmatrices import gmatrices
+from .model import levels_in_range
 from .stationary import stationary_rmatrix
 
 __all__ = [
@@ -128,7 +128,7 @@ def _reward_system(ctx, rewards):
     """The reward equation (Q - sI) x = -g/s on the levels 0..C, with one
     right-hand-side column."""
     return BoundarySystem(ctx.blocks, ctx.gmat,
-                          -np.asarray(rewards.g)[..., None],
+                          -np.asarray(rewards)[..., None],
                           divisor=_s_column(ctx.s))
 
 
@@ -148,10 +148,11 @@ def reward_transform(ctx, rewards):
     return np.moveaxis(_reward_system(ctx, rewards).solve()[..., 0], 0, -2)
 
 
-def _deviation_columns(blocks, gmat, levels, pi_rows, row=None):
+def _deviation_columns(blocks, gmat, levels, pi, row=None):
     """Block columns ``levels`` of (1/s)(sI - Q)^{-1} - (1/s^2) 1 pi at
     every level 0..C, shape (C + 1, *s.shape, n, len(levels) n), or at the
-    block row ``row`` only, without the level axis.
+    block row ``row`` only, without the level axis; ``pi`` flat or of
+    shape (C + 1, n).
 
     Column l solves (Q - sI) x = -E_l / s.
     """
@@ -160,36 +161,28 @@ def _deviation_columns(blocks, gmat, levels, pi_rows, row=None):
     for i, level in enumerate(levels):
         force[level, :, i * n:(i + 1) * n] = -np.eye(n)
     cols = BoundarySystem(blocks, gmat, force, divisor=s).solve(level=row)
-    return cols - np.concatenate([np.asarray(r) for r in pi_rows]) / s ** 2
-
-
-def levels_in_range(levels, C):
-    """Whether every level is an integer in 0..C (numpy integers count)."""
-    try:
-        return all(0 <= operator.index(k) <= C for k in levels)
-    except TypeError:
-        return False
+    pi = np.reshape(pi, (blocks.C + 1, n))
+    return cols - pi[list(levels)].reshape(-1) / s ** 2
 
 
 def deviation_transform_block(ctx, pi, k, level):
     """Block (k, level) of the transformed transient deviation matrix.
 
-    ``pi`` indexes the stationary level rows of the finite chain.  The
-    assembled matrix agrees with the dense resolvent expression
-    (1/s)(sI - Q)^{-1} - (1/s^2) 1 pi.
+    ``pi`` is the stationary vector of the finite chain, flat or of shape
+    (C+1, n).  The assembled matrix agrees with the dense resolvent
+    expression (1/s)(sI - Q)^{-1} - (1/s^2) 1 pi.
     """
     b = ctx.blocks
     if not levels_in_range((k, level), b.C):
         raise ValueError(f"block ({k}, {level}) out of range 0..{b.C}")
-    return _deviation_columns(b, ctx.gmat, [level], [pi[level]], k)
+    return _deviation_columns(b, ctx.gmat, [level], pi, k)
 
 
 def deviation_transform(ctx, pi):
     """The full transformed deviation matrix, all block columns in one
-    boundary solve."""
+    boundary solve; ``pi`` as for :func:`deviation_transform_block`."""
     b = ctx.blocks
-    levels = range(b.C + 1)
-    cols = _deviation_columns(b, ctx.gmat, levels, [pi[lv] for lv in levels])
+    cols = _deviation_columns(b, ctx.gmat, range(b.C + 1), pi)
     size = b.n * (b.C + 1)
     return np.moveaxis(cols, 0, -3).reshape(cols.shape[1:-2] + (size, size))
 
@@ -374,9 +367,12 @@ def reward_time(blocks, rewards, t, k=None, dist=None):
     """Expected cumulative reward up to time t, or up to every time of a
     1-d array t, stacked along a leading time axis.
 
-    Returns the level-k block when ``k`` is given, otherwise the full
-    stacked vector over all levels; with a phase distribution ``dist``,
-    sum_j dist_j R_(k,j)(t) per level, weighted before the inversion.
+    ``rewards`` holds the reward rates g_0..g_C as the rows of a (C+1, n)
+    array, as :func:`qbdr.model.model_from_dict` and the :mod:`qbdr.mapph`
+    builders return them.  Returns the level-k block when ``k`` is given,
+    otherwise the full stacked vector over all levels; with a phase
+    distribution ``dist``, sum_j dist_j R_(k,j)(t) per level, weighted
+    before the inversion.
     R(0) = 0 exactly.  The 41 nodes of every band of time points of an
     array t are solved in one stacked call while its work stays under the
     memory cap; see :func:`invert_stacked`.

@@ -203,9 +203,7 @@ def exact_solve(a, b):
 
 def random_rewards(blocks, seed=0):
     rng = np.random.default_rng([seed, blocks.n, blocks.C])
-    from qbdr import RewardSpec
-    return RewardSpec(g=tuple(rng.uniform(0.0, 2.0, blocks.n)
-                              for _ in range(blocks.C + 1)))
+    return rng.uniform(0.0, 2.0, (blocks.C + 1, blocks.n))
 
 
 def nu_k(ctx, rewards, k):
@@ -218,7 +216,7 @@ def nu_k(ctx, rewards, k):
     C = ctx.blocks.C
     if not 0 <= k <= C:
         raise ValueError(f"level {k} out of range 0..{C}")
-    atoms = [ctx.gmat.H0 @ g / ctx.s for g in rewards.g]
+    atoms = [ctx.gmat.H0 @ g / ctx.s for g in rewards]
     powers_G = matrix_powers(ctx.gmat.G, C)
     powers_Ghat = matrix_powers(ctx.gmat.Ghat, C)
     out = np.zeros(ctx.blocks.n, dtype=atoms[0].dtype)

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from qbdr import (Drift, RewardSpec, assemble_generator, classify_drift,
+from qbdr import (Drift, assemble_generator, classify_drift,
                   deviation_matrix_diffeq, deviation_recursive,
                   deviation_time, deviation_transform,
                   deviation_transform_block, gmatrices, lost_revenue_rewards,
@@ -94,11 +94,11 @@ def test_criterion_2_transform_equivalence():
         for s in (0.1, 1.0, 10.0):
             ctx = transform_context(blocks, s)
             assembled = deviation_transform(ctx, pi)
-            dense = dense_deviation_transform(q, pi.stacked(), s)
+            dense = dense_deviation_transform(q, pi.reshape(-1), s)
             worst_dev = max(worst_dev, np.linalg.norm(assembled - dense)
                             / np.linalg.norm(dense))
             parts = np.concatenate(reward_transform(ctx, rewards))
-            dense_r = dense_reward_transform(q, rewards.stacked(), s)
+            dense_r = dense_reward_transform(q, rewards.reshape(-1), s)
             worst_reward = max(worst_reward,
                                np.linalg.norm(parts - dense_r)
                                / max(np.linalg.norm(dense_r), 1e-300))
@@ -117,14 +117,15 @@ def test_criterion_3_transient_consistency():
         q = assemble_generator(blocks)
         pi = stationary_rmatrix(blocks)
         rewards = random_rewards(blocks)
-        g = rewards.stacked()
+        g = rewards.reshape(-1)
         for t in (0.1, 1.0, 10.0):
             inv_dev = deviation_time(blocks, t, pi)
-            quad = oracle_transient_deviation(q, pi.stacked(), t)
-            worst_dev = max(worst_dev, np.max(np.abs(inv_dev - quad)))
+            closed_form = oracle_transient_deviation(q, pi.reshape(-1), t)
+            worst_dev = max(worst_dev, np.max(np.abs(inv_dev - closed_form)))
             inv_r = reward_time(blocks, rewards, t)
-            ode = oracle_reward(q, g, t)
-            worst_reward = max(worst_reward, np.max(np.abs(inv_r - ode)))
+            van_loan = oracle_reward(q, g, t)
+            worst_reward = max(worst_reward,
+                               np.max(np.abs(inv_r - van_loan)))
         h = 1e-4
         derivative = (reward_time(blocks, rewards, 1.0 + h)
                       - reward_time(blocks, rewards, 1.0 - h)) / (2 * h)
@@ -153,7 +154,7 @@ def test_criterion_4_first_passage_suite():
                 col = passage_column(blocks, level, j)
                 reference = gth_passage(q, [level * n + j])[:, 0]
                 worst_col = max(worst_col,
-                                np.max(np.abs(col.stacked() - reference)))
+                                np.max(np.abs(col.m.reshape(-1) - reference)))
                 z = passage_z_matrix(blocks, level, j, gm)
                 ring = censored_passage_generator(blocks, level, j)
                 factor = passage_z_factor(blocks, level, gm)
@@ -167,7 +168,7 @@ def test_criterion_4_first_passage_suite():
 def test_criterion_5_closed_form_anchors():
     blocks = scalar_blocks(1.0, 2.0, 2)
     gm = gmatrices(blocks)
-    pi = stationary_rmatrix(blocks).stacked()
+    pi = stationary_rmatrix(blocks).reshape(-1)
     two_state = scalar_blocks(1.0, 1.0, 1)
     two_state = type(two_state)(n=1, C=1, A_minus1=[[1.0]], A0=[[-2.0]],
                                 A1=[[1.0]], B0=[[-1.0]], C0=[[-1.0]])
@@ -205,7 +206,7 @@ def test_criterion_6_queue_example_reproduction():
     rewards = lost_revenue_rewards(high, 1.0)
     q = assemble_generator(high)
     pi = oracle_stationary(q)
-    rate = pi @ rewards.stacked()
+    rate = pi @ rewards.reshape(-1)
     slope = (reward_time(high, rewards, 60.0)
              - reward_time(high, rewards, 50.0)) / 10.0
     slope_gap = np.max(np.abs(slope - rate)) / rate
@@ -263,8 +264,7 @@ def test_criterion_8_large_capacity_limits():
         q = censored_generator(scalar_blocks(lam, mu, 5), s, 5)
         reward, dev = (dense_reward_transform(q, g, s),
                        dense_deviation_transform(q, pi, s))
-        rewards = RewardSpec(g=tuple(np.array([v]) for v in g)
-                             + (np.array([0.0]),) * 195)
+        rewards = np.concatenate([g, np.zeros(195)])[:, None]
         finite_reward = reward_transform(ctx, rewards)
         for k in range(6):
             worst = max(worst, abs(reward[k] - finite_reward[k, 0]))

@@ -462,7 +462,7 @@ def level_rows(vec, n):
 def test_cli_stationary_csv_matches_csv_writer(tmp_path, queue_file,
                                                method):
     blocks = mapph_example(C=6)
-    pi = {"rmatrix": lambda: stationary_rmatrix(blocks).stacked(),
+    pi = {"rmatrix": lambda: stationary_rmatrix(blocks).reshape(-1),
           "oracle": lambda: oracle_stationary(assemble_generator(blocks)),
           "perturb": lambda: deviation_recursive(blocks).pi}[method]()
     out = tmp_path / "pi.csv"
@@ -478,7 +478,7 @@ def test_cli_passage_csv_matches_csv_writer(tmp_path, queue_file, method):
     if method == "oracle":
         m = oracle_passage(assemble_generator(blocks), 3 * 4 + 1)
     else:
-        m = np.concatenate(passage_column(blocks, 3, 1).m)
+        m = passage_column(blocks, 3, 1).m.reshape(-1)
     out = tmp_path / "m.csv"
     assert main(["passage", "--model", queue_file, "--level", "3",
                  "--phase", "1", "--method", method,

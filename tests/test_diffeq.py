@@ -70,7 +70,7 @@ def test_general_forcing_at_zero_with_pin():
     # the paper's pinned system the equation of the pinned state holds too
     # once the others do
     blocks = random_blocks(3, 12, np.random.default_rng(11))
-    pi = stationary_rmatrix(blocks).stacked()
+    pi = stationary_rmatrix(blocks).reshape(-1)
     rng = np.random.default_rng(13)
     flat = rng.normal(size=(39, 4))
     flat -= np.outer(np.ones(39), pi @ flat)

@@ -44,21 +44,21 @@ def test_lost_revenue_structure():
     blocks = mapph_example(C=5)
     rewards = lost_revenue_rewards(blocks, 1.0)
     for k in range(5):
-        assert not rewards.g[k].any()
-    np.testing.assert_allclose(rewards.g[5], [8.0, 8.0, 5.0, 5.0])
-    assert not lost_revenue_rewards(blocks, 0.0).stacked().any()
+        assert not rewards[k].any()
+    np.testing.assert_allclose(rewards[5], [8.0, 8.0, 5.0, 5.0])
+    assert not lost_revenue_rewards(blocks, 0.0).reshape(-1).any()
 
 
 def test_gained_revenue_structure():
     blocks = mapph_example(C=5)
     rewards = gained_revenue_rewards(blocks, 1.0, 1.0)
-    np.testing.assert_allclose(rewards.g[2],
+    np.testing.assert_allclose(rewards[2],
                                blocks.A1 @ np.ones(4) + 2.0)
-    np.testing.assert_allclose(rewards.g[5], 5.0 * np.ones(4))
+    np.testing.assert_allclose(rewards[5], 5.0 * np.ones(4))
     holding_only = gained_revenue_rewards(blocks, 0.0, 2.0)
-    np.testing.assert_allclose(holding_only.g[3], 6.0 * np.ones(4))
+    np.testing.assert_allclose(holding_only[3], 6.0 * np.ones(4))
     entry_only = gained_revenue_rewards(blocks, 1.5, 0.0)
-    assert not entry_only.g[5].any()
+    assert not entry_only[5].any()
 
 
 def test_blocking_regime_swap():

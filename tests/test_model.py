@@ -3,11 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from qbdr import (Drift, ModelParseError, QbdBlocks, RewardSpec,
+from qbdr import (Drift, ModelParseError, QbdBlocks,
                   StructuralError, assemble_generator, classify_drift,
-                  deviation_recursive, gmatrices, load_model,
-                  passage_column, random_blocks, save_model,
-                  stationary_rmatrix, validate)
+                  deviation_recursive, gained_revenue_rewards, gmatrices,
+                  load_model, lost_revenue_rewards, passage_column,
+                  random_blocks, save_model, stationary_rmatrix, validate)
 from qbdr.model import model_from_dict, model_to_dict
 from conftest import mapph_example, scalar_blocks
 
@@ -129,8 +129,7 @@ def test_library_routes_reject_nonfinite_blocks(route, value):
 
 
 def test_model_from_dict_rejects_nonfinite_reward(scalar_pr):
-    data = model_to_dict(scalar_pr, RewardSpec(
-        g=(np.array([0.5]), np.array([np.nan]), np.array([2.0]))))
+    data = model_to_dict(scalar_pr, np.array([[0.5], [np.nan], [2.0]]))
     with pytest.raises(ModelParseError, match="finite"):
         model_from_dict(data)
 
@@ -183,13 +182,34 @@ def test_blocks_arrays_read_only(scalar_pr):
         scalar_pr.A0[0, 0] = 5.0
 
 
+def _file_rewards(blocks):
+    """Integer reward rates through the model dict format."""
+    data = model_to_dict(blocks)
+    data["reward"] = {"g": [[k] * blocks.n for k in range(blocks.C + 1)]}
+    return model_from_dict(data)[1]
+
+
+@pytest.mark.parametrize("per_level", [
+    stationary_rmatrix, lambda blocks: passage_column(blocks, 2, 1).m,
+    _file_rewards, lambda blocks: lost_revenue_rewards(blocks, 1.0),
+    lambda blocks: gained_revenue_rewards(blocks, 1.0, 0.5)],
+    ids=["stationary", "passage", "file-rewards", "lost-revenue",
+         "gained-revenue"])
+def test_per_level_vectors_are_read_only_level_arrays(per_level):
+    blocks = mapph_example(C=5)
+    values = per_level(blocks)
+    assert values.shape == (blocks.C + 1, blocks.n)
+    assert values.dtype == np.float64
+    with pytest.raises(ValueError):
+        values[0, 0] = 1.0
+
+
 @pytest.mark.parametrize("record, field", [
     ("blocks", "C"), ("blocks", "A0"), ("blocks", "drift"),
-    ("rewards", "g"), ("gmat", "G"), ("column", "residual")])
+    ("gmat", "G"), ("column", "m"), ("column", "residual")])
 def test_record_fields_cannot_be_assigned_or_deleted(scalar_pr, record,
                                                      field):
-    records = {"blocks": scalar_pr, "rewards": RewardSpec.zeros(1, 2),
-               "gmat": gmatrices(scalar_pr, 0.5),
+    records = {"blocks": scalar_pr, "gmat": gmatrices(scalar_pr, 0.5),
                "column": passage_column(scalar_pr, 0, 0)}
     with pytest.raises(AttributeError):
         setattr(records[record], field, None)
@@ -222,14 +242,13 @@ def test_with_capacity_is_the_queue_at_that_capacity(capacity):
 
 
 def test_model_json_roundtrip(tmp_path, scalar_pr):
-    rewards = RewardSpec(g=(np.array([0.5]), np.array([0.0]),
-                            np.array([2.0])))
+    rewards = np.array([[0.5], [0.0], [2.0]])
     path = tmp_path / "model.json"
     save_model(path, scalar_pr, rewards)
     blocks, loaded = load_model(path)
     np.testing.assert_allclose(assemble_generator(blocks),
                                assemble_generator(scalar_pr))
-    np.testing.assert_allclose(loaded.stacked(), rewards.stacked())
+    np.testing.assert_allclose(loaded, rewards)
     # reward block is optional
     data = json.loads(path.read_text())
     del data["reward"]

@@ -68,10 +68,10 @@ def test_passage_matches_oracle_all_targets(seed, n, c):
         for j in range(n):
             col = passage_column(blocks, level, j)
             reference = oracle_passage(q, level * n + j)
-            assert np.max(np.abs(col.stacked() - reference)) <= 1e-8
+            assert np.max(np.abs(col.m.reshape(-1) - reference)) <= 1e-8
             assert col.residual <= 1e-8
             assert col.m[level][j] == 0.0
-            assert col.stacked().min() >= 0.0
+            assert col.m.reshape(-1).min() >= 0.0
 
 
 def test_passage_small_capacity_routes():
@@ -80,7 +80,7 @@ def test_passage_small_capacity_routes():
         q = assemble_generator(blocks)
         for level in range(c + 1):
             col = passage_column(blocks, level, 0)
-            np.testing.assert_allclose(col.stacked(),
+            np.testing.assert_allclose(col.m.reshape(-1),
                                        oracle_passage(q, level * 2),
                                        atol=1e-10)
 
@@ -91,7 +91,7 @@ def test_passage_null_recurrent_matches_oracle():
     q = assemble_generator(blocks)
     for level in range(5):
         col = passage_column(blocks, level, 0)
-        np.testing.assert_allclose(col.stacked(), oracle_passage(q, level),
+        np.testing.assert_allclose(col.m.reshape(-1), oracle_passage(q, level),
                                    rtol=1e-12)
 
 
@@ -130,7 +130,7 @@ def test_passage_residual_matches_dense_pinned_system(seed, n, c):
             q[idx, idx] = -1.0
             rhs = -np.ones(q.shape[0])
             rhs[idx] = 0.0
-            dense = np.max(np.abs(q @ col.stacked() - rhs))
+            dense = np.max(np.abs(q @ col.m.reshape(-1) - rhs))
             assert abs(col.residual - dense) <= 1e-12
 
 
@@ -150,9 +150,9 @@ def test_deviation_assembly_identities(seed, n, c):
     dev = deviation_matrix_diffeq(blocks, pi)
     size = q.shape[0]
     np.testing.assert_allclose(dev @ np.ones(size), 0.0, atol=1e-9)
-    np.testing.assert_allclose(q @ dev, np.outer(np.ones(size), pi.stacked())
+    np.testing.assert_allclose(q @ dev, np.outer(np.ones(size), pi.reshape(-1))
                                - np.eye(size), atol=1e-9)
-    np.testing.assert_allclose(pi.stacked() @ dev, 0.0, atol=1e-9)
+    np.testing.assert_allclose(pi.reshape(-1) @ dev, 0.0, atol=1e-9)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -267,7 +267,7 @@ def test_deviation_matrix_pin_splits_run(seed, i, pin_level):
     # and many above at level 1, and one level above it at C - 1.
     blocks = unfiltered_model(seed, i)
     pi = stationary_rmatrix(blocks)
-    assert np.argmax(pi.stacked()) // blocks.n == pin_level
+    assert np.argmax(pi.reshape(-1)) // blocks.n == pin_level
     assert relative_gap(deviation_matrix_diffeq(blocks, pi),
                         deviation_recursive(blocks).dev) <= 1e-8
 

@@ -71,7 +71,7 @@ def test_pi_step_stationarity(seed):
     q = assemble_generator(blocks)
     assert np.max(np.abs(pi @ q)) <= 1e-10
     assert pi.sum() == pytest.approx(1.0, abs=1e-10)
-    np.testing.assert_allclose(pi, stationary_rmatrix(blocks).stacked(),
+    np.testing.assert_allclose(pi, stationary_rmatrix(blocks).reshape(-1),
                                atol=1e-10)
 
 
@@ -103,7 +103,7 @@ def test_deviation_update_defining_identity(seed):
     blocks = random_blocks(2, 4, np.random.default_rng(seed))
     _, _, _, t_sharp = ladder_ingredients(blocks, 4)
     update = block_update(blocks, 4)
-    pi = stationary_rmatrix(blocks).stacked()
+    pi = stationary_rmatrix(blocks).reshape(-1)
     dev = deviation_update(-t_sharp, pi, update)
     q = assemble_generator(blocks)
     size = q.shape[0]
@@ -116,7 +116,7 @@ def test_deviation_update_two_forms_agree():
     blocks = random_blocks(2, 4, np.random.default_rng(11))
     _, _, _, t_sharp = ladder_ingredients(blocks, 4)
     update = block_update(blocks, 4)
-    pi = stationary_rmatrix(blocks).stacked()
+    pi = stationary_rmatrix(blocks).reshape(-1)
     dev = -t_sharp
     size = dev.shape[0]
     e_k = np.zeros((size, 2))

@@ -11,7 +11,7 @@ from conftest import (UNFILTERED, boundary_matrix, censored_generator,
 
 def test_scalar_geometric(scalar_pr):
     dist = stationary_rmatrix(scalar_pr)
-    np.testing.assert_allclose(dist.stacked(), [4 / 7, 2 / 7, 1 / 7],
+    np.testing.assert_allclose(dist.reshape(-1), [4 / 7, 2 / 7, 1 / 7],
                                atol=1e-13)
 
 
@@ -20,7 +20,7 @@ def test_defining_residual(seed):
     blocks = random_blocks(1 + seed % 4, 2 + seed, np.random.default_rng(seed))
     dist = stationary_rmatrix(blocks)
     q = assemble_generator(blocks)
-    pi = dist.stacked()
+    pi = dist.reshape(-1)
     assert np.max(np.abs(pi @ q)) <= 1e-10
     assert pi.sum() == pytest.approx(1.0, abs=1e-12)
     assert pi.min() >= 0.0
@@ -30,7 +30,7 @@ def test_matches_oracle_on_mapph():
     blocks = mapph_example(C=5)
     dist = stationary_rmatrix(blocks)
     pi_oracle = oracle_stationary(assemble_generator(blocks))
-    np.testing.assert_allclose(dist.stacked(), pi_oracle, atol=1e-10)
+    np.testing.assert_allclose(dist.reshape(-1), pi_oracle, atol=1e-10)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -53,21 +53,21 @@ def test_geometric_structure(scalar_pr):
             for k in range(3)]
     total = sum(row.sum() for row in rows)
     for k in range(3):
-        np.testing.assert_allclose(dist.pi[k], rows[k] / total, atol=1e-14)
+        np.testing.assert_allclose(dist[k], rows[k] / total, atol=1e-14)
 
 
 def test_null_recurrent_matches_oracle():
     # the finite chain has a stationary vector whatever the drift
     blocks = scalar_blocks(1.0, 1.0, 3)
     np.testing.assert_allclose(
-        stationary_rmatrix(blocks).stacked(),
+        stationary_rmatrix(blocks).reshape(-1),
         oracle_stationary(assemble_generator(blocks)), atol=1e-14)
 
 
 def worst_relative_error(blocks):
     """Largest entrywise relative gap of pi to the dense GTH solve."""
     ref = gth_stationary(assemble_generator(blocks))
-    gap = np.abs(stationary_rmatrix(blocks).stacked() - ref)
+    gap = np.abs(stationary_rmatrix(blocks).reshape(-1) - ref)
     return np.max(gap / ref) if ref.min() > 0 else np.inf
 
 
@@ -99,5 +99,5 @@ def test_unrestricted_matches_large_capacity():
     blocks = mapph_example(C=5, swapped=True)  # positive recurrent
     big = mapph_example(C=60, swapped=True)
     rows = gth_stationary(censored_generator(blocks, 0.0, 4))
-    near = stationary_rmatrix(big).stacked()[:rows.size]
+    near = stationary_rmatrix(big).reshape(-1)[:rows.size]
     np.testing.assert_allclose(rows, near / near.sum(), atol=1e-9)

@@ -3,8 +3,9 @@ import re
 import numpy as np
 import pytest
 
-from qbdr import (NumericalError, RewardSpec, assemble_generator,
-                  classify_drift, deviation_time, deviation_time_recursive,
+from qbdr import (NumericalError, assemble_generator, classify_drift,
+                  deviation_matrix_diffeq, deviation_time,
+                  deviation_time_recursive,
                   deviation_transform, deviation_transform_block,
                   gmatrices, inversion_nodes,
                   invert_laplace, oracle_deviation, oracle_reward,
@@ -31,7 +32,7 @@ def test_nu_single_top_level_reward():
     blocks = random_blocks(2, 4, np.random.default_rng(0))
     ctx = _ctx(blocks, 1.3)
     g = [np.zeros(2)] * 4 + [np.array([1.0, 2.0])]
-    rewards = RewardSpec(g=tuple(g))
+    rewards = np.array(g)
     top = nu_k(ctx, rewards, 4)
     np.testing.assert_allclose(top, ctx.gmat.H0 @ g[4] / 1.3, atol=1e-12)
     for k in range(4):
@@ -44,7 +45,7 @@ def test_nu_single_top_level_reward():
 def test_nu_zero_rewards():
     blocks = random_blocks(2, 3, np.random.default_rng(1))
     ctx = _ctx(blocks, 0.8)
-    rewards = RewardSpec.zeros(2, 3)
+    rewards = np.zeros((4, 2))
     for k in range(4):
         assert not nu_k(ctx, rewards, k).any()
 
@@ -97,14 +98,14 @@ def test_z_factorization(seed, n, c):
 def test_reward_transform_zero_rewards():
     blocks = random_blocks(2, 3, np.random.default_rng(3))
     ctx = _ctx(blocks, 1.0)
-    parts = reward_transform(ctx, RewardSpec.zeros(2, 3))
+    parts = reward_transform(ctx, np.zeros((4, 2)))
     assert not np.concatenate(parts).any()
 
 
 def test_reward_transform_uniform_rate():
     blocks = random_blocks(2, 4, np.random.default_rng(4))
     c = 1.7
-    rewards = RewardSpec(g=tuple(c * np.ones(2) for _ in range(5)))
+    rewards = c * np.ones((5, 2))
     for s in (0.5, 2.0):
         parts = reward_transform(_ctx(blocks, s), rewards)
         np.testing.assert_allclose(np.concatenate(parts),
@@ -118,7 +119,7 @@ def test_reward_transform_matches_dense(seed):
     q = assemble_generator(blocks)
     for s in (0.2, 1.0, 5.0):
         parts = reward_transform(_ctx(blocks, s), rewards)
-        dense = dense_reward_transform(q, rewards.stacked(), s)
+        dense = dense_reward_transform(q, rewards.reshape(-1), s)
         gap = np.max(np.abs(np.concatenate(parts) - dense))
         assert gap <= 1e-8 * max(1.0, np.max(np.abs(dense)))
 
@@ -129,7 +130,7 @@ def test_reward_transform_mapph_dense():
     rewards = lost_revenue_rewards(blocks, 1.0)
     q = assemble_generator(blocks)
     parts = reward_transform(_ctx(blocks, 1.0), rewards)
-    dense = dense_reward_transform(q, rewards.stacked(), 1.0)
+    dense = dense_reward_transform(q, rewards.reshape(-1), 1.0)
     assert np.max(np.abs(np.concatenate(parts) - dense)) \
         <= 1e-8 * np.max(np.abs(dense))
 
@@ -146,8 +147,8 @@ def test_reward_unbounded_finite_support_both_drifts():
         small = scalar_blocks(lam, mu, 2)
         big = scalar_blocks(lam, mu, 200)
         ctx = _ctx(big, 1.0)
-        rewards = RewardSpec(g=tuple([np.array([1.0])]
-                                     + [np.array([0.0])] * 200))
+        rewards = np.zeros((201, 1))
+        rewards[0] = 1.0
         finite = reward_transform(ctx, rewards)
         unb = dense_reward_transform(censored_generator(small, 1.0, 5), g, 1.0)
         for k in (0, 2, 5):
@@ -165,7 +166,7 @@ def test_deviation_blocks_match_dense(seed):
     pi = stationary_rmatrix(blocks)
     for s in (0.3, 1.0):
         assembled = deviation_transform(_ctx(blocks, s), pi)
-        dense = dense_deviation_transform(q, pi.stacked(), s)
+        dense = dense_deviation_transform(q, pi.reshape(-1), s)
         assert np.max(np.abs(assembled - dense)) \
             <= 1e-8 * max(1.0, np.max(np.abs(dense)))
 
@@ -179,11 +180,11 @@ def test_transforms_match_dense_at_complex_s(seed):
     s = 1.2 + 7j
     ctx = _ctx(blocks, s)
     assembled = deviation_transform(ctx, pi)
-    dense = dense_deviation_transform(q, pi.stacked(), s)
+    dense = dense_deviation_transform(q, pi.reshape(-1), s)
     assert np.max(np.abs(assembled - dense)) \
         <= 1e-8 * max(1.0, np.max(np.abs(dense)))
     parts = reward_transform(ctx, rewards)
-    dense_r = dense_reward_transform(q, rewards.stacked(), s)
+    dense_r = dense_reward_transform(q, rewards.reshape(-1), s)
     assert np.max(np.abs(parts.reshape(-1) - dense_r)) \
         <= 1e-8 * max(1.0, np.max(np.abs(dense_r)))
 
@@ -193,8 +194,22 @@ def test_deviation_block_single_entry(scalar_pr):
     pi = stationary_rmatrix(scalar_pr)
     s = 1.0
     block = deviation_transform_block(_ctx(scalar_pr, s), pi, 0, 2)
-    dense = dense_deviation_transform(q, pi.stacked(), s)
+    dense = dense_deviation_transform(q, pi.reshape(-1), s)
     assert abs(block[0, 0] - dense[0, 2]) <= 1e-10
+
+
+@pytest.mark.parametrize("route", [
+    lambda blocks, pi: deviation_matrix_diffeq(blocks, pi),
+    lambda blocks, pi: deviation_time(blocks, 1.5, pi, block=(1, 3)),
+    lambda blocks, pi: deviation_transform_block(_ctx(blocks, 0.7 + 2j),
+                                                 pi, 3, 1)],
+    ids=["asymptotic", "time-block", "transform-block"])
+def test_flat_and_level_pi_give_the_same_bytes(route):
+    blocks = mapph_example(C=5)
+    pi = stationary_rmatrix(blocks)
+    flat, by_level = route(blocks, pi.reshape(-1)), route(blocks, pi)
+    assert flat.shape == by_level.shape
+    assert flat.tobytes() == by_level.tobytes()
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -205,7 +220,7 @@ def test_deviation_transform_annihilation(seed):
         assembled = deviation_transform(_ctx(blocks, s), pi)
         size = assembled.shape[0]
         np.testing.assert_allclose(assembled @ np.ones(size), 0.0, atol=1e-9)
-        np.testing.assert_allclose(pi.stacked() @ assembled, 0.0, atol=1e-9)
+        np.testing.assert_allclose(pi.reshape(-1) @ assembled, 0.0, atol=1e-9)
 
 
 def test_deviation_transform_small_s_approaches_asymptotic(scalar_pr):
@@ -289,7 +304,7 @@ def test_zero_transform_inverts_to_exact_zero():
 def test_zero_rewards_give_exact_zeros():
     blocks = mapph_example(C=10)
     times = np.arange(0.0, 10.25, 0.5)
-    curves = reward_time(blocks, RewardSpec.zeros(4, 10), times)
+    curves = reward_time(blocks, np.zeros((11, 4)), times)
     assert curves.shape == (len(times), 44) and not curves.any()
 
 
@@ -307,17 +322,16 @@ def test_inversion_breakdown_raises_numerical_error(transform):
 # ---------------------------------------------------------------------------
 
 def test_reward_time_zero_horizon(scalar_pr):
-    rewards = RewardSpec(g=(np.array([1.0]), np.array([1.0]),
-                            np.array([1.0])))
+    rewards = np.ones((3, 1))
     assert not reward_time(scalar_pr, rewards, 0.0).any()
 
 
 @pytest.mark.parametrize("t", [0.5, 2.0])
-def test_reward_time_matches_ode_oracle(t, scalar_pr):
+def test_reward_time_matches_expm_oracle(t, scalar_pr):
     rewards = random_rewards(scalar_pr)
     q = assemble_generator(scalar_pr)
     inverted = reward_time(scalar_pr, rewards, t)
-    integrated = oracle_reward(q, rewards.stacked(), t)
+    integrated = oracle_reward(q, rewards.reshape(-1), t)
     assert np.max(np.abs(inverted - integrated)) <= 1e-6
 
 
@@ -342,7 +356,7 @@ def test_revenue_curves_match_expm():
         q = assemble_generator(blocks)
         for rewards in (lost_revenue_rewards(blocks, 1.0),
                         gained_revenue_rewards(blocks, 1.0, 1.0)):
-            reference = np.array([oracle_reward(q, rewards.stacked(), t)
+            reference = np.array([oracle_reward(q, rewards.reshape(-1), t)
                                   for t in times])
             curves = reward_time(blocks, rewards, times)
             gap = (curves - reference).reshape(len(times), -1, 4) @ alpha
@@ -353,21 +367,21 @@ def test_revenue_curves_match_expm():
             assert np.max(np.abs(gap)) <= 1e-6
 
 
-def test_deviation_time_matches_quadrature(scalar_pr):
+def test_deviation_time_matches_closed_form_oracle(scalar_pr):
     q = assemble_generator(scalar_pr)
     pi = stationary_rmatrix(scalar_pr)
     for t in (0.5, 3.0):
         inverted = deviation_time(scalar_pr, t, pi)
-        quad = oracle_transient_deviation(q, pi.stacked(), t)
-        assert np.max(np.abs(inverted - quad)) <= 1e-6
+        closed_form = oracle_transient_deviation(q, pi.reshape(-1), t)
+        assert np.max(np.abs(inverted - closed_form)) <= 1e-6
 
 
-def test_deviation_time_null_recurrent_matches_quadrature():
+def test_deviation_time_null_recurrent_matches_closed_form_oracle():
     # a finite chain has D(t) whatever its drift
     blocks = scalar_blocks(1.0, 1.0, 4)
     q = assemble_generator(blocks)
-    quad = oracle_transient_deviation(q, oracle_stationary(q), 2.0)
-    assert np.max(np.abs(deviation_time(blocks, 2.0) - quad)) <= 1e-6
+    closed_form = oracle_transient_deviation(q, oracle_stationary(q), 2.0)
+    assert np.max(np.abs(deviation_time(blocks, 2.0) - closed_form)) <= 1e-6
 
 
 @pytest.mark.parametrize("t", [1e3, 1e4])
@@ -384,7 +398,7 @@ def test_long_horizon_matches_closed_form(blocks, t):
         block = route(blocks, t, block=(0, C))
         assert np.max(np.abs(block - exact)) <= 1e-6
     gap = (reward_time(blocks, rewards, t)
-           - oracle_reward(q, rewards.stacked(), t))
+           - oracle_reward(q, rewards.reshape(-1), t))
     assert np.max(np.abs(gap)) <= 1e-6
 
 
@@ -393,8 +407,7 @@ def occupation_matrix(blocks, pi, t):
     n, C = blocks.n, blocks.C
     if t == 0:
         return np.zeros((n * (C + 1), n * (C + 1)))
-    stacked = np.concatenate([np.asarray(pi[k]) for k in range(C + 1)])
-    base = np.outer(np.ones(n * (C + 1)), stacked) * t
+    base = np.outer(np.ones(n * (C + 1)), np.reshape(pi, -1)) * t
     return base + deviation_time(blocks, t, pi)
 
 
@@ -408,16 +421,15 @@ def test_occupation_rows_sum_to_horizon():
 
 
 def test_reward_linear_asymptote(scalar_pr):
-    rewards = RewardSpec(g=(np.array([0.4]), np.array([0.1]),
-                            np.array([1.0])))
+    rewards = np.array([[0.4], [0.1], [1.0]])
     q = assemble_generator(scalar_pr)
     pi = oracle_stationary(q)
     dev = oracle_deviation(q, pi)
     gap = np.abs(np.linalg.eigvals(q))
     t = 50.0 / np.min(gap[gap > 1e-9])
-    asymptote = (pi @ rewards.stacked()) * t + dev @ rewards.stacked()
+    asymptote = (pi @ rewards.reshape(-1)) * t + dev @ rewards.reshape(-1)
     actual = reward_time(scalar_pr, rewards, t)
-    bound = 1e-5 * (1.0 + np.max(np.abs(dev @ rewards.stacked())))
+    bound = 1e-5 * (1.0 + np.max(np.abs(dev @ rewards.reshape(-1))))
     assert np.max(np.abs(actual - asymptote)) <= bound
 
 
@@ -751,15 +763,14 @@ def test_particular_skips_zero_atoms_bitwise(monkeypatch):
     from qbdr import lost_revenue_rewards
     from qbdr.transform import _deviation_columns
     blocks = mapph_example(C=60)
-    lost = lost_revenue_rewards(blocks, 1.0).g
-    rewards = RewardSpec(g=lost[:-2] + lost[-1:] * 2)
+    lost = lost_revenue_rewards(blocks, 1.0)
+    rewards = np.concatenate([lost[:-2], lost[-1:], lost[-1:]])
     pi = stationary_rmatrix(blocks)
     ctx = transform_context(blocks, inversion_nodes(2.0))
 
     def results():
         return (reward_transform(ctx, rewards),
-                _deviation_columns(blocks, ctx.gmat, [17, 30],
-                                   [pi[17], pi[30]], 24))
+                _deviation_columns(blocks, ctx.gmat, [17, 30], pi, 24))
 
     skipped = results()
     monkeypatch.setattr(diffeq, "particular", full_sweep_particular)
